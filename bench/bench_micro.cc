@@ -1,12 +1,13 @@
 // Micro-benchmarks (google-benchmark) of the hot kernels: device service
 // times, the simulator's event throughput, LVM mapping, cost-model
 // interpolation, the target model's utilization computation (the solver's
-// inner loop), the incremental column evaluator, simplex projection, and a
-// small end-to-end solve.
+// inner loop), the incremental column evaluator, the regularizer sweep,
+// simplex projection, and a small end-to-end solve.
 //
 // --json[=path] maps onto google-benchmark's JSON reporters, so every
 // benchmark binary in this repo shares one machine-readable flag.
 
+#include <algorithm>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -14,6 +15,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include "core/problem.h"
+#include "core/regularize.h"
 #include "model/calibration.h"
 #include "model/target_model.h"
 #include "monitor/online_analyzer.h"
@@ -498,6 +501,88 @@ void BM_TargetModelColumnGradientSparse(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_TargetModelColumnGradientSparse)->Arg(160)->Arg(640)->Arg(2560);
+
+/// Multi-tenant workloads: dense overlap rows, co-access within tenants of
+/// 8 plus one weak link to another tenant per object.
+WorkloadSet MakeTenantWorkloads(int n, Rng* rng) {
+  constexpr int kTenant = 8;
+  WorkloadSet ws(static_cast<size_t>(n));
+  for (int i = 0; i < n; ++i) {
+    WorkloadDesc& w = ws[static_cast<size_t>(i)];
+    w.read_rate = rng->Uniform(1, 200);
+    w.read_size = 64 * kKiB;
+    w.write_rate = rng->Uniform(0, 20);
+    w.write_size = 64 * kKiB;
+    w.run_count = rng->Uniform(1, 100);
+    w.overlap.assign(static_cast<size_t>(n), 0.0);
+    w.overlap[static_cast<size_t>(i)] = rng->Uniform(0, 1.5);
+  }
+  for (int i = 0; i < n; ++i) {
+    const int lo = i / kTenant * kTenant;
+    for (int k = i + 1; k < std::min(n, lo + kTenant); ++k) {
+      const double o = rng->Uniform(0.05, 0.6);
+      ws[static_cast<size_t>(i)].overlap[static_cast<size_t>(k)] = o;
+      ws[static_cast<size_t>(k)].overlap[static_cast<size_t>(i)] = o;
+    }
+    const int k = static_cast<int>(rng->UniformInt(static_cast<uint64_t>(n)));
+    if (k / kTenant != i / kTenant) {
+      const double o = rng->Uniform(0.01, 0.1);
+      ws[static_cast<size_t>(i)].overlap[static_cast<size_t>(k)] = o;
+      ws[static_cast<size_t>(k)].overlap[static_cast<size_t>(i)] = o;
+    }
+  }
+  return ws;
+}
+
+void BM_RegularizeSweep(benchmark::State& state) {
+  // The regularizer end to end (greedy pass + refinement sweeps, 2M
+  // candidates per object) on a solver-like layout: every row spread
+  // unevenly over a random target subset. Args: objects, targets, and
+  // overlap form (0 = dense multi-tenant rows, 1 = CSR ring band of 16).
+  const int n = static_cast<int>(state.range(0));
+  const int m = static_cast<int>(state.range(1));
+  Rng rng(7);
+  LayoutProblem problem;
+  problem.workloads = state.range(2) == 0 ? MakeTenantWorkloads(n, &rng)
+                                          : MakeSparseWorkloads(n, 16, &rng);
+  for (int i = 0; i < n; ++i) {
+    problem.object_names.push_back("o" + std::to_string(i));
+    problem.object_sizes.push_back(kGiB);
+    problem.object_kinds.push_back(ObjectKind::kTable);
+  }
+  for (int j = 0; j < m; ++j) {
+    problem.targets.push_back(AdvisorTarget{
+        "t" + std::to_string(j), 2 * n * kGiB / m, &SharedCostModel(), 1,
+        64 * kKiB});
+  }
+  const TargetModel model = problem.MakeTargetModel();
+  Layout solver_layout(n, m);
+  for (int i = 0; i < n; ++i) {
+    double sum = 0.0;
+    for (int j = 0; j < m; ++j) {
+      if (rng.Bernoulli(0.3)) {
+        solver_layout.Set(i, j, rng.Uniform(0.05, 1.0));
+        sum += solver_layout.At(i, j);
+      }
+    }
+    if (sum == 0.0) {
+      solver_layout.Set(i, i % m, 1.0);
+      continue;
+    }
+    for (int j = 0; j < m; ++j) solver_layout.Set(i, j, solver_layout.At(i, j) / sum);
+  }
+  const Regularizer regularizer(&problem, &model);
+  for (auto _ : state) {
+    auto regular = regularizer.Regularize(solver_layout);
+    LDB_CHECK(regular.ok());
+    benchmark::DoNotOptimize(regular->Row(0));
+  }
+}
+BENCHMARK(BM_RegularizeSweep)
+    ->Args({96, 10, 0})
+    ->Args({1000, 20, 1})
+    ->ArgNames({"n", "m", "csr"})
+    ->Unit(benchmark::kMillisecond);
 
 void BM_SimplexProjection(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));

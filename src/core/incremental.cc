@@ -57,25 +57,19 @@ Result<Layout> PlaceIncrementally(const LayoutProblem& problem,
   });
 
   const TargetModel model = problem.MakeTargetModel();
-  Layout layout = current;
-  std::vector<double> mu(static_cast<size_t>(m));
-  for (int j = 0; j < m; ++j) {
-    mu[static_cast<size_t>(j)] =
-        model.TargetUtilization(problem.workloads, layout, j);
-  }
+  CandidatePricer pricer(&problem, &model, current);
   for (int i : to_place) {
-    RegularCandidateChoice choice =
-        BestRegularRowForObject(problem, model, options, &layout, i, mu);
+    const RegularCandidateChoice choice =
+        BestRegularRowForObject(options, &pricer, i);
     if (!choice.found) {
       return Status::Infeasible(StrFormat(
           "no placement for new object %s without moving existing data; "
           "re-run the full advisor",
           problem.object_names[static_cast<size_t>(i)].c_str()));
     }
-    layout.SetRowRegular(i, choice.targets);
-    mu = std::move(choice.mu);
+    pricer.Apply(i, choice.targets);
   }
-  return layout;
+  return pricer.layout();
 }
 
 }  // namespace ldb

@@ -1,7 +1,9 @@
 #include "core/regularize.h"
 
 #include <algorithm>
+#include <cmath>
 #include <numeric>
+#include <utility>
 #include <vector>
 
 #include "util/check.h"
@@ -27,30 +29,202 @@ Regularizer::Regularizer(const LayoutProblem* problem,
   LDB_CHECK(model_ != nullptr);
 }
 
+namespace {
+
+/// Bytes object entry `fraction` of an object of `size` bytes occupies, as
+/// Layout::BytesPerTarget counts them.
+int64_t EntryBytes(double fraction, int64_t size) {
+  return static_cast<int64_t>(std::ceil(fraction * static_cast<double>(size)));
+}
+
+}  // namespace
+
+CandidatePricer::CandidatePricer(const LayoutProblem* problem,
+                                 const TargetModel* model, Layout layout)
+    : problem_(problem),
+      model_(model),
+      layout_(std::move(layout)),
+      n_(layout_.num_objects()),
+      m_(layout_.num_targets()),
+      capacities_(problem->capacities()),
+      bytes_(layout_.BytesPerTarget(problem->object_sizes)),
+      mu_(static_cast<size_t>(m_)),
+      row_(static_cast<size_t>(m_)) {
+  LDB_CHECK_EQ(n_, problem_->num_objects());
+  LDB_CHECK_EQ(m_, problem_->num_targets());
+  const WorkloadSet& workloads = problem_->workloads;
+  const size_t un = static_cast<size_t>(n_);
+
+  // Every column priced as TargetUtilization prices it.
+  per_.resize(un * static_cast<size_t>(m_));
+  rate_.resize(per_.size());
+  mu_kj_.resize(per_.size());
+  nonzero_.resize(static_cast<size_t>(m_));
+  for (int j = 0; j < m_; ++j) {
+    const size_t base = static_cast<size_t>(j) * un;
+    for (size_t k = 0; k < un; ++k) {
+      per_[base + k] = model_->layout_model().Transform(
+          workloads[k], std::max(0.0, layout_.At(static_cast<int>(k), j)));
+      rate_[base + k] = per_[base + k].total_rate();
+    }
+    double mu_j = 0.0;
+    for (size_t k = 0; k < un; ++k) {
+      const double mu_kj = model_->ObjectUtilization(
+          workloads, static_cast<int>(k), j, per_[base + k], &rate_[base]);
+      mu_kj_[base + k] = mu_kj;
+      mu_j += mu_kj;
+      if (mu_kj != 0.0) {
+        nonzero_[static_cast<size_t>(j)].push_back(static_cast<int>(k));
+      }
+    }
+    mu_[static_cast<size_t>(j)] = mu_j;
+  }
+
+  // Transposed overlap: object k's χ reads object i's rate iff k's
+  // authoritative row holds a nonzero O_k[i].
+  partner_begin_.assign(un + 1, 0);
+  const auto for_each_partner = [&](auto&& fn) {
+    for (size_t k = 0; k < un; ++k) {
+      const WorkloadDesc& w = workloads[k];
+      if (w.has_sparse_overlap()) {
+        for (size_t s = 0; s < w.overlap_index.size(); ++s) {
+          const size_t i = static_cast<size_t>(w.overlap_index[s]);
+          if (i != k && w.overlap_value[s] != 0.0) fn(i, k);
+        }
+      } else {
+        for (size_t i = 0; i < w.overlap.size(); ++i) {
+          if (i != k && w.overlap[i] != 0.0) fn(i, k);
+        }
+      }
+    }
+  };
+  for_each_partner([&](size_t i, size_t) { ++partner_begin_[i + 1]; });
+  for (size_t i = 0; i < un; ++i) partner_begin_[i + 1] += partner_begin_[i];
+  partners_.resize(partner_begin_[un]);
+  std::vector<size_t> cursor(partner_begin_.begin(), partner_begin_.end() - 1);
+  for_each_partner([&](size_t i, size_t k) {
+    partners_[cursor[i]++] = static_cast<int>(k);
+  });
+}
+
+void CandidatePricer::SetTrialRow(const std::vector<int>& targets) {
+  LDB_CHECK(!targets.empty());
+  std::fill(row_.begin(), row_.end(), 0.0);
+  const double share = 1.0 / static_cast<double>(targets.size());
+  for (int j : targets) row_[static_cast<size_t>(j)] = share;
+}
+
+double CandidatePricer::RepriceColumn(int i, int j, double fraction,
+                                      bool commit) {
+  const WorkloadSet& workloads = problem_->workloads;
+  const size_t base = static_cast<size_t>(j) * static_cast<size_t>(n_);
+  double* rate = &rate_[base];
+  double* mu = &mu_kj_[base];
+  const size_t ui = static_cast<size_t>(i);
+
+  const PerTargetWorkload wij = model_->layout_model().Transform(
+      workloads[ui], std::max(0.0, fraction));
+  const double saved_rate = rate[ui];
+  rate[ui] = wij.total_rate();
+  // Reprice object i and its partners, recording them in ascending order.
+  undo_.clear();
+  const auto reprice = [&](int k, const PerTargetWorkload& wkj) {
+    undo_.emplace_back(k, mu[k]);
+    mu[k] = model_->ObjectUtilization(workloads, k, j, wkj, rate);
+  };
+  bool repriced_i = false;
+  for (size_t s = partner_begin_[ui]; s < partner_begin_[ui + 1]; ++s) {
+    const int k = partners_[s];
+    if (!repriced_i && k > i) {
+      reprice(i, wij);
+      repriced_i = true;
+    }
+    reprice(k, per_[base + static_cast<size_t>(k)]);
+  }
+  if (!repriced_i) reprice(i, wij);
+
+  // µ_j in object order over the nonzero terms: the cached ones merged
+  // with the repriced ones (skipping a zero term is exact, x + 0.0 == x).
+  std::vector<int>& nonzero = nonzero_[static_cast<size_t>(j)];
+  double mu_j = 0.0;
+  size_t a = 0;
+  for (const auto& [k, unused] : undo_) {
+    for (; a < nonzero.size() && nonzero[a] < k; ++a) mu_j += mu[nonzero[a]];
+    if (a < nonzero.size() && nonzero[a] == k) ++a;
+    mu_j += mu[k];
+  }
+  for (; a < nonzero.size(); ++a) mu_j += mu[nonzero[a]];
+
+  if (commit) {
+    per_[base + ui] = wij;
+    mu_[static_cast<size_t>(j)] = mu_j;
+    for (const auto& [k, unused] : undo_) {
+      const auto it = std::lower_bound(nonzero.begin(), nonzero.end(), k);
+      const bool listed = it != nonzero.end() && *it == k;
+      if (mu[k] != 0.0 && !listed) {
+        nonzero.insert(it, k);
+      } else if (mu[k] == 0.0 && listed) {
+        nonzero.erase(it);
+      }
+    }
+  } else {
+    rate[ui] = saved_rate;
+    for (const auto& [k, v] : undo_) mu[k] = v;
+  }
+  return mu_j;
+}
+
+bool CandidatePricer::Price(int i, const std::vector<int>& targets,
+                            std::vector<double>* trial_mu) {
+  SetTrialRow(targets);
+  const double* old_row = layout_.Row(i);
+  const int64_t size = problem_->object_sizes[static_cast<size_t>(i)];
+  for (int j = 0; j < m_; ++j) {
+    const size_t uj = static_cast<size_t>(j);
+    if (bytes_[uj] - EntryBytes(old_row[j], size) +
+            EntryBytes(row_[uj], size) >
+        capacities_[uj]) {
+      return false;
+    }
+  }
+  *trial_mu = mu_;
+  for (int j = 0; j < m_; ++j) {
+    const size_t uj = static_cast<size_t>(j);
+    if (row_[uj] != old_row[j]) {
+      (*trial_mu)[uj] = RepriceColumn(i, j, row_[uj], /*commit=*/false);
+    }
+  }
+  return true;
+}
+
+void CandidatePricer::Apply(int i, const std::vector<int>& targets) {
+  SetTrialRow(targets);
+  const double* old_row = layout_.Row(i);
+  const int64_t size = problem_->object_sizes[static_cast<size_t>(i)];
+  for (int j = 0; j < m_; ++j) {
+    const size_t uj = static_cast<size_t>(j);
+    if (row_[uj] == old_row[j]) continue;
+    bytes_[uj] += EntryBytes(row_[uj], size) - EntryBytes(old_row[j], size);
+    RepriceColumn(i, j, row_[uj], /*commit=*/true);
+  }
+  layout_.SetRowRegular(i, targets);
+}
+
 RegularCandidateChoice BestRegularRowForObject(
-    const LayoutProblem& problem, const TargetModel& model,
-    const RegularizerOptions& options, Layout* current, int i,
-    const std::vector<double>& mu) {
+    const RegularizerOptions& options, CandidatePricer* pricer, int i) {
+  const LayoutProblem& problem = pricer->problem();
+  const Layout& current = pricer->layout();
+  const std::vector<double>& mu = pricer->mu();
   const int m = problem.num_targets();
-  const std::vector<int64_t> capacities = problem.capacities();
   LDB_CHECK(options.target_derate.empty() ||
             options.target_derate.size() == static_cast<size_t>(m));
-
-  std::vector<bool> was_nonzero(static_cast<size_t>(m), false);
-  for (int j = 0; j < m; ++j) {
-    was_nonzero[static_cast<size_t>(j)] =
-        current->At(i, j) > options.zero_tolerance;
-  }
 
   // Candidate universe: the object's allowed targets (all targets when
   // unrestricted). Generating prefixes from the allowed set — rather than
   // filtering afterwards — keeps candidates available even when a
   // disallowed target would sort ahead of every allowed one.
-  std::vector<int> universe;
-  if (!problem.constraints.empty() &&
-      !problem.constraints.AllowedFor(i).empty()) {
-    universe = problem.constraints.AllowedFor(i);
-  } else {
+  std::vector<int> universe = problem.constraints.AllowedFor(i);
+  if (universe.empty()) {
     universe.resize(static_cast<size_t>(m));
     std::iota(universe.begin(), universe.end(), 0);
   }
@@ -58,7 +232,7 @@ RegularCandidateChoice BestRegularRowForObject(
   // broken by target id (paper footnote 1).
   std::vector<int> by_fraction = universe;
   std::stable_sort(by_fraction.begin(), by_fraction.end(), [&](int a, int b) {
-    return current->At(i, a) > current->At(i, b);
+    return current.At(i, a) > current.At(i, b);
   });
   // Class 2 (balancing): targets by current load, ascending.
   std::vector<int> by_load = universe;
@@ -78,55 +252,27 @@ RegularCandidateChoice BestRegularRowForObject(
                               by_load.begin() + static_cast<long>(k));
     }
   }
-  // Administrative constraints: drop candidates using disallowed targets
-  // or co-locating with a separation partner.
-  if (!problem.constraints.empty()) {
-    const std::vector<int>& allowed = problem.constraints.AllowedFor(i);
-    std::vector<std::vector<int>> filtered;
-    for (std::vector<int>& targets : candidates) {
-      bool ok = true;
-      if (!allowed.empty()) {
-        for (int j : targets) {
-          if (std::find(allowed.begin(), allowed.end(), j) == allowed.end()) {
-            ok = false;
-            break;
-          }
-        }
+  // Separation constraints drop candidates that share a target with a
+  // partner (allowed-target restrictions already shaped the universe).
+  const auto co_locates = [&](const std::vector<int>& targets) {
+    for (const auto& [a, b] : problem.constraints.separate) {
+      const int partner = a == i ? b : (b == i ? a : -1);
+      if (partner < 0) continue;
+      for (int j : targets) {
+        if (current.At(partner, j) > options.zero_tolerance) return true;
       }
-      if (ok) {
-        for (const auto& [a, b] : problem.constraints.separate) {
-          const int partner = a == i ? b : (b == i ? a : -1);
-          if (partner < 0) continue;
-          for (int j : targets) {
-            if (current->At(partner, j) > options.zero_tolerance) {
-              ok = false;
-              break;
-            }
-          }
-          if (!ok) break;
-        }
-      }
-      if (ok) filtered.push_back(std::move(targets));
     }
-    candidates = std::move(filtered);
-  }
+    return false;
+  };
 
-  const std::vector<double> saved_row(current->Row(i), current->Row(i) + m);
   RegularCandidateChoice best;
+  std::vector<double> trial_mu;
   for (const std::vector<int>& targets : candidates) {
-    current->SetRowRegular(i, targets);
-    if (!current->SatisfiesCapacity(problem.object_sizes, capacities)) {
+    if (co_locates(targets) || !pricer->Price(i, targets, &trial_mu)) {
       continue;
     }
-    // Only columns the row change touches need re-evaluation.
-    std::vector<double> trial_mu = mu;
     double objective = 0.0;
     for (int j = 0; j < m; ++j) {
-      const bool now_nonzero = current->At(i, j) > 0.0;
-      if (was_nonzero[static_cast<size_t>(j)] || now_nonzero) {
-        trial_mu[static_cast<size_t>(j)] =
-            model.TargetUtilization(problem.workloads, *current, j);
-      }
       objective = std::max(
           objective, EffectiveTargetUtilization(
                          options, trial_mu[static_cast<size_t>(j)], j));
@@ -135,11 +281,8 @@ RegularCandidateChoice BestRegularRowForObject(
       best.found = true;
       best.objective = objective;
       best.targets = targets;
-      best.mu = std::move(trial_mu);
     }
   }
-  // Restore; the caller applies the winner.
-  std::copy(saved_row.begin(), saved_row.end(), current->Row(i));
   return best;
 }
 
@@ -151,16 +294,14 @@ Result<Layout> Regularizer::Regularize(const Layout& solver_layout) const {
     return Status::InvalidArgument("layout dimensions mismatch problem");
   }
 
+  CandidatePricer pricer(problem_, model_, solver_layout);
+
   // Object order: decreasing total imposed load Σ_j µ_ij under the
   // solver's layout.
-  std::vector<double> mu_ij;
-  model_->Utilizations(problem_->workloads, solver_layout, &mu_ij);
   std::vector<double> object_load(static_cast<size_t>(n), 0.0);
   for (int i = 0; i < n; ++i) {
     for (int j = 0; j < m; ++j) {
-      object_load[static_cast<size_t>(i)] +=
-          mu_ij[static_cast<size_t>(i) * static_cast<size_t>(m) +
-                static_cast<size_t>(j)];
+      object_load[static_cast<size_t>(i)] += pricer.mu_ij(i, j);
     }
   }
   std::vector<int> order(static_cast<size_t>(n));
@@ -170,25 +311,17 @@ Result<Layout> Regularizer::Regularize(const Layout& solver_layout) const {
            object_load[static_cast<size_t>(b)];
   });
 
-  Layout current = solver_layout;
-  std::vector<double> mu(static_cast<size_t>(m));
-  for (int j = 0; j < m; ++j) {
-    mu[static_cast<size_t>(j)] =
-        model_->TargetUtilization(problem_->workloads, current, j);
-  }
-
   // Greedy pass: regularize one object at a time (paper Section 4.3).
   for (int i : order) {
-    RegularCandidateChoice choice = BestRegularRowForObject(
-        *problem_, *model_, options_, &current, i, mu);
+    const RegularCandidateChoice choice =
+        BestRegularRowForObject(options_, &pricer, i);
     if (!choice.found) {
       return Status::Infeasible(StrFormat(
           "no regular candidate for object %s fits the capacity "
           "constraints; manual intervention required",
           problem_->object_names[static_cast<size_t>(i)].c_str()));
     }
-    current.SetRowRegular(i, choice.targets);
-    mu = std::move(choice.mu);
+    pricer.Apply(i, choice.targets);
   }
 
   // Refinement sweeps: with the whole layout now regular, revisit each
@@ -200,25 +333,22 @@ Result<Layout> Regularizer::Regularize(const Layout& solver_layout) const {
       for (int j = 0; j < m; ++j) {
         current_objective = std::max(
             current_objective,
-            EffectiveTargetUtilization(options_, mu[static_cast<size_t>(j)],
-                                       j));
+            EffectiveTargetUtilization(
+                options_, pricer.mu()[static_cast<size_t>(j)], j));
       }
-      RegularCandidateChoice choice = BestRegularRowForObject(
-          *problem_, *model_, options_, &current, i, mu);
-      if (choice.found && choice.objective < current_objective - 1e-12) {
-        const std::vector<int> previous = current.TargetsOf(i);
-        if (previous != choice.targets) {
-          current.SetRowRegular(i, choice.targets);
-          mu = std::move(choice.mu);
-          improved = true;
-        }
+      const RegularCandidateChoice choice =
+          BestRegularRowForObject(options_, &pricer, i);
+      if (choice.found && choice.objective < current_objective - 1e-12 &&
+          pricer.layout().TargetsOf(i) != choice.targets) {
+        pricer.Apply(i, choice.targets);
+        improved = true;
       }
     }
     if (!improved) break;
   }
 
-  LDB_CHECK(current.IsRegular(1e-9));
-  return current;
+  LDB_CHECK(pricer.layout().IsRegular(1e-9));
+  return pricer.layout();
 }
 
 }  // namespace ldb

@@ -1,6 +1,10 @@
 #ifndef LAYOUTDB_CORE_REGULARIZE_H_
 #define LAYOUTDB_CORE_REGULARIZE_H_
 
+#include <cstdint>
+#include <utility>
+#include <vector>
+
 #include "core/problem.h"
 #include "model/layout.h"
 #include "model/target_model.h"
@@ -10,8 +14,9 @@ namespace ldb {
 
 /// Options for the regularization post-processing step.
 struct RegularizerOptions {
-  /// Layout entries at or below this are treated as zero when ordering
-  /// targets by solver fraction.
+  /// Layout entries at or below this count as "not placed" when checking a
+  /// separation partner, and as solver noise when re-planning prices
+  /// migrations.
   double zero_tolerance = 1e-4;
   /// After the greedy pass, up to this many refinement sweeps re-evaluate
   /// every object's candidate set against the now-regular layout and move
@@ -38,6 +43,95 @@ struct RegularizerOptions {
 double EffectiveTargetUtilization(const RegularizerOptions& options,
                                   double mu_j, int j);
 
+/// Exact incremental pricing of regular candidate rows against a layout:
+/// the regularizer's inner loop.
+///
+/// The pricer caches, for its current layout, every object's transformed
+/// per-target workload W_kj, on-target rate and µ_kj, each target's µ_j,
+/// and each target's integer byte total. Changing object i's row moves
+/// only µ_ij and the µ_kj of i's overlap partners (the objects k ≠ i with
+/// O_k[i] ≠ 0), and only on targets whose entry L_ij changes. A candidate
+/// therefore reprices just those terms through
+/// TargetModel::ObjectUtilization and re-sums each touched column's
+/// nonzero terms in object order. Every other object's χ only gains or
+/// loses a rate_ij · 0 term, and x + 0.0 == x, so the trial µ_j is
+/// bit-identical to TargetModel::TargetUtilization on the trial layout.
+/// The capacity check swaps the row's per-entry ceil bytes into the cached
+/// totals, which is exact because the totals are integers.
+class CandidatePricer {
+ public:
+  /// `problem` and `model` must outlive the pricer. Construction prices
+  /// every column once.
+  CandidatePricer(const LayoutProblem* problem, const TargetModel* model,
+                  Layout layout);
+
+  const LayoutProblem& problem() const { return *problem_; }
+  const Layout& layout() const { return layout_; }
+  /// µ_j of the current layout, one entry per target.
+  const std::vector<double>& mu() const { return mu_; }
+  /// µ_ij of the current layout.
+  double mu_ij(int i, int j) const {
+    return mu_kj_[static_cast<size_t>(j) * static_cast<size_t>(n_) +
+                  static_cast<size_t>(i)];
+  }
+
+  /// Prices striping object `i` evenly over `targets`. Returns false if
+  /// that layout violates a capacity; otherwise fills `trial_mu` with every
+  /// target's µ_j under it. The current layout is left unchanged.
+  bool Price(int i, const std::vector<int>& targets,
+             std::vector<double>* trial_mu);
+
+  /// Moves object `i` onto the regular row over `targets`.
+  void Apply(int i, const std::vector<int>& targets);
+
+ private:
+  /// Fills row_ with the regular row over `targets`, exactly as
+  /// Layout::SetRowRegular writes it.
+  void SetTrialRow(const std::vector<int>& targets);
+  /// µ_j with object i's fraction on target j set to `fraction`; keeps the
+  /// repriced terms when `commit`, else restores the caches.
+  double RepriceColumn(int i, int j, double fraction, bool commit);
+
+  const LayoutProblem* problem_;
+  const TargetModel* model_;
+  Layout layout_;
+  int n_;
+  int m_;
+  std::vector<int64_t> capacities_;
+  std::vector<int64_t> bytes_;
+  std::vector<double> mu_;
+  // Column-major caches, entry j * N + k.
+  std::vector<PerTargetWorkload> per_;
+  std::vector<double> rate_;
+  std::vector<double> mu_kj_;
+  // Per target, the objects with µ_kj ≠ 0, ascending: the only terms the
+  // object-order sum of µ_j needs.
+  std::vector<std::vector<int>> nonzero_;
+  // Overlap partners of object i: partners_[partner_begin_[i] ..
+  // partner_begin_[i + 1]), ascending.
+  std::vector<size_t> partner_begin_;
+  std::vector<int> partners_;
+  // Scratch.
+  std::vector<double> row_;
+  std::vector<std::pair<int, double>> undo_;
+};
+
+/// Outcome of searching the 2M regular candidates for one object.
+struct RegularCandidateChoice {
+  bool found = false;
+  double objective = 0.0;  ///< max_j µ_j with the candidate applied
+  std::vector<int> targets;
+};
+
+/// Generates the paper's 2M candidate regular rows for object `i`
+/// (consistent with its current row's fractions, and balancing onto the
+/// least-loaded targets) against the pricer's layout, drops capacity and
+/// constraint violators, and returns the one minimizing the maximum
+/// (derated) utilization. The caller applies the winner. Shared by the
+/// regularizer, incremental placement and failure re-planning.
+RegularCandidateChoice BestRegularRowForObject(
+    const RegularizerOptions& options, CandidatePricer* pricer, int i);
+
 /// Regularization post-processor (paper Section 4.3): converts the
 /// solver's optimized but generally non-regular layout into a regular one
 /// implementable by round-robin striping.
@@ -52,25 +146,6 @@ double EffectiveTargetUtilization(const RegularizerOptions& options,
 ///    least-loaded targets.
 /// Candidates violating capacity are dropped; the one minimizing the
 /// maximum estimated target utilization wins.
-/// Outcome of searching the 2M regular candidates for one object.
-struct RegularCandidateChoice {
-  bool found = false;
-  double objective = 0.0;  ///< max_j µ_j with the candidate applied
-  std::vector<int> targets;
-  std::vector<double> mu;  ///< refreshed per-target utilization cache
-};
-
-/// Generates the paper's 2M candidate regular rows for object `i`
-/// (consistent with the current row's fractions, and balancing onto the
-/// least-loaded targets), drops capacity/constraint violators, and returns
-/// the one minimizing the maximum utilization. `mu` is the per-target
-/// utilization cache for `current`; the winner's refreshed cache is
-/// returned. Shared by the regularizer and incremental placement.
-RegularCandidateChoice BestRegularRowForObject(
-    const LayoutProblem& problem, const TargetModel& model,
-    const RegularizerOptions& options, Layout* current, int i,
-    const std::vector<double>& mu);
-
 class Regularizer {
  public:
   /// `problem` and `model` must outlive the regularizer.

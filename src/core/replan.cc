@@ -143,17 +143,6 @@ double EffectiveMax(const RegularizerOptions& options,
   return out;
 }
 
-std::vector<double> ColumnUtilizations(const LayoutProblem& problem,
-                                       const TargetModel& model,
-                                       const Layout& layout) {
-  std::vector<double> mu(static_cast<size_t>(problem.num_targets()));
-  for (int j = 0; j < problem.num_targets(); ++j) {
-    mu[static_cast<size_t>(j)] =
-        model.TargetUtilization(problem.workloads, layout, j);
-  }
-  return mu;
-}
-
 /// Row i of `layout` is regular over exactly `targets` within `tol`: every
 /// listed fraction equals 1/k up to tol (TargetsOf already excluded the
 /// sub-tol rest).
@@ -252,7 +241,8 @@ Result<ReplanResult> ReplanAfterFailure(const LayoutProblem& problem,
     ReplanResult result;
     result.layout = current;
     result.migration = PriceMigration(problem, current, current, tol);
-    const std::vector<double> mu = ColumnUtilizations(problem, model, current);
+    const std::vector<double> mu =
+        model.Utilizations(problem.workloads, current);
     result.max_utilization = *std::max_element(mu.begin(), mu.end());
     result.previous_max_utilization = result.max_utilization;
     result.replanned = false;
@@ -330,10 +320,14 @@ Result<ReplanResult> ReplanAfterFailure(const LayoutProblem& problem,
     if (is_displaced[static_cast<size_t>(i)]) displaced.push_back(i);
   }
 
-  Layout layout = current;
-  for (int i : displaced) {
-    for (int j = 0; j < m; ++j) layout.Set(i, j, 0.0);
-  }
+  // Displaced rows start empty; the pricer is built on that layout.
+  CandidatePricer pricer = [&] {
+    Layout emptied = current;
+    for (int i : displaced) {
+      for (int j = 0; j < m; ++j) emptied.Set(i, j, 0.0);
+    }
+    return CandidatePricer(&degraded, &model, std::move(emptied));
+  }();
 
   // Displaced objects re-enter by decreasing request rate (the ordering
   // the initial-layout heuristic and PlaceIncrementally use).
@@ -342,17 +336,15 @@ Result<ReplanResult> ReplanAfterFailure(const LayoutProblem& problem,
            problem.workloads[static_cast<size_t>(b)].total_rate();
   });
 
-  std::vector<double> mu = ColumnUtilizations(degraded, model, layout);
   for (int i : displaced) {
-    RegularCandidateChoice choice =
-        BestRegularRowForObject(degraded, model, ropts, &layout, i, mu);
+    const RegularCandidateChoice choice =
+        BestRegularRowForObject(ropts, &pricer, i);
     if (!choice.found) {
       return Status::Infeasible(StrFormat(
           "no surviving placement for object %s; re-run the full advisor",
           problem.object_names[static_cast<size_t>(i)].c_str()));
     }
-    layout.SetRowRegular(i, choice.targets);
-    mu = std::move(choice.mu);
+    pricer.Apply(i, choice.targets);
   }
 
   // Refinement sweeps over movable rows only: displaced rows may settle
@@ -368,14 +360,13 @@ Result<ReplanResult> ReplanAfterFailure(const LayoutProblem& problem,
   for (int pass = 0; pass < ropts.refinement_passes; ++pass) {
     bool improved = false;
     for (int i : movable) {
-      const double incumbent = EffectiveMax(ropts, mu);
-      RegularCandidateChoice choice =
-          BestRegularRowForObject(degraded, model, ropts, &layout, i, mu);
+      const double incumbent = EffectiveMax(ropts, pricer.mu());
+      const RegularCandidateChoice choice =
+          BestRegularRowForObject(ropts, &pricer, i);
       if (choice.found &&
           choice.objective < incumbent - options.improvement_epsilon &&
-          layout.TargetsOf(i) != choice.targets) {
-        layout.SetRowRegular(i, choice.targets);
-        mu = std::move(choice.mu);
+          pricer.layout().TargetsOf(i) != choice.targets) {
+        pricer.Apply(i, choice.targets);
         improved = true;
       }
     }
@@ -405,32 +396,31 @@ Result<ReplanResult> ReplanAfterFailure(const LayoutProblem& problem,
     nlp.make_column_eval = nullptr;
 
     ProjectedGradientSolver solver(options.solver);
-    Result<SolverResult> polished = solver.Solve(nlp, layout);
+    Result<SolverResult> polished = solver.Solve(nlp, pricer.layout());
     if (polished.ok()) {
-      Layout candidate = polished->layout;
-      std::vector<double> cmu = ColumnUtilizations(degraded, model, candidate);
+      CandidatePricer candidate(&degraded, &model, polished->layout);
       bool regularized = true;
       for (int i : displaced) {
-        RegularCandidateChoice choice = BestRegularRowForObject(
-            degraded, model, ropts, &candidate, i, cmu);
+        const RegularCandidateChoice choice =
+            BestRegularRowForObject(ropts, &candidate, i);
         if (!choice.found) {
           regularized = false;
           break;
         }
-        candidate.SetRowRegular(i, choice.targets);
-        cmu = std::move(choice.mu);
+        candidate.Apply(i, choice.targets);
       }
       if (regularized &&
-          EffectiveMax(ropts, cmu) <
-              EffectiveMax(ropts, mu) - options.improvement_epsilon &&
-          candidate.SatisfiesCapacity(problem.object_sizes,
-                                      problem.capacities()) &&
-          degraded.constraints.SatisfiedBy(candidate)) {
-        layout = std::move(candidate);
-        mu = std::move(cmu);
+          EffectiveMax(ropts, candidate.mu()) <
+              EffectiveMax(ropts, pricer.mu()) -
+                  options.improvement_epsilon &&
+          candidate.layout().SatisfiesCapacity(problem.object_sizes,
+                                               problem.capacities()) &&
+          degraded.constraints.SatisfiedBy(candidate.layout())) {
+        pricer = std::move(candidate);
       }
     }
   }
+  const Layout& layout = pricer.layout();
 
   // Structural guarantees the property tests lean on.
   LDB_CHECK(layout.SatisfiesIntegrity());
@@ -456,10 +446,10 @@ Result<ReplanResult> ReplanAfterFailure(const LayoutProblem& problem,
   ReplanResult result;
   result.layout = layout;
   result.migration = PriceMigration(problem, current, layout, tol);
-  result.max_utilization = EffectiveMax(ropts, mu);
+  result.max_utilization = EffectiveMax(ropts, pricer.mu());
   {
     const std::vector<double> prev_mu =
-        ColumnUtilizations(problem, model, current);
+        model.Utilizations(problem.workloads, current);
     double prev = 0.0;
     bool on_failed = false;
     for (int j = 0; j < m; ++j) {

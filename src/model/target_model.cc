@@ -35,57 +35,65 @@ TargetModel::TargetModel(std::vector<TargetModelInfo> targets,
 double TargetModel::TargetUtilizationInternal(
     const WorkloadSet& workloads, const Layout& layout, int j,
     std::vector<double>* mu_i) const {
-  const int n = layout.num_objects();
-  const TargetModelInfo& tgt = targets_[static_cast<size_t>(j)];
-  if (mu_i != nullptr) mu_i->assign(static_cast<size_t>(n), 0.0);
+  const size_t un = static_cast<size_t>(layout.num_objects());
+  if (mu_i != nullptr) mu_i->assign(un, 0.0);
 
-  // Pass 1: per-target workloads for every object present on the target.
-  std::vector<PerTargetWorkload> per(static_cast<size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    per[static_cast<size_t>(i)] = layout_model_.Transform(
-        workloads[static_cast<size_t>(i)], std::max(0.0, layout.At(i, j)));
+  // Pass 1: per-target workloads and on-target rates of every object.
+  std::vector<PerTargetWorkload> per(un);
+  std::vector<double> rates(un);
+  for (size_t i = 0; i < un; ++i) {
+    per[i] = layout_model_.Transform(
+        workloads[i], std::max(0.0, layout.At(static_cast<int>(i), j)));
+    rates[i] = per[i].total_rate();
   }
 
-  // Pass 2: contention factors (Eq. 2) and utilizations (Eq. 1).
+  // Pass 2: contention factors (Eq. 2) and utilizations (Eq. 1), summed in
+  // object order. Absent objects price at 0, and x + 0.0 == x.
   double mu_j = 0.0;
-  for (int i = 0; i < n; ++i) {
-    const PerTargetWorkload& wij = per[static_cast<size_t>(i)];
-    const double rate_ij = wij.total_rate();
-    if (rate_ij <= kRateEpsilon) continue;
-    const WorkloadDesc& wi = workloads[static_cast<size_t>(i)];
-
-    // χ_ij (Eq. 2): temporally-correlated competing requests per own
-    // request, plus the self-overlap extension — an object's own
-    // concurrent streams compete with each other wherever the object is
-    // placed, so the fitted mean concurrent-request count is added
-    // directly (it does not dilute with striping: the streams follow the
-    // object onto every target).
-    double interfering = 0.0;
-    if (wi.has_sparse_overlap()) {
-      const size_t nnz = wi.overlap_index.size();
-      for (size_t s = 0; s < nnz; ++s) {
-        const int k = wi.overlap_index[s];
-        if (k == i) continue;
-        const double rate_kj = per[static_cast<size_t>(k)].total_rate();
-        if (rate_kj <= kRateEpsilon) continue;
-        interfering += rate_kj * wi.overlap_value[s];
-      }
-    } else {
-      for (int k = 0; k < n; ++k) {
-        if (k == i) continue;
-        const double rate_kj = per[static_cast<size_t>(k)].total_rate();
-        if (rate_kj <= kRateEpsilon) continue;
-        interfering += rate_kj * wi.overlap[static_cast<size_t>(k)];
-      }
-    }
-    const double chi =
-        interfering / rate_ij + wi.overlap_with(static_cast<size_t>(i));
-
-    const double mu_ij = PerObjectUtilization(tgt, wij, chi);
-    if (mu_i != nullptr) (*mu_i)[static_cast<size_t>(i)] = mu_ij;
+  for (size_t i = 0; i < un; ++i) {
+    const double mu_ij = ObjectUtilization(workloads, static_cast<int>(i), j,
+                                           per[i], rates.data());
+    if (mu_i != nullptr) (*mu_i)[i] = mu_ij;
     mu_j += mu_ij;
   }
   return mu_j;
+}
+
+double TargetModel::ObjectUtilization(const WorkloadSet& workloads, int i,
+                                      int j, const PerTargetWorkload& wij,
+                                      const double* rates) const {
+  const double rate_ij = wij.total_rate();
+  if (rate_ij <= kRateEpsilon) return 0.0;
+  const WorkloadDesc& wi = workloads[static_cast<size_t>(i)];
+
+  // χ_ij (Eq. 2): temporally-correlated competing requests per own
+  // request, plus the self-overlap extension — an object's own concurrent
+  // streams compete with each other wherever the object is placed, so the
+  // fitted mean concurrent-request count is added directly (it does not
+  // dilute with striping: the streams follow the object onto every
+  // target).
+  double interfering = 0.0;
+  if (wi.has_sparse_overlap()) {
+    const size_t nnz = wi.overlap_index.size();
+    for (size_t s = 0; s < nnz; ++s) {
+      const int k = wi.overlap_index[s];
+      if (k == i) continue;
+      const double rate_kj = rates[k];
+      if (rate_kj <= kRateEpsilon) continue;
+      interfering += rate_kj * wi.overlap_value[s];
+    }
+  } else {
+    const int n = static_cast<int>(workloads.size());
+    for (int k = 0; k < n; ++k) {
+      if (k == i) continue;
+      const double rate_kj = rates[k];
+      if (rate_kj <= kRateEpsilon) continue;
+      interfering += rate_kj * wi.overlap[static_cast<size_t>(k)];
+    }
+  }
+  const double chi =
+      interfering / rate_ij + wi.overlap_with(static_cast<size_t>(i));
+  return PerObjectUtilization(targets_[static_cast<size_t>(j)], wij, chi);
 }
 
 double TargetModel::PerObjectUtilization(const TargetModelInfo& tgt,

@@ -72,6 +72,18 @@ class TargetModel {
   double PerObjectUtilization(const TargetModelInfo& target,
                               const PerTargetWorkload& wij, double chi) const;
 
+  /// µ_ij of object `i` on target `j`: the contention factor χ_ij (Eq. 2)
+  /// from the on-target total rates `rates[k]` of every object k (objects
+  /// at or below the presence threshold excluded, overlap terms in row
+  /// order), then the Eq. 1 term for its transformed workload `wij`.
+  /// Returns 0 when `wij`'s own rate is below the threshold (object absent
+  /// from the target). TargetUtilization and the regularizer's incremental
+  /// candidate pricer both price through this one computation, which is
+  /// what keeps the two bit-identical.
+  double ObjectUtilization(const WorkloadSet& workloads, int i, int j,
+                           const PerTargetWorkload& wij,
+                           const double* rates) const;
+
   const TargetModelInfo& target_info(int j) const {
     return targets_[static_cast<size_t>(j)];
   }

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include "core/harness.h"
 #include "core/journal.h"
@@ -31,8 +32,11 @@
 namespace ldb {
 namespace {
 
+// Per-process names: ctest runs each case alone and the whole binary as
+// journal_crash_matrix_suite, possibly at the same time in the same temp
+// directory.
 std::string TmpPath(const std::string& name) {
-  return testing::TempDir() + "/" + name;
+  return testing::TempDir() + "/" + std::to_string(getpid()) + "_" + name;
 }
 
 std::unique_ptr<StorageSystem> MakeSystem3(const DiskModel& proto) {

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <ostream>
 #include <tuple>
 #include <vector>
 
@@ -32,6 +33,14 @@
 #include "util/units.h"
 
 namespace ldb {
+
+// gtest names parameterized cases after the printed parameter. DiskParams
+// holds a std::string, so the default byte dump would embed a heap address
+// and rename the DiskProperty cases on every build; print the model instead.
+void PrintTo(const DiskParams& params, std::ostream* os) {
+  *os << params.model_name;
+}
+
 namespace {
 
 // ------------------------------------------------- simplex projection

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include "util/random.h"
 #include "util/status.h"
@@ -21,8 +22,10 @@
 namespace ldb {
 namespace {
 
+// Per-process names: ctest runs each case alone and the whole binary as
+// wal_suite, possibly at the same time in the same temp directory.
 std::string TmpPath(const std::string& name) {
-  return testing::TempDir() + "/" + name;
+  return testing::TempDir() + "/" + std::to_string(getpid()) + "_" + name;
 }
 
 std::string ReadFileBytes(const std::string& path) {
