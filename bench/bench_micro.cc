@@ -2,7 +2,8 @@
 // times, the simulator's event throughput, LVM mapping, cost-model
 // interpolation, the target model's utilization computation (the solver's
 // inner loop), the incremental column evaluator, the regularizer sweep,
-// simplex projection, and a small end-to-end solve.
+// simplex projection, a small end-to-end solve, and a full solve shaped
+// like one advise_4x96 problem.
 //
 // --json[=path] maps onto google-benchmark's JSON reporters, so every
 // benchmark binary in this repo shares one machine-readable flag.
@@ -370,29 +371,10 @@ void BM_GridInterpAtWithGrad(benchmark::State& state) {
 }
 BENCHMARK(BM_GridInterpAtWithGrad);
 
-void BM_TargetModelColumnBatched(benchmark::State& state) {
-  // The analytic engine's value unit of work: one SoA-batched µ_j pass
-  // (same answer as BM_TargetModelColumnFull's scalar loop, restructured
-  // over contiguous arrays).
-  const int n = static_cast<int>(state.range(0));
-  const int m = 4;
-  Rng rng(3);
-  WorkloadSet ws = MakeWorkloads(n, &rng);
-  std::vector<TargetModelInfo> infos(
-      static_cast<size_t>(m),
-      TargetModelInfo{&SharedCostModel(), 1, 64 * kKiB});
-  TargetModel model(infos, LvmLayoutModel(64 * kKiB));
-  Layout layout = Layout::StripeEverythingEverywhere(n, m);
-  auto ctx = model.MakeColumnEvaluator(ws, 0);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(ctx->Evaluate(layout));
-  }
-}
-BENCHMARK(BM_TargetModelColumnBatched)->Arg(20)->Arg(40)->Arg(160);
-
 void BM_TargetModelColumnGradient(benchmark::State& state) {
-  // The analytic engine's gradient unit of work: one fused pass returning
-  // µ_j and all N partials ∂µ_j/∂L_ij. The FD engine needs 2·N rank-1
+  // The analytic engine's unit of work: one fused pass returning µ_j and
+  // all N partials ∂µ_j/∂L_ij (the solver prices every line-search trial
+  // with it). The FD engine needs 2·N rank-1
   // incremental evaluations (BM_TargetModelColumnIncremental) for the
   // same column gradient.
   const int n = static_cast<int>(state.range(0));
@@ -652,6 +634,59 @@ void BM_SolverSmallProblemCached(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SolverSmallProblemCached);
+
+void BM_SolveTenant96(benchmark::State& state) {
+  // One full analytic solve shaped like one advise_4x96 problem: 96
+  // objects in co-access tenants of 8 (dense rows), 10 disk-15k targets
+  // at 1.6x the data, rates scaled so SEE's max utilization is 0.95, and a
+  // skewed regular seed. This is the solver kernel every advise and
+  // autopilot re-advise runs.
+  const int n = 96, m = 10;
+  Rng rng(11);
+  WorkloadSet ws = MakeTenantWorkloads(n, &rng);
+  std::vector<TargetModelInfo> infos(
+      static_cast<size_t>(m),
+      TargetModelInfo{&SharedCostModel(), 1, 64 * kKiB});
+  TargetModel model(infos, LvmLayoutModel(64 * kKiB));
+  const double see_max =
+      model.MaxUtilization(ws, Layout::StripeEverythingEverywhere(n, m));
+  for (WorkloadDesc& w : ws) {
+    w.read_rate *= 0.95 / see_max;
+    w.write_rate *= 0.95 / see_max;
+  }
+  LayoutNlpProblem nlp;
+  nlp.num_objects = n;
+  nlp.num_targets = m;
+  int64_t total = 0;
+  for (int i = 0; i < n; ++i) {
+    nlp.object_sizes.push_back(rng.UniformInt(int64_t{64}, int64_t{512}) *
+                               kMiB);
+    total += nlp.object_sizes.back();
+  }
+  nlp.target_capacities.assign(static_cast<size_t>(m), total * 16 / 10 / m);
+  nlp.target_utilization = [&](const Layout& l, int j) {
+    return model.TargetUtilization(ws, l, j);
+  };
+  nlp.make_column_eval = [&](int j) { return model.MakeColumnEvaluator(ws, j); };
+  Layout seed(n, m);
+  for (int i = 0; i < n; ++i) {
+    seed.SetRowRegular(i, {i % m, (i + 1 + (i / m) % (m - 1)) % m});
+  }
+  ProjectedGradientSolver solver;
+  SolverResult last;
+  for (auto _ : state) {
+    auto r = solver.Solve(nlp, seed);
+    LDB_CHECK(r.ok());
+    last = std::move(r).value();
+  }
+  state.counters["iterations"] = last.iterations;
+  state.counters["line_search_calls"] =
+      static_cast<double>(last.profile.line_search.calls);
+  state.counters["gradient_evaluations"] =
+      static_cast<double>(last.gradient_evaluations);
+  state.counters["max_util"] = last.max_utilization;
+}
+BENCHMARK(BM_SolveTenant96)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace ldb

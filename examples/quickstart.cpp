@@ -79,8 +79,8 @@ int main() {
   std::printf("Estimated max utilization: SEE %.1f%% -> optimized %.1f%%\n",
               100 * model.MaxUtilization(problem.workloads, see),
               100 * rec->max_utilization_final);
-  std::printf("Advisor time: %.0f ms (solver %.0f ms, regularization "
-              "%.0f ms)\n",
+  std::printf("Advisor time: %.1f ms (solver %.1f ms, regularization "
+              "%.1f ms)\n",
               1e3 * rec->total_seconds(), 1e3 * rec->solver_seconds,
               1e3 * rec->regularization_seconds);
   return 0;

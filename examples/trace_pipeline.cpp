@@ -64,9 +64,10 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "advisor: %s\n", rec.status().ToString().c_str());
     return 1;
   }
-  std::printf("\nAdvisor time: %.2fs (solver %.2fs, regularization %.2fs)\n",
-              rec->total_seconds(), rec->solver_seconds,
-              rec->regularization_seconds);
+  std::printf(
+      "\nAdvisor time: %.1f ms (solver %.1f ms, regularization %.1f ms)\n",
+      1e3 * rec->total_seconds(), 1e3 * rec->solver_seconds,
+      1e3 * rec->regularization_seconds);
   std::printf("\nRecommended layout:\n%s\n",
               rec->final_layout.ToString(rig->catalog().names()).c_str());
 

@@ -481,9 +481,9 @@ std::string FormatAdvisorReport(const LayoutProblem& problem,
   add("final", result.utilization_final);
   out += table.ToString();
   out += StrFormat(
-      "\nAdvisor time: %.2fs (solver %.2fs, regularization %.2fs)\n",
-      result.total_seconds(), result.solver_seconds,
-      result.regularization_seconds);
+      "\nAdvisor time: %.1f ms (solver %.1f ms, regularization %.1f ms)\n",
+      1e3 * result.total_seconds(), 1e3 * result.solver_seconds,
+      1e3 * result.regularization_seconds);
   return out;
 }
 

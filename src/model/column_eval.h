@@ -45,29 +45,22 @@ class ColumnEvaluator {
   // ---- Analytic / batched fast path (optional) ----
   //
   // Performance models whose µ_j has a closed-form gradient implement the
-  // three methods below; the solver's analytic gradient mode then replaces
+  // two methods below; the solver's analytic gradient mode then replaces
   // the 2·N·M finite-difference perturbations per step with one fused
-  // value+gradient pass per column. Implementations batch their
-  // interpolator queries over structure-of-arrays buffers, so a pass costs
-  // one O(N²) interference product plus O(N) table lookups.
+  // value+gradient pass per column and line-search trial. A pass costs one
+  // O(N²) interference product plus O(N) table lookups.
 
-  /// True when Evaluate/EvaluateWithGradient are implemented. The solver
-  /// checks this before entering analytic mode and silently falls back to
-  /// finite differences otherwise (e.g. wrapped or derated objectives).
+  /// True when EvaluateWithGradient is implemented. The solver checks this
+  /// before entering analytic mode and silently falls back to finite
+  /// differences otherwise (e.g. wrapped or derated objectives).
   virtual bool SupportsGradient() const { return false; }
 
-  /// µ_j(layout) via the batched kernel. Pure function of `layout`: it
-  /// neither reads nor disturbs the Rebuild/WithObject incremental state.
-  virtual double Evaluate(const Layout& layout) {
-    (void)layout;
-    LDB_CHECK_MSG(false, "ColumnEvaluator::Evaluate not supported");
-    return 0.0;
-  }
-
   /// Fused pass: returns µ_j(layout) and fills grad[i] = ∂µ_j/∂L_ij for
-  /// every object i (`grad` sized num_objects). At kinks of the piecewise
-  /// model (clamped interpolator axes, run-count branch boundaries, the
-  /// presence threshold) a valid subgradient is produced.
+  /// every object i (`grad` sized num_objects). Pure function of `layout`:
+  /// it neither reads nor disturbs the Rebuild/WithObject incremental
+  /// state. At kinks of the piecewise model (clamped interpolator axes,
+  /// run-count branch boundaries, the presence threshold) a valid
+  /// subgradient is produced.
   virtual double EvaluateWithGradient(const Layout& layout, double* grad) {
     (void)layout;
     (void)grad;

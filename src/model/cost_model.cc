@@ -68,7 +68,12 @@ CostModel::CostModel(std::string device_model, std::vector<double> size_axis,
       run_axis_(std::move(run_axis)),
       contention_axis_(std::move(contention_axis)),
       read_(std::move(read)),
-      write_(std::move(write)) {}
+      write_(std::move(write)) {
+  // The cell lookups need 3-axis tables on shared axes; checked once here
+  // rather than in the per-query kernel.
+  LDB_CHECK_EQ(read_.dimensions(), size_t{3});
+  LDB_CHECK(read_.axes() == write_.axes());
+}
 
 double CostModel::Cost(bool is_write, double request_size_bytes,
                        double run_count, double contention) const {
@@ -79,13 +84,6 @@ double CostModel::Cost(bool is_write, double request_size_bytes,
                            std::log2(run_count), contention};
   return is_write ? write_.At(point, 3) : read_.At(point, 3);
 }
-
-namespace {
-
-/// d(log2 x)/dx = 1 / (x · ln 2).
-constexpr double kLn2 = 0.6931471805599453094;
-
-}  // namespace
 
 double CostModel::CostWithGrad(bool is_write, double request_size_bytes,
                                double run_count, double contention,
@@ -100,60 +98,6 @@ double CostModel::CostWithGrad(bool is_write, double request_size_bytes,
   *d_run = grad[1] / (run_count * kLn2);
   *d_chi = grad[2];
   return cost;
-}
-
-void CostModel::CostBatch(bool is_write, size_t count, const double* size,
-                          const double* run, const double* chi, double* out,
-                          CostBatchScratch* scratch) const {
-  LDB_CHECK(scratch != nullptr);
-  scratch->log2_size.resize(count);
-  scratch->log2_run.resize(count);
-  for (size_t q = 0; q < count; ++q) {
-    scratch->log2_size[q] = std::log2(size[q]);
-    scratch->log2_run[q] = std::log2(run[q]);
-  }
-  CostBatchLog2(is_write, count, scratch->log2_size.data(),
-                scratch->log2_run.data(), chi, out);
-}
-
-void CostModel::CostBatchLog2(bool is_write, size_t count,
-                              const double* log2_size, const double* log2_run,
-                              const double* chi, double* out) const {
-  const double* coords[3] = {log2_size, log2_run, chi};
-  (is_write ? write_ : read_).AtBatch(count, coords, out);
-}
-
-void CostModel::CostWithGradBatch(bool is_write, size_t count,
-                                  const double* size, const double* run,
-                                  const double* chi, double* cost,
-                                  double* d_run, double* d_chi,
-                                  CostBatchScratch* scratch) const {
-  LDB_CHECK(scratch != nullptr);
-  scratch->log2_size.resize(count);
-  scratch->log2_run.resize(count);
-  for (size_t q = 0; q < count; ++q) {
-    scratch->log2_size[q] = std::log2(size[q]);
-    scratch->log2_run[q] = std::log2(run[q]);
-  }
-  CostWithGradBatchLog2(is_write, count, scratch->log2_size.data(),
-                        scratch->log2_run.data(), run, chi, cost, d_run,
-                        d_chi);
-}
-
-void CostModel::CostWithGradBatchLog2(bool is_write, size_t count,
-                                      const double* log2_size,
-                                      const double* log2_run,
-                                      const double* run, const double* chi,
-                                      double* cost, double* d_run,
-                                      double* d_chi) const {
-  // The size axis' partial is skipped (null grads[0]); `d_run` receives
-  // the log2-run partial in place and is chain-ruled to the raw run below.
-  double* grads[3] = {nullptr, d_run, d_chi};
-  const double* coords[3] = {log2_size, log2_run, chi};
-  (is_write ? write_ : read_).AtWithGradBatch(count, coords, cost, grads);
-  for (size_t q = 0; q < count; ++q) {
-    d_run[q] /= run[q] * kLn2;
-  }
 }
 
 std::string CostModel::ToText() const {

@@ -9,14 +9,6 @@
 
 namespace ldb {
 
-/// Reusable buffers for the batched cost lookups. One instance per caller:
-/// the scratch is not thread-safe, while the CostModel itself stays shared
-/// and immutable.
-struct CostBatchScratch {
-  std::vector<double> log2_size;
-  std::vector<double> log2_run;
-};
-
 /// Black-box per-request cost model for one device type (paper Section
 /// 5.2.2): tabulated mean service times over a calibration grid of
 /// (request size, run count, contention factor), interpolated between grid
@@ -58,38 +50,30 @@ class CostModel {
                       double run_count, double contention, double* d_run,
                       double* d_chi) const;
 
-  /// Structure-of-arrays batch of Cost lookups: arrays hold `count`
-  /// queries. Preconditions per query match Cost(); `scratch` carries the
-  /// log2-transformed coordinates between calls so steady-state batches
-  /// allocate nothing.
-  void CostBatch(bool is_write, size_t count, const double* size,
-                 const double* run, const double* chi, double* out,
-                 CostBatchScratch* scratch) const;
+  /// Cell-level lookups for callers that price many queries sharing
+  /// coordinates (the target model's batched column kernel). Coordinates
+  /// are in the tables' domain: log2 bytes, log2 run count, raw χ. The read
+  /// and write tables are built on the same axes, so one located cell
+  /// serves both — a request size is located once per query template, a
+  /// run count and χ once per object, not once per lookup.
+  using Cell = GridInterpolator::Cell;
+  Cell LocateLog2Size(double log2_size) const {
+    return read_.Locate(0, log2_size);
+  }
+  Cell LocateLog2Run(double log2_run) const {
+    return read_.Locate(1, log2_run);
+  }
+  Cell LocateChi(double chi) const { return read_.Locate(2, chi); }
 
-  /// Batched CostWithGrad: `d_run`/`d_chi` receive per-query derivatives
-  /// with respect to the raw run count and the contention factor.
-  void CostWithGradBatch(bool is_write, size_t count, const double* size,
-                         const double* run, const double* chi, double* cost,
-                         double* d_run, double* d_chi,
-                         CostBatchScratch* scratch) const;
+  /// The read or write table, for ValueGrad3 at located cells.
+  /// ValueGrad3's run partial is with respect to log2(run); divide it by
+  /// run · kLn2 for the raw-run partial, as CostWithGrad does.
+  const GridInterpolator& table(bool is_write) const {
+    return is_write ? write_ : read_;
+  }
 
-  /// CostBatch over coordinates already in the tables' log domain:
-  /// `log2_size`/`log2_run` hold log2-transformed sizes and run counts.
-  /// Callers holding SoA query batches (the target model's batched column
-  /// evaluator) compute log2(size) once per query template and log2(run)
-  /// once per object instead of twice per query here — the transcendental
-  /// transforms are a visible slice of the batched pass otherwise.
-  void CostBatchLog2(bool is_write, size_t count, const double* log2_size,
-                     const double* log2_run, const double* chi,
-                     double* out) const;
-
-  /// Batched CostWithGrad over log-domain coordinates. The raw `run` array
-  /// is still required to chain-rule `d_run` back to the raw run count.
-  void CostWithGradBatchLog2(bool is_write, size_t count,
-                             const double* log2_size, const double* log2_run,
-                             const double* run, const double* chi,
-                             double* cost, double* d_run,
-                             double* d_chi) const;
+  /// ln 2: d(log2 x)/dx = 1 / (x · ln 2).
+  static constexpr double kLn2 = 0.6931471805599453094;
 
   /// Convenience wrappers matching the paper's Cost^R_j / Cost^W_j.
   double ReadCost(double size, double run, double chi) const {

@@ -350,7 +350,7 @@ class TargetColumnContext final : public ColumnEvaluator {
 
   // ---- Batched analytic fast path ----
   //
-  // µ_j and its exact gradient in one structure-of-arrays pass:
+  // µ_j and its exact gradient in one pass over contiguous per-object arrays:
   //
   //   µ_j = Σ_i µ_ij,   µ_ij = λ^R_ij·mcR_i + λ^W_ij·mcW_i
   //
@@ -369,14 +369,10 @@ class TargetColumnContext final : public ColumnEvaluator {
   // I_i its interference accumulator. The cross sum over all i is one
   // transposed overlap-matrix·vector product — the same O(N²) asymptotics
   // as one column rebuild, but a two-op inner loop over contiguous arrays.
-  // All interpolator queries of the pass run through the cost model's
-  // batched fused value+gradient lookups.
+  // Cost-table lookups run at cells located once: request sizes per query
+  // template, run count and χ per object.
 
   bool SupportsGradient() const override { return true; }
-
-  double Evaluate(const Layout& layout) override {
-    return BatchedColumn(layout, nullptr);
-  }
 
   double EvaluateWithGradient(const Layout& layout, double* grad) override {
     return BatchedColumn(layout, grad);
@@ -468,40 +464,27 @@ class TargetColumnContext final : public ColumnEvaluator {
   struct QueryTemplate {
     bool write_table;  ///< which cost table the lookup hits
     bool write_role;   ///< scaled by the write rate (else the read rate)
-    double log2_size;  ///< member request size, log2 bytes (the size axis
-                       ///< is log-domain and sizes never change, so the
-                       ///< transform happens once at template build)
-    double coef;       ///< member-cost coefficient (involved/k, rows/k, …)
-  };
-
-  /// Structure-of-arrays buffers for one table's queries of a pass. Size
-  /// and run coordinates are kept in the cost tables' log2 domain; the raw
-  /// run count rides along only for the d_run chain rule.
-  struct QueryBatch {
-    std::vector<double> log2_size, log2_run, run, chi, coef, cost, d_run,
-        d_chi;
-    std::vector<int> obj;
-    std::vector<char> role;  // 1 = write-role
-
-    void Clear() {
-      log2_size.clear();
-      log2_run.clear();
-      run.clear();
-      chi.clear();
-      coef.clear();
-      obj.clear();
-      role.clear();
-    }
+    /// Member request size, located on the tables' log2 size axis (sizes
+    /// never change, so the transform and the search happen once here).
+    CostModel::Cell size;
+    double coef;  ///< member-cost coefficient (involved/k, rows/k, …)
   };
 
   /// Mirrors PerObjectUtilization's member_cost structure into per-object
   /// query templates (one flattened list, per-object spans in
-  /// tmpl_begin_).
+  /// tmpl_begin_). Within a span the read-table lookups come first: member
+  /// costs accumulate in that order.
   void BuildQueryTemplate(const TargetModelInfo& tgt, size_t un) {
     tmpl_.clear();
     tmpl_begin_.assign(un + 1, 0);
+    const CostModel& cm = *tgt.cost_model;
     const double k = tgt.num_members;
     const double stripe = static_cast<double>(tgt.stripe_bytes);
+    auto add = [&](bool write_table, bool write_role, double size,
+                   double coef) {
+      tmpl_.push_back(
+          {write_table, write_role, cm.LocateLog2Size(std::log2(size)), coef});
+    };
     for (size_t i = 0; i < un; ++i) {
       const WorkloadDesc& w = (*workloads_)[i];
       for (int dir = 0; dir < 2; ++dir) {
@@ -514,30 +497,30 @@ class TargetColumnContext final : public ColumnEvaluator {
         const double chunks = std::ceil(size / stripe);
         switch (tgt.raid_level) {
           case RaidLevel::kRaid1:
-            tmpl_.push_back(
-                {write, write, std::log2(size), write ? 1.0 : 1.0 / k});
+            add(write, write, size, write ? 1.0 : 1.0 / k);
             break;
           case RaidLevel::kRaid5: {
             const double data_cols = std::max(1.0, k - 1);
             const double involved = std::min(data_cols, std::max(1.0, chunks));
-            tmpl_.push_back(
-                {write, write, std::log2(size / involved), involved / k});
+            add(write, write, size / involved, involved / k);
             if (write) {
               const double rows = std::max(1.0, chunks / data_cols);
               const double parity_size = std::min(size, stripe);
-              tmpl_.push_back({false, true, std::log2(parity_size), rows / k});
-              tmpl_.push_back({true, true, std::log2(parity_size), rows / k});
+              add(false, true, parity_size, rows / k);
+              add(true, true, parity_size, rows / k);
             }
             break;
           }
           case RaidLevel::kRaid0: {
             const double involved = std::min(k, std::max(1.0, chunks));
-            tmpl_.push_back(
-                {write, write, std::log2(size / involved), involved / k});
+            add(write, write, size / involved, involved / k);
             break;
           }
         }
       }
+      std::stable_partition(
+          tmpl_.begin() + static_cast<std::ptrdiff_t>(tmpl_begin_[i]),
+          tmpl_.end(), [](const QueryTemplate& t) { return !t.write_table; });
       tmpl_begin_[i + 1] = tmpl_.size();
     }
   }
@@ -554,9 +537,9 @@ class TargetColumnContext final : public ColumnEvaluator {
     return run < 1.0 ? 1.0 : run;
   }
 
-  /// The shared batched kernel: µ_j(layout), plus grad[i] = ∂µ_j/∂L_ij
-  /// when `grad` is non-null. Independent of (and harmless to) the
-  /// incremental Rebuild/WithObject state.
+  /// The batched kernel: returns µ_j(layout) and fills grad[i] =
+  /// ∂µ_j/∂L_ij. Independent of (and harmless to) the incremental
+  /// Rebuild/WithObject state.
   double BatchedColumn(const Layout& layout, double* grad) {
     const int n = layout.num_objects();
     const size_t un = static_cast<size_t>(n);
@@ -578,15 +561,10 @@ class TargetColumnContext final : public ColumnEvaluator {
 
     // Interference accumulators: one contiguous overlap-row · rate dot
     // product per object — the column's O(N²) work, shaped so the
-    // compiler can vectorize it. The value-only pass skips absent rows;
-    // the gradient pass needs every row (an absent object's χ limit
-    // depends on whether anything interferes with it).
+    // compiler can vectorize it. Absent rows are included: an absent
+    // object's χ limit depends on whether anything interferes with it.
     const double* rate = brate_.data();
     for (size_t i = 0; i < un; ++i) {
-      if (grad == nullptr && rate[i] <= 0.0) {
-        binterf_[i] = 0.0;
-        continue;
-      }
       const WorkloadDesc& wi = (*workloads_)[i];
       // Four fixed-order accumulator lanes: reassociates the sum the same
       // way on every run and thread count, and gives the compiler
@@ -626,9 +604,15 @@ class TargetColumnContext final : public ColumnEvaluator {
       binterf_[i] = std::max(0.0, dot - rate[i] * diag_[i]);
     }
 
-    // Gather the pass's cost queries, split by lookup table.
-    qb_[0].Clear();
-    qb_[1].Clear();
+    // Price each object's lookups inline at cells located once per object
+    // (both tables share the run and χ axes).
+    const CostModel& cm = *tgt.cost_model;
+    double mu_j = 0.0;
+    mc_read_.resize(un);
+    mc_write_.resize(un);
+    brun_slope_.resize(un);
+    ck_.assign(un, 0.0);
+    bslope_.assign(un, 0.0);
     for (size_t i = 0; i < un; ++i) {
       const WorkloadDesc& wi = (*workloads_)[i];
       double run;
@@ -636,96 +620,48 @@ class TargetColumnContext final : public ColumnEvaluator {
       if (rate[i] > 0.0) {
         run = bper_[i].run_count;
         chi = binterf_[i] / rate[i] + diag_[i];
-      } else if (grad != nullptr) {
+      } else {
         // Fraction → 0+ limit: the rates vanish linearly, so ∂µ_ij/∂L_ij
         // tends to λ^R·mcR + λ^W·mcW priced at the limiting run count and
         // contention factor.
         run = LimitRunCount(wi);
         chi = binterf_[i] > 0.0 ? kClampedChi : diag_[i];
-      } else {
-        continue;  // absent objects contribute nothing to the value
       }
-      const double log2_run = std::log2(run);  // once per object, not query
-      for (size_t q = tmpl_begin_[i]; q < tmpl_begin_[i + 1]; ++q) {
+      const CostModel::Cell run_cell = cm.LocateLog2Run(std::log2(run));
+      const CostModel::Cell chi_cell = cm.LocateChi(chi);
+      const double run_scale = run * CostModel::kLn2;
+      double mc_read = 0.0, mc_write = 0.0;
+      double drun_read = 0.0, drun_write = 0.0;
+      double dchi_read = 0.0, dchi_write = 0.0;
+      const size_t q_end = tmpl_begin_[i + 1];
+      queries_ += static_cast<int64_t>(q_end - tmpl_begin_[i]);
+      for (size_t q = tmpl_begin_[i]; q < q_end; ++q) {
         const QueryTemplate& t = tmpl_[q];
-        QueryBatch& b = qb_[t.write_table ? 1 : 0];
-        b.log2_size.push_back(t.log2_size);
-        b.log2_run.push_back(log2_run);
-        b.run.push_back(run);
-        b.chi.push_back(chi);
-        b.coef.push_back(t.coef);
-        b.obj.push_back(static_cast<int>(i));
-        b.role.push_back(t.write_role ? 1 : 0);
-      }
-    }
-
-    // Batched fused lookups, then per-object member-cost accumulation.
-    mc_read_.assign(un, 0.0);
-    mc_write_.assign(un, 0.0);
-    if (grad != nullptr) {
-      drun_read_.assign(un, 0.0);
-      drun_write_.assign(un, 0.0);
-      dchi_read_.assign(un, 0.0);
-      dchi_write_.assign(un, 0.0);
-    }
-    for (int t = 0; t < 2; ++t) {
-      QueryBatch& b = qb_[t];
-      const size_t count = b.log2_size.size();
-      if (count == 0) continue;
-      queries_ += static_cast<int64_t>(count);
-      b.cost.resize(count);
-      if (grad != nullptr) {
-        b.d_run.resize(count);
-        b.d_chi.resize(count);
-        tgt.cost_model->CostWithGradBatchLog2(
-            t == 1, count, b.log2_size.data(), b.log2_run.data(),
-            b.run.data(), b.chi.data(), b.cost.data(), b.d_run.data(),
-            b.d_chi.data());
-      } else {
-        tgt.cost_model->CostBatchLog2(t == 1, count, b.log2_size.data(),
-                                      b.log2_run.data(), b.chi.data(),
-                                      b.cost.data());
-      }
-      for (size_t q = 0; q < count; ++q) {
-        const size_t uo = static_cast<size_t>(b.obj[q]);
-        const double coef = b.coef[q];
-        if (b.role[q] != 0) {
-          mc_write_[uo] += coef * b.cost[q];
-          if (grad != nullptr) {
-            drun_write_[uo] += coef * b.d_run[q];
-            dchi_write_[uo] += coef * b.d_chi[q];
-          }
+        double g[3];
+        const double cost =
+            cm.table(t.write_table).ValueGrad3(t.size, run_cell, chi_cell, g);
+        const double d_run = g[1] / run_scale;
+        if (t.write_role) {
+          mc_write += t.coef * cost;
+          drun_write += t.coef * d_run;
+          dchi_write += t.coef * g[2];
         } else {
-          mc_read_[uo] += coef * b.cost[q];
-          if (grad != nullptr) {
-            drun_read_[uo] += coef * b.d_run[q];
-            dchi_read_[uo] += coef * b.d_chi[q];
-          }
+          mc_read += t.coef * cost;
+          drun_read += t.coef * d_run;
+          dchi_read += t.coef * g[2];
         }
       }
-    }
-
-    double mu_j = 0.0;
-    if (grad == nullptr) {
-      for (size_t i = 0; i < un; ++i) {
-        if (rate[i] <= 0.0) continue;
-        mu_j += bper_[i].read_rate * mc_read_[i] +
-                bper_[i].write_rate * mc_write_[i];
-      }
-      return mu_j;
-    }
-
-    // χ-slopes and their rate-normalized cross-term coefficients.
-    ck_.assign(un, 0.0);
-    bslope_.assign(un, 0.0);
-    for (size_t i = 0; i < un; ++i) {
-      if (rate[i] <= 0.0) continue;
-      mu_j += bper_[i].read_rate * mc_read_[i] +
-              bper_[i].write_rate * mc_write_[i];
-      const double slope = bper_[i].read_rate * dchi_read_[i] +
-                           bper_[i].write_rate * dchi_write_[i];
+      mc_read_[i] = mc_read;
+      mc_write_[i] = mc_write;
+      if (rate[i] <= 0.0) continue;  // absent: adds nothing to the value
+      const PerTargetWorkload& p = bper_[i];
+      mu_j += p.read_rate * mc_read + p.write_rate * mc_write;
+      // χ-slope and its rate-normalized cross-term coefficient; the
+      // run-branch slope waits for the layout model's Q′.
+      const double slope = p.read_rate * dchi_read + p.write_rate * dchi_write;
       bslope_[i] = slope;
       ck_[i] = slope / rate[i];
+      brun_slope_[i] = p.read_rate * drun_read + p.write_rate * drun_write;
     }
 
     // Cross terms for every i at once: Σ_k c_k·O_k[i] is a transposed
@@ -759,11 +695,7 @@ class TargetColumnContext final : public ColumnEvaluator {
       if (rate[i] > 0.0) {
         const double dq =
             model_->layout_model().TransformRunDerivative(wi, bfrac_[i]);
-        if (dq != 0.0) {
-          g += (bper_[i].read_rate * drun_read_[i] +
-                bper_[i].write_rate * drun_write_[i]) *
-               dq;
-        }
+        if (dq != 0.0) g += brun_slope_[i] * dq;
         g += bslope_[i] * (-binterf_[i] * lam / (rate[i] * rate[i]));
       }
       grad[i] = g;
@@ -795,11 +727,9 @@ class TargetColumnContext final : public ColumnEvaluator {
   // disturb each other).
   std::vector<QueryTemplate> tmpl_;
   std::vector<size_t> tmpl_begin_;
-  QueryBatch qb_[2];  // [0] read table, [1] write table
   std::vector<PerTargetWorkload> bper_;
   std::vector<double> bfrac_, brate_, binterf_;
-  std::vector<double> mc_read_, mc_write_;
-  std::vector<double> drun_read_, drun_write_, dchi_read_, dchi_write_;
+  std::vector<double> mc_read_, mc_write_, brun_slope_;
   std::vector<double> ck_, bslope_, bcross_;
   int64_t queries_ = 0;
 };

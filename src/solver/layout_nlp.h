@@ -137,9 +137,11 @@ struct SolverPhaseStats {
 /// Per-phase effort breakdown of a solve, surfaced through the benches'
 /// --json output so speedups land with numbers attached.
 struct SolverProfile {
-  SolverPhaseStats gradient;     ///< gradient sweeps (analytic or FD)
+  /// Per-step gradient work: the FD sweep, or in analytic mode only the
+  /// SmoothMax/penalty composition (the column passes run with the trials).
+  SolverPhaseStats gradient;
   SolverPhaseStats line_search;  ///< backtracking trial evaluations
-  SolverPhaseStats refresh;      ///< accepted-state cache rebuilds
+  SolverPhaseStats refresh;      ///< seed pricing and accepted-state adoption
 
   void Accumulate(const SolverProfile& o) {
     gradient.Accumulate(o.gradient);
@@ -159,10 +161,11 @@ struct SolverResult {
   /// Rank-1 incremental µ_j evaluations (O(N) each) served by the column
   /// cache instead of a full recompute.
   int64_t incremental_evaluations = 0;
-  /// Fused analytic column-gradient passes (one per column per step in
-  /// analytic mode; 0 under finite differences).
+  /// Fused analytic value+gradient column passes that ran: one per column
+  /// for the seed and for every line-search trial in analytic mode; 0
+  /// under finite differences.
   int64_t gradient_evaluations = 0;
-  /// Interpolator lookups issued by the batched analytic kernels (each
+  /// Cost-table lookups issued by the batched analytic kernels (each
   /// visits the 2^dims corners of one grid cell).
   int64_t interp_queries = 0;
   /// Per-phase counters and timings of this solve.

@@ -28,7 +28,7 @@ int64_t NowNanos() {
 enum class EvalEngine {
   kBlackBox,     ///< target_utilization only (full µ_j per evaluation)
   kIncremental,  ///< column contexts: Rebuild + rank-1 WithObject FD
-  kAnalytic,     ///< column contexts: batched Evaluate / fused gradients
+  kAnalytic,     ///< column contexts: fused value+gradient passes
 };
 
 Status ValidateProblem(const LayoutNlpProblem& p, const Layout& initial) {
@@ -103,15 +103,23 @@ double SeparationPenalty(const LayoutNlpProblem& p, const Layout& layout) {
 
 /// Working evaluation state for one candidate layout: cached per-target
 /// utilizations, assigned bytes, per-target capacity-penalty terms, the
-/// separation penalty, and (when the problem provides them) the
-/// incremental per-column evaluators used by the finite-difference fast
-/// path. Refresh runs its per-column work on the pool when one is given;
-/// every reduction stays serial so results are thread-count invariant.
+/// separation penalty, and (when the problem provides them) the per-column
+/// evaluators. In analytic mode every refresh is one fused value+gradient
+/// pass per column, leaving ∂µ_j/∂L_·j in dmu() — the gradient of the step
+/// that starts from this layout. Refresh runs its per-column work on the
+/// pool when one is given; every reduction stays serial so results are
+/// thread-count invariant.
 class Evaluator {
  public:
+  /// `eval_counter` counts column evaluations of every engine;
+  /// `fused_counter` counts the analytic engine's fused passes alone.
   Evaluator(const LayoutNlpProblem& p, ThreadPool* pool, EvalEngine engine,
-            int64_t* eval_counter)
-      : p_(p), pool_(pool), engine_(engine), eval_counter_(eval_counter) {
+            int64_t* eval_counter, int64_t* fused_counter)
+      : p_(p),
+        pool_(pool),
+        engine_(engine),
+        eval_counter_(eval_counter),
+        fused_counter_(fused_counter) {
     if (engine_ != EvalEngine::kBlackBox && p.make_column_eval) {
       contexts_.reserve(static_cast<size_t>(p.num_targets));
       for (int j = 0; j < p.num_targets; ++j) {
@@ -119,6 +127,10 @@ class Evaluator {
       }
     }
     if (contexts_.empty()) engine_ = EvalEngine::kBlackBox;
+    if (engine_ == EvalEngine::kAnalytic) {
+      dmu_.resize(static_cast<size_t>(p.num_objects) *
+                  static_cast<size_t>(p.num_targets));
+    }
     partners_.resize(static_cast<size_t>(p.num_objects));
     for (const auto& [a, b] : p.constraints.separate) {
       partners_[static_cast<size_t>(a)].push_back(b);
@@ -129,14 +141,16 @@ class Evaluator {
   EvalEngine engine() const { return engine_; }
 
   /// Fully (re)computes caches for `layout`. Column evaluations fan out
-  /// over the pool; each writes its own slot.
+  /// over the pool; each writes its own µ slot and, in analytic mode, its
+  /// own column-major dmu span.
   void Refresh(const Layout& layout) {
     const int m = p_.num_targets;
+    const size_t un = static_cast<size_t>(p_.num_objects);
     mu_.resize(static_cast<size_t>(m));
     auto column = [&](int, int64_t j) {
       const size_t uj = static_cast<size_t>(j);
       if (engine_ == EvalEngine::kAnalytic) {
-        mu_[uj] = contexts_[uj]->Evaluate(layout);
+        mu_[uj] = contexts_[uj]->EvaluateWithGradient(layout, &dmu_[uj * un]);
       } else if (engine_ == EvalEngine::kIncremental) {
         contexts_[uj]->Rebuild(layout);
         mu_[uj] = contexts_[uj]->Base();
@@ -150,6 +164,7 @@ class Evaluator {
       for (int j = 0; j < m; ++j) column(0, j);
     }
     *eval_counter_ += m;
+    if (engine_ == EvalEngine::kAnalytic) *fused_counter_ += m;
 
     bytes_.assign(static_cast<size_t>(m), 0.0);
     for (int i = 0; i < p_.num_objects; ++i) {
@@ -210,17 +225,20 @@ class Evaluator {
                              : contexts_[static_cast<size_t>(j)].get();
   }
 
-  /// Copies another evaluator's caches wholesale. Valid only when this
-  /// engine keeps no per-layout context state (the analytic engine's
-  /// contexts are pure batched kernels) — it spares the accepted-step
-  /// double evaluation: the line search just computed these exact values
-  /// for the accepted trial layout.
-  void AdoptState(const Evaluator& o) {
-    mu_ = o.mu_;
-    bytes_ = o.bytes_;
-    penalty_terms_ = o.penalty_terms_;
-    penalty_sum_ = o.penalty_sum_;
-    separation_ = o.separation_;
+  /// Takes over another evaluator's caches, gradient included, by
+  /// swapping buffers. Valid only when this engine keeps no per-layout
+  /// context state (the analytic engine's contexts are pure batched
+  /// kernels): the line search just priced the accepted trial layout —
+  /// value and gradient — so the step needs no further column pass. `o`
+  /// is left with this evaluator's stale buffers, which its next Refresh
+  /// overwrites.
+  void AdoptState(Evaluator* o) {
+    mu_.swap(o->mu_);
+    dmu_.swap(o->dmu_);
+    bytes_.swap(o->bytes_);
+    penalty_terms_.swap(o->penalty_terms_);
+    penalty_sum_ = o->penalty_sum_;
+    separation_ = o->separation_;
   }
 
   /// Interpolator queries issued by this evaluator's batched kernels,
@@ -235,6 +253,8 @@ class Evaluator {
 
   double TrueMax() const { return *std::max_element(mu_.begin(), mu_.end()); }
   const std::vector<double>& mu() const { return mu_; }
+  /// ∂µ_j/∂L_ij of the last fused refresh at [j·N + i] (analytic mode).
+  const std::vector<double>& dmu() const { return dmu_; }
   double bytes(int j) const { return bytes_[static_cast<size_t>(j)]; }
   double separation() const { return separation_; }
 
@@ -243,9 +263,11 @@ class Evaluator {
   ThreadPool* pool_;
   EvalEngine engine_;
   int64_t* eval_counter_;
+  int64_t* fused_counter_;
   std::vector<std::unique_ptr<ColumnEvaluator>> contexts_;
   std::vector<std::vector<int>> partners_;
   std::vector<double> mu_;
+  std::vector<double> dmu_;  // column-major N x M, analytic mode only
   std::vector<double> bytes_;
   std::vector<double> penalty_terms_;
   double penalty_sum_ = 0.0;
@@ -377,8 +399,8 @@ Result<SolverResult> ProjectedGradientSolver::Solve(
   }
 
   const int64_t solve_t0 = NowNanos();
-  Evaluator eval(problem, pool.get(), engine,
-                 &result.objective_evaluations);
+  Evaluator eval(problem, pool.get(), engine, &result.objective_evaluations,
+                 &result.gradient_evaluations);
   engine = eval.engine();  // honor the evaluator's downgrade, if any
   {
     const int64_t t0 = NowNanos();
@@ -390,24 +412,24 @@ Result<SolverResult> ProjectedGradientSolver::Solve(
     result.trace.push_back({0, NowNanos() - solve_t0, eval.TrueMax()});
   }
   // Line-search evaluator: full refreshes only. The analytic engine gives
-  // it the batched per-column kernels; otherwise it prices µ_j black-box
-  // (no incremental contexts — those would be rebuilt per trial anyway).
+  // it the fused per-column kernels, so each trial also prices the
+  // gradient the next step needs if it is accepted; otherwise it prices µ_j
+  // black-box (no incremental contexts — those would be rebuilt per trial
+  // anyway).
   Evaluator trial_eval(problem, pool.get(),
                        engine == EvalEngine::kAnalytic
                            ? EvalEngine::kAnalytic
                            : EvalEngine::kBlackBox,
-                       &result.objective_evaluations);
+                       &result.objective_evaluations,
+                       &result.gradient_evaluations);
 
   Layout& x = result.layout;
   std::vector<double> grad(static_cast<size_t>(n) * static_cast<size_t>(m));
-  // Analytic sweep scratch: per-column ∂µ_j/∂L_·j slots (column-major so
-  // each parallel column task writes one contiguous span), SmoothMax
-  // weights, and capacity-penalty slopes.
-  std::vector<double> dmu;
+  // Analytic composition scratch: SmoothMax weights and capacity-penalty
+  // slopes.
   std::vector<double> smw;
   std::vector<double> dcap;
   if (engine == EvalEngine::kAnalytic) {
-    dmu.resize(static_cast<size_t>(n) * static_cast<size_t>(m));
     smw.resize(static_cast<size_t>(m));
     dcap.resize(static_cast<size_t>(m));
   }
@@ -431,24 +453,12 @@ Result<SolverResult> ProjectedGradientSolver::Solve(
 
       const int64_t grad_t0 = NowNanos();
       if (engine == EvalEngine::kAnalytic) {
-        // Fused analytic sweep: one batched value+gradient pass per column
-        // fills ∂µ_j/∂L_·j into that column's disjoint dmu span; the
-        // SmoothMax and penalty compositions are then chain-ruled serially
-        // in index order, so the gradient is bit-identical for every
-        // thread count. Cost per step: M kernel passes, not 2·N·M
-        // objective perturbations.
-        auto grad_column = [&](int, int64_t jj) {
-          const size_t uj = static_cast<size_t>(jj);
-          eval.context(static_cast<int>(jj))
-              ->EvaluateWithGradient(x, &dmu[uj * static_cast<size_t>(n)]);
-        };
-        if (pool != nullptr) {
-          pool->ParallelFor(m, grad_column);
-        } else {
-          for (int j = 0; j < m; ++j) grad_column(0, j);
-        }
-        result.gradient_evaluations += m;
-
+        // ∂µ_j/∂L_·j was priced by the fused pass that priced x itself (the
+        // seed refresh or the accepted line-search trial), one disjoint
+        // span per column. The SmoothMax and penalty compositions are
+        // chain-ruled serially in index order, so the gradient is
+        // bit-identical for every thread count.
+        const std::vector<double>& dmu = eval.dmu();
         // ∂SmoothMax/∂µ_j = softmax weight of µ_j at the current
         // temperature (see simplex.h: F = vmax + log Σ exp(t(µ−vmax))/t).
         const std::vector<double>& mu = eval.mu();
@@ -602,10 +612,10 @@ Result<SolverResult> ProjectedGradientSolver::Solve(
       {
         const int64_t rf_t0 = NowNanos();
         if (engine == EvalEngine::kAnalytic) {
-          // trial_eval just priced the accepted layout with the same
-          // stateless batched kernels — adopt its caches instead of
-          // paying the refresh twice.
-          eval.AdoptState(trial_eval);
+          // trial_eval just priced the accepted layout, value and
+          // gradient, with the same stateless fused kernels — adopt its
+          // caches instead of paying another column pass.
+          eval.AdoptState(&trial_eval);
         } else {
           eval.Refresh(x);
         }

@@ -16,20 +16,27 @@ namespace ldb {
 ///    whose temperature is annealed upward across rounds;
 ///  * capacity constraints enter as a quadratic penalty whose weight is
 ///    annealed upward in lock-step;
-///  * each iteration takes a projected-gradient step: central finite
-///    differences over the black-box µ_j (perturbing L_ij only requires
-///    re-evaluating target j — the structure exploited for speed), a
-///    backtracking Armijo line search, and per-row Euclidean projection
-///    back onto the unit simplex;
-///  * when the problem supplies incremental column evaluators
-///    (LayoutNlpProblem::make_column_eval), each finite-difference
-///    perturbation is priced as a rank-1 cache update — O(N) instead of a
-///    full O(N²) column recomputation — and the inner loop allocates
-///    nothing;
-///  * with SolverOptions::num_threads != 1 the finite-difference columns
-///    are evaluated concurrently. Gradient entries and effort counters are
-///    written to disjoint index-addressed slots and reduced serially, so
-///    the result is bit-identical for every thread count;
+///  * each iteration takes a projected-gradient step: a backtracking
+///    Armijo line search along the negative gradient, with per-row
+///    Euclidean projection back onto the (allowed-target) unit simplex;
+///  * the gradient is analytic by default (SolverOptions::gradient_mode =
+///    kAnalytic, when the problem supplies column evaluators that support
+///    it): every line-search trial is priced by one fused value+gradient
+///    pass per column (ColumnEvaluator::EvaluateWithGradient), so an
+///    accepted trial already carries ∂µ_j/∂L_·j for the next step and a
+///    step costs one column pass per trial, not a value pass plus a
+///    gradient sweep. The SmoothMax and penalty terms are chain-ruled
+///    around those column gradients;
+///  * finite differences are the fallback (kFd, or evaluators without
+///    gradient support, e.g. wrapped or derated objectives): central
+///    differences over the black-box µ_j, where perturbing L_ij only
+///    re-evaluates target j, priced as rank-1 updates of incremental
+///    column caches when the problem provides them (O(N) instead of a full
+///    O(N²) column recomputation);
+///  * with SolverOptions::num_threads != 1 the per-column passes run
+///    concurrently. Each column writes its own µ slot and gradient span,
+///    and every reduction is serial in index order, so the result is
+///    bit-identical for every thread count;
 ///  * like MINOS, the result is a locally optimal, generally non-regular
 ///    layout that depends on the initial point.
 class ProjectedGradientSolver {

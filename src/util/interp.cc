@@ -80,10 +80,6 @@ double GridInterpolator::At(const std::vector<double>& point) const {
 double GridInterpolator::At(const double* point, size_t dims) const {
   LDB_CHECK_EQ(dims, axes_.size());
   LDB_CHECK_LE(dims, kMaxDims);
-  return ValueCore(point, dims);
-}
-
-double GridInterpolator::ValueCore(const double* point, size_t dims) const {
   // Per-axis cell index and upper-edge weight, on the stack.
   size_t idx[kMaxDims];
   double w[kMaxDims];
@@ -110,8 +106,11 @@ double GridInterpolator::ValueCore(const double* point, size_t dims) const {
   return acc;
 }
 
-double GridInterpolator::ValueGradCore(const double* point, size_t dims,
-                                       double* grad_out) const {
+double GridInterpolator::AtWithGrad(const double* point, size_t dims,
+                                    double* grad_out) const {
+  LDB_CHECK_EQ(dims, axes_.size());
+  LDB_CHECK_LE(dims, kMaxDims);
+  LDB_CHECK(grad_out != nullptr);
   size_t idx[kMaxDims];
   double w[kMaxDims];
   double dwdx[kMaxDims];  // d(weight)/d(coordinate); 0 where clamped
@@ -157,31 +156,34 @@ double GridInterpolator::ValueGradCore(const double* point, size_t dims,
       dacc[d] += (upper ? others : -others) * v;
     }
   }
-  for (size_t d = 0; d < dims; ++d) {
-    if (grad_out != nullptr) grad_out[d] = dacc[d] * dwdx[d];
-  }
+  for (size_t d = 0; d < dims; ++d) grad_out[d] = dacc[d] * dwdx[d];
   return acc;
 }
 
-double GridInterpolator::Value3(const double* point) const {
-  size_t i0, i1, i2;
-  double w0, w1, w2;
-  LocateOnAxis(axes_[0], point[0], &i0, &w0);
-  LocateOnAxis(axes_[1], point[1], &i1, &w1);
-  LocateOnAxis(axes_[2], point[2], &i2, &w2);
+GridInterpolator::Cell GridInterpolator::Locate(size_t d, double x) const {
+  const std::vector<double>& axis = axes_[d];
+  size_t i;
+  double w;
+  LocateOnAxis(axis, x, &i, &w);
   // A single-entry axis locates to i=0, w=0; aliasing its upper corner to
   // the lower one keeps the lerp exact without branching in the gather.
-  const size_t j0 = axes_[0].size() == 1 ? i0 : i0 + 1;
-  const size_t j1 = axes_[1].size() == 1 ? i1 : i1 + 1;
-  const size_t j2 = axes_[2].size() == 1 ? i2 : i2 + 1;
-  const size_t s0 = strides_[0], s1 = strides_[1], s2 = strides_[2];
+  const size_t j = axis.size() == 1 ? i : i + 1;
+  // 0 where the query clamps (the interpolant is constant there) or the
+  // axis is degenerate; otherwise d(weight)/d(coordinate) on the cell.
+  const double dw = (axis.size() < 2 || x < axis.front() || x > axis.back())
+                        ? 0.0
+                        : 1.0 / (axis[j] - axis[i]);
+  return {i * strides_[d], j * strides_[d], w, dw};
+}
+
+double GridInterpolator::ValueGrad3(const Cell& c0, const Cell& c1,
+                                    const Cell& c2, double* grad_out) const {
   const double* v = values_.data();
-  const size_t lo0 = i0 * s0, hi0 = j0 * s0;
-  const size_t lo1 = i1 * s1, hi1 = j1 * s1;
-  const double v000 = v[lo0 + lo1 + i2 * s2], v001 = v[lo0 + lo1 + j2 * s2];
-  const double v010 = v[lo0 + hi1 + i2 * s2], v011 = v[lo0 + hi1 + j2 * s2];
-  const double v100 = v[hi0 + lo1 + i2 * s2], v101 = v[hi0 + lo1 + j2 * s2];
-  const double v110 = v[hi0 + hi1 + i2 * s2], v111 = v[hi0 + hi1 + j2 * s2];
+  const double v000 = v[c0.lo + c1.lo + c2.lo], v001 = v[c0.lo + c1.lo + c2.hi];
+  const double v010 = v[c0.lo + c1.hi + c2.lo], v011 = v[c0.lo + c1.hi + c2.hi];
+  const double v100 = v[c0.hi + c1.lo + c2.lo], v101 = v[c0.hi + c1.lo + c2.hi];
+  const double v110 = v[c0.hi + c1.hi + c2.lo], v111 = v[c0.hi + c1.hi + c2.hi];
+  const double w0 = c0.w, w1 = c1.w, w2 = c2.w;
   // Lerp chain, innermost axis first.
   const double a00 = v000 + w2 * (v001 - v000);
   const double a01 = v010 + w2 * (v011 - v010);
@@ -189,113 +191,14 @@ double GridInterpolator::Value3(const double* point) const {
   const double a11 = v110 + w2 * (v111 - v110);
   const double b0 = a00 + w1 * (a01 - a00);
   const double b1 = a10 + w1 * (a11 - a10);
-  return b0 + w0 * (b1 - b0);
-}
-
-double GridInterpolator::ValueGrad3(const double* point,
-                                    double* grad_out) const {
-  size_t i0, i1, i2;
-  double w0, w1, w2;
-  LocateOnAxis(axes_[0], point[0], &i0, &w0);
-  LocateOnAxis(axes_[1], point[1], &i1, &w1);
-  LocateOnAxis(axes_[2], point[2], &i2, &w2);
-  auto slope = [](const std::vector<double>& axis, double x,
-                  size_t i) -> double {
-    // 0 where the query clamps (the interpolant is constant there) or the
-    // axis is degenerate; otherwise d(weight)/d(coordinate) on the cell.
-    return (axis.size() < 2 || x < axis.front() || x > axis.back())
-               ? 0.0
-               : 1.0 / (axis[i + 1] - axis[i]);
-  };
-  const double dw0 = slope(axes_[0], point[0], i0);
-  const double dw1 = slope(axes_[1], point[1], i1);
-  const double dw2 = slope(axes_[2], point[2], i2);
-  const size_t j0 = axes_[0].size() == 1 ? i0 : i0 + 1;
-  const size_t j1 = axes_[1].size() == 1 ? i1 : i1 + 1;
-  const size_t j2 = axes_[2].size() == 1 ? i2 : i2 + 1;
-  const size_t s0 = strides_[0], s1 = strides_[1], s2 = strides_[2];
-  const double* v = values_.data();
-  const size_t lo0 = i0 * s0, hi0 = j0 * s0;
-  const size_t lo1 = i1 * s1, hi1 = j1 * s1;
-  const double v000 = v[lo0 + lo1 + i2 * s2], v001 = v[lo0 + lo1 + j2 * s2];
-  const double v010 = v[lo0 + hi1 + i2 * s2], v011 = v[lo0 + hi1 + j2 * s2];
-  const double v100 = v[hi0 + lo1 + i2 * s2], v101 = v[hi0 + lo1 + j2 * s2];
-  const double v110 = v[hi0 + hi1 + i2 * s2], v111 = v[hi0 + hi1 + j2 * s2];
-  const double a00 = v000 + w2 * (v001 - v000);
-  const double a01 = v010 + w2 * (v011 - v010);
-  const double a10 = v100 + w2 * (v101 - v100);
-  const double a11 = v110 + w2 * (v111 - v110);
-  const double b0 = a00 + w1 * (a01 - a00);
-  const double b1 = a10 + w1 * (a11 - a10);
-  // ∂value/∂w2 collapses the per-corner differences through the same chain.
+  // ∂value/∂w2 collapses the per-corner differences through the same
+  // chain.
   const double e0 = (v001 - v000) + w1 * ((v011 - v010) - (v001 - v000));
   const double e1 = (v101 - v100) + w1 * ((v111 - v110) - (v101 - v100));
-  grad_out[0] = (b1 - b0) * dw0;
-  grad_out[1] = ((a01 - a00) + w0 * ((a11 - a10) - (a01 - a00))) * dw1;
-  grad_out[2] = (e0 + w0 * (e1 - e0)) * dw2;
+  grad_out[0] = (b1 - b0) * c0.dw;
+  grad_out[1] = ((a01 - a00) + w0 * ((a11 - a10) - (a01 - a00))) * c1.dw;
+  grad_out[2] = (e0 + w0 * (e1 - e0)) * c2.dw;
   return b0 + w0 * (b1 - b0);
-}
-
-double GridInterpolator::AtWithGrad(const double* point, size_t dims,
-                                    double* grad_out) const {
-  LDB_CHECK_EQ(dims, axes_.size());
-  LDB_CHECK_LE(dims, kMaxDims);
-  LDB_CHECK(grad_out != nullptr);
-  return ValueGradCore(point, dims, grad_out);
-}
-
-void GridInterpolator::AtBatch(size_t count, const double* const* coords,
-                               double* out) const {
-  const size_t dims = axes_.size();
-  LDB_CHECK_LE(dims, kMaxDims);
-  LDB_CHECK(out != nullptr);
-  if (dims == 3) {
-    const double* c0 = coords[0];
-    const double* c1 = coords[1];
-    const double* c2 = coords[2];
-    for (size_t q = 0; q < count; ++q) {
-      const double point[3] = {c0[q], c1[q], c2[q]};
-      out[q] = Value3(point);
-    }
-    return;
-  }
-  double point[kMaxDims];
-  for (size_t q = 0; q < count; ++q) {
-    for (size_t d = 0; d < dims; ++d) point[d] = coords[d][q];
-    out[q] = ValueCore(point, dims);
-  }
-}
-
-void GridInterpolator::AtWithGradBatch(size_t count,
-                                       const double* const* coords,
-                                       double* out,
-                                       double* const* grads) const {
-  const size_t dims = axes_.size();
-  LDB_CHECK_LE(dims, kMaxDims);
-  LDB_CHECK(out != nullptr);
-  if (dims == 3) {
-    const double* c0 = coords[0];
-    const double* c1 = coords[1];
-    const double* c2 = coords[2];
-    double grad[3];
-    for (size_t q = 0; q < count; ++q) {
-      const double point[3] = {c0[q], c1[q], c2[q]};
-      out[q] = ValueGrad3(point, grad);
-      if (grads[0] != nullptr) grads[0][q] = grad[0];
-      if (grads[1] != nullptr) grads[1][q] = grad[1];
-      if (grads[2] != nullptr) grads[2][q] = grad[2];
-    }
-    return;
-  }
-  double point[kMaxDims];
-  double grad[kMaxDims];
-  for (size_t q = 0; q < count; ++q) {
-    for (size_t d = 0; d < dims; ++d) point[d] = coords[d][q];
-    out[q] = ValueGradCore(point, dims, grad);
-    for (size_t d = 0; d < dims; ++d) {
-      if (grads[d] != nullptr) grads[d][q] = grad[d];
-    }
-  }
 }
 
 }  // namespace ldb

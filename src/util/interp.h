@@ -49,18 +49,32 @@ class GridInterpolator {
   /// clamped interpolant.
   double AtWithGrad(const double* point, size_t dims, double* grad_out) const;
 
-  /// Structure-of-arrays batch evaluation: `coords[d]` holds `count`
-  /// coordinates for axis d; `out` receives `count` values. Equivalent to
-  /// calling At() per query with the argument checks hoisted out of the
-  /// loop, keeping the weight/stride arithmetic tight over contiguous
-  /// arrays.
-  void AtBatch(size_t count, const double* const* coords, double* out) const;
+  /// A coordinate located on one axis: flat offsets into the value array
+  /// of the cell's lower and upper knots (`hi == lo` on a single-entry
+  /// axis, whose upper corner does not exist), the upper knot's weight `w`,
+  /// and d(w)/d(coordinate) `dw` — 0 where the query clamps or the axis is
+  /// degenerate, the interior one-sided slope exactly on the boundary.
+  struct Cell {
+    size_t lo;
+    size_t hi;
+    double w;
+    double dw;
+  };
 
-  /// Batched AtWithGrad: `grads[d]` receives the axis-d partials of every
-  /// query; a null `grads[d]` skips that axis (callers that never need a
-  /// size derivative, say, pay nothing for it).
-  void AtWithGradBatch(size_t count, const double* const* coords, double* out,
-                       double* const* grads) const;
+  /// Locates `x` on axis `d` (one binary search; `d` < dimensions()).
+  /// Cells depend only on the axis, so a cell located once prices every
+  /// grid built on the same axes and every query sharing that coordinate.
+  Cell Locate(size_t d, double x) const;
+
+  /// Value and partial derivative along each axis (`grad_out` gets 3
+  /// entries) of a 3-axis grid at cells located on its axes 0, 1, 2: a
+  /// straight-line trilinear lerp chain, innermost axis first, instead of
+  /// the generic 2^dims corner sweep. Agrees with At()/AtWithGrad() to
+  /// rounding (different association order); those keep their historical
+  /// bit patterns. The grid must have exactly 3 axes — this is the solver's
+  /// per-lookup kernel, so callers check that once, not per query.
+  double ValueGrad3(const Cell& c0, const Cell& c1, const Cell& c2,
+                    double* grad_out) const;
 
   size_t dimensions() const { return axes_.size(); }
   const std::vector<std::vector<double>>& axes() const { return axes_; }
@@ -69,21 +83,6 @@ class GridInterpolator {
  private:
   GridInterpolator(std::vector<std::vector<double>> axes,
                    std::vector<double> values, std::vector<size_t> strides);
-
-  /// Shared per-query kernels behind At/AtWithGrad and their batch forms
-  /// (argument checks live in the public entry points).
-  double ValueCore(const double* point, size_t dims) const;
-  double ValueGradCore(const double* point, size_t dims,
-                       double* grad_out) const;
-
-  /// Straight-line trilinear kernels for the 3-axis grids every cost model
-  /// uses: a factored lerp chain instead of the generic 2^dims corner sweep
-  /// (whose per-corner bit tests and degenerate-axis branches dominate the
-  /// batched evaluators' profile). Values agree with ValueCore to rounding
-  /// (different association order), so only the batch entry points use
-  /// them; the scalar At/AtWithGrad keep their historical bit patterns.
-  double Value3(const double* point) const;
-  double ValueGrad3(const double* point, double* grad_out) const;
 
   std::vector<std::vector<double>> axes_;
   std::vector<double> values_;

@@ -1,3 +1,4 @@
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
@@ -11,6 +12,8 @@
 #include "model/workload.h"
 #include "storage/disk.h"
 #include "storage/ssd.h"
+#include "util/check.h"
+#include "util/random.h"
 #include "util/units.h"
 
 namespace ldb {
@@ -566,6 +569,120 @@ TEST(CalibrationTest, RejectsEmptyAxes) {
   CalibrationOptions opts = FastCalibration();
   opts.run_axis.clear();
   EXPECT_FALSE(CalibrateDevice(disk, opts).ok());
+}
+
+// ------------------------------------------------- batched column kernel
+
+/// Multi-cell cost grid: lookups land inside cells, on knots and in the
+/// clamped tails of every axis.
+CostModel MakeKernelCostModel() {
+  std::vector<double> sizes{static_cast<double>(8 * kKiB),
+                            static_cast<double>(64 * kKiB),
+                            static_cast<double>(512 * kKiB)};
+  std::vector<double> runs{1, 8, 64};
+  std::vector<double> chis{0, 0.5, 1, 2, 4};
+  std::vector<double> reads, writes;
+  for (double s : sizes) {
+    for (double q : runs) {
+      for (double c : chis) {
+        const double v =
+            0.003 * std::sqrt(s / (8 * kKiB)) * (1.0 + 0.6 * c) / std::sqrt(q);
+        reads.push_back(v);
+        writes.push_back(1.3 * v + 1e-4 * c);
+      }
+    }
+  }
+  auto m = CostModel::Create("kernel-grid", sizes, runs, chis, reads, writes);
+  LDB_CHECK(m.ok());
+  return std::move(m).value();
+}
+
+TEST(ColumnKernelTest, FusedPassMatchesScalarUtilization) {
+  // The fused value+gradient pass the solver prices every layout with
+  // must agree with the scalar TargetUtilization across dense, CSR and
+  // mixed rows, every RAID level, and absent objects; repeated passes over
+  // the same layout must return the same double (no state leaks between
+  // passes).
+  const CostModel cm = MakeKernelCostModel();
+  const double sizes[] = {4 * kKiB, 8 * kKiB, 24 * kKiB, 64 * kKiB,
+                          256 * kKiB, 2 * kMiB};
+  const RaidLevel levels[] = {RaidLevel::kRaid0, RaidLevel::kRaid1,
+                              RaidLevel::kRaid5};
+  Rng rng(1301);
+  int absent_with_interference = 0;
+  for (int problem = 0; problem < 200; ++problem) {
+    const int n = 2 + static_cast<int>(rng.UniformInt(uint64_t{11}));
+    const int m = 1 + static_cast<int>(rng.UniformInt(uint64_t{3}));
+    WorkloadSet ws(static_cast<size_t>(n));
+    for (int i = 0; i < n; ++i) {
+      WorkloadDesc& w = ws[static_cast<size_t>(i)];
+      w.read_rate = rng.Bernoulli(0.1) ? 0.0 : rng.Uniform(0.5, 300);
+      w.read_size = sizes[rng.UniformInt(uint64_t{6})];
+      w.write_rate = rng.Bernoulli(0.3) ? 0.0 : rng.Uniform(0.1, 80);
+      w.write_size = sizes[rng.UniformInt(uint64_t{6})];
+      if (w.read_rate + w.write_rate <= 0.0) w.read_rate = 1.0;
+      w.run_count = rng.Uniform(1, 120);
+      w.overlap.assign(static_cast<size_t>(n), 0.0);
+      for (int k = 0; k < n; ++k) {
+        // Heavy overlaps push χ past the axis end, where lookups clamp.
+        w.overlap[static_cast<size_t>(k)] =
+            k == i ? rng.Uniform(0, 3)
+                   : (rng.Bernoulli(0.4) ? 0.0 : rng.Uniform(0, 1));
+      }
+    }
+    // Cycle dense, CSR and mixed rows.
+    if (problem % 3 != 0) {
+      SparsifyOptions opts;
+      opts.keep_dense = problem % 3 == 2;
+      SparsifyOverlap(&ws, opts);
+      if (opts.keep_dense) {
+        for (size_t i = 0; i < ws.size(); i += 2) {
+          ws[i].overlap_index.clear();
+          ws[i].overlap_value.clear();
+        }
+      }
+    }
+    std::vector<TargetModelInfo> infos;
+    for (int j = 0; j < m; ++j) {
+      infos.push_back({&cm, 1 + static_cast<int>(rng.UniformInt(uint64_t{4})),
+                       64 * kKiB, levels[(problem + j) % 3]});
+    }
+    TargetModel tm(infos, LvmLayoutModel(64 * kKiB));
+
+    Layout l(n, m);
+    for (int i = 0; i < n; ++i) {
+      double* row = l.Row(i);
+      double sum = 0.0;
+      for (int j = 0; j < m; ++j) {
+        row[j] = rng.Bernoulli(0.35) ? 0.0 : rng.Uniform(0.01, 1);
+        sum += row[j];
+      }
+      if (sum == 0.0) {
+        row[rng.UniformInt(static_cast<uint64_t>(m))] = 1.0;
+        sum = 1.0;
+      }
+      for (int j = 0; j < m; ++j) row[j] /= sum;
+    }
+
+    for (int j = 0; j < m; ++j) {
+      for (int i = 0; i < n; ++i) {
+        if (l.At(i, j) == 0.0 && ws[static_cast<size_t>(i)].overlap_with(
+                                     static_cast<size_t>((i + 1) % n)) > 0) {
+          ++absent_with_interference;
+        }
+      }
+      auto ctx = tm.MakeColumnEvaluator(ws, j);
+      std::vector<double> grad(static_cast<size_t>(n));
+      const double value = ctx->EvaluateWithGradient(l, grad.data());
+      EXPECT_NEAR(value, tm.TargetUtilization(ws, l, j),
+                  1e-9 * std::max(1.0, std::fabs(value)))
+          << "problem=" << problem << " j=" << j;
+      EXPECT_EQ(ctx->EvaluateWithGradient(l, grad.data()), value)
+          << "problem=" << problem << " j=" << j;
+    }
+  }
+  // Absent objects with interferers price their gradient at clamped χ.
+  EXPECT_GT(absent_with_interference, 100);
 }
 
 }  // namespace

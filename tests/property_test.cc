@@ -359,6 +359,15 @@ TEST_P(AnalyzerRoundTrip, RecoversKnownParameters) {
   EXPECT_DOUBLE_EQ(w.mean_size(), static_cast<double>(spec.size));
 }
 
+// ctest names parameterized cases after the printed parameter; gtest's
+// default would dump the struct's bytes, uninitialized padding included.
+// Print a readable, build-stable name instead (write share in percent).
+void PrintTo(const SyntheticWorkload& w, std::ostream* os) {
+  *os << "rate" << static_cast<int>(w.rate) << "_" << w.size / kKiB
+      << "KiB_run" << w.run_length << "_w"
+      << std::lround(100 * w.write_frac);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Shapes, AnalyzerRoundTrip,
     ::testing::Values(SyntheticWorkload{200, 8 * kKiB, 1, 0.0},
@@ -787,7 +796,7 @@ TEST_P(GradientProperty, SparseAnalyticMatchesDirectionalDifferences) {
 }
 
 TEST_P(GradientProperty, BatchedValueMatchesScalarUtilization) {
-  // The SoA-batched Evaluate must price µ_j within FP-reassociation noise
+  // The batched fused pass must price µ_j within FP-reassociation noise
   // of the scalar TargetUtilization — same statistics, different summation
   // order.
   Rng rng(GetParam() + 1000);
@@ -808,7 +817,8 @@ TEST_P(GradientProperty, BatchedValueMatchesScalarUtilization) {
     for (int j = 0; j < m; ++j) {
       auto ctx = gi.nlp.make_column_eval(j);
       ASSERT_TRUE(ctx != nullptr && ctx->SupportsGradient());
-      const double batched = ctx->Evaluate(layout);
+      std::vector<double> grad(static_cast<size_t>(n));
+      const double batched = ctx->EvaluateWithGradient(layout, grad.data());
       const double scalar = gi.nlp.target_utilization(layout, j);
       EXPECT_NEAR(batched, scalar, 1e-9 * std::max(1.0, std::fabs(scalar)))
           << "j=" << j << " trial=" << trial;

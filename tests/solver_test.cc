@@ -1,9 +1,17 @@
+#include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <memory>
 #include <numeric>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "model/column_eval.h"
+#include "model/cost_model.h"
+#include "model/layout_model.h"
+#include "model/target_model.h"
+#include "model/workload.h"
 #include "solver/layout_nlp.h"
 #include "solver/multistart.h"
 #include "solver/projected_gradient.h"
@@ -227,6 +235,106 @@ TEST(SolverTest, InterferenceAwareObjectiveSeparatesObjects) {
   const double co0 = r->layout.At(0, 0) * r->layout.At(1, 0);
   const double co1 = r->layout.At(0, 1) * r->layout.At(1, 1);
   EXPECT_LT(co0 + co1, 0.05);
+}
+
+/// Forwards to a real column evaluator and counts the fused passes that
+/// reach it, independently of the solver's own accounting.
+class CountingColumnEvaluator final : public ColumnEvaluator {
+ public:
+  CountingColumnEvaluator(std::unique_ptr<ColumnEvaluator> inner,
+                          std::atomic<int64_t>* passes)
+      : inner_(std::move(inner)), passes_(passes) {}
+
+  void Rebuild(const Layout& layout) override { inner_->Rebuild(layout); }
+  double Base() const override { return inner_->Base(); }
+  double WithObject(int i, double fraction) const override {
+    return inner_->WithObject(i, fraction);
+  }
+  bool SupportsGradient() const override {
+    return inner_->SupportsGradient();
+  }
+  double EvaluateWithGradient(const Layout& layout, double* grad) override {
+    ++*passes_;
+    return inner_->EvaluateWithGradient(layout, grad);
+  }
+
+ private:
+  std::unique_ptr<ColumnEvaluator> inner_;
+  std::atomic<int64_t>* passes_;
+};
+
+TEST(SolverTest, AnalyticStepPricesEachLayoutOnce) {
+  // Analytic mode prices every line-search trial with one fused
+  // value+gradient pass per column, and an accepted trial's gradient is
+  // the next step's: the seed refresh plus one pass per trial, nothing
+  // else.
+  std::vector<double> sizes{static_cast<double>(8 * kKiB),
+                            static_cast<double>(64 * kKiB)};
+  std::vector<double> runs{1, 16};
+  std::vector<double> chis{0, 1, 4};
+  std::vector<double> reads, writes;
+  for (double s : sizes) {
+    for (double q : runs) {
+      for (double c : chis) {
+        const double v = 0.004 * (s / (8 * kKiB)) * (1 + c) / std::sqrt(q);
+        reads.push_back(v);
+        writes.push_back(1.5 * v);
+      }
+    }
+  }
+  auto cost = CostModel::Create("step", sizes, runs, chis, reads, writes);
+  ASSERT_TRUE(cost.ok());
+  const int n = 10, m = 4;
+  Rng rng(5);
+  WorkloadSet ws(static_cast<size_t>(n));
+  for (int i = 0; i < n; ++i) {
+    WorkloadDesc& w = ws[static_cast<size_t>(i)];
+    w.read_rate = rng.Uniform(5, 120);
+    w.read_size = 8 * kKiB;
+    w.write_rate = rng.Uniform(0, 30);
+    w.write_size = 64 * kKiB;
+    w.run_count = rng.Uniform(1, 20);
+    w.overlap.assign(static_cast<size_t>(n), 0.0);
+    for (int k = 0; k < n; ++k) {
+      w.overlap[static_cast<size_t>(k)] = rng.Uniform(0, k == i ? 0.5 : 1);
+    }
+  }
+  TargetModel model(std::vector<TargetModelInfo>(
+                        m, TargetModelInfo{&cost.value(), 1, 64 * kKiB}),
+                    LvmLayoutModel(64 * kKiB));
+  LayoutNlpProblem p;
+  p.num_objects = n;
+  p.num_targets = m;
+  p.object_sizes.assign(static_cast<size_t>(n), kGiB);
+  p.target_capacities.assign(static_cast<size_t>(m), 50 * kGiB);
+  p.target_utilization = [&](const Layout& l, int j) {
+    return model.TargetUtilization(ws, l, j);
+  };
+  std::atomic<int64_t> passes{0};
+  p.make_column_eval = [&](int j) -> std::unique_ptr<ColumnEvaluator> {
+    return std::make_unique<CountingColumnEvaluator>(
+        model.MakeColumnEvaluator(ws, j), &passes);
+  };
+  Layout seed(n, m);
+  for (int i = 0; i < n; ++i) seed.SetRowRegular(i, {i % 2});
+
+  SolverOptions opts;
+  opts.num_threads = 2;
+  auto r = ProjectedGradientSolver(opts).Solve(p, seed);
+  ASSERT_TRUE(r.ok());
+  ASSERT_GT(r->iterations, 1);
+  EXPECT_EQ(r->incremental_evaluations, 0);
+  // Every pass that reached a column kernel is counted, and there are no
+  // others.
+  EXPECT_EQ(r->gradient_evaluations, passes.load());
+  EXPECT_EQ(r->gradient_evaluations,
+            int64_t{m} * (r->profile.line_search.calls + 1));
+  // The reported optimum is the scalar model's value at the layout.
+  double true_max = 0.0;
+  for (int j = 0; j < m; ++j) {
+    true_max = std::max(true_max, p.target_utilization(r->layout, j));
+  }
+  EXPECT_NEAR(r->max_utilization, true_max, 1e-9 * std::max(1.0, true_max));
 }
 
 // ------------------------------------------------------------- MultiStart

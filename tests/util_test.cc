@@ -1,3 +1,4 @@
+#include <algorithm>
 #include <cmath>
 #include <string>
 #include <vector>
@@ -216,6 +217,59 @@ TEST(InterpTest, DegenerateSingleNodeAxis) {
   ASSERT_TRUE(r.ok());
   EXPECT_DOUBLE_EQ(r->At({5.0, 0.5}), 6.0);
   EXPECT_DOUBLE_EQ(r->At({123.0, 1.0}), 9.0);  // clamped on degenerate axis
+}
+
+TEST(InterpTest, LocatedCellsMatchScalarValueAndGradient) {
+  // ValueGrad3 at cells from Locate() must agree with the scalar
+  // At/AtWithGrad corner sweep (same interpolant, different association
+  // order) below, above and exactly on knots, and on single-entry axes.
+  auto near = [](double got, double want) {
+    EXPECT_NEAR(got, want, 1e-12 * std::max(1.0, std::fabs(want)));
+  };
+  const std::vector<double> ax{1, 2, 4}, ay{0, 5, 9}, az{-1, 0.5, 2, 3};
+  std::vector<double> values;
+  Rng rng(77);
+  for (size_t k = 0; k < ax.size() * ay.size() * az.size(); ++k) {
+    values.push_back(rng.Uniform(-5, 5));
+  }
+  const std::vector<double> xs{0.0, 1.0, 1.7, 2.0, 3.5, 4.0, 9.0};
+  const std::vector<double> ys{-2.0, 0.0, 2.5, 5.0, 9.0, 12.0};
+  const std::vector<double> zs{-3.0, -1.0, 0.1, 0.5, 2.0, 2.9, 3.0, 7.0};
+  auto check = [&](const GridInterpolator& g, const std::vector<double>& px,
+                   const std::vector<double>& py,
+                   const std::vector<double>& pz) {
+    for (double x : px) {
+      for (double y : py) {
+        for (double z : pz) {
+          SCOPED_TRACE(::testing::Message() << x << "," << y << "," << z);
+          const double point[3] = {x, y, z};
+          const GridInterpolator::Cell c0 = g.Locate(0, x);
+          const GridInterpolator::Cell c1 = g.Locate(1, y);
+          const GridInterpolator::Cell c2 = g.Locate(2, z);
+          double want_grad[3];
+          const double want = g.AtWithGrad(point, 3, want_grad);
+          near(g.At(point, 3), want);
+          double grad[3];
+          near(g.ValueGrad3(c0, c1, c2, grad), want);
+          for (int d = 0; d < 3; ++d) near(grad[d], want_grad[d]);
+        }
+      }
+    }
+  };
+  auto full = GridInterpolator::Create({ax, ay, az}, values);
+  ASSERT_TRUE(full.ok());
+  check(*full, xs, ys, zs);
+
+  // Single-entry axes: the upper corner aliases the lower one and the
+  // slope along the degenerate axis is 0.
+  auto flat = GridInterpolator::Create(
+      {{3.0}, ay, {2.0}}, std::vector<double>(values.begin(),
+                                              values.begin() + 3));
+  ASSERT_TRUE(flat.ok());
+  check(*flat, {0.0, 3.0, 8.0}, ys, {-1.0, 2.0, 4.0});
+  const GridInterpolator::Cell degenerate = flat->Locate(0, 8.0);
+  EXPECT_EQ(degenerate.lo, degenerate.hi);
+  EXPECT_EQ(degenerate.dw, 0.0);
 }
 
 TEST(InterpTest, RejectsBadInputs) {
