@@ -8,19 +8,13 @@
 // Shapes to reproduce: seconds-to-minutes totals at these scales, time
 // growing with both N and M, and solver time dominating regularization.
 //
-// On top of the paper's figure, each row also benchmarks the solver's
-// evaluation engines: the pre-cache baseline (full µ_j recomputation per
-// finite-difference perturbation, serial), the incremental column cache
-// (serially and with --threads workers), and the analytic-gradient engine
-// (fused value+gradient kernel passes instead of FD perturbations). Each
-// engine must produce the same final max-utilization for every thread
-// count; the analytic engine is additionally checked bit-identical across
-// thread counts {1, 2, --threads}. The baseline column is what makes the
-// speedups measurable.
+// Each row runs the advisor serially and with 2 and --threads solver
+// workers; the solver's layout and max-utilization must be bit-identical
+// across those thread counts, and the bench exits 1 ([MISMATCH]) when they
+// are not.
 //
 // Flags beyond the common bench set:
 //   --row=<substr>    run only rows whose workload name contains <substr>
-//   --skip-baseline   skip the slow pre-cache baseline advisor runs
 //
 // As in the paper's timing experiment, the advisor runs from a single
 // initial layout (no multi-start).
@@ -82,13 +76,8 @@ void UseTargets(LayoutProblem* problem, const AdvisorTarget& prototype,
 int main(int argc, char** argv) {
   const BenchEnv env = ParseBenchEnv(argc, argv);
   std::string row_filter;
-  bool skip_baseline = false;
   for (int a = 1; a < argc; ++a) {
-    if (std::strncmp(argv[a], "--row=", 6) == 0) {
-      row_filter = argv[a] + 6;
-    } else if (std::strcmp(argv[a], "--skip-baseline") == 0) {
-      skip_baseline = true;
-    }
+    if (std::strncmp(argv[a], "--row=", 6) == 0) row_filter = argv[a] + 6;
   }
   PrintHeader("Figure 19", "advisor running time vs problem size", env);
 
@@ -132,47 +121,23 @@ int main(int argc, char** argv) {
       {"4xconsolidation", &*base40, 4, 10},
   };
 
-  // Engine configurations per row. "baseline" is the pre-cache serial FD
-  // evaluator; "engine" adds the incremental column cache; "mt"
-  // additionally fans the finite-difference columns out over threads.
-  // "analytic" replaces the FD grid with fused value+gradient kernel
-  // passes, serially and (for the invariance check) at 2 and --threads
-  // workers. The FD engines pin gradient_mode = kFd so they stay
-  // measurable as the comparison baseline.
+  // Solver configurations per row: serial (the timed run), and 2 and
+  // --threads workers for the invariance check.
   const int mt_threads = ThreadPool::EffectiveThreads(env.num_threads);
-  AdvisorOptions baseline_opts;
-  baseline_opts.extra_random_seeds = 0;  // paper timing runs: one seed
-  baseline_opts.solver.gradient_mode = GradientMode::kFd;
-  baseline_opts.solver.use_incremental_cache = false;
-  baseline_opts.solver.num_threads = 1;
-  AdvisorOptions engine_opts = baseline_opts;
-  engine_opts.solver.use_incremental_cache = true;
-  AdvisorOptions mt_opts = engine_opts;
+  AdvisorOptions serial_opts;
+  serial_opts.extra_random_seeds = 0;  // paper timing runs: one seed
+  serial_opts.solver.num_threads = 1;
+  AdvisorOptions two_opts = serial_opts;
+  two_opts.solver.num_threads = 2;
+  AdvisorOptions mt_opts = serial_opts;
   mt_opts.solver.num_threads = mt_threads;
-  AdvisorOptions an_opts = engine_opts;
-  an_opts.solver.gradient_mode = GradientMode::kAnalytic;
-  an_opts.solver.num_threads = 1;
-  AdvisorOptions an2_opts = an_opts;
-  an2_opts.solver.num_threads = 2;
-  AdvisorOptions anmt_opts = an_opts;
-  anmt_opts.solver.num_threads = mt_threads;
-  // The serial analytic run records its convergence trace: the analytic
-  // engine takes cheaper steps but more of them (exact gradients keep
-  // finding descent after FD's noisy ones stall), so the like-for-like
-  // timing is time-to-FD-quality — when the trace first reaches the FD
-  // engine's final max-utilization — not time-to-own-convergence.
-  an_opts.solver.record_trace = true;
-  const LayoutAdvisor baseline_advisor(baseline_opts);
-  const LayoutAdvisor engine_advisor(engine_opts);
+  const LayoutAdvisor serial_advisor(serial_opts);
+  const LayoutAdvisor two_advisor(two_opts);
   const LayoutAdvisor mt_advisor(mt_opts);
-  const LayoutAdvisor an_advisor(an_opts);
-  const LayoutAdvisor an2_advisor(an2_opts);
-  const LayoutAdvisor anmt_advisor(anmt_opts);
 
-  TextTable table({"Workload", "N", "M", "Base (s)", "Cache (s)",
-                   StrFormat("x%d thr (s)", mt_threads), "Analytic (s)",
-                   "A-speedup", "TTQ-speedup", "Grad evals", "Incr evals",
-                   "Regular. (s)"});
+  TextTable table({"Workload", "N", "M", "Solver (s)",
+                   StrFormat("x%d thr (s)", mt_threads), "Steps",
+                   "Grad evals", "Regular. (s)"});
   JsonRows json;
   double previous_total = 0.0;
   bool monotone = true;
@@ -186,145 +151,61 @@ int main(int argc, char** argv) {
                                 ? *row.base
                                 : ReplicateObjects(*row.base, row.copies);
     UseTargets(&problem, disk_proto, row.m);
-    auto engine_rec = engine_advisor.Recommend(problem);
+    auto rec = serial_advisor.Recommend(problem);
+    auto two_rec = two_advisor.Recommend(problem);
     auto mt_rec = mt_advisor.Recommend(problem);
-    auto an_rec = an_advisor.Recommend(problem);
-    auto an2_rec = an2_advisor.Recommend(problem);
-    auto anmt_rec = anmt_advisor.Recommend(problem);
-    if (!engine_rec.ok() || !mt_rec.ok() || !an_rec.ok() || !an2_rec.ok() ||
-        !anmt_rec.ok()) {
-      std::fprintf(
-          stderr, "advisor (%s, M=%d): %s\n", row.workload, row.m,
-          (!engine_rec.ok()   ? engine_rec.status()
-           : !mt_rec.ok()     ? mt_rec.status()
-           : !an_rec.ok()     ? an_rec.status()
-           : !an2_rec.ok()    ? an2_rec.status()
-                              : anmt_rec.status())
-              .ToString()
-              .c_str());
+    if (!rec.ok() || !two_rec.ok() || !mt_rec.ok()) {
+      std::fprintf(stderr, "advisor (%s, M=%d): %s\n", row.workload, row.m,
+                   (!rec.ok()       ? rec.status()
+                    : !two_rec.ok() ? two_rec.status()
+                                    : mt_rec.status())
+                       .ToString()
+                       .c_str());
       return 1;
     }
-    double baseline_seconds = 0.0;
-    int64_t baseline_evals = 0;
-    if (!skip_baseline) {
-      auto base_rec = baseline_advisor.Recommend(problem);
-      if (!base_rec.ok()) {
-        std::fprintf(stderr, "advisor (%s, M=%d): %s\n", row.workload, row.m,
-                     base_rec.status().ToString().c_str());
-        return 1;
-      }
-      baseline_seconds = base_rec->solver_seconds;
-      baseline_evals = base_rec->solver_stats.objective_evaluations;
-    }
-    // Thread-count invariance: every engine must land on exactly the
-    // serial run's answer; the analytic engine across {1, 2, mt}.
-    const bool fd_same =
-        mt_rec->solver_stats.max_utilization ==
-            engine_rec->solver_stats.max_utilization &&
-        mt_rec->solver_stats.layout == engine_rec->solver_stats.layout;
-    const bool an_same =
-        an2_rec->solver_stats.max_utilization ==
-            an_rec->solver_stats.max_utilization &&
-        an2_rec->solver_stats.layout == an_rec->solver_stats.layout &&
-        anmt_rec->solver_stats.max_utilization ==
-            an_rec->solver_stats.max_utilization &&
-        anmt_rec->solver_stats.layout == an_rec->solver_stats.layout;
-    const bool same = fd_same && an_same;
+    // Thread-count invariance: every run must land on exactly the serial
+    // run's answer.
+    const SolverResult& solve = rec->solver_stats;
+    const bool same = two_rec->solver_stats.max_utilization ==
+                          solve.max_utilization &&
+                      two_rec->solver_stats.layout == solve.layout &&
+                      mt_rec->solver_stats.max_utilization ==
+                          solve.max_utilization &&
+                      mt_rec->solver_stats.layout == solve.layout;
     deterministic = deterministic && same;
 
-    const double speedup =
-        mt_rec->solver_seconds > 0.0 && !skip_baseline
-            ? baseline_seconds / mt_rec->solver_seconds
-            : 0.0;
-    // The headline number: analytic serial vs incremental-FD serial —
-    // same thread budget, engine change only.
-    const double analytic_speedup =
-        an_rec->solver_seconds > 0.0
-            ? engine_rec->solver_seconds / an_rec->solver_seconds
-            : 0.0;
-    const double max_util_diff_vs_fd =
-        an_rec->solver_stats.max_utilization -
-        engine_rec->solver_stats.max_utilization;
-    // Time-to-matched-quality: elapsed solve time at the first traced
-    // accepted step whose true max µ is no worse than the FD engine's
-    // final answer. When the engines land in different basins and the
-    // analytic run never gets there, its full solve time is charged.
-    const double fd_quality = engine_rec->solver_stats.max_utilization;
-    double ttq_seconds = an_rec->solver_seconds;
-    bool reached_fd_quality = false;
-    for (const SolverTracePoint& p : an_rec->solver_stats.trace) {
-      if (p.true_max <= fd_quality) {
-        ttq_seconds = static_cast<double>(p.ns) * 1e-9;
-        reached_fd_quality = true;
-        break;
-      }
-    }
-    const double ttq_speedup =
-        ttq_seconds > 0.0 ? engine_rec->solver_seconds / ttq_seconds : 0.0;
-    const SolverProfile& prof = an_rec->solver_stats.profile;
+    const SolverProfile& prof = solve.profile;
     table.AddRow({row.workload, StrFormat("%d", problem.num_objects()),
                   StrFormat("%d", row.m),
-                  skip_baseline ? std::string("-")
-                                : StrFormat("%.2f", baseline_seconds),
-                  StrFormat("%.2f", engine_rec->solver_seconds),
-                  StrFormat("%.2f%s", mt_rec->solver_seconds,
+                  StrFormat("%.3f", rec->solver_seconds),
+                  StrFormat("%.3f%s", mt_rec->solver_seconds,
                             same ? "" : " [MISMATCH]"),
-                  StrFormat("%.3f", an_rec->solver_seconds),
-                  StrFormat("%.1fx", analytic_speedup),
-                  StrFormat("%.1fx%s", ttq_speedup,
-                            reached_fd_quality ? "" : " [unmatched]"),
+                  StrFormat("%d", solve.iterations),
                   StrFormat("%lld",
-                            static_cast<long long>(
-                                an_rec->solver_stats.gradient_evaluations)),
-                  StrFormat("%lld",
-                            static_cast<long long>(
-                                mt_rec->solver_stats.incremental_evaluations)),
-                  StrFormat("%.2f", mt_rec->regularization_seconds)});
+                            static_cast<long long>(solve.gradient_evaluations)),
+                  StrFormat("%.2f", rec->regularization_seconds)});
     if (env.json) {
       json.BeginRow();
       json.Field("workload", row.workload);
       json.Field("n", problem.num_objects());
       json.Field("m", row.m);
       json.Field("threads", mt_threads);
-      json.Field("baseline_solver_seconds", baseline_seconds);
-      json.Field("cache_solver_seconds", engine_rec->solver_seconds);
-      json.Field("mt_solver_seconds", mt_rec->solver_seconds);
-      json.Field("analytic_solver_seconds", an_rec->solver_seconds);
-      json.Field("analytic_mt_solver_seconds", anmt_rec->solver_seconds);
-      json.Field("speedup", speedup);
-      json.Field("analytic_speedup", analytic_speedup);
-      json.Field("analytic_time_to_fd_quality_seconds", ttq_seconds);
-      json.Field("analytic_ttq_speedup", ttq_speedup);
-      json.Field("analytic_reached_fd_quality", reached_fd_quality);
-      json.Field("baseline_objective_evaluations", baseline_evals);
-      json.Field("objective_evaluations",
-                 mt_rec->solver_stats.objective_evaluations);
-      json.Field("incremental_evaluations",
-                 mt_rec->solver_stats.incremental_evaluations);
-      json.Field("gradient_evaluations",
-                 an_rec->solver_stats.gradient_evaluations);
-      json.Field("interp_queries", an_rec->solver_stats.interp_queries);
+      json.Field("analytic_solver_seconds", rec->solver_seconds);
+      json.Field("analytic_mt_solver_seconds", mt_rec->solver_seconds);
+      json.Field("gradient_evaluations", solve.gradient_evaluations);
+      json.Field("interp_queries", solve.interp_queries);
       json.Field("gradient_ns", prof.gradient.ns);
       json.Field("line_search_ns", prof.line_search.ns);
       json.Field("refresh_ns", prof.refresh.ns);
-      const SolverProfile& fd_prof = engine_rec->solver_stats.profile;
-      json.Field("fd_iterations", engine_rec->solver_stats.iterations);
-      json.Field("analytic_iterations", an_rec->solver_stats.iterations);
-      json.Field("fd_gradient_ns", fd_prof.gradient.ns);
-      json.Field("fd_line_search_ns", fd_prof.line_search.ns);
-      json.Field("fd_refresh_ns", fd_prof.refresh.ns);
-      json.Field("regularization_seconds", mt_rec->regularization_seconds);
-      json.Field("total_seconds", mt_rec->total_seconds());
-      json.Field("max_utilization", mt_rec->solver_stats.max_utilization);
-      json.Field("analytic_max_utilization",
-                 an_rec->solver_stats.max_utilization);
-      json.Field("max_util_diff_vs_fd", max_util_diff_vs_fd);
-      json.Field("thread_invariant", same);
-      json.Field("analytic_thread_invariant", an_same);
+      json.Field("analytic_iterations", solve.iterations);
+      json.Field("regularization_seconds", rec->regularization_seconds);
+      json.Field("total_seconds", rec->total_seconds());
+      json.Field("analytic_max_utilization", solve.max_utilization);
+      json.Field("analytic_thread_invariant", same);
     }
     if (row.copies > 1) {
-      monotone = monotone && mt_rec->total_seconds() >= previous_total;
-      previous_total = mt_rec->total_seconds();
+      monotone = monotone && rec->total_seconds() >= previous_total;
+      previous_total = rec->total_seconds();
     }
   }
   std::printf("%s\n", table.ToString().c_str());
@@ -333,8 +214,8 @@ int main(int argc, char** argv) {
       "regularization; replicated workloads scale it further %s\n",
       monotone ? "[ok]" : "[check rows]");
   std::printf(
-      "Engine: identical layouts and max-utilization across thread "
-      "counts (FD mt vs serial; analytic across {1, 2, %d}) %s\n",
+      "Solver: identical layouts and max-utilization across thread "
+      "counts {1, 2, %d} %s\n",
       mt_threads, deterministic ? "[ok]" : "[MISMATCH]");
   if (env.json && !json.WriteTo(env.json_path)) {
     std::fprintf(stderr, "failed to write %s\n", env.json_path.c_str());

@@ -1,7 +1,7 @@
 // Micro-benchmarks (google-benchmark) of the hot kernels: device service
 // times, the simulator's event throughput, LVM mapping, cost-model
 // interpolation, the target model's utilization computation (the solver's
-// inner loop), the incremental column evaluator, the regularizer sweep,
+// inner loop), the fused column kernel, the regularizer sweep,
 // simplex projection, a small end-to-end solve, and a full solve shaped
 // like one advise_4x96 problem.
 //
@@ -306,8 +306,8 @@ void BM_TargetModelColumnFull(benchmark::State& state) {
       TargetModelInfo{&SharedCostModel(), 1, 64 * kKiB});
   TargetModel model(infos, LvmLayoutModel(64 * kKiB));
   Layout layout = Layout::StripeEverythingEverywhere(n, m);
-  // The baseline engine's finite-difference unit of work: one full O(N²)
-  // column evaluation after perturbing one entry.
+  // The scalar reference: one full O(N²) column evaluation after
+  // perturbing one entry.
   int i = 0;
   for (auto _ : state) {
     layout.Set(i, 0, 0.7);
@@ -317,28 +317,6 @@ void BM_TargetModelColumnFull(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_TargetModelColumnFull)->Arg(20)->Arg(40)->Arg(160);
-
-void BM_TargetModelColumnIncremental(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  const int m = 4;
-  Rng rng(3);
-  WorkloadSet ws = MakeWorkloads(n, &rng);
-  std::vector<TargetModelInfo> infos(
-      static_cast<size_t>(m),
-      TargetModelInfo{&SharedCostModel(), 1, 64 * kKiB});
-  TargetModel model(infos, LvmLayoutModel(64 * kKiB));
-  Layout layout = Layout::StripeEverythingEverywhere(n, m);
-  // The cached engine's unit of work: the same perturbation priced as a
-  // rank-1 update against the column context.
-  auto ctx = model.MakeColumnEvaluator(ws, 0);
-  ctx->Rebuild(layout);
-  int i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(ctx->WithObject(i, 0.7));
-    i = (i + 1) % n;
-  }
-}
-BENCHMARK(BM_TargetModelColumnIncremental)->Arg(20)->Arg(40)->Arg(160);
 
 void BM_GridInterpAt(benchmark::State& state) {
   // Baseline for BM_GridInterpAtWithGrad: value-only lookups. A central
@@ -374,9 +352,7 @@ BENCHMARK(BM_GridInterpAtWithGrad);
 void BM_TargetModelColumnGradient(benchmark::State& state) {
   // The analytic engine's unit of work: one fused pass returning µ_j and
   // all N partials ∂µ_j/∂L_ij (the solver prices every line-search trial
-  // with it). The FD engine needs 2·N rank-1
-  // incremental evaluations (BM_TargetModelColumnIncremental) for the
-  // same column gradient.
+  // with it).
   const int n = static_cast<int>(state.range(0));
   const int m = 4;
   Rng rng(3);
@@ -578,35 +554,10 @@ void BM_SimplexProjection(benchmark::State& state) {
 }
 BENCHMARK(BM_SimplexProjection)->Arg(4)->Arg(40);
 
-void BM_SolverSmallProblem(benchmark::State& state) {
-  const int n = 10, m = 4;
-  Rng rng(5);
-  WorkloadSet ws = MakeWorkloads(n, &rng);
-  std::vector<TargetModelInfo> infos(
-      static_cast<size_t>(m),
-      TargetModelInfo{&SharedCostModel(), 1, 64 * kKiB});
-  TargetModel model(infos, LvmLayoutModel(64 * kKiB));
-  LayoutNlpProblem nlp;
-  nlp.num_objects = n;
-  nlp.num_targets = m;
-  nlp.object_sizes.assign(static_cast<size_t>(n), kGiB);
-  nlp.target_capacities.assign(static_cast<size_t>(m), 20 * kGiB);
-  nlp.target_utilization = [&](const Layout& l, int j) {
-    return model.TargetUtilization(ws, l, j);
-  };
-  SolverOptions options;
-  options.annealing_rounds = 2;
-  options.max_iterations_per_round = 10;
-  ProjectedGradientSolver solver(options);
-  const Layout seed = Layout::StripeEverythingEverywhere(n, m);
-  for (auto _ : state) {
-    auto r = solver.Solve(nlp, seed);
-    benchmark::DoNotOptimize(r.ok());
-  }
-}
-BENCHMARK(BM_SolverSmallProblem);
-
 void BM_SolverSmallProblemCached(benchmark::State& state) {
+  // A small full solve (10 objects, 4 targets). The name predates the
+  // single gradient engine and is kept so recorded trajectories stay
+  // comparable.
   const int n = 10, m = 4;
   Rng rng(5);
   WorkloadSet ws = MakeWorkloads(n, &rng);

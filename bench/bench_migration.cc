@@ -308,16 +308,18 @@ int main(int argc, char** argv) {
     const bool readable = run->readable.ok();
     std::printf(
         "migrate to replanned layout with disk%d dead: outcome %s, %d "
-        "object(s) replanned off the dead disk, every byte readable: %s "
-        "%s\n",
+        "object(s) replanned off the dead disk (est. max util %.1f%%), "
+        "every byte readable: %s %s\n",
         victim, MigrationOutcomeName(run->outcome),
         replanned->migration.objects_moved,
+        100.0 * replanned->max_utilization,
         readable ? "yes" : run->readable.ToString().c_str(),
         completed && readable ? "[ok]" : "[MISS]");
     json.BeginRow();
     json.Field("stage", "replan_after_loss");
     json.Field("outcome", MigrationOutcomeName(run->outcome));
     json.Field("objects_replanned", replanned->migration.objects_moved);
+    json.Field("replan_max_utilization", replanned->max_utilization);
     json.Field("all_readable", readable);
     all_ok = all_ok && completed && readable;
   }

@@ -14,8 +14,8 @@ namespace ldb {
 /// Advisor configuration.
 struct AdvisorOptions {
   /// Solver knobs, including the evaluation engine's `num_threads`
-  /// (parallel FD columns and multi-start seeds; results are identical
-  /// for every thread count) and `use_incremental_cache`.
+  /// (parallel column passes and multi-start seeds; results are identical
+  /// for every thread count).
   SolverOptions solver;
   RegularizerOptions regularizer;
   /// Produce a regular (LVM-implementable) final layout. When false the

@@ -174,7 +174,6 @@ LayoutProblem SubProblem(const LayoutProblem& full,
 void AccumulateEffort(const SolverResult& r, FleetResult* out) {
   out->iterations += r.iterations;
   out->objective_evaluations += r.objective_evaluations;
-  out->incremental_evaluations += r.incremental_evaluations;
   out->gradient_evaluations += r.gradient_evaluations;
   out->interp_queries += r.interp_queries;
 }

@@ -66,7 +66,6 @@ struct FleetResult {
   /// Summed inner-solver effort across shard and coordination solves.
   int iterations = 0;
   int64_t objective_evaluations = 0;
-  int64_t incremental_evaluations = 0;
   int64_t gradient_evaluations = 0;
   int64_t interp_queries = 0;
   /// Wall-clock breakdown (measurement only, not deterministic).

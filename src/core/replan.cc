@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <memory>
 #include <numeric>
 #include <utility>
 #include <vector>
@@ -12,6 +13,55 @@
 #include "util/table.h"
 
 namespace ldb {
+
+namespace {
+
+/// A column evaluator seen through one target's derate factor `d`: value
+/// and gradient divided by d (unchanged at d >= 1), both zero when d <= 0.
+class DeratedColumnEvaluator final : public ColumnEvaluator {
+ public:
+  DeratedColumnEvaluator(std::unique_ptr<ColumnEvaluator> inner, double d)
+      : inner_(std::move(inner)), d_(d) {}
+
+  double EvaluateWithGradient(const Layout& layout, double* grad) override {
+    if (d_ <= 0.0) {
+      std::fill(grad, grad + layout.num_objects(), 0.0);
+      return 0.0;
+    }
+    const double u = inner_->EvaluateWithGradient(layout, grad);
+    if (d_ >= 1.0) return u;
+    for (int i = 0; i < layout.num_objects(); ++i) grad[i] /= d_;
+    return u / d_;
+  }
+
+  int64_t interp_queries() const override { return inner_->interp_queries(); }
+
+ private:
+  std::unique_ptr<ColumnEvaluator> inner_;
+  double d_;
+};
+
+}  // namespace
+
+void ApplyTargetDerate(const std::vector<double>& derate,
+                       LayoutNlpProblem* nlp) {
+  LDB_CHECK_EQ(derate.size(), static_cast<size_t>(nlp->num_targets));
+  auto base = std::move(nlp->target_utilization);
+  nlp->target_utilization = [base, derate](const Layout& l, int j) {
+    const double d = derate[static_cast<size_t>(j)];
+    if (d <= 0.0) return 0.0;
+    const double u = base(l, j);
+    return d >= 1.0 ? u : u / d;
+  };
+  auto make = std::move(nlp->make_column_eval);
+  nlp->make_column_eval =
+      [make, derate](int j) -> std::unique_ptr<ColumnEvaluator> {
+    std::unique_ptr<ColumnEvaluator> inner = make(j);
+    if (inner == nullptr) return nullptr;
+    return std::make_unique<DeratedColumnEvaluator>(
+        std::move(inner), derate[static_cast<size_t>(j)]);
+  };
+}
 
 bool TargetHealth::AllHealthy() const {
   for (char f : failed) {
@@ -381,19 +431,7 @@ Result<ReplanResult> ReplanAfterFailure(const LayoutProblem& problem,
     LayoutNlpProblem nlp = degraded.MakeNlp(&model);
     nlp.frozen_rows.assign(static_cast<size_t>(n), 1);
     for (int i : displaced) nlp.frozen_rows[static_cast<size_t>(i)] = 0;
-    // Derate-aware objective; the incremental column caches and the
-    // analytic gradient engine both price raw µ_j, so column evaluators
-    // are disabled for the (small) polish solve — the solver probes
-    // make_column_eval and falls back to black-box finite differences.
-    auto base = nlp.target_utilization;
-    const std::vector<double> derate = ropts.target_derate;
-    nlp.target_utilization = [base, derate](const Layout& l, int j) {
-      const double d = derate[static_cast<size_t>(j)];
-      if (d <= 0.0) return 0.0;  // failed: constraints keep it empty
-      const double u = base(l, j);
-      return d >= 1.0 ? u : u / d;
-    };
-    nlp.make_column_eval = nullptr;
+    ApplyTargetDerate(ropts.target_derate, &nlp);
 
     ProjectedGradientSolver solver(options.solver);
     Result<SolverResult> polished = solver.Solve(nlp, pricer.layout());

@@ -89,6 +89,17 @@ struct ReplanOptions {
   double improvement_epsilon = 1e-9;
 };
 
+/// Rescales `nlp` to the objective failure re-planning minimizes:
+/// µ_j / derate[j] on derated targets (derate[j] in (0, 1)), µ_j unchanged
+/// at derate[j] >= 1, and 0 on failed targets (derate[j] <= 0), which the
+/// allowed-target constraints keep empty. Both the scalar
+/// target_utilization and the column evaluators are wrapped; the wrapped
+/// evaluators scale value and gradient alike and forward interp_queries,
+/// so the projected-gradient solver prices the derated objective with its
+/// analytic engine. `derate` is sized num_targets.
+void ApplyTargetDerate(const std::vector<double>& derate,
+                       LayoutNlpProblem* nlp);
+
 /// Outcome of failure-aware re-layout.
 struct ReplanResult {
   Layout layout;  ///< regular layout with zero mass on failed targets

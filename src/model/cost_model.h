@@ -85,15 +85,6 @@ class CostModel {
 
   const std::string& device_model() const { return device_model_; }
 
-  /// The calibration grid's contention-factor axis. Costs are multilinear
-  /// over the grid, so for fixed size and run count the cost is linear in χ
-  /// between consecutive axis entries and constant beyond the last one —
-  /// the structure the incremental column evaluator exploits to replace
-  /// table lookups with a cached linear segment.
-  const std::vector<double>& contention_axis() const {
-    return contention_axis_;
-  }
-
   /// Serializes to a plain-text format (one header line, axes, values).
   std::string ToText() const;
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 
 #include "util/check.h"
 
@@ -193,163 +192,14 @@ double TargetModel::MaxUtilization(const WorkloadSet& workloads,
 
 namespace {
 
-/// The incremental column-evaluation context behind
+/// The fused value+gradient column kernel behind
 /// TargetModel::MakeColumnEvaluator.
-///
-/// Rebuild caches, for one target column j under a base layout:
-///  * the transformed per-target workload W_kj and its rate for every
-///    object k (perturbing object i leaves every other W_kj unchanged);
-///  * each object's interference accumulator Σ_{l≠k} rate_lj · O_k[l] —
-///    the O(N²) part of a from-scratch evaluation;
-///  * each object's µ_kj, and the linear segment of µ_kj as a function of
-///    its contention factor χ_k. Cost tables are multilinear over the
-///    calibration grid, so with W_kj fixed µ_kj is piecewise-linear in χ
-///    (constant beyond the axis ends, where lookups clamp).
-///
-/// WithObject(i, f) then reprices the column in O(N): object i's own term
-/// is re-evaluated against the cost tables (its sizes/run count change with
-/// the fraction), while every other object's term moves only through its χ,
-/// which shifts by a rank-1 delta and is usually repriced by interpolating
-/// the cached segment — no table lookup, no allocation.
 class TargetColumnContext final : public ColumnEvaluator {
  public:
   TargetColumnContext(const TargetModel* model, const WorkloadSet* workloads,
                       int j)
       : model_(model), workloads_(workloads), j_(j) {}
 
-  void Rebuild(const Layout& layout) override {
-    const int n = layout.num_objects();
-    const size_t un = static_cast<size_t>(n);
-    const TargetModelInfo& tgt = model_->target_info(j_);
-    EnsureOverlapCache(un);
-    if (any_sparse_) EnsureTranspose(un);
-    per_.resize(un);
-    rate_.resize(un);
-    interfering_.resize(un);
-    mu_.assign(un, 0.0);
-    seg_lo_.resize(un);
-    seg_hi_.resize(un);
-    mu_seg_lo_.resize(un);
-    mu_seg_hi_.resize(un);
-
-    for (int i = 0; i < n; ++i) {
-      per_[static_cast<size_t>(i)] = model_->layout_model().Transform(
-          (*workloads_)[static_cast<size_t>(i)],
-          std::max(0.0, layout.At(i, j_)));
-      const double r = per_[static_cast<size_t>(i)].total_rate();
-      // Treat below-epsilon rates as exactly absent so rank-1 deltas match
-      // the from-scratch evaluation's presence filter.
-      rate_[static_cast<size_t>(i)] = r <= kRateEpsilon ? 0.0 : r;
-    }
-
-    mu_j_ = 0.0;
-    for (int i = 0; i < n; ++i) {
-      const size_t ui = static_cast<size_t>(i);
-      const WorkloadDesc& wi = (*workloads_)[ui];
-      // The interference accumulator is cached even for absent objects:
-      // the solver perturbs their fraction away from zero and then needs
-      // their χ without an O(N) rescan.
-      double interfering = 0.0;
-      if (wi.has_sparse_overlap()) {
-        const size_t nnz = wi.overlap_index.size();
-        for (size_t s = 0; s < nnz; ++s) {
-          const int k = wi.overlap_index[s];
-          if (k == i) continue;
-          const double rate_kj = rate_[static_cast<size_t>(k)];
-          if (rate_kj <= 0.0) continue;
-          interfering += rate_kj * wi.overlap_value[s];
-        }
-      } else {
-        for (int k = 0; k < n; ++k) {
-          if (k == i) continue;
-          const double rate_kj = rate_[static_cast<size_t>(k)];
-          if (rate_kj <= 0.0) continue;
-          interfering += rate_kj * wi.overlap[static_cast<size_t>(k)];
-        }
-      }
-      interfering_[ui] = interfering;
-      if (rate_[ui] <= 0.0) {
-        seg_lo_[ui] = 0.0;
-        seg_hi_[ui] = -1.0;  // empty segment: never consulted
-        mu_seg_lo_[ui] = mu_seg_hi_[ui] = 0.0;
-        continue;
-      }
-      const double chi = interfering / rate_[ui] + diag_[ui];
-      mu_[ui] = model_->PerObjectUtilization(tgt, per_[ui], chi);
-      mu_j_ += mu_[ui];
-      CacheChiSegment(tgt, ui, chi);
-    }
-  }
-
-  double Base() const override { return mu_j_; }
-
-  double WithObject(int i, double fraction) const override {
-    const size_t ui = static_cast<size_t>(i);
-    const int n = static_cast<int>(rate_.size());
-    const TargetModelInfo& tgt = model_->target_info(j_);
-    const WorkloadDesc& wi = (*workloads_)[ui];
-
-    const PerTargetWorkload wij =
-        model_->layout_model().Transform(wi, std::max(0.0, fraction));
-    double ri = wij.total_rate();
-    if (ri <= kRateEpsilon) ri = 0.0;
-
-    // Swap out object i's own term. Its request sizes and run count change
-    // with the fraction, so this term needs real cost-table lookups.
-    double mu = mu_j_ - mu_[ui];
-    if (ri > 0.0) {
-      const double chi = interfering_[ui] / ri + diag_[ui];
-      mu += model_->PerObjectUtilization(tgt, wij, chi);
-    }
-
-    // Every other object's term moves only through its contention factor:
-    // χ_k shifts by delta · O_k[i] / rate_k. Reprice via the cached linear
-    // segment when the new χ stays inside it; fall back to a table lookup
-    // when the perturbation crosses a grid cell.
-    const double delta = ri - rate_[ui];
-    if (delta != 0.0) {
-      // Repriced delta of object k's term given its overlap-with-i weight.
-      auto repriced_delta = [&](size_t uk, double o) -> double {
-        const double rk = rate_[uk];
-        if (rk <= 0.0 || o == 0.0) return 0.0;
-        // max(0, ·): when object i is k's only interferer and delta takes
-        // its rate to zero, the sum cancels to rounding residue that can
-        // dip below 0 — which the cost tables reject as a domain error.
-        const double chi =
-            std::max(0.0, (interfering_[uk] + delta * o) / rk) + diag_[uk];
-        double mu_k;
-        if (chi >= seg_lo_[uk] && chi <= seg_hi_[uk]) {
-          mu_k = mu_seg_lo_[uk] == mu_seg_hi_[uk]
-                     ? mu_seg_lo_[uk]
-                     : mu_seg_lo_[uk] + (chi - seg_lo_[uk]) /
-                                            (seg_hi_[uk] - seg_lo_[uk]) *
-                                            (mu_seg_hi_[uk] - mu_seg_lo_[uk]);
-        } else {
-          mu_k = model_->PerObjectUtilization(tgt, per_[uk], chi);
-        }
-        return mu_k - mu_[uk];
-      };
-      if (any_sparse_) {
-        // Column access O_k[i] via the transposed overlap structure:
-        // ascending k with zero entries dropped — the same terms the dense
-        // loop's `o == 0` filter keeps, in the same order.
-        for (size_t s = tr_begin_[ui]; s < tr_begin_[ui + 1]; ++s) {
-          const size_t uk = static_cast<size_t>(tr_src_[s]);
-          mu += repriced_delta(uk, tr_val_[s]);
-        }
-      } else {
-        for (int k = 0; k < n; ++k) {
-          if (k == i) continue;
-          const size_t uk = static_cast<size_t>(k);
-          mu += repriced_delta(uk, (*workloads_)[uk].overlap[ui]);
-        }
-      }
-    }
-    return mu;
-  }
-
-  // ---- Batched analytic fast path ----
-  //
   // µ_j and its exact gradient in one pass over contiguous per-object arrays:
   //
   //   µ_j = Σ_i µ_ij,   µ_ij = λ^R_ij·mcR_i + λ^W_ij·mcW_i
@@ -368,11 +218,9 @@ class TargetColumnContext final : public ColumnEvaluator {
   // with λ_i the object's total rate, r_i = λ_i·f_i its on-target rate and
   // I_i its interference accumulator. The cross sum over all i is one
   // transposed overlap-matrix·vector product — the same O(N²) asymptotics
-  // as one column rebuild, but a two-op inner loop over contiguous arrays.
-  // Cost-table lookups run at cells located once: request sizes per query
-  // template, run count and χ per object.
-
-  bool SupportsGradient() const override { return true; }
+  // as the scalar TargetUtilization, but a two-op inner loop over
+  // contiguous arrays. Cost-table lookups run at cells located once:
+  // request sizes per query template, run count and χ per object.
 
   double EvaluateWithGradient(const Layout& layout, double* grad) override {
     return BatchedColumn(layout, grad);
@@ -381,80 +229,12 @@ class TargetColumnContext final : public ColumnEvaluator {
   int64_t interp_queries() const override { return queries_; }
 
  private:
-  /// Caches every object's overlap diagonal O_i[i] and whether any row uses
-  /// the sparse representation. Workloads are fixed for a context's
-  /// lifetime, so this runs once.
-  void EnsureOverlapCache(size_t un) {
+  /// Caches every object's overlap diagonal O_i[i]. Workloads are fixed
+  /// for a context's lifetime, so this runs once.
+  void EnsureDiagonal(size_t un) {
     if (diag_.size() == un) return;
-    any_sparse_ = false;
     diag_.resize(un);
-    for (size_t i = 0; i < un; ++i) {
-      const WorkloadDesc& w = (*workloads_)[i];
-      any_sparse_ = any_sparse_ || w.has_sparse_overlap();
-      diag_[i] = w.overlap_with(i);
-    }
-  }
-
-  /// Builds the transposed overlap structure (per column i: the source rows
-  /// k ≠ i with O_k[i] ≠ 0, ascending) used by WithObject's cross loop when
-  /// any row is sparse — a CSR row gives O_i[k] contiguously, but that loop
-  /// needs the column O_k[i]. Dense rows contribute their nonzeros too so
-  /// mixed sets work. Built once per context.
-  void EnsureTranspose(size_t un) {
-    if (tr_begin_.size() == un + 1) return;
-    tr_begin_.assign(un + 1, 0);
-    auto for_each_entry = [&](size_t k, auto&& fn) {
-      const WorkloadDesc& w = (*workloads_)[k];
-      if (w.has_sparse_overlap()) {
-        for (size_t s = 0; s < w.overlap_index.size(); ++s) {
-          const size_t i = static_cast<size_t>(w.overlap_index[s]);
-          if (i != k && w.overlap_value[s] != 0.0) fn(i, w.overlap_value[s]);
-        }
-      } else {
-        for (size_t i = 0; i < w.overlap.size(); ++i) {
-          if (i != k && w.overlap[i] != 0.0) fn(i, w.overlap[i]);
-        }
-      }
-    };
-    for (size_t k = 0; k < un; ++k) {
-      for_each_entry(k, [&](size_t i, double) { ++tr_begin_[i + 1]; });
-    }
-    for (size_t i = 0; i < un; ++i) tr_begin_[i + 1] += tr_begin_[i];
-    tr_src_.resize(tr_begin_[un]);
-    tr_val_.resize(tr_begin_[un]);
-    std::vector<size_t> cursor(tr_begin_.begin(), tr_begin_.end() - 1);
-    for (size_t k = 0; k < un; ++k) {
-      for_each_entry(k, [&](size_t i, double v) {
-        tr_src_[cursor[i]] = static_cast<int32_t>(k);
-        tr_val_[cursor[i]] = v;
-        ++cursor[i];
-      });
-    }
-  }
-
-  /// Caches the χ-segment of object `ui`'s µ as (lo, hi, µ(lo), µ(hi)).
-  /// Beyond the axis ends lookups clamp, so those segments are flat.
-  void CacheChiSegment(const TargetModelInfo& tgt, size_t ui, double chi) {
-    const std::vector<double>& axis = tgt.cost_model->contention_axis();
-    constexpr double kInf = std::numeric_limits<double>::infinity();
-    if (axis.size() < 2 || chi >= axis.back()) {
-      seg_lo_[ui] = axis.size() < 2 ? -kInf : axis.back();
-      seg_hi_[ui] = kInf;
-      mu_seg_lo_[ui] = mu_seg_hi_[ui] = mu_[ui];
-      return;
-    }
-    if (chi <= axis.front()) {
-      seg_lo_[ui] = -kInf;
-      seg_hi_[ui] = axis.front();
-      mu_seg_lo_[ui] = mu_seg_hi_[ui] = mu_[ui];
-      return;
-    }
-    const auto it = std::upper_bound(axis.begin(), axis.end(), chi);
-    const size_t hi = static_cast<size_t>(it - axis.begin());
-    seg_lo_[ui] = axis[hi - 1];
-    seg_hi_[ui] = axis[hi];
-    mu_seg_lo_[ui] = model_->PerObjectUtilization(tgt, per_[ui], seg_lo_[ui]);
-    mu_seg_hi_[ui] = model_->PerObjectUtilization(tgt, per_[ui], seg_hi_[ui]);
+    for (size_t i = 0; i < un; ++i) diag_[i] = (*workloads_)[i].overlap_with(i);
   }
 
   /// One cost-table lookup of an object's member-cost expression. Sizes
@@ -538,13 +318,12 @@ class TargetColumnContext final : public ColumnEvaluator {
   }
 
   /// The batched kernel: returns µ_j(layout) and fills grad[i] =
-  /// ∂µ_j/∂L_ij. Independent of (and harmless to) the incremental
-  /// Rebuild/WithObject state.
+  /// ∂µ_j/∂L_ij.
   double BatchedColumn(const Layout& layout, double* grad) {
     const int n = layout.num_objects();
     const size_t un = static_cast<size_t>(n);
     const TargetModelInfo& tgt = model_->target_info(j_);
-    EnsureOverlapCache(un);
+    EnsureDiagonal(un);
     if (tmpl_begin_.size() != un + 1) BuildQueryTemplate(tgt, un);
 
     bper_.resize(un);
@@ -707,24 +486,9 @@ class TargetColumnContext final : public ColumnEvaluator {
   const WorkloadSet* workloads_;
   const int j_;
 
-  // Representation caches shared by every pass (built once per context).
-  bool any_sparse_ = false;
+  // Built once per context: the overlap diagonal and the query template.
+  // Then the scratch buffers every pass reuses.
   std::vector<double> diag_;
-  std::vector<size_t> tr_begin_;
-  std::vector<int32_t> tr_src_;
-  std::vector<double> tr_val_;
-
-  std::vector<PerTargetWorkload> per_;
-  std::vector<double> rate_;
-  std::vector<double> interfering_;
-  std::vector<double> mu_;
-  std::vector<double> seg_lo_, seg_hi_;
-  std::vector<double> mu_seg_lo_, mu_seg_hi_;
-  double mu_j_ = 0.0;
-
-  // Batched-pass state: the query template and the reused scratch buffers
-  // (separate from the incremental caches above — the two paths never
-  // disturb each other).
   std::vector<QueryTemplate> tmpl_;
   std::vector<size_t> tmpl_begin_;
   std::vector<PerTargetWorkload> bper_;

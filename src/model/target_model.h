@@ -56,21 +56,15 @@ class TargetModel {
                                    const Layout& layout,
                                    std::vector<double>* mu_ij = nullptr) const;
 
-  /// Computes µ_j for a single target — the hot path for the solver's
-  /// coordinate-wise finite differences, which only perturb one column.
+  /// Computes µ_j for a single target: the scalar reference the fused
+  /// column kernel, the regularizer's pricer and the tests are checked
+  /// against.
   double TargetUtilization(const WorkloadSet& workloads, const Layout& layout,
                            int j) const;
 
   /// max_j µ_j, the layout problem objective.
   double MaxUtilization(const WorkloadSet& workloads,
                         const Layout& layout) const;
-
-  /// µ_ij of one already-transformed per-target workload under contention
-  /// factor `chi` (the Eq. 1 term, including the RAID member-cost
-  /// accounting). Exposed for the incremental column evaluator; all
-  /// utilization paths share this computation.
-  double PerObjectUtilization(const TargetModelInfo& target,
-                              const PerTargetWorkload& wij, double chi) const;
 
   /// µ_ij of object `i` on target `j`: the contention factor χ_ij (Eq. 2)
   /// from the on-target total rates `rates[k]` of every object k (objects
@@ -88,10 +82,10 @@ class TargetModel {
     return targets_[static_cast<size_t>(j)];
   }
 
-  /// Creates an incremental evaluator for column `j` (see
-  /// model/column_eval.h). `workloads` must outlive the evaluator; call
-  /// Rebuild before the first use. Evaluators are independent — the solver
-  /// holds one per column and uses them concurrently.
+  /// Creates the fused value+gradient evaluator for column `j` (see
+  /// model/column_eval.h). `workloads` must outlive the evaluator.
+  /// Evaluators are independent — the solver holds one per column and uses
+  /// them concurrently.
   std::unique_ptr<ColumnEvaluator> MakeColumnEvaluator(
       const WorkloadSet& workloads, int j) const;
 
@@ -101,6 +95,12 @@ class TargetModel {
   double TargetUtilizationInternal(const WorkloadSet& workloads,
                                    const Layout& layout, int j,
                                    std::vector<double>* mu_i) const;
+
+  /// µ_ij of one already-transformed per-target workload under contention
+  /// factor `chi` (the Eq. 1 term, including the RAID member-cost
+  /// accounting).
+  double PerObjectUtilization(const TargetModelInfo& target,
+                              const PerTargetWorkload& wij, double chi) const;
 
   std::vector<TargetModelInfo> targets_;
   LvmLayoutModel layout_model_;

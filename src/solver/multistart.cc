@@ -63,8 +63,6 @@ Result<SolverResult> MultiStartSolver::Solve(
       r.iterations += have_best ? best.iterations : 0;
       r.objective_evaluations +=
           have_best ? best.objective_evaluations : 0;
-      r.incremental_evaluations +=
-          have_best ? best.incremental_evaluations : 0;
       r.gradient_evaluations += have_best ? best.gradient_evaluations : 0;
       r.interp_queries += have_best ? best.interp_queries : 0;
       if (have_best) r.profile.Accumulate(best.profile);
@@ -73,7 +71,6 @@ Result<SolverResult> MultiStartSolver::Solve(
     } else {
       best.iterations += r.iterations;
       best.objective_evaluations += r.objective_evaluations;
-      best.incremental_evaluations += r.incremental_evaluations;
       best.gradient_evaluations += r.gradient_evaluations;
       best.interp_queries += r.interp_queries;
       best.profile.Accumulate(r.profile);

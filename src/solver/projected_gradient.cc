@@ -24,13 +24,6 @@ int64_t NowNanos() {
       .count();
 }
 
-/// Which machinery the evaluation engine runs on.
-enum class EvalEngine {
-  kBlackBox,     ///< target_utilization only (full µ_j per evaluation)
-  kIncremental,  ///< column contexts: Rebuild + rank-1 WithObject FD
-  kAnalytic,     ///< column contexts: fused value+gradient passes
-};
-
 Status ValidateProblem(const LayoutNlpProblem& p, const Layout& initial) {
   if (p.num_objects <= 0 || p.num_targets <= 0) {
     return Status::InvalidArgument("problem dimensions must be positive");
@@ -45,8 +38,8 @@ Status ValidateProblem(const LayoutNlpProblem& p, const Layout& initial) {
   for (int64_t c : p.target_capacities) {
     if (c <= 0) return Status::InvalidArgument("capacities must be > 0");
   }
-  if (!p.target_utilization) {
-    return Status::InvalidArgument("target_utilization function required");
+  if (!p.make_column_eval) {
+    return Status::InvalidArgument("make_column_eval factory required");
   }
   if (initial.num_objects() != p.num_objects ||
       initial.num_targets() != p.num_targets) {
@@ -102,35 +95,25 @@ double SeparationPenalty(const LayoutNlpProblem& p, const Layout& layout) {
 }
 
 /// Working evaluation state for one candidate layout: cached per-target
-/// utilizations, assigned bytes, per-target capacity-penalty terms, the
-/// separation penalty, and (when the problem provides them) the per-column
-/// evaluators. In analytic mode every refresh is one fused value+gradient
-/// pass per column, leaving ∂µ_j/∂L_·j in dmu() — the gradient of the step
-/// that starts from this layout. Refresh runs its per-column work on the
-/// pool when one is given; every reduction stays serial so results are
-/// thread-count invariant.
+/// utilizations and their gradients, assigned bytes, the capacity-penalty
+/// sum and the separation penalty. Every refresh is one
+/// fused value+gradient pass per column, leaving ∂µ_j/∂L_·j in dmu() — the
+/// gradient of the step that starts from this layout. Refresh runs its
+/// per-column work on the pool when one is given; every reduction stays
+/// serial so results are thread-count invariant.
 class Evaluator {
  public:
-  /// `eval_counter` counts column evaluations of every engine;
-  /// `fused_counter` counts the analytic engine's fused passes alone.
-  Evaluator(const LayoutNlpProblem& p, ThreadPool* pool, EvalEngine engine,
-            int64_t* eval_counter, int64_t* fused_counter)
+  /// `contexts` holds one column evaluator per target. Each refresh adds
+  /// its column passes to `pass_counter`.
+  Evaluator(const LayoutNlpProblem& p, ThreadPool* pool,
+            std::vector<std::unique_ptr<ColumnEvaluator>> contexts,
+            int64_t* pass_counter)
       : p_(p),
         pool_(pool),
-        engine_(engine),
-        eval_counter_(eval_counter),
-        fused_counter_(fused_counter) {
-    if (engine_ != EvalEngine::kBlackBox && p.make_column_eval) {
-      contexts_.reserve(static_cast<size_t>(p.num_targets));
-      for (int j = 0; j < p.num_targets; ++j) {
-        contexts_.push_back(p.make_column_eval(j));
-      }
-    }
-    if (contexts_.empty()) engine_ = EvalEngine::kBlackBox;
-    if (engine_ == EvalEngine::kAnalytic) {
-      dmu_.resize(static_cast<size_t>(p.num_objects) *
-                  static_cast<size_t>(p.num_targets));
-    }
+        pass_counter_(pass_counter),
+        contexts_(std::move(contexts)) {
+    dmu_.resize(static_cast<size_t>(p.num_objects) *
+                static_cast<size_t>(p.num_targets));
     partners_.resize(static_cast<size_t>(p.num_objects));
     for (const auto& [a, b] : p.constraints.separate) {
       partners_[static_cast<size_t>(a)].push_back(b);
@@ -138,33 +121,23 @@ class Evaluator {
     }
   }
 
-  EvalEngine engine() const { return engine_; }
-
-  /// Fully (re)computes caches for `layout`. Column evaluations fan out
-  /// over the pool; each writes its own µ slot and, in analytic mode, its
-  /// own column-major dmu span.
+  /// Fully (re)computes caches for `layout`. Column passes fan out over
+  /// the pool; each writes its own µ slot and its own column-major dmu
+  /// span.
   void Refresh(const Layout& layout) {
     const int m = p_.num_targets;
     const size_t un = static_cast<size_t>(p_.num_objects);
     mu_.resize(static_cast<size_t>(m));
     auto column = [&](int, int64_t j) {
       const size_t uj = static_cast<size_t>(j);
-      if (engine_ == EvalEngine::kAnalytic) {
-        mu_[uj] = contexts_[uj]->EvaluateWithGradient(layout, &dmu_[uj * un]);
-      } else if (engine_ == EvalEngine::kIncremental) {
-        contexts_[uj]->Rebuild(layout);
-        mu_[uj] = contexts_[uj]->Base();
-      } else {
-        mu_[uj] = p_.target_utilization(layout, static_cast<int>(j));
-      }
+      mu_[uj] = contexts_[uj]->EvaluateWithGradient(layout, &dmu_[uj * un]);
     };
     if (pool_ != nullptr) {
       pool_->ParallelFor(m, column);
     } else {
       for (int j = 0; j < m; ++j) column(0, j);
     }
-    *eval_counter_ += m;
-    if (engine_ == EvalEngine::kAnalytic) *fused_counter_ += m;
+    *pass_counter_ += m;
 
     bytes_.assign(static_cast<size_t>(m), 0.0);
     for (int i = 0; i < p_.num_objects; ++i) {
@@ -174,12 +147,9 @@ class Evaluator {
         bytes_[static_cast<size_t>(j)] += layout.At(i, j) * s;
       }
     }
-    penalty_terms_.resize(static_cast<size_t>(m));
     penalty_sum_ = 0.0;
     for (int j = 0; j < m; ++j) {
-      const double term = CapacityTerm(j, bytes_[static_cast<size_t>(j)]);
-      penalty_terms_[static_cast<size_t>(j)] = term;
-      penalty_sum_ += term;
+      penalty_sum_ += CapacityTerm(j, bytes_[static_cast<size_t>(j)]);
     }
     separation_ = SeparationPenalty(p_, layout);
   }
@@ -188,18 +158,6 @@ class Evaluator {
   double Objective(double temp, double penalty) const {
     return SmoothMax(mu_.data(), mu_.size(), temp) +
            penalty * (penalty_sum_ + separation_);
-  }
-
-  /// Composite objective with column j's µ, bytes, and the separation
-  /// penalty substituted — the allocation-free evaluation behind the
-  /// coordinate finite differences.
-  double ObjectiveWithColumn(int j, double mu_j, double bytes_j, double sep,
-                             double temp, double penalty) const {
-    const size_t uj = static_cast<size_t>(j);
-    return SmoothMaxSubstituted(mu_.data(), mu_.size(), uj, mu_j, temp) +
-           penalty *
-               (penalty_sum_ - penalty_terms_[uj] + CapacityTerm(j, bytes_j) +
-                sep);
   }
 
   /// Relative-overflow penalty term of one target.
@@ -220,56 +178,43 @@ class Evaluator {
     return total;
   }
 
-  ColumnEvaluator* context(int j) const {
-    return contexts_.empty() ? nullptr
-                             : contexts_[static_cast<size_t>(j)].get();
-  }
-
   /// Takes over another evaluator's caches, gradient included, by
-  /// swapping buffers. Valid only when this engine keeps no per-layout
-  /// context state (the analytic engine's contexts are pure batched
-  /// kernels): the line search just priced the accepted trial layout —
-  /// value and gradient — so the step needs no further column pass. `o`
-  /// is left with this evaluator's stale buffers, which its next Refresh
-  /// overwrites.
+  /// swapping buffers. Valid because the column evaluators keep no
+  /// per-layout state: the line search just priced the accepted trial
+  /// layout — value and gradient — so the step needs no further column
+  /// pass. `o` is left with this evaluator's stale buffers, which its next
+  /// Refresh overwrites.
   void AdoptState(Evaluator* o) {
     mu_.swap(o->mu_);
     dmu_.swap(o->dmu_);
     bytes_.swap(o->bytes_);
-    penalty_terms_.swap(o->penalty_terms_);
     penalty_sum_ = o->penalty_sum_;
     separation_ = o->separation_;
   }
 
-  /// Interpolator queries issued by this evaluator's batched kernels,
+  /// Interpolator queries issued by this evaluator's column kernels,
   /// summed serially in column order.
   int64_t TotalInterpQueries() const {
     int64_t total = 0;
-    for (const auto& ctx : contexts_) {
-      if (ctx != nullptr) total += ctx->interp_queries();
-    }
+    for (const auto& ctx : contexts_) total += ctx->interp_queries();
     return total;
   }
 
   double TrueMax() const { return *std::max_element(mu_.begin(), mu_.end()); }
   const std::vector<double>& mu() const { return mu_; }
-  /// ∂µ_j/∂L_ij of the last fused refresh at [j·N + i] (analytic mode).
+  /// ∂µ_j/∂L_ij of the last refresh at [j·N + i].
   const std::vector<double>& dmu() const { return dmu_; }
   double bytes(int j) const { return bytes_[static_cast<size_t>(j)]; }
-  double separation() const { return separation_; }
 
  private:
   const LayoutNlpProblem& p_;
   ThreadPool* pool_;
-  EvalEngine engine_;
-  int64_t* eval_counter_;
-  int64_t* fused_counter_;
+  int64_t* pass_counter_;
   std::vector<std::unique_ptr<ColumnEvaluator>> contexts_;
   std::vector<std::vector<int>> partners_;
   std::vector<double> mu_;
-  std::vector<double> dmu_;  // column-major N x M, analytic mode only
+  std::vector<double> dmu_;  // column-major N x M
   std::vector<double> bytes_;
-  std::vector<double> penalty_terms_;
   double penalty_sum_ = 0.0;
   double separation_ = 0.0;
 };
@@ -368,7 +313,6 @@ Result<SolverResult> ProjectedGradientSolver::Solve(
   const int threads = ThreadPool::EffectiveThreads(options_.num_threads);
   std::unique_ptr<ThreadPool> pool;
   if (threads > 1) pool = std::make_unique<ThreadPool>(threads);
-  const int lanes = pool != nullptr ? pool->num_threads() : 1;
 
   SolverResult result;
   result.layout = initial;
@@ -381,65 +325,38 @@ Result<SolverResult> ProjectedGradientSolver::Solve(
                           &sort_scratch);
   }
 
-  // Engine selection. Analytic mode needs evaluators with fused gradient
-  // support; without them (or in kFd mode) the finite-difference engine
-  // runs, through the incremental column caches when enabled. The choice
-  // depends only on the problem and options, never on thread count.
-  EvalEngine engine = EvalEngine::kBlackBox;
-  if (problem.make_column_eval) {
-    bool analytic_ok = false;
-    if (options_.gradient_mode == GradientMode::kAnalytic) {
-      const std::unique_ptr<ColumnEvaluator> probe =
-          problem.make_column_eval(0);
-      analytic_ok = probe != nullptr && probe->SupportsGradient();
+  // One evaluator per column for the accepted iterate and one set for the
+  // line-search trials, so a trial can be adopted without another pass.
+  std::vector<std::unique_ptr<ColumnEvaluator>> contexts;
+  std::vector<std::unique_ptr<ColumnEvaluator>> trial_contexts;
+  for (int j = 0; j < m; ++j) {
+    contexts.push_back(problem.make_column_eval(j));
+    trial_contexts.push_back(problem.make_column_eval(j));
+    if (contexts.back() == nullptr || trial_contexts.back() == nullptr) {
+      return Status::InvalidArgument(
+          StrFormat("make_column_eval returned null for target %d", j));
     }
-    engine = analytic_ok ? EvalEngine::kAnalytic
-             : options_.use_incremental_cache ? EvalEngine::kIncremental
-                                              : EvalEngine::kBlackBox;
   }
 
-  const int64_t solve_t0 = NowNanos();
-  Evaluator eval(problem, pool.get(), engine, &result.objective_evaluations,
+  Evaluator eval(problem, pool.get(), std::move(contexts),
                  &result.gradient_evaluations);
-  engine = eval.engine();  // honor the evaluator's downgrade, if any
   {
     const int64_t t0 = NowNanos();
     eval.Refresh(result.layout);
     result.profile.refresh.calls += 1;
     result.profile.refresh.ns += NowNanos() - t0;
   }
-  if (options_.record_trace) {
-    result.trace.push_back({0, NowNanos() - solve_t0, eval.TrueMax()});
-  }
-  // Line-search evaluator: full refreshes only. The analytic engine gives
-  // it the fused per-column kernels, so each trial also prices the
-  // gradient the next step needs if it is accepted; otherwise it prices µ_j
-  // black-box (no incremental contexts — those would be rebuilt per trial
-  // anyway).
-  Evaluator trial_eval(problem, pool.get(),
-                       engine == EvalEngine::kAnalytic
-                           ? EvalEngine::kAnalytic
-                           : EvalEngine::kBlackBox,
-                       &result.objective_evaluations,
+  // Line-search evaluator: each trial's fused passes also price the
+  // gradient the next step needs if the trial is accepted.
+  Evaluator trial_eval(problem, pool.get(), std::move(trial_contexts),
                        &result.gradient_evaluations);
 
   Layout& x = result.layout;
   std::vector<double> grad(static_cast<size_t>(n) * static_cast<size_t>(m));
-  // Analytic composition scratch: SmoothMax weights and capacity-penalty
+  // Gradient composition scratch: SmoothMax weights and capacity-penalty
   // slopes.
-  std::vector<double> smw;
-  std::vector<double> dcap;
-  if (engine == EvalEngine::kAnalytic) {
-    smw.resize(static_cast<size_t>(m));
-    dcap.resize(static_cast<size_t>(m));
-  }
-  // Per-lane scratch layouts for the fallback (black-box) FD path; each
-  // lane perturbs its own copy of x, never x itself.
-  std::vector<Layout> fd_scratch(static_cast<size_t>(lanes), Layout(1, 1));
-  std::vector<char> fd_scratch_fresh(static_cast<size_t>(lanes), 0);
-  // Per-column effort counters, summed serially after each parallel sweep.
-  std::vector<int64_t> col_full(static_cast<size_t>(m));
-  std::vector<int64_t> col_inc(static_cast<size_t>(m));
+  std::vector<double> smw(static_cast<size_t>(m));
+  std::vector<double> dcap(static_cast<size_t>(m));
   Layout trial(n, m);
   double step = options_.initial_step;
 
@@ -452,124 +369,48 @@ Result<SolverResult> ProjectedGradientSolver::Solve(
       ++result.iterations;
 
       const int64_t grad_t0 = NowNanos();
-      if (engine == EvalEngine::kAnalytic) {
-        // ∂µ_j/∂L_·j was priced by the fused pass that priced x itself (the
-        // seed refresh or the accepted line-search trial), one disjoint
-        // span per column. The SmoothMax and penalty compositions are
-        // chain-ruled serially in index order, so the gradient is
-        // bit-identical for every thread count.
-        const std::vector<double>& dmu = eval.dmu();
-        // ∂SmoothMax/∂µ_j = softmax weight of µ_j at the current
-        // temperature (see simplex.h: F = vmax + log Σ exp(t(µ−vmax))/t).
-        const std::vector<double>& mu = eval.mu();
-        double vmax = mu[0];
-        for (double v : mu) vmax = std::max(vmax, v);
-        double wsum = 0.0;
-        for (int j = 0; j < m; ++j) {
-          const size_t uj = static_cast<size_t>(j);
-          smw[uj] = std::exp(temp * (mu[uj] - vmax));
-          wsum += smw[uj];
-        }
-        for (int j = 0; j < m; ++j) smw[static_cast<size_t>(j)] /= wsum;
-        // Capacity penalty max(0, over)² with over = (bytes−cap)/cap:
-        // slope in bytes is 2·over/cap on over-full targets, 0 elsewhere
-        // (0 is the valid subgradient at the kink).
-        for (int j = 0; j < m; ++j) {
-          const size_t uj = static_cast<size_t>(j);
-          const double cap = static_cast<double>(
-              problem.target_capacities[static_cast<size_t>(j)]);
-          const double over = (eval.bytes(j) - cap) / cap;
-          dcap[uj] = over > 0.0 ? 2.0 * over / cap : 0.0;
-        }
-        for (int i = 0; i < n; ++i) {
-          double* grow = &grad[static_cast<size_t>(i) * static_cast<size_t>(m)];
-          if (RowFrozen(problem, i)) {
-            for (int j = 0; j < m; ++j) grow[j] = 0.0;
-            continue;
-          }
-          const double si = static_cast<double>(
-              problem.object_sizes[static_cast<size_t>(i)]);
-          for (int j = 0; j < m; ++j) {
-            const size_t uj = static_cast<size_t>(j);
-            grow[j] = smw[uj] * dmu[uj * static_cast<size_t>(n) +
-                                    static_cast<size_t>(i)] +
-                      penalty * (dcap[uj] * si + eval.PartnerMass(i, j, x));
-          }
-        }
-      } else {
-      // Central finite differences over the (i, j) grid, one column per
-      // task. The incremental contexts price each perturbation as a rank-1
-      // update; without them a lane-local layout copy feeds the black-box
-      // µ_j. Gradient entries land in disjoint slots, so the outcome is
-      // independent of how columns are scheduled over lanes.
-      const double h = options_.fd_step;
-      std::fill(fd_scratch_fresh.begin(), fd_scratch_fresh.end(), 0);
-      auto fd_column = [&](int rank, int64_t jj) {
-        const int j = static_cast<int>(jj);
-        const size_t uj = static_cast<size_t>(j);
-        ColumnEvaluator* ctx = eval.context(j);
-        Layout* scratch = nullptr;
-        if (ctx == nullptr) {
-          scratch = &fd_scratch[static_cast<size_t>(rank)];
-          if (!fd_scratch_fresh[static_cast<size_t>(rank)]) {
-            *scratch = x;  // one copy per lane per iteration
-            fd_scratch_fresh[static_cast<size_t>(rank)] = 1;
-          }
-        }
-        int64_t full = 0;
-        int64_t inc = 0;
-        const double bytes_j = eval.bytes(j);
-        const double sep = eval.separation();
-        for (int i = 0; i < n; ++i) {
-          if (RowFrozen(problem, i)) {
-            grad[static_cast<size_t>(i) * static_cast<size_t>(m) + uj] = 0.0;
-            continue;
-          }
-          const double si = static_cast<double>(
-              problem.object_sizes[static_cast<size_t>(i)]);
-          const double v = x.At(i, j);
-          const double lo = std::max(0.0, v - h);
-          const double hi = std::min(1.0, v + h);
-          if (hi - lo < 1e-12) {
-            grad[static_cast<size_t>(i) * static_cast<size_t>(m) + uj] = 0.0;
-            continue;
-          }
-          double mu_hi;
-          double mu_lo;
-          if (ctx != nullptr) {
-            mu_hi = ctx->WithObject(i, hi);
-            mu_lo = ctx->WithObject(i, lo);
-            inc += 2;
-          } else {
-            scratch->Set(i, j, hi);
-            mu_hi = problem.target_utilization(*scratch, j);
-            scratch->Set(i, j, lo);
-            mu_lo = problem.target_utilization(*scratch, j);
-            scratch->Set(i, j, v);
-            full += 2;
-          }
-          const double pm = eval.PartnerMass(i, j, x);
-          const double f_hi = eval.ObjectiveWithColumn(
-              j, mu_hi, bytes_j + (hi - v) * si, sep + (hi - v) * pm, temp,
-              penalty);
-          const double f_lo = eval.ObjectiveWithColumn(
-              j, mu_lo, bytes_j + (lo - v) * si, sep + (lo - v) * pm, temp,
-              penalty);
-          grad[static_cast<size_t>(i) * static_cast<size_t>(m) + uj] =
-              (f_hi - f_lo) / (hi - lo);
-        }
-        col_full[uj] = full;
-        col_inc[uj] = inc;
-      };
-      if (pool != nullptr) {
-        pool->ParallelFor(m, fd_column);
-      } else {
-        for (int j = 0; j < m; ++j) fd_column(0, j);
-      }
+      // ∂µ_j/∂L_·j was priced by the fused pass that priced x itself (the
+      // seed refresh or the accepted line-search trial), one disjoint
+      // span per column. The SmoothMax and penalty compositions are
+      // chain-ruled serially in index order, so the gradient is
+      // bit-identical for every thread count.
+      const std::vector<double>& dmu = eval.dmu();
+      // ∂SmoothMax/∂µ_j = softmax weight of µ_j at the current
+      // temperature (see simplex.h: F = vmax + log Σ exp(t(µ−vmax))/t).
+      const std::vector<double>& mu = eval.mu();
+      double vmax = mu[0];
+      for (double v : mu) vmax = std::max(vmax, v);
+      double wsum = 0.0;
       for (int j = 0; j < m; ++j) {
-        result.objective_evaluations += col_full[static_cast<size_t>(j)];
-        result.incremental_evaluations += col_inc[static_cast<size_t>(j)];
+        const size_t uj = static_cast<size_t>(j);
+        smw[uj] = std::exp(temp * (mu[uj] - vmax));
+        wsum += smw[uj];
       }
+      for (int j = 0; j < m; ++j) smw[static_cast<size_t>(j)] /= wsum;
+      // Capacity penalty max(0, over)² with over = (bytes−cap)/cap:
+      // slope in bytes is 2·over/cap on over-full targets, 0 elsewhere
+      // (0 is the valid subgradient at the kink).
+      for (int j = 0; j < m; ++j) {
+        const size_t uj = static_cast<size_t>(j);
+        const double cap = static_cast<double>(
+            problem.target_capacities[static_cast<size_t>(j)]);
+        const double over = (eval.bytes(j) - cap) / cap;
+        dcap[uj] = over > 0.0 ? 2.0 * over / cap : 0.0;
+      }
+      for (int i = 0; i < n; ++i) {
+        double* grow = &grad[static_cast<size_t>(i) * static_cast<size_t>(m)];
+        if (RowFrozen(problem, i)) {
+          for (int j = 0; j < m; ++j) grow[j] = 0.0;
+          continue;
+        }
+        const double si = static_cast<double>(
+            problem.object_sizes[static_cast<size_t>(i)]);
+        for (int j = 0; j < m; ++j) {
+          const size_t uj = static_cast<size_t>(j);
+          grow[j] = smw[uj] * dmu[uj * static_cast<size_t>(n) +
+                                  static_cast<size_t>(i)] +
+                    penalty * (dcap[uj] * si + eval.PartnerMass(i, j, x));
+        }
       }
       result.profile.gradient.calls += 1;
       result.profile.gradient.ns += NowNanos() - grad_t0;
@@ -611,22 +452,14 @@ Result<SolverResult> ProjectedGradientSolver::Solve(
       x = trial;
       {
         const int64_t rf_t0 = NowNanos();
-        if (engine == EvalEngine::kAnalytic) {
-          // trial_eval just priced the accepted layout, value and
-          // gradient, with the same stateless fused kernels — adopt its
-          // caches instead of paying another column pass.
-          eval.AdoptState(&trial_eval);
-        } else {
-          eval.Refresh(x);
-        }
+        // trial_eval just priced the accepted layout, value and gradient,
+        // with the same stateless fused kernels — adopt its caches instead
+        // of paying another column pass.
+        eval.AdoptState(&trial_eval);
         result.profile.refresh.calls += 1;
         result.profile.refresh.ns += NowNanos() - rf_t0;
       }
       f = eval.Objective(temp, penalty);
-      if (options_.record_trace) {
-        result.trace.push_back(
-            {result.iterations, NowNanos() - solve_t0, eval.TrueMax()});
-      }
       step = std::min(options_.initial_step, alpha * 2.0);
       if (improvement < options_.tolerance) {
         if (++stall >= options_.patience) break;
@@ -648,6 +481,7 @@ Result<SolverResult> ProjectedGradientSolver::Solve(
       x.IsValid(problem.object_sizes, problem.target_capacities, 1e-6) &&
       problem.constraints.SatisfiedBy(x, /*tol=*/1e-3);
   result.max_utilization = eval.TrueMax();
+  result.objective_evaluations = result.gradient_evaluations;
   result.interp_queries =
       eval.TotalInterpQueries() + trial_eval.TotalInterpQueries();
   return result;

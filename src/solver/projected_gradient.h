@@ -19,20 +19,13 @@ namespace ldb {
 ///  * each iteration takes a projected-gradient step: a backtracking
 ///    Armijo line search along the negative gradient, with per-row
 ///    Euclidean projection back onto the (allowed-target) unit simplex;
-///  * the gradient is analytic by default (SolverOptions::gradient_mode =
-///    kAnalytic, when the problem supplies column evaluators that support
-///    it): every line-search trial is priced by one fused value+gradient
-///    pass per column (ColumnEvaluator::EvaluateWithGradient), so an
-///    accepted trial already carries ∂µ_j/∂L_·j for the next step and a
-///    step costs one column pass per trial, not a value pass plus a
-///    gradient sweep. The SmoothMax and penalty terms are chain-ruled
-///    around those column gradients;
-///  * finite differences are the fallback (kFd, or evaluators without
-///    gradient support, e.g. wrapped or derated objectives): central
-///    differences over the black-box µ_j, where perturbing L_ij only
-///    re-evaluates target j, priced as rank-1 updates of incremental
-///    column caches when the problem provides them (O(N) instead of a full
-///    O(N²) column recomputation);
+///  * the gradient is analytic: the seed and every line-search trial are
+///    priced by one fused value+gradient pass per column
+///    (ColumnEvaluator::EvaluateWithGradient from the problem's
+///    make_column_eval), so an accepted trial already carries ∂µ_j/∂L_·j
+///    for the next step and a step costs one column pass per trial. The
+///    SmoothMax and penalty terms are chain-ruled around those column
+///    gradients;
 ///  * with SolverOptions::num_threads != 1 the per-column passes run
 ///    concurrently. Each column writes its own µ slot and gradient span,
 ///    and every reduction is serial in index order, so the result is
@@ -47,7 +40,8 @@ class ProjectedGradientSolver {
   /// first, so any non-negative seed is acceptable).
   ///
   /// \returns InvalidArgument for malformed problems (dimension mismatches,
-  ///   missing utilization function, non-positive sizes/capacities).
+  ///   no make_column_eval or a factory returning null, non-positive
+  ///   sizes/capacities).
   Result<SolverResult> Solve(const LayoutNlpProblem& problem,
                              const Layout& initial) const;
 

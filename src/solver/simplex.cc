@@ -48,22 +48,4 @@ double SmoothMax(const double* values, size_t n, double t) {
   return vmax + std::log(sum) / t;
 }
 
-double SmoothMaxSubstituted(const double* values, size_t n, size_t idx,
-                            double replacement, double t) {
-  LDB_CHECK(values != nullptr);
-  LDB_CHECK_GT(n, 0u);
-  LDB_CHECK_LT(idx, n);
-  LDB_CHECK_GT(t, 0.0);
-  double vmax = replacement;
-  for (size_t i = 0; i < n; ++i) {
-    if (i != idx && values[i] > vmax) vmax = values[i];
-  }
-  double sum = 0.0;
-  for (size_t i = 0; i < n; ++i) {
-    const double v = i == idx ? replacement : values[i];
-    sum += std::exp(t * (v - vmax));
-  }
-  return vmax + std::log(sum) / t;
-}
-
 }  // namespace ldb

@@ -27,13 +27,6 @@ void ProjectToSimplex(double* v, size_t n, double radius = 1.0,
 /// non-smooth max-utilization objective with gradient steps.
 double SmoothMax(const double* values, size_t n, double t);
 
-/// SmoothMax of `values` with element `idx` replaced by `replacement`,
-/// without materializing the substituted array. This is the solver's
-/// finite-difference form: perturbing one layout entry changes exactly one
-/// µ_j, so the smooth objective is re-evaluated allocation-free.
-double SmoothMaxSubstituted(const double* values, size_t n, size_t idx,
-                            double replacement, double t);
-
 }  // namespace ldb
 
 #endif  // LAYOUTDB_SOLVER_SIMPLEX_H_

@@ -207,9 +207,9 @@ TEST(AutopilotTest, DriftTripMigratesAndAdopts) {
 // The re-advise inside the loop is the only threaded component, and the
 // solver is bit-identical across thread counts — so the whole closed-loop
 // run must be too. Fingerprint digests run metrics, every decision, and
-// the final layout. Default options mean the analytic-gradient engine:
-// this is the end-to-end thread-invariance check for its fused batched
-// kernels (the FD engines have their own in threading_test.cc).
+// the final layout. This is the end-to-end thread-invariance check for
+// the solver's fused column kernels (threading_test.cc has the
+// solver-level one).
 TEST(AutopilotTest, ReportIsBitIdenticalAcrossSolverThreadCounts) {
   const ExperimentRig& rig = TriRig();
   auto oltp = Oltp();

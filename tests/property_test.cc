@@ -15,6 +15,7 @@
 #include "core/incremental.h"
 #include "core/problem.h"
 #include "core/replan.h"
+#include "fd_oracle.h"
 #include "model/cost_model.h"
 #include "model/layout.h"
 #include "model/layout_model.h"
@@ -278,6 +279,7 @@ TEST_P(SolverProperty, NeverWorseThanSeedAndAlwaysFeasible) {
     }
     return load / speeds[static_cast<size_t>(j)];
   };
+  p.make_column_eval = FdColumnFactory(p.target_utilization);
 
   // Random simplex seed.
   Layout seed(n, m);
@@ -707,15 +709,12 @@ class GradientProperty : public ::testing::TestWithParam<uint64_t> {};
 /// interval spanned by the one-sided difference slopes.
 void CheckGradientContainment(const GradientInstance& gi, Layout& layout,
                               int n, int m) {
-  std::vector<double> grad(static_cast<size_t>(n) * static_cast<size_t>(m));
-  ASSERT_TRUE(gi.nlp.Gradient(layout, grad.data()));
-
   const double h = 1e-6;
+  std::vector<double> grad(static_cast<size_t>(n));
   for (int j = 0; j < m; ++j) {
+    gi.nlp.make_column_eval(j)->EvaluateWithGradient(layout, grad.data());
     for (int i = 0; i < n; ++i) {
-      const double g =
-          grad[static_cast<size_t>(i) * static_cast<size_t>(m) +
-               static_cast<size_t>(j)];
+      const double g = grad[static_cast<size_t>(i)];
       const double v = layout.At(i, j);
       const double mu0 = gi.nlp.target_utilization(layout, j);
       double d_plus = 0.0, d_minus = 0.0;
@@ -816,7 +815,7 @@ TEST_P(GradientProperty, BatchedValueMatchesScalarUtilization) {
     }
     for (int j = 0; j < m; ++j) {
       auto ctx = gi.nlp.make_column_eval(j);
-      ASSERT_TRUE(ctx != nullptr && ctx->SupportsGradient());
+      ASSERT_TRUE(ctx != nullptr);
       std::vector<double> grad(static_cast<size_t>(n));
       const double batched = ctx->EvaluateWithGradient(layout, grad.data());
       const double scalar = gi.nlp.target_utilization(layout, j);

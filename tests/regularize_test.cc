@@ -438,6 +438,49 @@ TEST(RegularizeExactnessTest, PlaceIncrementallyMatchesReference) {
   }
 }
 
+TEST(TargetDerateTest, ScalesColumnPassesAndZeroesFailedTargets) {
+  // Derate factors per target: failed, derated, healthy, above 1.
+  const std::vector<double> derate{0.0, 0.4, 1.0, 1.5};
+  const int m = static_cast<int>(derate.size());
+  for (uint64_t seed = 0; seed < 12; ++seed) {
+    Rng rng(5000 + seed);
+    const int n = 3 + static_cast<int>(rng.UniformInt(uint64_t{8}));
+    const LayoutProblem p = RandomProblem(rng, n, m, FormFor(seed), 2.5);
+    const TargetModel model = p.MakeTargetModel();
+    const LayoutNlpProblem raw = p.MakeNlp(&model);
+    LayoutNlpProblem derated = raw;
+    ApplyTargetDerate(derate, &derated);
+    const Layout layout = RandomLayout(rng, n, m, /*empty_rows=*/true);
+    std::vector<double> raw_grad(static_cast<size_t>(n));
+    std::vector<double> grad(static_cast<size_t>(n));
+    for (int j = 0; j < m; ++j) {
+      const double d = derate[static_cast<size_t>(j)];
+      auto raw_col = raw.make_column_eval(j);
+      auto col = derated.make_column_eval(j);
+      const double u = raw_col->EvaluateWithGradient(layout, raw_grad.data());
+      const double v = col->EvaluateWithGradient(layout, grad.data());
+      const double scalar = derated.target_utilization(layout, j);
+      const double raw_scalar = raw.target_utilization(layout, j);
+      if (d <= 0.0) {
+        EXPECT_EQ(v, 0.0) << "seed " << seed;
+        EXPECT_EQ(scalar, 0.0);
+        for (double g : grad) EXPECT_EQ(g, 0.0);
+        continue;
+      }
+      const double scale = d >= 1.0 ? 1.0 : d;
+      EXPECT_EQ(v, u / scale) << "seed " << seed << " j " << j;
+      EXPECT_EQ(scalar, raw_scalar / scale);
+      for (int i = 0; i < n; ++i) {
+        EXPECT_EQ(grad[static_cast<size_t>(i)],
+                  raw_grad[static_cast<size_t>(i)] / scale)
+            << "seed " << seed << " i " << i << " j " << j;
+      }
+      EXPECT_EQ(col->interp_queries(), raw_col->interp_queries());
+      EXPECT_GT(col->interp_queries(), 0);
+    }
+  }
+}
+
 /// ReplanAfterFailure's placement, refinement and polish stages, with every
 /// candidate priced from scratch.
 Result<Layout> RefReplan(const LayoutProblem& p, const Layout& current,
@@ -508,15 +551,7 @@ Result<Layout> RefReplan(const LayoutProblem& p, const Layout& current,
     LayoutNlpProblem nlp = degraded.MakeNlp(&model);
     nlp.frozen_rows.assign(static_cast<size_t>(n), 1);
     for (int i : displaced) nlp.frozen_rows[static_cast<size_t>(i)] = 0;
-    auto base = nlp.target_utilization;
-    const std::vector<double> derate = o.target_derate;
-    nlp.target_utilization = [base, derate](const Layout& l, int j) {
-      const double d = derate[static_cast<size_t>(j)];
-      if (d <= 0.0) return 0.0;
-      const double u = base(l, j);
-      return d >= 1.0 ? u : u / d;
-    };
-    nlp.make_column_eval = nullptr;
+    ApplyTargetDerate(o.target_derate, &nlp);
     Result<SolverResult> polished =
         ProjectedGradientSolver(options.solver).Solve(nlp, layout);
     if (polished.ok()) {

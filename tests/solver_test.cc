@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "fd_oracle.h"
 #include "model/column_eval.h"
 #include "model/cost_model.h"
 #include "model/layout_model.h"
@@ -103,7 +104,8 @@ TEST(SmoothMaxTest, StableForLargeValues) {
 // ---------------------------------------------------------------- Solver
 
 /// Analytic toy problem: µ_j = (weighted load on target j) / speed_j, no
-/// interference. The optimum spreads load proportionally to speed.
+/// interference. The optimum spreads load proportionally to speed. The
+/// solver prices it through the finite-difference oracle.
 LayoutNlpProblem MakeLinearProblem(std::vector<double> rates,
                                    std::vector<double> speeds,
                                    std::vector<int64_t> sizes = {},
@@ -122,6 +124,7 @@ LayoutNlpProblem MakeLinearProblem(std::vector<double> rates,
     }
     return load / speeds[static_cast<size_t>(j)];
   };
+  p.make_column_eval = FdColumnFactory(p.target_utilization);
   return p;
 }
 
@@ -129,8 +132,17 @@ TEST(SolverTest, RejectsMalformedProblems) {
   ProjectedGradientSolver solver;
   LayoutNlpProblem p = MakeLinearProblem({1, 2}, {1, 1});
   Layout init = Layout::StripeEverythingEverywhere(2, 2);
-  p.target_utilization = nullptr;
-  EXPECT_FALSE(solver.Solve(p, init).ok());
+  // The solver prices layouts through column evaluators only: a problem
+  // without a factory, or whose factory yields nothing, is rejected.
+  p.make_column_eval = nullptr;
+  EXPECT_EQ(solver.Solve(p, init).status().code(),
+            StatusCode::kInvalidArgument);
+  p = MakeLinearProblem({1, 2}, {1, 1});
+  p.make_column_eval = [](int) -> std::unique_ptr<ColumnEvaluator> {
+    return nullptr;
+  };
+  EXPECT_EQ(solver.Solve(p, init).status().code(),
+            StatusCode::kInvalidArgument);
   p = MakeLinearProblem({1, 2}, {1, 1});
   EXPECT_FALSE(
       solver.Solve(p, Layout::StripeEverythingEverywhere(3, 2)).ok());
@@ -218,6 +230,7 @@ TEST(SolverTest, InterferenceAwareObjectiveSeparatesObjects) {
     const double a = l.At(0, j), b = l.At(1, j);
     return 0.3 * (a + b) + 2.0 * a * b;  // heavy interference term
   };
+  p.make_column_eval = FdColumnFactory(p.target_utilization);
   ProjectedGradientSolver solver;
   // SEE is a symmetric saddle of this objective — the same trap the paper
   // reports for MINOS (Section 4.2), and why its advisor seeds the solver
@@ -245,14 +258,6 @@ class CountingColumnEvaluator final : public ColumnEvaluator {
                           std::atomic<int64_t>* passes)
       : inner_(std::move(inner)), passes_(passes) {}
 
-  void Rebuild(const Layout& layout) override { inner_->Rebuild(layout); }
-  double Base() const override { return inner_->Base(); }
-  double WithObject(int i, double fraction) const override {
-    return inner_->WithObject(i, fraction);
-  }
-  bool SupportsGradient() const override {
-    return inner_->SupportsGradient();
-  }
   double EvaluateWithGradient(const Layout& layout, double* grad) override {
     ++*passes_;
     return inner_->EvaluateWithGradient(layout, grad);
@@ -323,7 +328,6 @@ TEST(SolverTest, AnalyticStepPricesEachLayoutOnce) {
   auto r = ProjectedGradientSolver(opts).Solve(p, seed);
   ASSERT_TRUE(r.ok());
   ASSERT_GT(r->iterations, 1);
-  EXPECT_EQ(r->incremental_evaluations, 0);
   // Every pass that reached a column kernel is counted, and there are no
   // others.
   EXPECT_EQ(r->gradient_evaluations, passes.load());

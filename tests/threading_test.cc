@@ -1,6 +1,6 @@
-// Tests for the parallel + incremental solver evaluation engine: the
-// thread pool itself, bit-identical solver results across thread counts,
-// and the incremental column evaluator against from-scratch µ_j.
+// Tests for the parallel solver evaluation engine: the thread pool itself,
+// bit-identical solver and calibration results across thread counts, and
+// the analytic engine against a finite-difference oracle.
 
 #include <cmath>
 #include <memory>
@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include "fd_oracle.h"
 #include "model/calibration.h"
 #include "model/cost_model.h"
 #include "model/target_model.h"
@@ -79,8 +80,8 @@ TEST(ThreadPoolTest, ReusableAcrossCalls) {
 // --------------------------------------------------- Model test fixtures
 
 CostModel MakeSyntheticCostModel() {
-  // Several contention-axis points so the incremental evaluator's cached
-  // χ-segments actually get exercised (interior cells, clamped tails).
+  // Several contention-axis points so the column kernel's χ lookups
+  // land in interior cells and clamped tails.
   std::vector<double> sizes{static_cast<double>(8 * kKiB),
                             static_cast<double>(64 * kKiB),
                             static_cast<double>(512 * kKiB)};
@@ -153,73 +154,6 @@ ModelProblem MakeModelProblem(int n, int m, uint64_t seed) {
   return mp;
 }
 
-Layout RandomLayout(int n, int m, Rng* rng) {
-  Layout l(n, m);
-  for (int i = 0; i < n; ++i) {
-    double* row = l.Row(i);
-    double sum = 0;
-    for (int j = 0; j < m; ++j) {
-      row[j] = rng->Uniform(0, 1);
-      sum += row[j];
-    }
-    for (int j = 0; j < m; ++j) row[j] /= sum;
-    // Sparsify a little so some (i, j) entries are exactly absent.
-    const int drop = rng->UniformInt(0, m - 1);
-    row[drop] = 0.0;
-  }
-  return l;
-}
-
-// ------------------------------------------------- Column evaluator cache
-
-TEST(ColumnCacheTest, BaseMatchesFromScratchUtilization) {
-  const int n = 12, m = 5;
-  ModelProblem mp = MakeModelProblem(n, m, 11);
-  Rng rng(21);
-  for (int trial = 0; trial < 10; ++trial) {
-    const Layout layout = RandomLayout(n, m, &rng);
-    for (int j = 0; j < m; ++j) {
-      auto ctx = mp.model->MakeColumnEvaluator(*mp.workloads, j);
-      ctx->Rebuild(layout);
-      const double full = mp.model->TargetUtilization(*mp.workloads, layout, j);
-      EXPECT_DOUBLE_EQ(ctx->Base(), full) << "trial " << trial << " j " << j;
-    }
-  }
-}
-
-TEST(ColumnCacheTest, WithObjectMatchesSubstitutedRecompute) {
-  const int n = 12, m = 5;
-  ModelProblem mp = MakeModelProblem(n, m, 13);
-  Rng rng(31);
-  for (int trial = 0; trial < 6; ++trial) {
-    Layout layout = RandomLayout(n, m, &rng);
-    for (int j = 0; j < m; ++j) {
-      auto ctx = mp.model->MakeColumnEvaluator(*mp.workloads, j);
-      ctx->Rebuild(layout);
-      for (int i = 0; i < n; ++i) {
-        // Perturbations an FD step makes: tiny moves, removals, and
-        // from-zero insertions.
-        for (double fraction :
-             {layout.At(i, j) + 1e-4, layout.At(i, j) - 1e-4, 0.0, 0.37,
-              1.0}) {
-          if (fraction < 0.0 || fraction > 1.0) continue;
-          const double got = ctx->WithObject(i, fraction);
-          const double saved = layout.At(i, j);
-          layout.Set(i, j, fraction);
-          const double want =
-              mp.model->TargetUtilization(*mp.workloads, layout, j);
-          layout.Set(i, j, saved);
-          EXPECT_NEAR(got, want, 1e-9 * std::max(1.0, std::fabs(want)))
-              << "i=" << i << " j=" << j << " fraction=" << fraction;
-        }
-      }
-      // The context must not drift: WithObject calls leave Base intact.
-      EXPECT_DOUBLE_EQ(
-          ctx->Base(), mp.model->TargetUtilization(*mp.workloads, layout, j));
-    }
-  }
-}
-
 // ----------------------------------------------------- Solver determinism
 
 SolverOptions FastOptions() {
@@ -227,36 +161,6 @@ SolverOptions FastOptions() {
   o.annealing_rounds = 3;
   o.max_iterations_per_round = 20;
   return o;
-}
-
-TEST(SolverThreadingTest, BitIdenticalAcrossThreadCounts) {
-  const int n = 12, m = 6;
-  ModelProblem mp = MakeModelProblem(n, m, 17);
-  const Layout seed = Layout::StripeEverythingEverywhere(n, m);
-
-  SolverResult reference;
-  bool have_reference = false;
-  for (int threads : {1, 2, 8}) {
-    SolverOptions o = FastOptions();
-    o.gradient_mode = GradientMode::kFd;  // this test pins the FD engine
-    o.num_threads = threads;
-    ProjectedGradientSolver solver(o);
-    auto r = solver.Solve(mp.nlp, seed);
-    ASSERT_TRUE(r.ok()) << "threads=" << threads;
-    if (!have_reference) {
-      reference = std::move(r).value();
-      have_reference = true;
-      EXPECT_GT(reference.incremental_evaluations, 0);
-      continue;
-    }
-    EXPECT_TRUE(r->layout == reference.layout) << "threads=" << threads;
-    EXPECT_EQ(r->max_utilization, reference.max_utilization)
-        << "threads=" << threads;
-    EXPECT_EQ(r->iterations, reference.iterations);
-    EXPECT_EQ(r->objective_evaluations, reference.objective_evaluations);
-    EXPECT_EQ(r->incremental_evaluations, reference.incremental_evaluations);
-    EXPECT_EQ(r->feasible, reference.feasible);
-  }
 }
 
 TEST(SolverThreadingTest, AnalyticBitIdenticalAcrossThreadCounts) {
@@ -280,7 +184,6 @@ TEST(SolverThreadingTest, AnalyticBitIdenticalAcrossThreadCounts) {
       reference = std::move(r).value();
       have_reference = true;
       EXPECT_GT(reference.gradient_evaluations, 0);
-      EXPECT_EQ(reference.incremental_evaluations, 0);
       EXPECT_GT(reference.interp_queries, 0);
       continue;
     }
@@ -293,28 +196,6 @@ TEST(SolverThreadingTest, AnalyticBitIdenticalAcrossThreadCounts) {
     EXPECT_EQ(r->interp_queries, reference.interp_queries);
     EXPECT_EQ(r->feasible, reference.feasible);
   }
-}
-
-TEST(SolverThreadingTest, BitIdenticalWithoutCacheToo) {
-  // The fallback (black-box µ_j) path must also be thread-count invariant.
-  const int n = 10, m = 4;
-  ModelProblem mp = MakeModelProblem(n, m, 19);
-  const Layout seed = Layout::StripeEverythingEverywhere(n, m);
-
-  SolverOptions o = FastOptions();
-  o.gradient_mode = GradientMode::kFd;  // pin the black-box fallback
-  o.use_incremental_cache = false;
-  o.num_threads = 1;
-  auto serial = ProjectedGradientSolver(o).Solve(mp.nlp, seed);
-  ASSERT_TRUE(serial.ok());
-  EXPECT_EQ(serial->incremental_evaluations, 0);
-
-  o.num_threads = 4;
-  auto threaded = ProjectedGradientSolver(o).Solve(mp.nlp, seed);
-  ASSERT_TRUE(threaded.ok());
-  EXPECT_TRUE(threaded->layout == serial->layout);
-  EXPECT_EQ(threaded->max_utilization, serial->max_utilization);
-  EXPECT_EQ(threaded->objective_evaluations, serial->objective_evaluations);
 }
 
 TEST(MultiStartThreadingTest, BitIdenticalAcrossThreadCounts) {
@@ -342,7 +223,6 @@ TEST(MultiStartThreadingTest, BitIdenticalAcrossThreadCounts) {
         << "threads=" << threads;
     EXPECT_EQ(r->iterations, reference.iterations);
     EXPECT_EQ(r->objective_evaluations, reference.objective_evaluations);
-    EXPECT_EQ(r->incremental_evaluations, reference.incremental_evaluations);
   }
 }
 
@@ -394,73 +274,36 @@ TEST(CalibrationThreadingTest, SsdBitIdenticalAcrossThreadCounts) {
 
 // ------------------------------------------------------- Engine economics
 
-TEST(EngineTest, CacheCutsFullEvaluationsAndAgreesWithBaseline) {
-  const int n = 12, m = 6;
-  ModelProblem mp = MakeModelProblem(n, m, 29);
-  // Unbalanced seed (everything on target 0) so the solver takes real
-  // descent steps — from the perfectly balanced SEE seed both engines
-  // spend their iterations exhausting the line search instead.
-  Layout seed(n, m);
-  for (int i = 0; i < n; ++i) seed.SetRowRegular(i, {0});
-
-  SolverOptions on = FastOptions();
-  on.gradient_mode = GradientMode::kFd;  // compare the two FD engines
-  SolverOptions off = on;
-  off.use_incremental_cache = false;
-  auto cached = ProjectedGradientSolver(on).Solve(mp.nlp, seed);
-  auto baseline = ProjectedGradientSolver(off).Solve(mp.nlp, seed);
-  ASSERT_TRUE(cached.ok());
-  ASSERT_TRUE(baseline.ok());
-
-  // The cache converts the FD grid's 2·N·M full column evaluations per
-  // iteration into rank-1 incremental ones; only the line search's full
-  // refreshes (a handful of columns each) still pay for full evaluations.
-  EXPECT_GT(cached->incremental_evaluations, 0);
-  EXPECT_LT(cached->objective_evaluations, baseline->objective_evaluations);
-  ASSERT_GT(cached->iterations, 0);
-  ASSERT_GT(baseline->iterations, 0);
-  const double cached_per_iter =
-      static_cast<double>(cached->objective_evaluations) /
-      static_cast<double>(cached->iterations);
-  const double baseline_per_iter =
-      static_cast<double>(baseline->objective_evaluations) /
-      static_cast<double>(baseline->iterations);
-  EXPECT_LT(cached_per_iter, baseline_per_iter / 2);
-  // Both engines optimize the same objective and land on layouts of the
-  // same quality (FD rounding differs, so exact equality is not required).
-  EXPECT_NEAR(cached->max_utilization, baseline->max_utilization,
-              0.05 * std::max(1.0, std::fabs(baseline->max_utilization)));
-}
-
 TEST(EngineTest, AnalyticAgreesWithFdAndDropsPerturbations) {
-  // Differential test for the analytic-gradient engine: a full solve in
-  // each mode from the same unbalanced seed must converge to layouts of
-  // equal quality, while the analytic mode replaces the 2·N·M per-step
-  // perturbations (incremental evaluations) with M fused gradient passes.
+  // Differential test for the analytic-gradient engine: the same solve
+  // with the column kernels swapped for the finite-difference oracle over
+  // the scalar TargetUtilization must converge to a layout of equal
+  // quality. Only the analytic solve touches the cost tables through the
+  // batched kernels; the oracle's 2·N scalar evaluations per column pass
+  // are what the fused pass replaces.
   const int n = 12, m = 6;
   ModelProblem mp = MakeModelProblem(n, m, 29);
   Layout seed(n, m);
   for (int i = 0; i < n; ++i) seed.SetRowRegular(i, {0});
+  LayoutNlpProblem fd_nlp = mp.nlp;
+  fd_nlp.make_column_eval = FdColumnFactory(mp.nlp.target_utilization);
 
   // Full default annealing schedule: under the fast test schedule the two
-  // engines stop mid-descent at slightly different points; at convergence
+  // solves stop mid-descent at slightly different points; at convergence
   // they must agree tightly.
-  SolverOptions analytic;  // kAnalytic is the default
-  SolverOptions fd;
-  fd.gradient_mode = GradientMode::kFd;
-  auto a = ProjectedGradientSolver(analytic).Solve(mp.nlp, seed);
-  auto f = ProjectedGradientSolver(fd).Solve(mp.nlp, seed);
+  const SolverOptions options;
+  auto a = ProjectedGradientSolver(options).Solve(mp.nlp, seed);
+  auto f = ProjectedGradientSolver(options).Solve(fd_nlp, seed);
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(f.ok());
 
   EXPECT_GT(a->gradient_evaluations, 0);
-  EXPECT_EQ(a->incremental_evaluations, 0);
-  EXPECT_GT(f->incremental_evaluations, 0);
-  EXPECT_EQ(f->gradient_evaluations, 0);
+  EXPECT_GT(a->interp_queries, 0);
+  EXPECT_EQ(f->interp_queries, 0);
   ASSERT_GT(a->iterations, 0);
   // Equal converged quality. The objective is nonconvex (interference
   // couples columns), so the exact and FD gradients can descend into
-  // different basins — pointwise gradient agreement to 1e-6 is what the
+  // different basins — pointwise gradient agreement is what the
   // GradientProperty suite asserts; here the solves must land within
   // basin-hopping noise of each other.
   EXPECT_NEAR(a->max_utilization, f->max_utilization,

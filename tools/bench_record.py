@@ -9,9 +9,8 @@ checked in — so solver speedups are tracked across PRs instead of being
 re-measured from scratch whenever someone asks "did we regress?".
 
 Usage:
-    ./build/bench/bench_fig19_opttime --row=4xconsolidation \
-        --skip-baseline --json | tools/bench_record.py \
-        --bench bench_fig19_opttime
+    ./build/bench/bench_fig19_opttime --row=4xconsolidation --json | \
+        tools/bench_record.py --bench bench_fig19_opttime
     tools/bench_record.py --bench bench_micro --input micro.json \
         --note "after trilinear kernel specialization"
 
@@ -53,7 +52,7 @@ def git_rev():
 def extract_rows(text):
     """Parses the bench's JSON row array, tolerating the human-readable
     table the benches print before it when --json targets stdout (the
-    table itself contains brackets — [ok], [unmatched] — so only
+    table itself contains brackets — [ok], [MISMATCH] — so only
     line-initial '[' positions are candidate array starts)."""
     pos = 0
     candidates = []

@@ -6,7 +6,7 @@
 //
 // Usage:
 //   layout_advisor <problem-file> [--no-regularize] [--seeds=<n>]
-//                  [--compare-see] [--threads=<n>] [--gradient=<mode>]
+//                  [--compare-see] [--threads=<n>]
 //                  [--calibration-cache=<dir>]
 //                  [--faults=<spec>] [--replan]
 //                  [--migrate] [--migrate-throttle=<MB/s>]
@@ -28,11 +28,6 @@
 // --threads=<n> sets the solver's evaluation-engine parallelism and the
 // device-calibration parallelism (0 = one thread per hardware core). The
 // recommended layout is identical for every thread count.
-//
-// --gradient=<analytic|fd> selects the solver's gradient engine: the
-// closed-form gradient through the cost tables (default; falls back to
-// finite differences when a problem carries no analytic support) or the
-// central finite-difference baseline kept for differential testing.
 //
 // --migrate simulates carrying the recommendation out *online*: the
 // problem's targets are rebuilt as simulated devices, a foreground
@@ -123,7 +118,7 @@ int main(int argc, char** argv) {
   if (argc < 2) {
     std::fprintf(stderr,
                  "usage: %s <problem-file> [--no-regularize] [--seeds=<n>] "
-                 "[--compare-see] [--threads=<n>] [--gradient=<analytic|fd>] "
+                 "[--compare-see] [--threads=<n>] "
                  "[--calibration-cache=<dir>] [--faults=<spec>] [--replan] "
                  "[--migrate] [--migrate-throttle=<MB/s>] "
                  "[--autopilot[=<spec>]] [--scenario] "
@@ -162,18 +157,6 @@ int main(int argc, char** argv) {
     } else if (std::strncmp(argv[a], "--threads=", 10) == 0) {
       options.solver.num_threads = std::atoi(argv[a] + 10);
       io_options.calibration.num_threads = options.solver.num_threads;
-    } else if (std::strncmp(argv[a], "--gradient=", 11) == 0) {
-      const char* mode = argv[a] + 11;
-      if (std::strcmp(mode, "analytic") == 0) {
-        options.solver.gradient_mode = GradientMode::kAnalytic;
-      } else if (std::strcmp(mode, "fd") == 0) {
-        options.solver.gradient_mode = GradientMode::kFd;
-      } else {
-        std::fprintf(stderr,
-                     "--gradient must be 'analytic' or 'fd', got '%s'\n",
-                     mode);
-        return 2;
-      }
     } else if (std::strncmp(argv[a], "--calibration-cache=", 20) == 0) {
       io_options.calibration.cache_dir = argv[a] + 20;
     } else if (std::strncmp(argv[a], "--faults=", 9) == 0) {
