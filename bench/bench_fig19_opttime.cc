@@ -53,9 +53,10 @@ LayoutProblem ReplicateObjects(const LayoutProblem& base, int copies) {
       WorkloadDesc w = base.workloads[static_cast<size_t>(i)];
       std::vector<double> overlap(static_cast<size_t>(n * copies), 0.0);
       for (int k = 0; k < n; ++k) {
-        overlap[static_cast<size_t>(c * n + k)] = w.overlap[static_cast<size_t>(k)];
+        overlap[static_cast<size_t>(c * n + k)] =
+            w.overlap_with(static_cast<size_t>(k));
       }
-      w.overlap = std::move(overlap);
+      SetOverlapRow(&w, static_cast<size_t>(c * n + i), overlap);
       out.workloads.push_back(std::move(w));
     }
   }

@@ -272,10 +272,11 @@ WorkloadSet MakeWorkloads(int n, Rng* rng) {
     w.write_rate = rng->Uniform(0, 20);
     w.write_size = 64 * kKiB;
     w.run_count = rng->Uniform(1, 100);
-    w.overlap.assign(static_cast<size_t>(n), 0.0);
+    std::vector<double> row(static_cast<size_t>(n), 0.0);
     for (int k = 0; k < n; ++k) {
-      if (k != i) w.overlap[static_cast<size_t>(k)] = rng->Uniform(0, 1);
+      if (k != i) row[static_cast<size_t>(k)] = rng->Uniform(0, 1);
     }
+    SetOverlapRow(&w, static_cast<size_t>(i), row);
   }
   return ws;
 }
@@ -372,9 +373,10 @@ void BM_TargetModelColumnGradient(benchmark::State& state) {
 BENCHMARK(BM_TargetModelColumnGradient)->Arg(20)->Arg(40)->Arg(160);
 
 /// Tenant-banded workloads: each object overlaps only its `neighbors`
-/// ring neighbours, converted to the CSR representation (dense cleared).
+/// ring neighbours.
 WorkloadSet MakeSparseWorkloads(int n, int neighbors, Rng* rng) {
   WorkloadSet ws(static_cast<size_t>(n));
+  std::vector<double> row(static_cast<size_t>(n));
   for (int i = 0; i < n; ++i) {
     WorkloadDesc& w = ws[static_cast<size_t>(i)];
     w.read_rate = rng->Uniform(1, 200);
@@ -382,40 +384,20 @@ WorkloadSet MakeSparseWorkloads(int n, int neighbors, Rng* rng) {
     w.write_rate = rng->Uniform(0, 20);
     w.write_size = 64 * kKiB;
     w.run_count = rng->Uniform(1, 100);
-    w.overlap.assign(static_cast<size_t>(n), 0.0);
-    w.overlap[static_cast<size_t>(i)] = rng->Uniform(0, 1.5);
+    std::fill(row.begin(), row.end(), 0.0);
+    row[static_cast<size_t>(i)] = rng->Uniform(0, 1.5);
     for (int d = 1; d <= neighbors / 2; ++d) {
-      w.overlap[static_cast<size_t>((i + d) % n)] = rng->Uniform(0.05, 1);
-      w.overlap[static_cast<size_t>((i - d + n) % n)] = rng->Uniform(0.05, 1);
+      row[static_cast<size_t>((i + d) % n)] = rng->Uniform(0.05, 1);
+      row[static_cast<size_t>((i - d + n) % n)] = rng->Uniform(0.05, 1);
     }
+    SetOverlapRow(&w, static_cast<size_t>(i), row);
   }
-  SparsifyOverlap(&ws);
   return ws;
 }
 
-void BM_DenseInterferenceDot(benchmark::State& state) {
-  // The raw interference kernel under the dense representation: one
-  // overlap-row · presence-vector dot per object, O(N) each, O(N²) per
-  // column evaluation.
-  const int n = static_cast<int>(state.range(0));
-  Rng rng(6);
-  std::vector<double> row(static_cast<size_t>(n)), x(static_cast<size_t>(n));
-  for (auto& v : row) v = rng.Uniform(0, 1);
-  for (auto& v : x) v = rng.Uniform(0, 1);
-  for (auto _ : state) {
-    double acc = 0.0;
-    for (int k = 0; k < n; ++k) {
-      acc += row[static_cast<size_t>(k)] * x[static_cast<size_t>(k)];
-    }
-    benchmark::DoNotOptimize(acc);
-  }
-  state.SetItemsProcessed(state.iterations() * n);
-}
-BENCHMARK(BM_DenseInterferenceDot)->Arg(160)->Arg(1000)->Arg(10000);
-
 void BM_SparseInterferenceDot(benchmark::State& state) {
-  // Same dot against a CSR row with 16 stored entries: the fleet-scale
-  // representation, O(nnz) regardless of N.
+  // The raw interference kernel: one overlap-row · rate dot against a row
+  // with 16 stored entries, O(nnz) regardless of N.
   const int n = static_cast<int>(state.range(0));
   constexpr int kNnz = 16;
   Rng rng(6);
@@ -440,8 +422,8 @@ BENCHMARK(BM_SparseInterferenceDot)->Arg(160)->Arg(1000)->Arg(10000);
 
 void BM_TargetModelColumnGradientSparse(benchmark::State& state) {
   // The analytic gradient pass over CSR workloads (ring band, 16 stored
-  // neighbours per row). Compare against BM_TargetModelColumnGradient:
-  // dense scales O(N²) per column, sparse O(N·nnz).
+  // neighbours per row). Compare against BM_TargetModelColumnGradient,
+  // whose rows store all N entries: O(N²) per column against O(N·nnz).
   const int n = static_cast<int>(state.range(0));
   const int m = 4;
   Rng rng(3);
@@ -460,11 +442,14 @@ void BM_TargetModelColumnGradientSparse(benchmark::State& state) {
 }
 BENCHMARK(BM_TargetModelColumnGradientSparse)->Arg(160)->Arg(640)->Arg(2560);
 
-/// Multi-tenant workloads: dense overlap rows, co-access within tenants of
-/// 8 plus one weak link to another tenant per object.
+/// Multi-tenant workloads: co-access within tenants of 8 plus one weak
+/// link to another tenant per object.
 WorkloadSet MakeTenantWorkloads(int n, Rng* rng) {
   constexpr int kTenant = 8;
   WorkloadSet ws(static_cast<size_t>(n));
+  // Full rows, symmetric, before they go through SetOverlapRow.
+  std::vector<std::vector<double>> rows(
+      static_cast<size_t>(n), std::vector<double>(static_cast<size_t>(n)));
   for (int i = 0; i < n; ++i) {
     WorkloadDesc& w = ws[static_cast<size_t>(i)];
     w.read_rate = rng->Uniform(1, 200);
@@ -472,22 +457,26 @@ WorkloadSet MakeTenantWorkloads(int n, Rng* rng) {
     w.write_rate = rng->Uniform(0, 20);
     w.write_size = 64 * kKiB;
     w.run_count = rng->Uniform(1, 100);
-    w.overlap.assign(static_cast<size_t>(n), 0.0);
-    w.overlap[static_cast<size_t>(i)] = rng->Uniform(0, 1.5);
+    rows[static_cast<size_t>(i)][static_cast<size_t>(i)] =
+        rng->Uniform(0, 1.5);
   }
   for (int i = 0; i < n; ++i) {
     const int lo = i / kTenant * kTenant;
     for (int k = i + 1; k < std::min(n, lo + kTenant); ++k) {
       const double o = rng->Uniform(0.05, 0.6);
-      ws[static_cast<size_t>(i)].overlap[static_cast<size_t>(k)] = o;
-      ws[static_cast<size_t>(k)].overlap[static_cast<size_t>(i)] = o;
+      rows[static_cast<size_t>(i)][static_cast<size_t>(k)] = o;
+      rows[static_cast<size_t>(k)][static_cast<size_t>(i)] = o;
     }
     const int k = static_cast<int>(rng->UniformInt(static_cast<uint64_t>(n)));
     if (k / kTenant != i / kTenant) {
       const double o = rng->Uniform(0.01, 0.1);
-      ws[static_cast<size_t>(i)].overlap[static_cast<size_t>(k)] = o;
-      ws[static_cast<size_t>(k)].overlap[static_cast<size_t>(i)] = o;
+      rows[static_cast<size_t>(i)][static_cast<size_t>(k)] = o;
+      rows[static_cast<size_t>(k)][static_cast<size_t>(i)] = o;
     }
+  }
+  for (int i = 0; i < n; ++i) {
+    SetOverlapRow(&ws[static_cast<size_t>(i)], static_cast<size_t>(i),
+                  rows[static_cast<size_t>(i)]);
   }
   return ws;
 }
@@ -496,7 +485,8 @@ void BM_RegularizeSweep(benchmark::State& state) {
   // The regularizer end to end (greedy pass + refinement sweeps, 2M
   // candidates per object) on a solver-like layout: every row spread
   // unevenly over a random target subset. Args: objects, targets, and
-  // overlap form (0 = dense multi-tenant rows, 1 = CSR ring band of 16).
+  // overlap structure (0 = multi-tenant rows, 1 = ring band of 16; the
+  // "csr" arg name is kept so recorded trajectories stay comparable).
   const int n = static_cast<int>(state.range(0));
   const int m = static_cast<int>(state.range(1));
   Rng rng(7);
@@ -588,7 +578,7 @@ BENCHMARK(BM_SolverSmallProblemCached);
 
 void BM_SolveTenant96(benchmark::State& state) {
   // One full analytic solve shaped like one advise_4x96 problem: 96
-  // objects in co-access tenants of 8 (dense rows), 10 disk-15k targets
+  // objects in co-access tenants of 8, 10 disk-15k targets
   // at 1.6x the data, rates scaled so SEE's max utilization is 0.95, and a
   // skewed regular seed. This is the solver kernel every advise and
   // autopilot re-advise runs.

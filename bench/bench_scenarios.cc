@@ -1,5 +1,5 @@
 // Adversarial scenario matrix: the declarative scenario library replayed
-// as an oracle / static / autopilot / fleet-solver validation grid.
+// as an oracle / static / autopilot validation grid.
 //
 // Five scenario classes from src/scenario (each a one-line declarative
 // spec, the same grammar the `scenario` problem-file directive accepts):
@@ -16,15 +16,13 @@
 // tracing layout) with an OnlineAnalyzer attached and snapshots fitted
 // workload descriptions at every segment end — the same frame the
 // autopilot's own analyzer sees, exactly how the other benches fit
-// reference workloads. The matrix then scores four layouts per segment
+// reference workloads. The matrix then scores three layouts per segment
 // under the segment's fitted workloads (model max utilization):
 //
 //   oracle     LayoutAdvisor re-advised per segment (clairvoyant)
 //   static     advised once for segment 0, never changed
 //   autopilot  the closed loop's deployed layout, sampled at each
 //              segment end via AutopilotOptions::layout_sample_times
-//   fleet      FleetSolver per segment (the sharded hierarchical path,
-//              cross-checked against the flat oracle; no bar)
 //
 // Acceptance (scale-gated at >= 0.05, like the other benches): on every
 // class where the static layout degrades by more than 15% versus the
@@ -49,7 +47,6 @@
 #include "bench/bench_common.h"
 #include "core/advisor.h"
 #include "core/autopilot.h"
-#include "core/fleet.h"
 #include "model/target_model.h"
 #include "monitor/online_analyzer.h"
 #include "scenario/scenario.h"
@@ -82,7 +79,6 @@ struct ScenarioClass {
 AutopilotOptions LoopOptions(const BenchEnv& env, const ScenarioClass& sc) {
   AutopilotOptions o;
   o.config.analyzer.half_life_s = 5.0;
-  o.config.analyzer.sparse_overlap = true;
   o.config.check_interval_s = 2.0;
   o.config.drift.threshold = sc.threshold;
   o.config.drift.trip_evaluations = 2;
@@ -114,7 +110,6 @@ struct ClassResult {
   double oracle = 0.0;
   double stat = 0.0;
   double autopilot = 0.0;
-  double fleet = 0.0;
   bool static_degraded = false;  ///< static > oracle * 1.15
   bool within = false;           ///< autopilot <= oracle * 1.10 + 0.01
   bool deterministic = false;    ///< fingerprints identical across threads
@@ -142,7 +137,7 @@ int main(int argc, char** argv) {
     ::mkdir(journal_dir.c_str(), 0755);  // best-effort; Open reports errors
   }
   PrintHeader("Scenarios",
-              "adversarial scenario matrix: oracle/static/autopilot/fleet",
+              "adversarial scenario matrix: oracle/static/autopilot",
               env);
 
   // Synthetic multi-tenant catalog: 16 equal objects, two 8-object tenant
@@ -213,7 +208,7 @@ int main(int argc, char** argv) {
   bool all_ok = true;
   JsonRows json;
   TextTable table({"class", "segs", "oracle", "static", "autopilot",
-                   "fleet", "migr", "degraded", "within10%", "threads"});
+                   "migr", "degraded", "within10%", "threads"});
 
   for (const ScenarioClass& sc : classes) {
     auto spec = ParseScenarioSpec(sc.spec);
@@ -237,7 +232,6 @@ int main(int argc, char** argv) {
     }
     OnlineAnalyzerOptions an;
     an.half_life_s = 5.0;
-    an.sparse_overlap = true;
     OnlineAnalyzer analyzer(n, an);
     std::vector<WorkloadSet> fitted;
     auto fit_system = rig->MakeSystem();
@@ -283,9 +277,9 @@ int main(int argc, char** argv) {
     }
     const Layout static_layout = static_adv->final_layout;
 
-    // Oracle and fleet columns: re-solve per segment, score under the
-    // segment's workloads.
-    std::vector<double> oracle_u, static_u, fleet_u;
+    // Oracle column: re-advise per segment, score under the segment's
+    // workloads.
+    std::vector<double> oracle_u, static_u;
     for (const WorkloadSet& ws : fitted) {
       auto seg_problem = rig->MakeProblem(ws);
       if (!seg_problem.ok()) return 1;
@@ -298,15 +292,6 @@ int main(int argc, char** argv) {
       oracle_u.push_back(
           model.MaxUtilization(ws, seg_adv->final_layout));
       static_u.push_back(model.MaxUtilization(ws, static_layout));
-      FleetOptions fopts;
-      fopts.solver.num_threads = env.num_threads;
-      auto fleet = FleetSolver(fopts).Solve(*seg_problem);
-      if (!fleet.ok()) {
-        std::fprintf(stderr, "%s fleet solve: %s\n", sc.name.c_str(),
-                     fleet.status().ToString().c_str());
-        return 1;
-      }
-      fleet_u.push_back(model.MaxUtilization(ws, fleet->layout));
     }
 
     // Autopilot column: play the scenario under the closed loop with the
@@ -351,7 +336,6 @@ int main(int argc, char** argv) {
     r.oracle = WeightedMean(r.segments, oracle_u);
     r.stat = WeightedMean(r.segments, static_u);
     r.autopilot = WeightedMean(r.segments, ap_u);
-    r.fleet = WeightedMean(r.segments, fleet_u);
     r.static_degraded = r.stat > r.oracle * 1.15;
     r.within = r.autopilot <= r.oracle * 1.10 + 0.01;
     r.migrations = scored.autopilot.migrations_completed;
@@ -367,7 +351,6 @@ int main(int argc, char** argv) {
                   StrFormat("%.1f%%", 100 * r.oracle),
                   StrFormat("%.1f%%", 100 * r.stat),
                   StrFormat("%.1f%%", 100 * r.autopilot),
-                  StrFormat("%.1f%%", 100 * r.fleet),
                   StrFormat("%d", r.migrations),
                   r.static_degraded ? "yes" : "no",
                   r.static_degraded ? (r.within ? "yes" : "NO") : "-",
@@ -378,7 +361,6 @@ int main(int argc, char** argv) {
     json.Field("oracle_max_util", r.oracle);
     json.Field("static_max_util", r.stat);
     json.Field("autopilot_max_util", r.autopilot);
-    json.Field("fleet_max_util", r.fleet);
     json.Field("static_degraded", r.static_degraded);
     json.Field("autopilot_within_10pct", r.within);
     json.Field("migrations_completed", r.migrations);

@@ -38,21 +38,23 @@ int main() {
 
   // SALES: heavy sequential scans; SALES_PKEY: random point reads that
   // always run while SALES is scanned; AUDIT_LOG: sequential appends.
+  // Overlap rows give O_i[k] for every object k; SetOverlapRow keeps the
+  // diagonal and the nonzero entries.
   WorkloadDesc sales;
   sales.read_rate = 300;
   sales.read_size = 128 * kKiB;
   sales.run_count = 200;
-  sales.overlap = {0.0, 0.9, 0.2};
+  SetOverlapRow(&sales, 0, {0.0, 0.9, 0.2});
   WorkloadDesc pkey;
   pkey.read_rate = 80;
   pkey.read_size = 8 * kKiB;
   pkey.run_count = 1;
-  pkey.overlap = {0.9, 0.0, 0.2};
+  SetOverlapRow(&pkey, 1, {0.9, 0.0, 0.2});
   WorkloadDesc log;
   log.write_rate = 40;
   log.write_size = 16 * kKiB;
   log.run_count = 500;
-  log.overlap = {0.5, 0.5, 0.0};
+  SetOverlapRow(&log, 2, {0.5, 0.5, 0.0});
   problem.workloads = {sales, pkey, log};
 
   for (int j = 0; j < 2; ++j) {

@@ -1,6 +1,7 @@
 #include "core/journal.h"
 
 #include <cstdlib>
+#include <limits>
 #include <utility>
 
 #include "util/table.h"
@@ -69,6 +70,9 @@ class FieldParser {
  public:
   explicit FieldParser(const std::string& s) : s_(s) {}
 
+  /// Payload bytes not yet consumed.
+  size_t remaining() const { return s_.size() - pos_; }
+
   bool NextToken(std::string* out) {
     while (pos_ < s_.size() && s_[pos_] == ' ') ++pos_;
     if (pos_ >= s_.size()) return false;
@@ -93,7 +97,10 @@ class FieldParser {
   }
   bool NextInt(int* out) {
     int64_t v = 0;
-    if (!NextInt64(&v)) return false;
+    if (!NextInt64(&v) || v < std::numeric_limits<int>::min() ||
+        v > std::numeric_limits<int>::max()) {
+      return false;
+    }
     *out = static_cast<int>(v);
     return true;
   }
@@ -145,25 +152,31 @@ void SerializeWorkloads(const WorkloadSet& set, std::string* out) {
   for (const WorkloadDesc& w : set) {
     *out += StrFormat(" w %.17g %.17g %.17g %.17g %.17g", w.read_rate,
                       w.write_rate, w.read_size, w.write_size, w.run_count);
-    if (w.has_sparse_overlap()) {
-      *out += StrFormat(" s %d", static_cast<int>(w.overlap_index.size()));
-      for (size_t k = 0; k < w.overlap_index.size(); ++k) {
-        *out += StrFormat(" %d %.17g", w.overlap_index[k], w.overlap_value[k]);
-      }
-    } else {
-      *out += StrFormat(" d %d", static_cast<int>(w.overlap.size()));
-      for (double v : w.overlap) *out += StrFormat(" %.17g", v);
+    *out += StrFormat(" s %d", static_cast<int>(w.overlap_index.size()));
+    for (size_t k = 0; k < w.overlap_index.size(); ++k) {
+      *out += StrFormat(" %d %.17g", w.overlap_index[k], w.overlap_value[k]);
     }
   }
 }
 
+/// Decodes a workload set. Rows come as `s <len> (<id> <value>)*` CSR rows,
+/// or as the full `d <count> <value>*` rows older journals hold, which
+/// decode through SetOverlapRow. Returns false on malformed input; the
+/// caller validates the decoded set.
 bool ParseWorkloads(FieldParser* p, WorkloadSet* out) {
   std::string tok;
   if (!p->NextToken(&tok) || tok != "ref") return false;
   int count = 0;
-  if (!p->NextInt(&count) || count < 0) return false;
+  // Same bound as ParseLayout's: a workload takes >= 16 payload bytes
+  // (" w", five numbers, a row header), and a row holds at most `count`
+  // entries, so neither number can exceed what the record holds.
+  if (!p->NextInt(&count) || count < 0 ||
+      static_cast<size_t>(count) > p->remaining() / 16) {
+    return false;
+  }
   out->clear();
   out->reserve(static_cast<size_t>(count));
+  std::vector<double> row;
   for (int i = 0; i < count; ++i) {
     if (!p->NextToken(&tok) || tok != "w") return false;
     WorkloadDesc w;
@@ -174,7 +187,7 @@ bool ParseWorkloads(FieldParser* p, WorkloadSet* out) {
     }
     if (!p->NextToken(&tok)) return false;
     int len = 0;
-    if (!p->NextInt(&len) || len < 0) return false;
+    if (!p->NextInt(&len) || len < 0 || len > count) return false;
     if (tok == "s") {
       w.overlap_index.reserve(static_cast<size_t>(len));
       w.overlap_value.reserve(static_cast<size_t>(len));
@@ -185,13 +198,12 @@ bool ParseWorkloads(FieldParser* p, WorkloadSet* out) {
         w.overlap_index.push_back(idx);
         w.overlap_value.push_back(v);
       }
-    } else if (tok == "d") {
-      w.overlap.reserve(static_cast<size_t>(len));
-      for (int k = 0; k < len; ++k) {
-        double v = 0.0;
+    } else if (tok == "d" && len == count) {
+      row.resize(static_cast<size_t>(len));
+      for (double& v : row) {
         if (!p->NextDouble(&v)) return false;
-        w.overlap.push_back(v);
       }
+      SetOverlapRow(&w, static_cast<size_t>(i), row);
     } else {
       return false;
     }
@@ -262,6 +274,10 @@ Status ParseControlRecords(const std::vector<std::string>& records,
         return CorruptRecord(static_cast<int64_t>(idx),
                              "malformed intent record");
       }
+      if (Status valid = ValidateWorkloadSet(reference); !valid.ok()) {
+        return CorruptRecord(static_cast<int64_t>(idx),
+                             "intent record: " + valid.message());
+      }
       begin_segment();
       out->has_plan = true;
       out->plan_digest = digest;
@@ -276,6 +292,10 @@ Status ParseControlRecords(const std::vector<std::string>& records,
           !ParseWorkloads(&p, &reference)) {
         return CorruptRecord(static_cast<int64_t>(idx),
                              "malformed checkpoint record");
+      }
+      if (Status valid = ValidateWorkloadSet(reference); !valid.ok()) {
+        return CorruptRecord(static_cast<int64_t>(idx),
+                             "checkpoint record: " + valid.message());
       }
       begin_segment();
       out->has_plan = false;

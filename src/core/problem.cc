@@ -23,8 +23,8 @@ Status LayoutProblem::Validate() const {
     }
     total_size += object_sizes[i];
   }
-  // Clause-indexed per-workload diagnostics (dense and sparse overlap
-  // invariants both checked here).
+  // Clause-indexed per-workload diagnostics, overlap-row invariants
+  // included.
   LDB_RETURN_IF_ERROR(ValidateWorkloadSet(workloads));
   int64_t total_capacity = 0;
   for (const AdvisorTarget& t : targets) {

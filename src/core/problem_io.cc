@@ -379,7 +379,6 @@ Result<LoadedProblem> ParseProblemText(const std::string& text,
   // Resolve deferred references now that all names are known.
   LayoutProblem& p = st.out.problem;
   const size_t n = p.object_names.size();
-  for (WorkloadDesc& w : p.workloads) w.overlap.assign(n, 0.0);
   auto object_id = [&](const std::string& name) -> Result<int> {
     const auto it = st.object_index.find(name);
     if (it == st.object_index.end()) {
@@ -388,21 +387,40 @@ Result<LoadedProblem> ParseProblemText(const std::string& text,
     }
     return it->second;
   };
+  // Overlap rows: each row's writes in file order (pairs in both
+  // directions, then self-overlaps) after a zero diagonal; a later write
+  // to the same entry wins.
+  std::vector<std::vector<std::pair<int32_t, double>>> writes(n);
+  for (size_t i = 0; i < n; ++i) {
+    writes[i].emplace_back(static_cast<int32_t>(i), 0.0);
+  }
   for (const auto& o : st.overlaps) {
     auto a = object_id(o.a);
     auto b = object_id(o.b);
     if (!a.ok()) return a.status();
     if (!b.ok()) return b.status();
-    p.workloads[static_cast<size_t>(*a)].overlap[static_cast<size_t>(*b)] =
-        o.value;
-    p.workloads[static_cast<size_t>(*b)].overlap[static_cast<size_t>(*a)] =
-        o.value;
+    writes[static_cast<size_t>(*a)].emplace_back(*b, o.value);
+    writes[static_cast<size_t>(*b)].emplace_back(*a, o.value);
   }
   for (const auto& [name, value] : st.self_overlaps) {
     auto a = object_id(name);
     if (!a.ok()) return a.status();
-    p.workloads[static_cast<size_t>(*a)].overlap[static_cast<size_t>(*a)] =
-        value;
+    writes[static_cast<size_t>(*a)].emplace_back(*a, value);
+  }
+  for (size_t i = 0; i < n; ++i) {
+    auto& row = writes[i];
+    std::stable_sort(row.begin(), row.end(),
+                     [](const auto& x, const auto& y) {
+                       return x.first < y.first;
+                     });
+    WorkloadDesc& w = p.workloads[i];
+    for (size_t e = 0; e < row.size(); ++e) {
+      const auto [k, value] = row[e];
+      if (e + 1 < row.size() && row[e + 1].first == k) continue;
+      if (static_cast<size_t>(k) != i && value == 0.0) continue;
+      w.overlap_index.push_back(k);
+      w.overlap_value.push_back(value);
+    }
   }
   if (!st.pins.empty()) {
     p.constraints.allowed_targets.assign(n, {});
@@ -569,8 +587,6 @@ std::string FormatProblemText(const LayoutProblem& problem) {
   // directions (the format is symmetric); self-overlaps get their own line.
   for (int i = 0; i < n; ++i) {
     const WorkloadDesc& wi = problem.workloads[static_cast<size_t>(i)];
-    // overlap_with() reads either representation (sparse rows have no
-    // dense vector to index at fleet scale).
     if (wi.overlap_with(static_cast<size_t>(i)) > 0) {
       out += StrFormat("self_overlap %s %.6g\n",
                        SanitizeName(problem.object_names[static_cast<size_t>(i)]).c_str(),

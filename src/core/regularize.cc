@@ -80,21 +80,15 @@ CandidatePricer::CandidatePricer(const LayoutProblem* problem,
     mu_[static_cast<size_t>(j)] = mu_j;
   }
 
-  // Transposed overlap: object k's χ reads object i's rate iff k's
-  // authoritative row holds a nonzero O_k[i].
+  // Transposed overlap: object k's χ reads object i's rate iff k's row
+  // holds a nonzero O_k[i].
   partner_begin_.assign(un + 1, 0);
   const auto for_each_partner = [&](auto&& fn) {
     for (size_t k = 0; k < un; ++k) {
       const WorkloadDesc& w = workloads[k];
-      if (w.has_sparse_overlap()) {
-        for (size_t s = 0; s < w.overlap_index.size(); ++s) {
-          const size_t i = static_cast<size_t>(w.overlap_index[s]);
-          if (i != k && w.overlap_value[s] != 0.0) fn(i, k);
-        }
-      } else {
-        for (size_t i = 0; i < w.overlap.size(); ++i) {
-          if (i != k && w.overlap[i] != 0.0) fn(i, k);
-        }
+      for (size_t s = 0; s < w.overlap_index.size(); ++s) {
+        const size_t i = static_cast<size_t>(w.overlap_index[s]);
+        if (i != k && w.overlap_value[s] != 0.0) fn(i, k);
       }
     }
   };

@@ -75,6 +75,13 @@ class CandidatePricer {
                   static_cast<size_t>(i)];
   }
 
+  /// Object i's overlap partners: the k ≠ i with O_k[i] ≠ 0, ascending.
+  std::vector<int> partners(int i) const {
+    const size_t u = static_cast<size_t>(i);
+    return std::vector<int>(partners_.begin() + partner_begin_[u],
+                            partners_.begin() + partner_begin_[u + 1]);
+  }
+
   /// Prices striping object `i` evenly over `targets`. Returns false if
   /// that layout violates a capacity; otherwise fills `trial_mu` with every
   /// target's µ_j under it. The current layout is left unchanged.

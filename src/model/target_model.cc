@@ -72,23 +72,13 @@ double TargetModel::ObjectUtilization(const WorkloadSet& workloads, int i,
   // dilute with striping: the streams follow the object onto every
   // target).
   double interfering = 0.0;
-  if (wi.has_sparse_overlap()) {
-    const size_t nnz = wi.overlap_index.size();
-    for (size_t s = 0; s < nnz; ++s) {
-      const int k = wi.overlap_index[s];
-      if (k == i) continue;
-      const double rate_kj = rates[k];
-      if (rate_kj <= kRateEpsilon) continue;
-      interfering += rate_kj * wi.overlap_value[s];
-    }
-  } else {
-    const int n = static_cast<int>(workloads.size());
-    for (int k = 0; k < n; ++k) {
-      if (k == i) continue;
-      const double rate_kj = rates[k];
-      if (rate_kj <= kRateEpsilon) continue;
-      interfering += rate_kj * wi.overlap[static_cast<size_t>(k)];
-    }
+  const size_t nnz = wi.overlap_index.size();
+  for (size_t s = 0; s < nnz; ++s) {
+    const int k = wi.overlap_index[s];
+    if (k == i) continue;
+    const double rate_kj = rates[k];
+    if (rate_kj <= kRateEpsilon) continue;
+    interfering += rate_kj * wi.overlap_value[s];
   }
   const double chi =
       interfering / rate_ij + wi.overlap_with(static_cast<size_t>(i));
@@ -217,10 +207,10 @@ class TargetColumnContext final : public ColumnEvaluator {
   //
   // with λ_i the object's total rate, r_i = λ_i·f_i its on-target rate and
   // I_i its interference accumulator. The cross sum over all i is one
-  // transposed overlap-matrix·vector product — the same O(N²) asymptotics
-  // as the scalar TargetUtilization, but a two-op inner loop over
-  // contiguous arrays. Cost-table lookups run at cells located once:
-  // request sizes per query template, run count and χ per object.
+  // transposed overlap-matrix·vector product — O(stored overlap entries),
+  // the same work as the interference dots. Cost-table lookups run at
+  // cells located once: request sizes per query template, run count and χ
+  // per object.
 
   double EvaluateWithGradient(const Layout& layout, double* grad) override {
     return BatchedColumn(layout, grad);
@@ -338,48 +328,34 @@ class TargetColumnContext final : public ColumnEvaluator {
       brate_[i] = r <= kRateEpsilon ? 0.0 : r;
     }
 
-    // Interference accumulators: one contiguous overlap-row · rate dot
-    // product per object — the column's O(N²) work, shaped so the
-    // compiler can vectorize it. Absent rows are included: an absent
-    // object's χ limit depends on whether anything interferes with it.
+    // Interference accumulators: one overlap-row · rate dot product per
+    // object over the row's stored partners. Absent rows are included: an
+    // absent object's χ limit depends on whether anything interferes with
+    // it.
     const double* rate = brate_.data();
     for (size_t i = 0; i < un; ++i) {
       const WorkloadDesc& wi = (*workloads_)[i];
       // Four fixed-order accumulator lanes: reassociates the sum the same
       // way on every run and thread count, and gives the compiler
-      // independent chains to turn into vector FMAs (the sparse row's
-      // rate gathers included).
+      // independent chains to turn into vector FMAs (rate gathers
+      // included).
+      const int32_t* idx = wi.overlap_index.data();
+      const double* val = wi.overlap_value.data();
+      const size_t nnz = wi.overlap_index.size();
       double acc0 = 0.0, acc1 = 0.0, acc2 = 0.0, acc3 = 0.0;
-      double dot;
-      if (wi.has_sparse_overlap()) {
-        const int32_t* idx = wi.overlap_index.data();
-        const double* val = wi.overlap_value.data();
-        const size_t nnz = wi.overlap_index.size();
-        size_t s = 0;
-        for (; s + 4 <= nnz; s += 4) {
-          acc0 += rate[idx[s]] * val[s];
-          acc1 += rate[idx[s + 1]] * val[s + 1];
-          acc2 += rate[idx[s + 2]] * val[s + 2];
-          acc3 += rate[idx[s + 3]] * val[s + 3];
-        }
-        dot = (acc0 + acc1) + (acc2 + acc3);
-        for (; s < nnz; ++s) dot += rate[idx[s]] * val[s];
-      } else {
-        const double* o = wi.overlap.data();
-        size_t k = 0;
-        for (; k + 4 <= un; k += 4) {
-          acc0 += rate[k] * o[k];
-          acc1 += rate[k + 1] * o[k + 1];
-          acc2 += rate[k + 2] * o[k + 2];
-          acc3 += rate[k + 3] * o[k + 3];
-        }
-        dot = (acc0 + acc1) + (acc2 + acc3);
-        for (; k < un; ++k) dot += rate[k] * o[k];
+      size_t s = 0;
+      for (; s + 4 <= nnz; s += 4) {
+        acc0 += rate[idx[s]] * val[s];
+        acc1 += rate[idx[s + 1]] * val[s + 1];
+        acc2 += rate[idx[s + 2]] * val[s + 2];
+        acc3 += rate[idx[s + 3]] * val[s + 3];
       }
-      // Both representations carry the diagonal; subtracting it afterwards
-      // keeps the lane assignment independent of where it sits in the row.
-      // The short sparse sums can leave a tiny negative residue after the
-      // cancellation — clamp it so χ never goes below the diagonal.
+      double dot = (acc0 + acc1) + (acc2 + acc3);
+      for (; s < nnz; ++s) dot += rate[idx[s]] * val[s];
+      // The row carries the diagonal; subtracting it afterwards keeps the
+      // lane assignment independent of where it sits in the row. The short
+      // sums can leave a tiny negative residue after the cancellation —
+      // clamp it so χ never goes below the diagonal.
       binterf_[i] = std::max(0.0, dot - rate[i] * diag_[i]);
     }
 
@@ -444,25 +420,19 @@ class TargetColumnContext final : public ColumnEvaluator {
     }
 
     // Cross terms for every i at once: Σ_k c_k·O_k[i] is a transposed
-    // overlap·c product; accumulating row-by-row keeps the inner loop
-    // contiguous for dense rows (one fused multiply-add per element) and a
-    // fixed-order scatter over sparse rows — k ascending, then row order,
-    // so the accumulation order never depends on thread count.
+    // overlap·c product, scattered row by row in a fixed order — k
+    // ascending, then row order — so the accumulation order never depends
+    // on thread count.
     bcross_.assign(un, 0.0);
     double* cross = bcross_.data();
     for (size_t k = 0; k < un; ++k) {
       const double c = ck_[k];
       if (c == 0.0) continue;
       const WorkloadDesc& wk = (*workloads_)[k];
-      if (wk.has_sparse_overlap()) {
-        const int32_t* idx = wk.overlap_index.data();
-        const double* val = wk.overlap_value.data();
-        const size_t nnz = wk.overlap_index.size();
-        for (size_t s = 0; s < nnz; ++s) cross[idx[s]] += c * val[s];
-      } else {
-        const double* o = wk.overlap.data();
-        for (size_t i = 0; i < un; ++i) cross[i] += c * o[i];
-      }
+      const int32_t* idx = wk.overlap_index.data();
+      const double* val = wk.overlap_value.data();
+      const size_t nnz = wk.overlap_index.size();
+      for (size_t s = 0; s < nnz; ++s) cross[idx[s]] += c * val[s];
     }
 
     for (size_t i = 0; i < un; ++i) {

@@ -49,7 +49,7 @@ class TargetModel {
 
   /// Computes all target utilizations µ_j under `layout`.
   ///
-  /// \param workloads one description per object; overlap vectors sized N.
+  /// \param workloads one description per object (ValidateWorkloadSet).
   /// \param mu_ij optional out-param: per-object contribution matrix,
   ///   row-major N x M (the µ_ij used by the regularizer's ordering).
   std::vector<double> Utilizations(const WorkloadSet& workloads,

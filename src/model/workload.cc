@@ -22,66 +22,42 @@ std::string WorkloadViolation(const WorkloadDesc& w, size_t n,
     return "write_rate > 0 requires write_size > 0";
   if (w.run_count < 1.0) return "run_count < 1";
 
-  const bool sparse = w.has_sparse_overlap();
-  if (!sparse && !w.overlap_value.empty())
-    return "overlap_value present without overlap_index";
-  if (w.overlap.empty() && !sparse)
-    return "no overlap row (neither dense nor sparse form present)";
-  if (!w.overlap.empty() && w.overlap.size() != n)
-    return StrFormat("dense overlap size %zu != object count %zu",
-                     w.overlap.size(), n);
-  for (size_t k = 0; k < w.overlap.size(); ++k) {
-    if (w.overlap[k] < 0.0)
-      return StrFormat("dense overlap[%zu] negative", k);
+  if (w.overlap_index.empty())
+    return w.overlap_value.empty()
+               ? "no overlap row"
+               : "overlap_value present without overlap_index";
+  if (w.overlap_index.size() != w.overlap_value.size())
+    return StrFormat("overlap_index size %zu != overlap_value size %zu",
+                     w.overlap_index.size(), w.overlap_value.size());
+  bool saw_diagonal = false;
+  for (size_t j = 0; j < w.overlap_index.size(); ++j) {
+    const int32_t idx = w.overlap_index[j];
+    if (idx < 0 || static_cast<size_t>(idx) >= n)
+      return StrFormat("overlap_index[%zu] = %d out of range [0, %zu)", j,
+                       static_cast<int>(idx), n);
+    if (j > 0 && idx <= w.overlap_index[j - 1])
+      return StrFormat("overlap_index not sorted at entry %zu", j);
+    const bool diagonal = static_cast<size_t>(idx) == self_index;
+    saw_diagonal = saw_diagonal || diagonal;
+    if (w.overlap_value[j] < 0.0)
+      return StrFormat("overlap_value[%zu] negative", j);
     // Off-diagonal entries are fractions; the diagonal (self-overlap) is a
     // mean concurrent-request count and may exceed 1.
-    if (k != self_index && w.overlap[k] > 1.0)
-      return StrFormat("dense overlap[%zu] > 1 off the diagonal", k);
+    if (!diagonal && w.overlap_value[j] > 1.0)
+      return StrFormat("overlap_value[%zu] > 1 off the diagonal", j);
   }
-
-  if (sparse) {
-    if (w.overlap_index.size() != w.overlap_value.size())
-      return StrFormat("overlap_index size %zu != overlap_value size %zu",
-                       w.overlap_index.size(), w.overlap_value.size());
-    bool saw_diagonal = false;
-    for (size_t j = 0; j < w.overlap_index.size(); ++j) {
-      const int32_t idx = w.overlap_index[j];
-      if (idx < 0 || static_cast<size_t>(idx) >= n)
-        return StrFormat("overlap_index[%zu] = %d out of range [0, %zu)", j,
-                         static_cast<int>(idx), n);
-      if (j > 0 && idx <= w.overlap_index[j - 1])
-        return StrFormat("overlap_index not sorted at entry %zu", j);
-      const bool diagonal = static_cast<size_t>(idx) == self_index;
-      saw_diagonal = saw_diagonal || diagonal;
-      if (w.overlap_value[j] < 0.0)
-        return StrFormat("overlap_value[%zu] negative", j);
-      if (!diagonal && w.overlap_value[j] > 1.0)
-        return StrFormat("overlap_value[%zu] > 1 off the diagonal", j);
-      if (!w.overlap.empty() &&
-          w.overlap_value[j] != w.overlap[static_cast<size_t>(idx)])
-        return StrFormat(
-            "overlap_value[%zu] disagrees with dense overlap[%d]", j,
-            static_cast<int>(idx));
-    }
-    if (self_index != static_cast<size_t>(-1) && !saw_diagonal)
-      return StrFormat("sparse row missing diagonal entry %zu", self_index);
-  }
+  if (self_index != static_cast<size_t>(-1) && !saw_diagonal)
+    return StrFormat("overlap row missing diagonal entry %zu", self_index);
   return std::string();
 }
 
 }  // namespace
 
 double WorkloadDesc::overlap_with(size_t k) const {
-  if (has_sparse_overlap()) {
-    const auto it = std::lower_bound(overlap_index.begin(),
-                                     overlap_index.end(),
-                                     static_cast<int32_t>(k));
-    if (it == overlap_index.end() || static_cast<size_t>(*it) != k)
-      return 0.0;
-    return overlap_value[static_cast<size_t>(it - overlap_index.begin())];
-  }
-  if (k < overlap.size()) return overlap[k];
-  return 0.0;
+  const auto it = std::lower_bound(overlap_index.begin(), overlap_index.end(),
+                                   static_cast<int32_t>(k));
+  if (it == overlap_index.end() || static_cast<size_t>(*it) != k) return 0.0;
+  return overlap_value[static_cast<size_t>(it - overlap_index.begin())];
 }
 
 bool IsValidWorkload(const WorkloadDesc& w, size_t n, size_t self_index) {
@@ -99,58 +75,14 @@ Status ValidateWorkloadSet(const WorkloadSet& ws) {
   return Status::Ok();
 }
 
-void SparsifyOverlap(WorkloadSet* workloads, const SparsifyOptions& options) {
-  const size_t n = workloads->size();
-  // Scratch reused across rows: (value, index) candidates for top-k.
-  std::vector<std::pair<double, int32_t>> kept;
-  for (size_t i = 0; i < n; ++i) {
-    WorkloadDesc& w = (*workloads)[i];
-    if (w.overlap.empty()) continue;  // already sparse-only
-    kept.clear();
-    for (size_t k = 0; k < w.overlap.size(); ++k) {
-      if (k == i) continue;
-      if (w.overlap[k] > options.threshold)
-        kept.emplace_back(w.overlap[k], static_cast<int32_t>(k));
-    }
-    if (options.top_k > 0 &&
-        kept.size() > static_cast<size_t>(options.top_k)) {
-      // Largest values win; ties go to the lower index so the result is
-      // independent of iteration order.
-      std::sort(kept.begin(), kept.end(),
-                [](const std::pair<double, int32_t>& a,
-                   const std::pair<double, int32_t>& b) {
-                  if (a.first != b.first) return a.first > b.first;
-                  return a.second < b.second;
-                });
-      kept.resize(static_cast<size_t>(options.top_k));
-    }
-    std::sort(kept.begin(), kept.end(),
-              [](const std::pair<double, int32_t>& a,
-                 const std::pair<double, int32_t>& b) {
-                return a.second < b.second;
-              });
-    w.overlap_index.clear();
-    w.overlap_value.clear();
-    w.overlap_index.reserve(kept.size() + 1);
-    w.overlap_value.reserve(kept.size() + 1);
-    bool diagonal_emitted = false;
-    for (const auto& [value, idx] : kept) {
-      if (!diagonal_emitted && static_cast<size_t>(idx) > i) {
-        w.overlap_index.push_back(static_cast<int32_t>(i));
-        w.overlap_value.push_back(w.overlap[i]);
-        diagonal_emitted = true;
-      }
-      w.overlap_index.push_back(idx);
-      w.overlap_value.push_back(value);
-    }
-    if (!diagonal_emitted) {
-      w.overlap_index.push_back(static_cast<int32_t>(i));
-      w.overlap_value.push_back(w.overlap[i]);
-    }
-    if (!options.keep_dense) {
-      w.overlap.clear();
-      w.overlap.shrink_to_fit();
-    }
+void SetOverlapRow(WorkloadDesc* w, size_t self_index,
+                   const std::vector<double>& row) {
+  w->overlap_index.clear();
+  w->overlap_value.clear();
+  for (size_t k = 0; k < row.size(); ++k) {
+    if (k != self_index && row[k] == 0.0) continue;
+    w->overlap_index.push_back(static_cast<int32_t>(k));
+    w->overlap_value.push_back(row[k]);
   }
 }
 

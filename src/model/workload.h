@@ -14,47 +14,35 @@ namespace ldb {
 ///
 /// All rates are requests/second, sizes are bytes, and `run_count` is the
 /// mean number of consecutive sequential requests between non-sequential
-/// jumps (1 = fully random). `overlap[k]` in [0,1] is the fraction of this
+/// jumps (1 = fully random). O_i[k] in [0,1] is the fraction of this
 /// workload's requests that are temporally correlated with requests of
-/// workload k (O_i[k] in the paper).
+/// workload k.
 ///
-/// The diagonal entry `overlap[i]` extends the paper's model with
+/// The diagonal entry O_i[i] extends the paper's model with
 /// *self-overlap*: the mean number of the object's own other requests in
 /// flight when a request is issued (>= 0, unbounded). Concurrent queries
 /// scanning the same table interfere with each other exactly like distinct
 /// objects do, but Eq. 2 sums only k != i; the target model adds this term
 /// to the contention factor.
 ///
-/// Two overlap representations are supported:
-///  - dense: `overlap` has size N (one entry per object);
-///  - sparse (CSR row): `overlap_index` / `overlap_value` hold only the
-///    non-negligible neighbors, with `overlap_index` strictly increasing and
-///    the diagonal entry always present. At fleet scale (N = O(10k)) the
-///    dense form is O(N²) across the set, so the sparse form may stand
-///    alone (`overlap` empty).
-/// When both are present the sparse arrays are authoritative: the target
-/// model iterates them and ignores dense entries outside their support
-/// (those are exactly the entries a sparsification threshold discarded).
+/// The overlap row O_i is stored as one CSR row: `overlap_index` holds the
+/// neighbor ids, strictly increasing, with the diagonal (own id) always
+/// present; `overlap_value` holds O_i at those ids. Co-access is sparse, so
+/// a row costs O(partners), not O(N); ids absent from the row read as 0.
 struct WorkloadDesc {
   double read_rate = 0.0;    ///< λ^R_i
   double write_rate = 0.0;   ///< λ^W_i
   double read_size = 0.0;    ///< B^R_i (mean read request bytes)
   double write_size = 0.0;   ///< B^W_i (mean write request bytes)
   double run_count = 1.0;    ///< Q_i
-  std::vector<double> overlap;  ///< O_i[k], k over all N objects (dense form)
 
-  /// Sparse row: neighbor object ids, strictly increasing, diagonal (own id)
-  /// always included. Empty means "dense form only".
+  /// Neighbor object ids, strictly increasing, diagonal always included.
   std::vector<int32_t> overlap_index;
   /// O_i[overlap_index[j]], parallel to `overlap_index`.
   std::vector<double> overlap_value;
 
-  /// True when the sparse CSR row is present (and therefore authoritative).
-  bool has_sparse_overlap() const { return !overlap_index.empty(); }
-
-  /// O_i[k] under the active representation (binary search on the sparse
-  /// row; absent sparse entries read as 0). For cold paths only — hot loops
-  /// iterate the arrays directly.
+  /// O_i[k] (binary search on the row; absent entries read as 0). For cold
+  /// paths only — hot loops iterate the arrays directly.
   double overlap_with(size_t k) const;
 
   /// Total request rate λ^R + λ^W (used by the initial-layout heuristic).
@@ -68,16 +56,14 @@ struct WorkloadDesc {
   }
 };
 
-/// A workload set: one description per database object; dense `overlap`
-/// vectors (when present) all have size N.
+/// A workload set: one description per database object.
 using WorkloadSet = std::vector<WorkloadDesc>;
 
 /// Returns true if `w` is internally consistent (non-negative rates/sizes,
-/// run_count >= 1, a dense overlap vector of size `n` and/or a well-formed
-/// sparse row — sorted, in-range, diagonal present — with off-diagonal
-/// entries in [0,1]). `self_index` identifies the diagonal (self-overlap)
-/// entry, which may exceed 1; pass SIZE_MAX when unknown to skip the
-/// diagonal-specific checks.
+/// run_count >= 1, and a well-formed overlap row — sorted, in range [0, n),
+/// diagonal present — with off-diagonal entries in [0,1]). `self_index`
+/// identifies the diagonal (self-overlap) entry, which may exceed 1; pass
+/// SIZE_MAX when unknown to skip the diagonal-specific checks.
 bool IsValidWorkload(const WorkloadDesc& w, size_t n,
                      size_t self_index = static_cast<size_t>(-1));
 
@@ -86,26 +72,13 @@ bool IsValidWorkload(const WorkloadDesc& w, size_t n,
 /// overlap_index not sorted at entry 3") for the first violation.
 Status ValidateWorkloadSet(const WorkloadSet& ws);
 
-/// Controls SparsifyOverlap.
-struct SparsifyOptions {
-  /// Keep off-diagonal entries strictly greater than this. The default (0)
-  /// drops exactly the zero entries, so the sparse row reproduces dense
-  /// arithmetic term-for-term (adding 0.0 to a finite non-negative sum is
-  /// exact in IEEE arithmetic).
-  double threshold = 0.0;
-  /// When > 0, keep at most this many off-diagonal neighbors per object
-  /// (the largest values; ties broken toward the lower index).
-  int top_k = 0;
-  /// Retain the dense vectors alongside the sparse rows. Default drops
-  /// them — at fleet scale they are the O(N²) memory being eliminated.
-  bool keep_dense = false;
-};
-
-/// Converts each workload's dense overlap row into the sparse CSR form
-/// (diagonal always kept). Workloads already in sparse-only form are left
-/// untouched. Deterministic: output depends only on the input values.
-void SparsifyOverlap(WorkloadSet* workloads,
-                     const SparsifyOptions& options = {});
+/// Sets `w`'s overlap row from the full row `row` (row[k] = O_i[k], one
+/// entry per object, `self_index` the diagonal): keeps the diagonal and
+/// every nonzero off-diagonal entry. Only exact zeros are dropped, and
+/// adding 0.0 to a finite sum is exact, so the row prices exactly like the
+/// full one up to summation order.
+void SetOverlapRow(WorkloadDesc* w, size_t self_index,
+                   const std::vector<double>& row);
 
 }  // namespace ldb
 

@@ -22,32 +22,22 @@ double WriteFraction(const WorkloadDesc& w) {
   return total > 0.0 ? w.write_rate / total : 0.0;
 }
 
-/// Off-diagonal L1 distance between two overlap rows when at least one is
-/// in the sparse representation. Walks the union of supports; entries
-/// outside both supports contribute exactly zero.
-double SparseOverlapL1(const WorkloadDesc& l, const WorkloadDesc& r,
-                       size_t i) {
+/// Off-diagonal L1 distance between two overlap rows. Walks the union of
+/// the rows' supports in ascending id order; entries outside both supports
+/// contribute exactly zero.
+double OverlapL1(const WorkloadDesc& l, const WorkloadDesc& r, size_t i) {
   double ovl = 0.0;
-  if (l.has_sparse_overlap() && r.has_sparse_overlap()) {
-    size_t a = 0, b = 0;
-    const size_t na = l.overlap_index.size(), nb = r.overlap_index.size();
-    while (a < na || b < nb) {
-      const int32_t ka = a < na ? l.overlap_index[a]
-                                : std::numeric_limits<int32_t>::max();
-      const int32_t kb = b < nb ? r.overlap_index[b]
-                                : std::numeric_limits<int32_t>::max();
-      const int32_t k = std::min(ka, kb);
-      const double lv = ka == k ? l.overlap_value[a++] : 0.0;
-      const double rv = kb == k ? r.overlap_value[b++] : 0.0;
-      if (static_cast<size_t>(k) != i) ovl += std::fabs(lv - rv);
-    }
-    return ovl;
-  }
-  const WorkloadDesc& dense = l.has_sparse_overlap() ? r : l;
-  const WorkloadDesc& sparse = l.has_sparse_overlap() ? l : r;
-  for (size_t k = 0; k < dense.overlap.size(); ++k) {
-    if (k == i) continue;
-    ovl += std::fabs(dense.overlap[k] - sparse.overlap_with(k));
+  size_t a = 0, b = 0;
+  const size_t na = l.overlap_index.size(), nb = r.overlap_index.size();
+  while (a < na || b < nb) {
+    const int32_t ka =
+        a < na ? l.overlap_index[a] : std::numeric_limits<int32_t>::max();
+    const int32_t kb =
+        b < nb ? r.overlap_index[b] : std::numeric_limits<int32_t>::max();
+    const int32_t k = std::min(ka, kb);
+    const double lv = ka == k ? l.overlap_value[a++] : 0.0;
+    const double rv = kb == k ? r.overlap_value[b++] : 0.0;
+    if (static_cast<size_t>(k) != i) ovl += std::fabs(lv - rv);
   }
   return ovl;
 }
@@ -90,28 +80,14 @@ double DriftDetector::Score(const WorkloadSet& live) const {
                              std::max(r.mean_size(), 512.0)));
     d = std::max(d, LogShift(l.run_count, r.run_count));
     d = std::max(d, std::fabs(WriteFraction(l) - WriteFraction(r)));
-    const bool r_has = r.has_sparse_overlap() || !r.overlap.empty();
-    const bool l_has = l.has_sparse_overlap() || !l.overlap.empty();
-    if (r_has && l_has &&
-        (r.has_sparse_overlap() || l.has_sparse_overlap() ||
-         r.overlap.size() == l.overlap.size())) {
-      double ovl = 0.0;
-      if (!r.has_sparse_overlap() && !l.has_sparse_overlap()) {
-        for (size_t k = 0; k < n; ++k) {
-          if (k == i) continue;
-          ovl += std::fabs(l.overlap[k] - r.overlap[k]);
-        }
-      } else {
-        ovl = SparseOverlapL1(l, r, i);
-      }
-      // Entries outside either support differ by exactly zero, so the
-      // dense normalization (n-1 terms) carries over to the sparse walk.
-      if (n > 1) d = std::max(d, ovl / static_cast<double>(n - 1));
-      // Self-overlap is unbounded (a concurrency count): compare as a
-      // log ratio like the other magnitude-type statistics.
-      d = std::max(d, LogShift(1.0 + l.overlap_with(i),
-                               1.0 + r.overlap_with(i)));
+    // Normalized over the n-1 off-diagonal entries of a full row.
+    if (n > 1) {
+      d = std::max(d, OverlapL1(l, r, i) / static_cast<double>(n - 1));
     }
+    // Self-overlap is unbounded (a concurrency count): compare as a log
+    // ratio like the other magnitude-type statistics.
+    d = std::max(d, LogShift(1.0 + l.overlap_with(i),
+                             1.0 + r.overlap_with(i)));
     weight_sum += weight;
     score_sum += weight * d;
   }

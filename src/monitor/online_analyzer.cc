@@ -217,7 +217,11 @@ void OnlineAnalyzer::Observe(const IoEvent& ev) {
 
 WorkloadSet OnlineAnalyzer::Snapshot() const {
   WorkloadSet out(static_cast<size_t>(n_));
-  for (WorkloadDesc& w : out) w.overlap.assign(static_cast<size_t>(n_), 0.0);
+  // Idle objects keep a diagonal-only row.
+  for (int i = 0; i < n_; ++i) {
+    out[static_cast<size_t>(i)].overlap_index = {i};
+    out[static_cast<size_t>(i)].overlap_value = {0.0};
+  }
   if (events_ == 0) return out;
 
   const double T = max_complete_;
@@ -226,6 +230,7 @@ WorkloadSet OnlineAnalyzer::Snapshot() const {
       lambda_ > 0.0 ? (1.0 - std::exp(-lambda_ * duration)) / lambda_
                     : duration;
 
+  std::vector<double> overlap(static_cast<size_t>(n_));
   for (int i = 0; i < n_; ++i) {
     const Row& row = rows_[static_cast<size_t>(i)];
     WorkloadDesc& w = out[static_cast<size_t>(i)];
@@ -242,15 +247,15 @@ WorkloadSet OnlineAnalyzer::Snapshot() const {
         &hits_[static_cast<size_t>(i) * static_cast<size_t>(n_)];
     for (int k = 0; k < n_; ++k) {
       if (k == i) continue;
-      w.overlap[static_cast<size_t>(k)] =
+      overlap[static_cast<size_t>(k)] =
           std::clamp(hrow[k] / row.requests, 0.0, 1.0);
     }
-    w.overlap[static_cast<size_t>(i)] =
+    overlap[static_cast<size_t>(i)] =
         std::max(0.0, row.self_sum / row.requests);
+    SetOverlapRow(&w, static_cast<size_t>(i), overlap);
     LDB_CHECK(IsValidWorkload(w, static_cast<size_t>(n_),
                               static_cast<size_t>(i)));
   }
-  if (options_.sparse_overlap) SparsifyOverlap(&out, options_.sparsify);
   return out;
 }
 

@@ -37,14 +37,8 @@ struct OnlineAnalyzerOptions {
   /// intervals; only workloads with many gaps longer than
   /// 2*overlap_window_s need depth here.
   int busy_capacity = 64;
-  /// When true, Snapshot() emits the overlap matrix in the sparse CSR form
-  /// (SparsifyOverlap with `sparsify` below) so fleet-scale consumers never
-  /// hold N² dense rows. The internal hit accounting stays dense — the
-  /// analyzer was constructed for a fixed N.
+  /// No effect (overlap rows are always CSR); kept because layoutbench sets it.
   bool sparse_overlap = false;
-  /// Sparsification policy when `sparse_overlap` is set; the default keeps
-  /// every nonzero neighbor (threshold 0) and drops the dense rows.
-  SparsifyOptions sparsify;
 };
 
 /// Streaming counterpart of TraceAnalyzer (the monitor's sensor): ingests

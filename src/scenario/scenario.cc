@@ -599,13 +599,18 @@ std::vector<ScenarioSegment> BuildTimeline(const ScenarioSpec& spec,
   const InteractionGraph graph(spec);
   std::vector<ScenarioSegment> timeline;
   const size_t n = static_cast<size_t>(num_objects);
+  std::vector<double> overlap(n);
   for (size_t b = 0; b + 1 < bounds.size(); ++b) {
     ScenarioSegment seg;
     seg.start_s = bounds[b];
     seg.end_s = bounds[b + 1];
     const double mid = (seg.start_s + seg.end_s) / 2.0;
     seg.workloads.assign(n, WorkloadDesc{});
-    for (WorkloadDesc& w : seg.workloads) w.overlap.assign(n, 0.0);
+    // Rows start diagonal-only; graph tenants' objects get their peers.
+    for (size_t o = 0; o < n; ++o) {
+      seg.workloads[o].overlap_index = {static_cast<int32_t>(o)};
+      seg.workloads[o].overlap_value = {0.0};
+    }
     for (size_t t = 0; t < spec.tenants.size(); ++t) {
       const ScenarioTenant& tenant = spec.tenants[t];
       const double mult = TenantRateMultiplier(spec, t, mid);
@@ -627,16 +632,14 @@ std::vector<ScenarioSegment> BuildTimeline(const ScenarioSpec& spec,
         w.write_size = static_cast<double>(tenant.request_bytes);
         w.run_count = tenant.run_length;
         if (g != nullptr) {
-          const std::vector<int>& peers = graph.Community(o, mid);
-          for (int p : peers) {
-            if (p != o) {
-              w.overlap[static_cast<size_t>(p)] = g->coaccess;
-            }
+          std::fill(overlap.begin(), overlap.end(), 0.0);
+          for (int p : graph.Community(o, mid)) {
+            if (p != o) overlap[static_cast<size_t>(p)] = g->coaccess;
           }
+          SetOverlapRow(&w, static_cast<size_t>(o), overlap);
         }
       }
     }
-    SparsifyOverlap(&seg.workloads);
     timeline.push_back(std::move(seg));
   }
   return timeline;

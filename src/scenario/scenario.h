@@ -52,7 +52,7 @@ struct ScenarioDrift {
 /// `burst` objects of one community together, and every `rewire_s`
 /// seconds the partition is reshuffled (community rewiring). The same
 /// epochs drive both the player (co-access bursts) and the analytic
-/// timeline (overlap rows, emitted as CSR via SparsifyOverlap).
+/// timeline (overlap rows).
 struct ScenarioGraph {
   int tenant = -1;
   int communities = 2;
@@ -145,8 +145,8 @@ class InteractionGraph {
 struct ScenarioSegment {
   double start_s = 0.0;
   double end_s = 0.0;
-  /// Workload descriptions at the segment midpoint, overlap rows in the
-  /// sparse CSR form (SparsifyOverlap of the graph co-access structure).
+  /// Workload descriptions at the segment midpoint; overlap rows hold the
+  /// graph co-access structure.
   WorkloadSet workloads;
 };
 

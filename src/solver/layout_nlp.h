@@ -104,8 +104,8 @@ struct SolverResult {
   Layout layout;            ///< optimized (generally non-regular) layout
   double max_utilization;   ///< true max_j µ_j of `layout`
   int iterations = 0;       ///< gradient steps taken
-  /// µ_j column evaluations (O(N²) each). Every evaluation is a fused
-  /// pass, so this equals gradient_evaluations.
+  /// Objective-only max_j µ_j evaluations (RandomizedSearchSolver); the
+  /// projected-gradient solver counts its passes in gradient_evaluations.
   int64_t objective_evaluations = 0;
   /// Fused value+gradient column passes that ran: one per column for the
   /// seed, for every line-search trial and after a capacity repair.

@@ -481,7 +481,6 @@ Result<SolverResult> ProjectedGradientSolver::Solve(
       x.IsValid(problem.object_sizes, problem.target_capacities, 1e-6) &&
       problem.constraints.SatisfiedBy(x, /*tol=*/1e-3);
   result.max_utilization = eval.TrueMax();
-  result.objective_evaluations = result.gradient_evaluations;
   result.interp_queries =
       eval.TotalInterpQueries() + trial_eval.TotalInterpQueries();
   return result;

@@ -100,7 +100,6 @@ Result<WorkloadSet> TraceAnalyzer::Analyze(const IoTrace& trace,
   for (int i = 0; i < num_objects; ++i) {
     const ObjectStream& s = streams[static_cast<size_t>(i)];
     WorkloadDesc& w = out[static_cast<size_t>(i)];
-    w.overlap.assign(static_cast<size_t>(num_objects), 0.0);
     if (s.requests == 0) continue;
     w.read_rate = static_cast<double>(s.reads) / duration;
     w.write_rate = static_cast<double>(s.writes) / duration;
@@ -117,43 +116,40 @@ Result<WorkloadSet> TraceAnalyzer::Analyze(const IoTrace& trace,
                   static_cast<double>(s.runs);
   }
 
-  // Pairwise overlap: fraction of i's submits inside k's busy intervals.
+  // Overlap rows, one full row at a time. Off the diagonal: the fraction
+  // of i's submits inside k's busy intervals. On it, the self-overlap: the
+  // mean number of the object's own *other* requests in flight at its
+  // submit times. This is how concurrent queries scanning the same object
+  // show up; the target model folds it into the contention factor.
+  struct Edge {
+    double t;
+    int delta;
+  };
+  std::vector<Edge> edges;
+  std::vector<double> row;
   for (int i = 0; i < num_objects; ++i) {
     const ObjectStream& si = streams[static_cast<size_t>(i)];
-    if (si.requests == 0) continue;
-    for (int k = 0; k < num_objects; ++k) {
-      if (k == i) continue;
-      const ObjectStream& sk = streams[static_cast<size_t>(k)];
-      if (sk.requests == 0) continue;
-      uint64_t hits = 0;
-      size_t cursor = 0;
-      for (const double t : si.submit_times) {
-        while (cursor < sk.busy.size() && sk.busy[cursor].second < t) {
-          ++cursor;
+    row.assign(static_cast<size_t>(num_objects), 0.0);
+    if (si.requests > 0) {
+      for (int k = 0; k < num_objects; ++k) {
+        if (k == i) continue;
+        const ObjectStream& sk = streams[static_cast<size_t>(k)];
+        if (sk.requests == 0) continue;
+        uint64_t hits = 0;
+        size_t cursor = 0;
+        for (const double t : si.submit_times) {
+          while (cursor < sk.busy.size() && sk.busy[cursor].second < t) {
+            ++cursor;
+          }
+          if (cursor < sk.busy.size() && sk.busy[cursor].first <= t) ++hits;
         }
-        if (cursor < sk.busy.size() && sk.busy[cursor].first <= t) ++hits;
+        row[static_cast<size_t>(k)] =
+            static_cast<double>(hits) / static_cast<double>(si.requests);
       }
-      out[static_cast<size_t>(i)].overlap[static_cast<size_t>(k)] =
-          static_cast<double>(hits) / static_cast<double>(si.requests);
-    }
-  }
 
-  // Self-overlap: mean number of the object's own *other* requests in
-  // flight at its submit times. This is how concurrent queries scanning
-  // the same object show up; the target model folds it into the
-  // contention factor.
-  {
-    struct Edge {
-      double t;
-      int delta;
-    };
-    std::vector<Edge> edges;
-    for (int i = 0; i < num_objects; ++i) {
-      const ObjectStream& s = streams[static_cast<size_t>(i)];
-      if (s.requests == 0) continue;
       edges.clear();
-      edges.reserve(2 * s.intervals.size());
-      for (const auto& iv : s.intervals) {
+      edges.reserve(2 * si.intervals.size());
+      for (const auto& iv : si.intervals) {
         edges.push_back(Edge{iv.first, +1});
         edges.push_back(Edge{iv.second, -1});
       }
@@ -166,20 +162,18 @@ Result<WorkloadSet> TraceAnalyzer::Analyze(const IoTrace& trace,
       uint64_t concurrent_sum = 0;
       size_t cursor = 0;
       int open = 0;
-      for (const double t : s.submit_times) {
+      for (const double t : si.submit_times) {
         while (cursor < edges.size() && edges[cursor].t <= t) {
           open += edges[cursor].delta;
           ++cursor;
         }
         concurrent_sum += static_cast<uint64_t>(std::max(0, open - 1));
       }
-      out[static_cast<size_t>(i)].overlap[static_cast<size_t>(i)] =
-          static_cast<double>(concurrent_sum) /
-          static_cast<double>(s.requests);
+      row[static_cast<size_t>(i)] = static_cast<double>(concurrent_sum) /
+                                    static_cast<double>(si.requests);
     }
+    SetOverlapRow(&out[static_cast<size_t>(i)], static_cast<size_t>(i), row);
   }
-
-  if (options_.sparse_overlap) SparsifyOverlap(&out, options_.sparsify);
 
   for (int i = 0; i < num_objects; ++i) {
     LDB_CHECK(IsValidWorkload(out[static_cast<size_t>(i)],

@@ -28,14 +28,6 @@ struct AnalyzerOptions {
   /// — the paper's observation that LINEITEM is "less sequential" under
   /// OLAP8-63 than OLAP1-63.
   int max_open_runs = 8;
-  /// When true the fitted overlap matrix is emitted in the sparse CSR form
-  /// (SparsifyOverlap with `sparsify` below) — required at fleet scale,
-  /// where dense rows are O(N²) across the set.
-  bool sparse_overlap = false;
-  /// Sparsification policy when `sparse_overlap` is set. The default
-  /// (threshold 0, unbounded top_k, dense dropped) keeps every nonzero
-  /// neighbor, so the sparse output reproduces the dense fit exactly.
-  SparsifyOptions sparsify;
 };
 
 /// Rubicon-style trace analysis (paper Section 5.1): fits the Rome workload

@@ -121,12 +121,16 @@ Result<WorkloadSet> EstimateWorkloads(const Catalog& catalog,
   const double duration = total_bytes / options.nominal_bytes_per_second;
 
   WorkloadSet out(static_cast<size_t>(n));
+  std::vector<double> overlap;
   for (int i = 0; i < n; ++i) {
     const ObjectAcc& a = acc[static_cast<size_t>(i)];
     WorkloadDesc& w = out[static_cast<size_t>(i)];
-    w.overlap.assign(static_cast<size_t>(n), 0.0);
+    overlap.assign(static_cast<size_t>(n), 0.0);
     const double requests = a.read_requests + a.write_requests;
-    if (requests <= 0) continue;
+    if (requests <= 0) {
+      SetOverlapRow(&w, static_cast<size_t>(i), overlap);
+      continue;
+    }
     w.read_rate = a.read_requests / duration;
     w.write_rate = a.write_requests / duration;
     w.read_size = a.read_requests > 0 ? a.read_bytes / a.read_requests : 0;
@@ -141,7 +145,7 @@ Result<WorkloadSet> EstimateWorkloads(const Catalog& catalog,
         // Self-overlap: expected number of *other* concurrent executions
         // on this object.
         const double duty = (a.read_bytes + a.write_bytes) / total_bytes;
-        w.overlap[static_cast<size_t>(k)] =
+        overlap[static_cast<size_t>(k)] =
             std::max(0.0, (concurrency - 1) * duty);
         continue;
       }
@@ -152,9 +156,10 @@ Result<WorkloadSet> EstimateWorkloads(const Catalog& catalog,
         const double duty_k = (b.read_bytes + b.write_bytes) / total_bytes;
         inter = 1.0 - std::exp(-(concurrency - 1) * duty_k);
       }
-      w.overlap[static_cast<size_t>(k)] =
+      overlap[static_cast<size_t>(k)] =
           std::min(1.0, intra + (1.0 - intra) * inter);
     }
+    SetOverlapRow(&w, static_cast<size_t>(i), overlap);
   }
 
   for (int i = 0; i < n; ++i) {

@@ -38,11 +38,13 @@ Result<OltpSpec> Oltp() { return MakeOltpSpec(TriRig().catalog()); }
 // trip-driven tests; irrelevant when tripping is disabled.
 WorkloadSet TokenReference(int n) {
   WorkloadSet ws(static_cast<size_t>(n));
-  for (auto& w : ws) {
+  for (int i = 0; i < n; ++i) {
+    WorkloadDesc& w = ws[static_cast<size_t>(i)];
     w.read_rate = 1.0;
     w.read_size = 8 * 1024;
     w.run_count = 1.0;
-    w.overlap.assign(static_cast<size_t>(n), 0.0);
+    w.overlap_index = {i};
+    w.overlap_value = {0.0};
   }
   return ws;
 }

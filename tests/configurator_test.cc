@@ -60,7 +60,8 @@ ConfiguratorInput MakeInput(int n) {
     w.read_rate = 120.0 / (i + 1);
     w.read_size = 64 * kKiB;
     w.run_count = i == 0 ? 100.0 : 1.0;  // object 0 is a sequential scan
-    w.overlap.assign(static_cast<size_t>(n), 0.0);
+    w.overlap_index = {i};
+    w.overlap_value = {0.0};
     input.workloads.push_back(std::move(w));
   }
   return input;

@@ -49,7 +49,8 @@ LayoutProblem MakeProblem(int n, int m) {
     w.read_rate = 100.0 / (i + 1);
     w.read_size = 8 * kKiB;
     w.run_count = 1.0;
-    w.overlap.assign(static_cast<size_t>(n), 0.0);
+    w.overlap_index = {i};
+    w.overlap_value = {0.0};
     p.workloads.push_back(std::move(w));
   }
   for (int j = 0; j < m; ++j) {

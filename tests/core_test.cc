@@ -58,7 +58,8 @@ LayoutProblem MakeProblem(int n, int m, int64_t object_size = kGiB,
     w.read_rate = 100.0 / (i + 1);
     w.read_size = 8 * kKiB;
     w.run_count = 1.0;
-    w.overlap.assign(static_cast<size_t>(n), 0.0);
+    w.overlap_index = {i};
+    w.overlap_value = {0.0};
     p.workloads.push_back(std::move(w));
   }
   for (int j = 0; j < m; ++j) {
@@ -243,8 +244,8 @@ TEST(AdvisorTest, BeatsSeeOnInterferingWorkload) {
     p.workloads[static_cast<size_t>(i)].read_size = 256 * kKiB;
     p.workloads[static_cast<size_t>(i)].run_count = 64;
   }
-  p.workloads[0].overlap[1] = 1.0;
-  p.workloads[1].overlap[0] = 1.0;
+  SetOverlapRow(&p.workloads[0], 0, {0.0, 1.0, 0.0, 0.0});
+  SetOverlapRow(&p.workloads[1], 1, {1.0, 0.0, 0.0, 0.0});
   LayoutAdvisor advisor;
   auto r = advisor.Recommend(p);
   ASSERT_TRUE(r.ok());
@@ -272,7 +273,7 @@ TEST(AdvisorTest, ReportsAllStages) {
   EXPECT_EQ(r->utilization_final.size(), 3u);
   EXPECT_GE(r->solver_seconds, 0.0);
   EXPECT_GE(r->regularization_seconds, 0.0);
-  EXPECT_GT(r->solver_stats.objective_evaluations, 0);
+  EXPECT_GT(r->solver_stats.gradient_evaluations, 0);
   // Solver should do no worse than its seed.
   const double init_max = *std::max_element(
       r->utilization_initial.begin(), r->utilization_initial.end());

@@ -74,14 +74,16 @@ TEST(EstimatorTest, CoScannedObjectsOverlap) {
   const ObjectId ord = *cat.Find("ORDERS");
   const ObjectId nation = *cat.Find("NATION");
   // LINEITEM and ORDERS are joined in many queries.
-  EXPECT_GT((*ws)[static_cast<size_t>(ord)].overlap[static_cast<size_t>(li)],
-            0.5);
+  EXPECT_GT(
+      (*ws)[static_cast<size_t>(ord)].overlap_with(static_cast<size_t>(li)),
+      0.5);
   EXPECT_DOUBLE_EQ(
-      (*ws)[static_cast<size_t>(li)].overlap[static_cast<size_t>(nation)],
+      (*ws)[static_cast<size_t>(li)].overlap_with(static_cast<size_t>(nation)),
       0.0);
   // At concurrency 1, no self-overlap.
   EXPECT_DOUBLE_EQ(
-      (*ws)[static_cast<size_t>(li)].overlap[static_cast<size_t>(li)], 0.0);
+      (*ws)[static_cast<size_t>(li)].overlap_with(static_cast<size_t>(li)),
+      0.0);
 }
 
 TEST(EstimatorTest, ConcurrencyRaisesOverlapAndSelfOverlap) {
@@ -96,8 +98,8 @@ TEST(EstimatorTest, ConcurrencyRaisesOverlapAndSelfOverlap) {
   ASSERT_TRUE(ws8.ok());
   const size_t li = static_cast<size_t>(*cat.Find("LINEITEM"));
   const size_t part = static_cast<size_t>(*cat.Find("PART"));
-  EXPECT_GT((*ws8)[li].overlap[li], (*ws1)[li].overlap[li]);
-  EXPECT_GE((*ws8)[part].overlap[li], (*ws1)[part].overlap[li]);
+  EXPECT_GT((*ws8)[li].overlap_with(li), (*ws1)[li].overlap_with(li));
+  EXPECT_GE((*ws8)[part].overlap_with(li), (*ws1)[part].overlap_with(li));
 }
 
 TEST(EstimatorTest, OltpSpecSupported) {

@@ -47,7 +47,8 @@ LayoutProblem MakeProblem(int n, int m, int64_t capacity = 100 * kGiB) {
     w.read_rate = 100.0 / (i + 1);
     w.read_size = 8 * kKiB;
     w.run_count = 1.0;
-    w.overlap.assign(static_cast<size_t>(n), 0.0);
+    w.overlap_index = {i};
+    w.overlap_value = {0.0};
     p.workloads.push_back(std::move(w));
   }
   for (int j = 0; j < m; ++j) {
@@ -152,7 +153,8 @@ TEST(IncrementalTest, MatchesFullAdvisorQualityApproximately) {
   // Zero the workloads of the not-yet-created objects for the first run.
   for (int i = 4; i < 8; ++i) {
     first_half.workloads[static_cast<size_t>(i)] = WorkloadDesc{};
-    first_half.workloads[static_cast<size_t>(i)].overlap.assign(8, 0.0);
+    first_half.workloads[static_cast<size_t>(i)].overlap_index = {i};
+    first_half.workloads[static_cast<size_t>(i)].overlap_value = {0.0};
     first_half.workloads[static_cast<size_t>(i)].read_size = 0;
   }
   LayoutAdvisor advisor;

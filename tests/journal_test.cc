@@ -331,8 +331,10 @@ WorkloadSet TwoWorkloads() {
   ws[0].read_size = 8192;
   ws[0].write_size = 4096;
   ws[0].run_count = 2.5;
-  ws[0].overlap = {1.0, 0.125};
+  ws[0].overlap_index = {0, 1};
+  ws[0].overlap_value = {1.0, 0.125};
   ws[1].read_rate = 7.0;
+  ws[1].read_size = 8192;
   ws[1].overlap_index = {1};
   ws[1].overlap_value = {1.0};
   return ws;
@@ -346,7 +348,6 @@ void ExpectSameWorkloads(const WorkloadSet& a, const WorkloadSet& b) {
     EXPECT_DOUBLE_EQ(a[i].read_size, b[i].read_size);
     EXPECT_DOUBLE_EQ(a[i].write_size, b[i].write_size);
     EXPECT_DOUBLE_EQ(a[i].run_count, b[i].run_count);
-    EXPECT_EQ(a[i].overlap, b[i].overlap);
     EXPECT_EQ(a[i].overlap_index, b[i].overlap_index);
     EXPECT_EQ(a[i].overlap_value, b[i].overlap_value);
   }
@@ -469,6 +470,60 @@ TEST(JournalTest, CheckpointClosesTheMigrationSegment) {
   EXPECT_FALSE(RecoverMigrationJournal(path, 99).ok());
 }
 
+// Writes `payloads` as the CRC-valid records of a fresh WAL, then
+// recovers the control state from it.
+Result<RecoveredControlState> RecoverPayloads(
+    const std::string& name, const std::vector<std::string>& payloads) {
+  const std::string path = TmpPath(name);
+  std::remove(path.c_str());
+  {
+    auto wal = WalWriter::Open(path);
+    LDB_CHECK(wal.ok());
+    for (const std::string& payload : payloads) {
+      LDB_CHECK((*wal)->Append(payload).ok());
+    }
+    LDB_CHECK((*wal)->Sync().ok());
+  }
+  return RecoverControlState(path);
+}
+
+// The CRC only proves the bytes are what was written. A record whose
+// workload section lies — a count no record can hold, one past the int
+// range, an overlap row naming an object past the set — must recover to
+// an error, not to an allocation on its say-so or an out-of-bounds read
+// later.
+TEST(JournalTest, CraftedWorkloadRecordsRecoverToAnError) {
+  const std::vector<std::string> crafted = {
+      "intent 1f 1 1 1 ref 2000000000 w 1 0 8192 0 1 s 1 0 0",
+      "intent 1f 1 1 1 ref 4294967297 w 1 0 8192 0 1 s 1 0 0",
+      "intent 1f 1 1 1 ref 2 w 1 0 8192 0 1 s 2 0 0 5 0.5"
+      " w 1 0 8192 0 1 s 1 1 0",
+  };
+  for (const std::string& payload : crafted) {
+    auto rec = RecoverPayloads("journal_crafted.wal", {payload});
+    ASSERT_FALSE(rec.ok()) << payload;
+    EXPECT_EQ(rec.status().code(), StatusCode::kIoError)
+        << rec.status().ToString();
+    EXPECT_NE(rec.status().message().find("record 0"), std::string::npos)
+        << rec.status().ToString();
+  }
+}
+
+// Journals written before overlap rows were CSR-only hold full `d` rows;
+// they decode to exactly the CSR rows of their `s` twin.
+TEST(JournalTest, FullRowsFromOlderJournalsDecodeToCsrRows) {
+  const std::string head = "ckpt 12.5 1 1 1 ref 2 w 120.5 3.25 8192 4096 2.5";
+  auto full = RecoverPayloads(
+      "journal_drows.wal", {head + " d 2 1 0.125 w 7 0 8192 0 1 d 2 0 1"});
+  auto csr = RecoverPayloads(
+      "journal_srows.wal",
+      {head + " s 2 0 1 1 0.125 w 7 0 8192 0 1 s 1 1 1"});
+  ASSERT_TRUE(full.ok()) << full.status().ToString();
+  ASSERT_TRUE(csr.ok()) << csr.status().ToString();
+  ExpectSameWorkloads(full->checkpoint_reference, csr->checkpoint_reference);
+  ExpectSameWorkloads(csr->checkpoint_reference, TwoWorkloads());
+}
+
 // --------------------------------------------- autopilot end-to-end rig
 
 constexpr double kScale = 0.02;
@@ -485,11 +540,13 @@ const ExperimentRig& TriRig() {
 
 WorkloadSet TokenReference(int n) {
   WorkloadSet ws(static_cast<size_t>(n));
-  for (auto& w : ws) {
+  for (int i = 0; i < n; ++i) {
+    WorkloadDesc& w = ws[static_cast<size_t>(i)];
     w.read_rate = 1.0;
     w.read_size = 8 * 1024;
     w.run_count = 1.0;
-    w.overlap.assign(static_cast<size_t>(n), 0.0);
+    w.overlap_index = {i};
+    w.overlap_value = {0.0};
   }
   return ws;
 }

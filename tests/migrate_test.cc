@@ -515,7 +515,8 @@ LayoutProblem TwoTargetProblem() {
     w.read_rate = 50;
     w.read_size = 8 * kKiB;
     w.run_count = 1.0;
-    w.overlap.assign(2, 0.0);
+    w.overlap_index = {i};
+    w.overlap_value = {0.0};
     p.workloads.push_back(std::move(w));
   }
   for (int j = 0; j < 2; ++j) {

@@ -1,9 +1,11 @@
 #include <algorithm>
 #include <cmath>
+#include <memory>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "full_overlap_row.h"
 #include "model/calibration.h"
 #include "model/cost_model.h"
 #include "model/layout.h"
@@ -101,9 +103,9 @@ TEST(WorkloadTest, ZeroRateWorkloadHasZeroMeanSize) {
 
 TEST(WorkloadTest, Validation) {
   WorkloadDesc w;
-  w.overlap.assign(3, 0.5);
+  SetFullOverlapRow(&w, {0.5, 0.5, 0.5});
   EXPECT_TRUE(IsValidWorkload(w, 3));
-  EXPECT_FALSE(IsValidWorkload(w, 4));  // wrong overlap size
+  EXPECT_FALSE(IsValidWorkload(w, 2));  // id 2 out of range
   w.run_count = 0.5;
   EXPECT_FALSE(IsValidWorkload(w, 3));
   w.run_count = 1.0;
@@ -111,7 +113,7 @@ TEST(WorkloadTest, Validation) {
   EXPECT_FALSE(IsValidWorkload(w, 3));
   w.read_size = 8 * kKiB;
   EXPECT_TRUE(IsValidWorkload(w, 3));
-  w.overlap[1] = 1.5;
+  w.overlap_value[1] = 1.5;
   EXPECT_FALSE(IsValidWorkload(w, 3));
 }
 
@@ -139,18 +141,11 @@ TEST(WorkloadTest, SparseValidation) {
   bad = w;
   bad.overlap_value = {1.5, 2.0};  // off-diagonal fraction > 1
   EXPECT_FALSE(IsValidWorkload(bad, 3, 1));
-
-  // When both representations are present they must agree entrywise.
-  WorkloadDesc both = w;
-  both.overlap = {0.25, 2.0, 0.0};
-  EXPECT_TRUE(IsValidWorkload(both, 3, 1));
-  both.overlap[0] = 0.3;
-  EXPECT_FALSE(IsValidWorkload(both, 3, 1));
 }
 
 TEST(WorkloadTest, ValidateWorkloadSetPinpointsClause) {
   WorkloadSet ws(3);
-  for (size_t i = 0; i < 3; ++i) ws[i].overlap.assign(3, 0.1);
+  for (size_t i = 0; i < 3; ++i) SetFullOverlapRow(&ws[i], {0.1, 0.1, 0.1});
   EXPECT_TRUE(ValidateWorkloadSet(ws).ok());
 
   ws[1].overlap_index = {2, 0};  // unsorted sparse row on workload 1
@@ -170,8 +165,9 @@ TEST(WorkloadTest, ValidateWorkloadSetPinpointsClause) {
             std::string::npos)
       << orphan.message();
 
-  ws[1].overlap_value.clear();
-  ws[2].overlap.clear();  // no overlap row at all
+  SetFullOverlapRow(&ws[1], {0.1, 0.1, 0.1});
+  ws[2].overlap_index.clear();  // no overlap row at all
+  ws[2].overlap_value.clear();
   const Status missing = ValidateWorkloadSet(ws);
   ASSERT_FALSE(missing.ok());
   EXPECT_NE(missing.message().find("workload 2"), std::string::npos)
@@ -180,53 +176,36 @@ TEST(WorkloadTest, ValidateWorkloadSetPinpointsClause) {
       << missing.message();
 }
 
-TEST(WorkloadTest, SparsifyOverlapThresholdZeroKeepsEveryNonzero) {
+TEST(WorkloadTest, SetOverlapRowKeepsDiagonalAndNonzeros) {
   WorkloadSet ws(4);
-  for (size_t i = 0; i < 4; ++i) {
-    ws[i].overlap.assign(4, 0.0);
-    ws[i].overlap[i] = 0.5 * static_cast<double>(i);
-  }
-  ws[0].overlap[2] = 0.3;
-  ws[0].overlap[3] = 0.7;
-  SparsifyOverlap(&ws);
-  // Row 0: diagonal + both nonzeros, sorted; dense form dropped.
-  EXPECT_TRUE(ws[0].overlap.empty());
+  SetOverlapRow(&ws[0], 0, {0.0, 0.0, 0.3, 0.7});
+  SetOverlapRow(&ws[1], 1, {0.0, 0.5, 0.0, 0.0});
+  SetOverlapRow(&ws[2], 2, {0.0, 0.0, 1.0, 0.0});
+  SetOverlapRow(&ws[3], 3, {0.0, 0.0, 0.0, 1.5});
+  // Row 0: zero diagonal + both nonzeros, sorted.
   ASSERT_EQ(ws[0].overlap_index, (std::vector<int32_t>{0, 2, 3}));
   EXPECT_EQ(ws[0].overlap_value, (std::vector<double>{0.0, 0.3, 0.7}));
   // Row 1: zero off-diagonals leave only the diagonal entry.
   ASSERT_EQ(ws[1].overlap_index, (std::vector<int32_t>{1}));
   EXPECT_EQ(ws[1].overlap_value, (std::vector<double>{0.5}));
-  for (size_t i = 0; i < 4; ++i) EXPECT_TRUE(IsValidWorkload(ws[i], 4, i));
-}
-
-TEST(WorkloadTest, SparsifyOverlapTopKAndThreshold) {
-  WorkloadSet ws(5);
-  ws[0].overlap = {2.0, 0.4, 0.1, 0.3, 0.2};
-  for (size_t i = 1; i < 5; ++i) ws[i].overlap.assign(5, 0.0);
-
-  SparsifyOptions options;
-  options.threshold = 0.15;  // drops the 0.1 entry
-  options.top_k = 2;         // keeps the two largest of the rest
-  options.keep_dense = true;
-  SparsifyOverlap(&ws, options);
-  ASSERT_EQ(ws[0].overlap_index, (std::vector<int32_t>{0, 1, 3}));
-  EXPECT_EQ(ws[0].overlap_value, (std::vector<double>{2.0, 0.4, 0.3}));
-  EXPECT_FALSE(ws[0].overlap.empty());  // keep_dense retains the row
-  EXPECT_TRUE(IsValidWorkload(ws[0], 5, 0));
+  EXPECT_TRUE(ValidateWorkloadSet(ws).ok());
 }
 
 TEST(WorkloadTest, OverlapWithReadsEitherRepresentation) {
-  WorkloadDesc dense;
-  dense.overlap = {0.0, 0.4, 0.0, 0.2};
-  EXPECT_DOUBLE_EQ(dense.overlap_with(1), 0.4);
-  EXPECT_DOUBLE_EQ(dense.overlap_with(2), 0.0);
-
-  WorkloadDesc sparse;
-  sparse.overlap_index = {1, 3};
-  sparse.overlap_value = {0.4, 0.2};
-  EXPECT_DOUBLE_EQ(sparse.overlap_with(1), 0.4);
-  EXPECT_DOUBLE_EQ(sparse.overlap_with(2), 0.0);
-  EXPECT_DOUBLE_EQ(sparse.overlap_with(3), 0.2);
+  // The same row stored in full (zeros included) and zero-trimmed.
+  const std::vector<double> row{0.0, 0.4, 0.0, 0.2};
+  WorkloadDesc full;
+  SetFullOverlapRow(&full, row);
+  WorkloadDesc trimmed;
+  SetOverlapRow(&trimmed, 0, row);
+  ASSERT_EQ(trimmed.overlap_index, (std::vector<int32_t>{0, 1, 3}));
+  for (const WorkloadDesc* w : {&full, &trimmed}) {
+    EXPECT_DOUBLE_EQ(w->overlap_with(0), 0.0);
+    EXPECT_DOUBLE_EQ(w->overlap_with(1), 0.4);
+    EXPECT_DOUBLE_EQ(w->overlap_with(2), 0.0);
+    EXPECT_DOUBLE_EQ(w->overlap_with(3), 0.2);
+    EXPECT_DOUBLE_EQ(w->overlap_with(7), 0.0);
+  }
 }
 
 // ----------------------------------------------------------- LayoutModel
@@ -385,7 +364,8 @@ WorkloadDesc SimpleWorkload(int n, double rate, double size, double run) {
   w.read_rate = rate;
   w.read_size = size;
   w.run_count = run;
-  w.overlap.assign(static_cast<size_t>(n), 0.0);
+  // Stored in full, so tests set O_i[k] as overlap_value[k].
+  SetFullOverlapRow(&w, std::vector<double>(static_cast<size_t>(n), 0.0));
   return w;
 }
 
@@ -417,8 +397,8 @@ TEST(TargetModelTest, OverlappingCoLocatedObjectsInterfere) {
                  LvmLayoutModel(kMiB));
   WorkloadSet ws{SimpleWorkload(2, 40.0, 8 * kKiB, 1.0),
                  SimpleWorkload(2, 40.0, 8 * kKiB, 1.0)};
-  ws[0].overlap[1] = 1.0;
-  ws[1].overlap[0] = 1.0;
+  ws[0].overlap_value[1] = 1.0;
+  ws[1].overlap_value[0] = 1.0;
 
   Layout together(2, 2);
   together.SetRowRegular(0, {0});
@@ -466,7 +446,7 @@ TEST(TargetModelTest, PerObjectBreakdownSumsToTotal) {
   WorkloadSet ws{SimpleWorkload(3, 40.0, 8 * kKiB, 1.0),
                  SimpleWorkload(3, 10.0, 64 * kKiB, 8.0),
                  SimpleWorkload(3, 5.0, 8 * kKiB, 1.0)};
-  ws[0].overlap[1] = ws[1].overlap[0] = 0.5;
+  ws[0].overlap_value[1] = ws[1].overlap_value[0] = 0.5;
   Layout l = Layout::StripeEverythingEverywhere(3, 2);
   std::vector<double> mu_ij;
   const auto mu = tm.Utilizations(ws, l, &mu_ij);
@@ -483,7 +463,7 @@ TEST(TargetModelTest, TargetUtilizationMatchesFullComputation) {
                  LvmLayoutModel(kMiB));
   WorkloadSet ws{SimpleWorkload(2, 40.0, 8 * kKiB, 1.0),
                  SimpleWorkload(2, 10.0, 64 * kKiB, 16.0)};
-  ws[0].overlap[1] = ws[1].overlap[0] = 1.0;
+  ws[0].overlap_value[1] = ws[1].overlap_value[0] = 1.0;
   Layout l(2, 2);
   l.Set(0, 0, 0.3);
   l.Set(0, 1, 0.7);
@@ -622,24 +602,18 @@ TEST(ColumnKernelTest, FusedPassMatchesScalarUtilization) {
       w.write_size = sizes[rng.UniformInt(uint64_t{6})];
       if (w.read_rate + w.write_rate <= 0.0) w.read_rate = 1.0;
       w.run_count = rng.Uniform(1, 120);
-      w.overlap.assign(static_cast<size_t>(n), 0.0);
+      std::vector<double> row(static_cast<size_t>(n));
       for (int k = 0; k < n; ++k) {
         // Heavy overlaps push χ past the axis end, where lookups clamp.
-        w.overlap[static_cast<size_t>(k)] =
+        row[static_cast<size_t>(k)] =
             k == i ? rng.Uniform(0, 3)
                    : (rng.Bernoulli(0.4) ? 0.0 : rng.Uniform(0, 1));
       }
-    }
-    // Cycle dense, CSR and mixed rows.
-    if (problem % 3 != 0) {
-      SparsifyOptions opts;
-      opts.keep_dense = problem % 3 == 2;
-      SparsifyOverlap(&ws, opts);
-      if (opts.keep_dense) {
-        for (size_t i = 0; i < ws.size(); i += 2) {
-          ws[i].overlap_index.clear();
-          ws[i].overlap_value.clear();
-        }
+      // Cycle full, zero-trimmed and mixed rows.
+      if (problem % 3 == 0 || (problem % 3 == 2 && i % 2 == 0)) {
+        SetFullOverlapRow(&w, row);
+      } else {
+        SetOverlapRow(&w, static_cast<size_t>(i), row);
       }
     }
     std::vector<TargetModelInfo> infos;
@@ -683,6 +657,133 @@ TEST(ColumnKernelTest, FusedPassMatchesScalarUtilization) {
   }
   // Absent objects with interferers price their gradient at clamped χ.
   EXPECT_GT(absent_with_interference, 100);
+}
+
+// ------------------------------------- full row ≡ zero-trimmed row
+
+/// Tenant-structured workloads with genuinely sparse co-access: full rows
+/// whose off-diagonals are mostly exact zeros.
+std::vector<std::vector<double>> MakeTenantRows(int n, Rng* rng,
+                                                WorkloadSet* ws) {
+  constexpr int kTenantSize = 6;
+  ws->assign(static_cast<size_t>(n), WorkloadDesc{});
+  std::vector<std::vector<double>> rows(static_cast<size_t>(n));
+  for (int i = 0; i < n; ++i) {
+    WorkloadDesc& w = (*ws)[static_cast<size_t>(i)];
+    w.read_rate = rng->Uniform(1, 150);
+    w.read_size = 64 * kKiB;
+    w.write_rate = rng->Uniform(0, 25);
+    w.write_size = 8 * kKiB;
+    w.run_count = rng->Uniform(1, 60);
+    std::vector<double>& row = rows[static_cast<size_t>(i)];
+    row.assign(static_cast<size_t>(n), 0.0);
+    const int lo = (i / kTenantSize) * kTenantSize;
+    const int hi = std::min(n, lo + kTenantSize);
+    for (int k = lo; k < hi; ++k) {
+      if (k != i) row[static_cast<size_t>(k)] = rng->Uniform(0.05, 0.8);
+    }
+    row[static_cast<size_t>(i)] = rng->Uniform(0, 1.5);
+    // One weak cross-tenant link now and then.
+    if (rng->Uniform() < 0.5) {
+      const int k = static_cast<int>(
+          rng->UniformInt(int64_t{0}, static_cast<int64_t>(n) - 1));
+      if (k != i) row[static_cast<size_t>(k)] = rng->Uniform(0.01, 0.1);
+    }
+  }
+  return rows;
+}
+
+Layout RandomSimplexLayout(int n, int m, Rng* rng) {
+  Layout layout(n, m);
+  for (int i = 0; i < n; ++i) {
+    double* row = layout.Row(i);
+    for (int j = 0; j < m; ++j) row[j] = rng->Uniform(0.01, 1);
+    if (rng->Uniform() < 0.4) {
+      row[rng->UniformInt(static_cast<uint64_t>(m))] = 0.0;
+    }
+    double sum = 0.0;
+    for (int j = 0; j < m; ++j) sum += row[j];
+    for (int j = 0; j < m; ++j) row[j] /= sum;
+  }
+  return layout;
+}
+
+/// The same workloads with every overlap row stored in full ("dense") and
+/// zero-trimmed ("sparse"). Dropping exact-zero terms only reassociates
+/// the sums, so every evaluation path must agree to 1e-12 relative.
+class SparseDenseTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    cost_ = std::make_unique<CostModel>(MakeKernelCostModel());
+    Rng rng(91);
+    const auto rows = MakeTenantRows(kN, &rng, &dense_);
+    sparse_ = dense_;
+    for (size_t i = 0; i < rows.size(); ++i) {
+      SetFullOverlapRow(&dense_[i], rows[i]);
+      SetOverlapRow(&sparse_[i], i, rows[i]);
+      ASSERT_LT(sparse_[i].overlap_index.size(), rows.size());
+    }
+    ASSERT_TRUE(ValidateWorkloadSet(dense_).ok());
+    ASSERT_TRUE(ValidateWorkloadSet(sparse_).ok());
+    std::vector<TargetModelInfo> infos(
+        static_cast<size_t>(kM), TargetModelInfo{cost_.get(), 1, 64 * kKiB});
+    model_ = std::make_unique<TargetModel>(infos, LvmLayoutModel(64 * kKiB));
+  }
+
+  static void ExpectClose(double s, double d, const char* what) {
+    EXPECT_NEAR(s, d, 1e-12 * std::max(1.0, std::fabs(d))) << what;
+  }
+
+  static constexpr int kN = 24;
+  static constexpr int kM = 4;
+  std::unique_ptr<CostModel> cost_;
+  std::unique_ptr<TargetModel> model_;
+  WorkloadSet dense_;
+  WorkloadSet sparse_;
+};
+
+TEST_F(SparseDenseTest, ScalarUtilizationMatches) {
+  Rng rng(17);
+  for (int trial = 0; trial < 6; ++trial) {
+    const Layout layout = RandomSimplexLayout(kN, kM, &rng);
+    for (int j = 0; j < kM; ++j) {
+      ExpectClose(model_->TargetUtilization(sparse_, layout, j),
+                  model_->TargetUtilization(dense_, layout, j), "mu_j");
+    }
+  }
+}
+
+TEST_F(SparseDenseTest, UtilizationsAndMuMatrixMatch) {
+  Rng rng(18);
+  const Layout layout = RandomSimplexLayout(kN, kM, &rng);
+  std::vector<double> mu_ij_d, mu_ij_s;
+  const std::vector<double> mu_d =
+      model_->Utilizations(dense_, layout, &mu_ij_d);
+  const std::vector<double> mu_s =
+      model_->Utilizations(sparse_, layout, &mu_ij_s);
+  ASSERT_EQ(mu_d.size(), mu_s.size());
+  for (size_t j = 0; j < mu_d.size(); ++j) ExpectClose(mu_s[j], mu_d[j], "mu_j");
+  ASSERT_EQ(mu_ij_d.size(), mu_ij_s.size());
+  for (size_t e = 0; e < mu_ij_d.size(); ++e) {
+    ExpectClose(mu_ij_s[e], mu_ij_d[e], "mu_ij");
+  }
+}
+
+TEST_F(SparseDenseTest, BatchedEvaluateAndGradientMatch) {
+  Rng rng(19);
+  std::vector<double> grad_d(kN), grad_s(kN);
+  for (int trial = 0; trial < 4; ++trial) {
+    const Layout layout = RandomSimplexLayout(kN, kM, &rng);
+    for (int j = 0; j < kM; ++j) {
+      auto ctx_d = model_->MakeColumnEvaluator(dense_, j);
+      auto ctx_s = model_->MakeColumnEvaluator(sparse_, j);
+      ExpectClose(ctx_s->EvaluateWithGradient(layout, grad_s.data()),
+                  ctx_d->EvaluateWithGradient(layout, grad_d.data()), "mu_j");
+      for (size_t i = 0; i < grad_d.size(); ++i) {
+        ExpectClose(grad_s[i], grad_d[i], "gradient");
+      }
+    }
+  }
 }
 
 }  // namespace

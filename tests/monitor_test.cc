@@ -152,9 +152,9 @@ void ExpectWorkloadsMatch(const WorkloadSet& batch, const WorkloadSet& online,
         << "object " << i;
     EXPECT_NEAR(b.run_count, o.run_count, tol * (1.0 + b.run_count))
         << "object " << i;
-    ASSERT_EQ(b.overlap.size(), o.overlap.size());
-    for (size_t k = 0; k < b.overlap.size(); ++k) {
-      EXPECT_NEAR(b.overlap[k], o.overlap[k], tol * (1.0 + b.overlap[k]))
+    for (size_t k = 0; k < batch.size(); ++k) {
+      EXPECT_NEAR(b.overlap_with(k), o.overlap_with(k),
+                  tol * (1.0 + b.overlap_with(k)))
           << "object " << i << " overlap " << k;
     }
   }
@@ -213,10 +213,12 @@ TEST(OnlineAnalyzerTest, SnapshotIsEmptyBeforeAnyEvent) {
   OnlineAnalyzer analyzer(3);
   WorkloadSet ws = analyzer.Snapshot();
   ASSERT_EQ(ws.size(), 3u);
-  for (const WorkloadDesc& w : ws) {
+  for (int i = 0; i < 3; ++i) {
+    const WorkloadDesc& w = ws[static_cast<size_t>(i)];
     EXPECT_EQ(w.total_rate(), 0.0);
     EXPECT_EQ(w.run_count, 1.0);
-    ASSERT_EQ(w.overlap.size(), 3u);
+    EXPECT_EQ(w.overlap_index, std::vector<int32_t>{i});
+    EXPECT_EQ(w.overlap_value, std::vector<double>{0.0});
   }
 }
 
@@ -275,9 +277,10 @@ WorkloadSet TwoObjectSet(double rate0, double size0, double rate1,
   ws[0].read_size = size0;
   ws[1].read_rate = rate1;
   ws[1].read_size = size1;
-  for (WorkloadDesc& w : ws) {
-    w.run_count = 4.0;
-    w.overlap.assign(2, 0.0);
+  for (int i = 0; i < 2; ++i) {
+    ws[static_cast<size_t>(i)].run_count = 4.0;
+    ws[static_cast<size_t>(i)].overlap_index = {i};
+    ws[static_cast<size_t>(i)].overlap_value = {0.0};
   }
   return ws;
 }

@@ -38,9 +38,9 @@ TEST(ProblemIoTest, ParsesCompleteFile) {
   EXPECT_EQ(p.object_sizes[1], 512 * kMiB);
   EXPECT_DOUBLE_EQ(p.workloads[0].read_rate, 100);
   EXPECT_DOUBLE_EQ(p.workloads[0].read_size, 64 * kKiB);
-  EXPECT_DOUBLE_EQ(p.workloads[0].overlap[1], 0.7);
-  EXPECT_DOUBLE_EQ(p.workloads[1].overlap[0], 0.7);  // symmetric
-  EXPECT_DOUBLE_EQ(p.workloads[0].overlap[0], 2.5);  // self
+  EXPECT_DOUBLE_EQ(p.workloads[0].overlap_with(1), 0.7);
+  EXPECT_DOUBLE_EQ(p.workloads[1].overlap_with(0), 0.7);  // symmetric
+  EXPECT_DOUBLE_EQ(p.workloads[0].overlap_with(0), 2.5);  // self
   EXPECT_EQ(p.targets[1].num_members, 2);
   EXPECT_EQ(p.targets[1].stripe_bytes, 128 * kKiB);
   EXPECT_EQ(p.constraints.AllowedFor(1), (std::vector<int>{1}));
@@ -166,8 +166,8 @@ TEST(ProblemIoTest, FormatProblemTextRoundTrips) {
     EXPECT_NEAR(wa.write_rate, wb.write_rate, 1e-6);
     EXPECT_NEAR(wa.run_count, wb.run_count, 1e-6);
     for (int k = 0; k < a.num_objects(); ++k) {
-      EXPECT_NEAR(wa.overlap[static_cast<size_t>(k)],
-                  wb.overlap[static_cast<size_t>(k)], 1e-6)
+      EXPECT_NEAR(wa.overlap_with(static_cast<size_t>(k)),
+                  wb.overlap_with(static_cast<size_t>(k)), 1e-6)
           << i << "," << k;
     }
   }

@@ -453,7 +453,8 @@ LayoutProblem RandomProblem(Rng& rng, int n, int m) {
       w.write_size = 8 * kKiB;
     }
     w.run_count = rng.Bernoulli(0.5) ? 1.0 : 32.0;
-    w.overlap.assign(static_cast<size_t>(n), 0.0);
+    w.overlap_index = {i};
+    w.overlap_value = {0.0};
     p.workloads.push_back(std::move(w));
   }
   for (int j = 0; j < m; ++j) {
@@ -678,11 +679,12 @@ GradientInstance MakeGradientInstance(int n, int m, Rng* rng) {
     w.write_rate = rng->Uniform(0, 25);
     w.write_size = 8 * kKiB;
     w.run_count = rng->Uniform(1, 60);
-    w.overlap.assign(static_cast<size_t>(n), 0.0);
+    std::vector<double> row(static_cast<size_t>(n));
     for (int k = 0; k < n; ++k) {
-      w.overlap[static_cast<size_t>(k)] =
+      row[static_cast<size_t>(k)] =
           k == i ? rng->Uniform(0, 0.5) : rng->Uniform(0, 1);
     }
+    SetOverlapRow(&w, static_cast<size_t>(i), row);
   }
   std::vector<TargetModelInfo> infos(
       static_cast<size_t>(m), TargetModelInfo{gi.cost.get(), 1, 64 * kKiB});
@@ -773,23 +775,23 @@ TEST_P(GradientProperty, AnalyticMatchesDirectionalDifferences) {
 }
 
 TEST_P(GradientProperty, SparseAnalyticMatchesDirectionalDifferences) {
-  // Same containment property through the sparse-overlap evaluation path:
-  // off-diagonals are thinned to genuine zeros, rows are converted to CSR
-  // (dropping the dense form), and the analytic Jacobian must still bracket
-  // the one-sided slopes.
+  // Same containment property over sparse rows: off-diagonals are thinned
+  // to genuine zeros, which the rows then drop, and the analytic Jacobian
+  // must still bracket the one-sided slopes.
   Rng rng(GetParam());
   const int n = 4 + static_cast<int>(rng.UniformInt(uint64_t{5}));
   const int m = 2 + static_cast<int>(rng.UniformInt(uint64_t{3}));
   GradientInstance gi = MakeGradientInstance(n, m, &rng);
+  std::vector<double> row(static_cast<size_t>(n));
   for (int i = 0; i < n; ++i) {
     WorkloadDesc& w = (*gi.workloads)[static_cast<size_t>(i)];
     for (int k = 0; k < n; ++k) {
-      if (k != i && rng.Uniform() < 0.6) w.overlap[static_cast<size_t>(k)] = 0.0;
+      row[static_cast<size_t>(k)] = w.overlap_with(static_cast<size_t>(k));
+      if (k != i && rng.Uniform() < 0.6) row[static_cast<size_t>(k)] = 0.0;
     }
+    SetOverlapRow(&w, static_cast<size_t>(i), row);
   }
-  SparsifyOverlap(gi.workloads.get());
-  ASSERT_TRUE((*gi.workloads)[0].has_sparse_overlap());
-  ASSERT_TRUE((*gi.workloads)[0].overlap.empty());
+  ASSERT_TRUE(ValidateWorkloadSet(*gi.workloads).ok());
   Layout layout = MakeGradientLayout(n, m, &rng);
   CheckGradientContainment(gi, layout, n, m);
 }
@@ -874,7 +876,6 @@ TEST_P(ScenarioChurnProperty, SnapshotsStayValidAcrossChurn) {
 
   OnlineAnalyzerOptions aopts;
   aopts.half_life_s = 1.0;  // fast decay so departures actually zero rows
-  aopts.sparse_overlap = true;
   OnlineAnalyzer analyzer(kObjects, aopts);
 
   ScenarioPlayer player(system.get(), &router, *spec);

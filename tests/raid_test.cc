@@ -135,7 +135,8 @@ WorkloadSet OneWorkload(double read_rate, double write_rate) {
   w.write_rate = write_rate;
   w.write_size = 8 * kKiB;
   w.run_count = 1;
-  w.overlap = {0.0};
+  w.overlap_index = {0};
+  w.overlap_value = {0.0};
   return {w};
 }
 

@@ -15,6 +15,7 @@
 #include "core/problem.h"
 #include "core/regularize.h"
 #include "core/replan.h"
+#include "full_overlap_row.h"
 #include "solver/projected_gradient.h"
 #include "util/random.h"
 #include "util/table.h"
@@ -50,7 +51,9 @@ const CostModel& TestCost(int variant) {
   return *models[variant];
 }
 
-enum class OverlapForm { kDense, kSparse, kMixed };
+/// How overlap rows are stored: every entry (zeros included), zero-trimmed
+/// (SetOverlapRow), or a random mix of the two.
+enum class OverlapForm { kFull, kTrimmed, kMixed };
 
 /// A random problem: idle and busy objects, reads and writes of two sizes,
 /// random co-access (diagonal self-overlap included), RAID0/1/5 targets on
@@ -73,14 +76,15 @@ LayoutProblem RandomProblem(Rng& rng, int n, int m, OverlapForm form,
       w.write_size = rng.Bernoulli(0.5) ? 8 * kKiB : 256 * kKiB;
     }
     w.run_count = rng.Bernoulli(0.5) ? 1.0 : rng.Uniform(1, 64);
-    w.overlap.assign(static_cast<size_t>(n), 0.0);
+    std::vector<double> row(static_cast<size_t>(n), 0.0);
     for (int k = 0; k < n; ++k) {
       if (k == i) {
-        w.overlap[static_cast<size_t>(k)] = rng.Uniform(0, 2);
+        row[static_cast<size_t>(k)] = rng.Uniform(0, 2);
       } else if (rng.Bernoulli(0.4)) {
-        w.overlap[static_cast<size_t>(k)] = rng.Uniform(0, 1);
+        row[static_cast<size_t>(k)] = rng.Uniform(0, 1);
       }
     }
+    SetFullOverlapRow(&w, row);
     p.workloads.push_back(std::move(w));
   }
   for (int j = 0; j < m; ++j) {
@@ -105,12 +109,12 @@ LayoutProblem RandomProblem(Rng& rng, int n, int m, OverlapForm form,
     }
     p.targets.push_back(t);
   }
-  if (form != OverlapForm::kDense) {
-    WorkloadSet sparse = p.workloads;
-    SparsifyOverlap(&sparse);
+  if (form != OverlapForm::kFull) {
     for (int i = 0; i < n; ++i) {
-      if (form == OverlapForm::kSparse || rng.Bernoulli(0.5)) {
-        p.workloads[static_cast<size_t>(i)] = sparse[static_cast<size_t>(i)];
+      if (form == OverlapForm::kTrimmed || rng.Bernoulli(0.5)) {
+        WorkloadDesc& w = p.workloads[static_cast<size_t>(i)];
+        const std::vector<double> row = w.overlap_value;
+        SetOverlapRow(&w, static_cast<size_t>(i), row);
       }
     }
   }
@@ -337,6 +341,32 @@ TEST(CandidatePricerTest, TrialMuEqualsTargetUtilization) {
     // Pricing never disturbs the current state.
     EXPECT_TRUE(pricer.layout() == layout);
     ExpectCacheExact(p, model, pricer);
+  }
+}
+
+TEST(CandidatePricerTest, PartnerListsIgnoreStoredZeros) {
+  // A stored zero is not a partner: full and zero-trimmed rows of the same
+  // problem give identical partner lists.
+  for (uint64_t seed = 0; seed < 20; ++seed) {
+    Rng rng(seed);
+    const int n = 2 + static_cast<int>(rng.UniformInt(uint64_t{13}));
+    const int m = 2 + static_cast<int>(rng.UniformInt(uint64_t{4}));
+    const LayoutProblem full =
+        RandomProblem(rng, n, m, OverlapForm::kFull, 2.0);
+    LayoutProblem trimmed = full;
+    for (int i = 0; i < n; ++i) {
+      WorkloadDesc& w = trimmed.workloads[static_cast<size_t>(i)];
+      const std::vector<double> row = w.overlap_value;
+      SetOverlapRow(&w, static_cast<size_t>(i), row);
+    }
+    const TargetModel model = full.MakeTargetModel();
+    const Layout layout = RandomLayout(rng, n, m, /*empty_rows=*/true);
+    const CandidatePricer a(&full, &model, layout);
+    const CandidatePricer b(&trimmed, &model, layout);
+    for (int i = 0; i < n; ++i) {
+      EXPECT_EQ(a.partners(i), b.partners(i))
+          << "seed " << seed << " object " << i;
+    }
   }
 }
 

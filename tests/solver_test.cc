@@ -186,7 +186,7 @@ TEST(SolverTest, ImprovesOnUnbalancedSeed) {
   EXPECT_LT(r->max_utilization, seed_mu / 2);
   EXPECT_NEAR(r->max_utilization, 5.0, 0.5);  // perfect balance = 5
   EXPECT_GT(r->iterations, 0);
-  EXPECT_GT(r->objective_evaluations, 0);
+  EXPECT_GT(r->gradient_evaluations, 0);
 }
 
 TEST(SolverTest, RespectsCapacityConstraints) {
@@ -299,10 +299,11 @@ TEST(SolverTest, AnalyticStepPricesEachLayoutOnce) {
     w.write_rate = rng.Uniform(0, 30);
     w.write_size = 64 * kKiB;
     w.run_count = rng.Uniform(1, 20);
-    w.overlap.assign(static_cast<size_t>(n), 0.0);
+    std::vector<double> row(static_cast<size_t>(n));
     for (int k = 0; k < n; ++k) {
-      w.overlap[static_cast<size_t>(k)] = rng.Uniform(0, k == i ? 0.5 : 1);
+      row[static_cast<size_t>(k)] = rng.Uniform(0, k == i ? 0.5 : 1);
     }
+    SetOverlapRow(&w, static_cast<size_t>(i), row);
   }
   TargetModel model(std::vector<TargetModelInfo>(
                         m, TargetModelInfo{&cost.value(), 1, 64 * kKiB}),
@@ -373,7 +374,7 @@ TEST(MultiStartTest, AccumulatesEffortCounters) {
   auto two = ms.Solve(p, {a, a});
   ASSERT_TRUE(one.ok());
   ASSERT_TRUE(two.ok());
-  EXPECT_GE(two->objective_evaluations, 2 * one->objective_evaluations);
+  EXPECT_GE(two->gradient_evaluations, 2 * one->gradient_evaluations);
 }
 
 TEST(MultiStartTest, RandomSeedsAreValidSimplexRows) {

@@ -167,11 +167,11 @@ TEST(AnalyzerTest, OverlapDetectedForConcurrentStreams) {
   }
   auto ws = analyzer.Analyze(t, 3);
   ASSERT_TRUE(ws.ok());
-  EXPECT_GT((*ws)[0].overlap[1], 0.9);
-  EXPECT_GT((*ws)[1].overlap[0], 0.9);
-  EXPECT_LT((*ws)[0].overlap[2], 0.05);
-  EXPECT_LT((*ws)[2].overlap[0], 0.05);
-  EXPECT_DOUBLE_EQ((*ws)[0].overlap[0], 0.0);  // self-overlap not defined
+  EXPECT_GT((*ws)[0].overlap_with(1), 0.9);
+  EXPECT_GT((*ws)[1].overlap_with(0), 0.9);
+  EXPECT_LT((*ws)[0].overlap_with(2), 0.05);
+  EXPECT_LT((*ws)[2].overlap_with(0), 0.05);
+  EXPECT_DOUBLE_EQ((*ws)[0].overlap_with(0), 0.0);  // self-overlap not defined
 }
 
 TEST(AnalyzerTest, IdleObjectGetsZeroWorkload) {
@@ -183,7 +183,8 @@ TEST(AnalyzerTest, IdleObjectGetsZeroWorkload) {
   ASSERT_TRUE(ws.ok());
   EXPECT_DOUBLE_EQ((*ws)[1].total_rate(), 0.0);
   EXPECT_DOUBLE_EQ((*ws)[1].run_count, 1.0);
-  EXPECT_EQ((*ws)[1].overlap.size(), 2u);
+  EXPECT_EQ((*ws)[1].overlap_index, std::vector<int32_t>{1});
+  EXPECT_EQ((*ws)[1].overlap_value, std::vector<double>{0.0});
 }
 
 TEST(AnalyzerTest, WorkloadsAreValid) {

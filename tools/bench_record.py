@@ -22,9 +22,8 @@ The trajectory file is a JSON array of entries:
 With ``--compare-last``, after appending the script also diffs the new
 rows against the previous recorded entry of the same bench: rows are
 matched by their ``row`` (or ``name``) field and every shared numeric
-field is reported as a relative delta. This is how the fleet-scale sweep
-(``bench_fleet``) is tracked — solve seconds and quality-vs-flat per
-(N, M) row across PRs.
+field is reported as a relative delta, so a row's timings and quality
+numbers can be tracked across PRs.
 
 Only the Python standard library is used.
 """
