@@ -1,7 +1,8 @@
 // Micro-benchmarks (google-benchmark) of the hot kernels: device service
 // times, the simulator's event throughput, LVM mapping, cost-model
-// interpolation, the target model's utilization computation (the solver's
-// inner loop), the fused column kernel, the regularizer sweep,
+// interpolation, the trace fit, the workload runner's request path, the
+// target model's utilization computation (the solver's inner loop), the
+// fused column kernel, the regularizer sweep,
 // simplex projection, a small end-to-end solve, and a full solve shaped
 // like one advise_4x96 problem.
 //
@@ -27,8 +28,13 @@
 #include "storage/event_queue.h"
 #include "storage/lvm.h"
 #include "storage/storage_system.h"
+#include "trace/analyzer.h"
+#include "trace/trace.h"
 #include "util/random.h"
 #include "util/units.h"
+#include "workload/catalog.h"
+#include "workload/runner.h"
+#include "workload/spec.h"
 
 namespace ldb {
 namespace {
@@ -182,6 +188,88 @@ void BM_LvmMap(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_LvmMap);
+
+/// Runs `olap` (beside `oltp`, when given) on four fresh 15K disks with
+/// every object striped over all of them; `observer` sees the runner's
+/// logical completions.
+RunResult RunOnFourDisks(const Catalog& catalog, const OlapSpec& olap,
+                         const OltpSpec* oltp,
+                         StorageSystem::Observer observer = nullptr) {
+  DiskModel proto(Scsi15kParams());
+  StorageSystem sys({{"d0", &proto, 1, 64 * kKiB},
+                     {"d1", &proto, 1, 64 * kKiB},
+                     {"d2", &proto, 1, 64 * kKiB},
+                     {"d3", &proto, 1, 64 * kKiB}});
+  std::vector<std::vector<int>> placements(
+      static_cast<size_t>(catalog.num_objects()), std::vector<int>{0, 1, 2, 3});
+  auto volumes = StripedVolumeManager::Create(
+      catalog.sizes(), std::move(placements), sys.capacities(), 64 * kKiB);
+  LDB_CHECK(volumes.ok());
+  WorkloadRunner runner(&sys, &*volumes, 7);
+  if (observer) runner.set_logical_observer(std::move(observer));
+  auto run = oltp != nullptr ? runner.RunMixed(olap, *oltp)
+                             : runner.RunOlap(olap);
+  LDB_CHECK(run.ok());
+  return std::move(run).value();
+}
+
+constexpr double kTraceFitScale = 0.2;
+
+/// The object-level trace of OLAP1-21 over TPC-H at kTraceFitScale (~200k
+/// events, in completion order), recorded once.
+const IoTrace& RecordedOlapTrace() {
+  static const IoTrace* trace = [] {
+    const Catalog catalog = Catalog::TpcH(kTraceFitScale);
+    auto olap = MakeOlapSpec(catalog, 1, 1, 7);
+    LDB_CHECK(olap.ok());
+    auto* t = new IoTrace();
+    RunOnFourDisks(catalog, *olap, nullptr,
+                   [t](const IoEvent& ev) { t->Add(ev); });
+    return t;
+  }();
+  return *trace;
+}
+
+void BM_TraceFit(benchmark::State& state, bool streamed) {
+  // The Rubicon fit of one recorded trace: `streamed` feeds the completions
+  // through the reordering front end into the fitting core, as
+  // ExperimentRig::FitWorkloads does while a run executes; otherwise
+  // TraceAnalyzer::Analyze sorts the stored trace and fits it.
+  const IoTrace& trace = RecordedOlapTrace();
+  const int n = Catalog::TpcH(kTraceFitScale).num_objects();
+  for (auto _ : state) {
+    if (streamed) {
+      ReorderingTraceFitter fitter(n);
+      for (const IoEvent& ev : trace.events()) fitter.Observe(ev);
+      auto ws = fitter.Finish();
+      benchmark::DoNotOptimize(ws.ok());
+    } else {
+      auto ws = TraceAnalyzer().Analyze(trace, n);
+      benchmark::DoNotOptimize(ws.ok());
+    }
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(trace.size()));
+}
+BENCHMARK_CAPTURE(BM_TraceFit, analyze, false)->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_TraceFit, streamed, true)->Unit(benchmark::kMillisecond);
+
+void BM_WorkloadRunnerRequests(benchmark::State& state) {
+  // The closed-loop request path end to end: a small RunMixed (OLAP1-21
+  // beside 9 OLTP terminals) through runner, volume manager, targets and
+  // the event queue. Items are simulated target requests.
+  const Catalog catalog = Catalog::Merge(Catalog::TpcH(0.02),
+                                         Catalog::TpcC(0.02), "", "C_");
+  auto olap = MakeOlapSpec(catalog, 1, 1, 7);
+  auto oltp = MakeOltpSpec(catalog, "C_", 9);
+  LDB_CHECK(olap.ok() && oltp.ok());
+  uint64_t requests = 0;
+  for (auto _ : state) {
+    requests += RunOnFourDisks(catalog, *olap, &*oltp).total_requests;
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(requests));
+}
+BENCHMARK(BM_WorkloadRunnerRequests)->Unit(benchmark::kMillisecond);
 
 void BM_OnlineAnalyzerObserve(benchmark::State& state) {
   // The autopilot monitor's I/O hot path: one completion event through the

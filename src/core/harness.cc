@@ -6,7 +6,6 @@
 #include "storage/lvm.h"
 #include "storage/ssd.h"
 #include "trace/analyzer.h"
-#include "trace/trace.h"
 #include "util/check.h"
 #include "util/table.h"
 
@@ -252,10 +251,12 @@ Result<WorkloadSet> ExperimentRig::FitWorkloads(const Layout& trace_layout,
   if (!volumes.ok()) return volumes.status();
 
   // Fit from the object-level (pre-striping) request stream: the paper's
-  // W_i describe objects, not their current on-target placement.
-  IoTrace trace;
+  // W_i describe objects, not their current on-target placement. The
+  // fitter consumes completions as they happen; no trace is stored.
+  ReorderingTraceFitter fitter(catalog_.num_objects());
   WorkloadRunner runner(system.get(), &*volumes, seed_);
-  runner.set_logical_observer([&trace](const IoEvent& ev) { trace.Add(ev); });
+  runner.set_logical_observer(
+      [&fitter](const IoEvent& ev) { fitter.Observe(ev); });
   Result<RunResult> run = Status::Internal("unreachable");
   if (olap != nullptr && oltp != nullptr) {
     run = runner.RunMixed(*olap, *oltp);
@@ -267,9 +268,7 @@ Result<WorkloadSet> ExperimentRig::FitWorkloads(const Layout& trace_layout,
     return Status::InvalidArgument("no workload given");
   }
   if (!run.ok()) return run.status();
-
-  TraceAnalyzer analyzer;
-  return analyzer.Analyze(trace, catalog_.num_objects());
+  return fitter.Finish();
 }
 
 Result<LayoutProblem> ExperimentRig::MakeProblem(

@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <memory>
 #include <vector>
 
 #include "util/random.h"
+#include "workload/request_slab.h"
 
 namespace ldb {
 
@@ -74,6 +74,14 @@ Result<RunResult> ScenarioPlayer::Play() {
   uint64_t completed = 0;
   uint64_t next_logical_seq = 0;
   std::vector<TargetChunk> chunks;  // scratch, reused across submissions
+  // Per-request contexts: a chunk completion captures only {slab, index}.
+  struct NoPayload {};
+  using Slab = RequestSlab<NoPayload>;
+  Slab slab([&](const Slab::Request& r) {
+    --in_flight;
+    ++completed;
+    if (logical_observer_) logical_observer_(r.event);
+  });
 
   // Issues one logical request against `object`. RNG is always consumed
   // (offset + read/write coin) before the shed decision, so the arrival
@@ -110,18 +118,10 @@ Result<RunResult> ScenarioPlayer::Play() {
 
     chunks.clear();
     router_->Route(object, offset, req, is_write, &chunks);
-    auto pending = std::make_shared<int>(static_cast<int>(chunks.size()));
-    std::shared_ptr<IoEvent> logical_ev;
+    const uint32_t index = slab.Open(static_cast<int>(chunks.size()));
     if (logical_observer_) {
-      logical_ev = std::make_shared<IoEvent>();
-      logical_ev->submit_time = system_->Now();
-      logical_ev->seq = next_logical_seq++;
-      logical_ev->target = -1;
-      logical_ev->object = object;
-      logical_ev->offset = offset;
-      logical_ev->logical_offset = offset;
-      logical_ev->size = req;
-      logical_ev->is_write = is_write;
+      slab.at(index).event = LogicalEvent(system_->Now(), next_logical_seq++,
+                                          object, offset, req, is_write);
     }
     int64_t logical = offset;
     for (const TargetChunk& c : chunks) {
@@ -132,17 +132,7 @@ Result<RunResult> ScenarioPlayer::Play() {
       tr.object = object;
       tr.logical_offset = logical;
       logical += c.size;
-      system_->Submit(c.target, tr,
-                      [&, pending, logical_ev](double when) {
-                        if (--*pending == 0) {
-                          --in_flight;
-                          ++completed;
-                          if (logical_ev) {
-                            logical_ev->complete_time = when;
-                            logical_observer_(*logical_ev);
-                          }
-                        }
-                      });
+      system_->SubmitWithStatus(c.target, tr, slab.ChunkCompletion(index));
     }
   };
 

@@ -56,6 +56,7 @@ StorageTarget::StorageTarget(std::string name,
       break;
   }
   member_queues_.resize(members_.size());
+  raid0_acc_.resize(members_.size());
   member_busy_.assign(members_.size(), false);
   member_health_.assign(members_.size(), MemberHealth::kHealthy);
   member_latency_scale_.assign(members_.size(), 1.0);
@@ -98,18 +99,14 @@ int StorageTarget::SubmitRaid0(const TargetRequest& req, int64_t slot) {
   int64_t remaining = req.size;
   int subs = 0;
   // Coalesce adjacent same-member chunks (a request larger than stripe*k
-  // wraps back onto the same member).
-  struct PerMemberAcc {
-    bool active = false;
-    int64_t offset = 0;
-    int64_t size = 0;
-  };
-  std::vector<PerMemberAcc> acc(members_.size());
+  // wraps back onto the same member). Every extent is inactive between
+  // calls.
+  std::vector<MemberExtent>& acc = raid0_acc_;
   auto flush = [&](size_t m) {
     if (!acc[m].active) return;
     EnqueueSub(m, DeviceRequest{acc[m].offset, acc[m].size, req.is_write},
                slot, &subs);
-    acc[m] = PerMemberAcc{};
+    acc[m] = MemberExtent{};
   };
   while (remaining > 0) {
     const int64_t stripe_index = off / stripe_bytes_;
@@ -378,7 +375,7 @@ void StorageTarget::FailMember(int m) {
   // Re-route or fail whatever was queued on the dead member. The
   // sub-request it was actively servicing (if any) completes normally —
   // that transfer had already left the queue when the fault hit.
-  std::deque<SubRequest> orphans;
+  std::vector<SubRequest> orphans;
   orphans.swap(member_queues_[um]);
   for (const SubRequest& sub : orphans) ReRouteOrphan(um, sub);
   for (size_t j = 0; j < members_.size(); ++j) MaybeDispatch(j);

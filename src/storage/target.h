@@ -2,7 +2,6 @@
 #define LAYOUTDB_STORAGE_TARGET_H_
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <string>
@@ -217,6 +216,12 @@ class StorageTarget {
     Status status;          ///< first error among this request's subs
     StatusCompletion done;
   };
+  /// RAID0 decomposition scratch: one pending extent per member.
+  struct MemberExtent {
+    bool active = false;
+    int64_t offset = 0;
+    int64_t size = 0;
+  };
 
   /// Allocates an inflight slot for `done` and returns its index.
   int64_t AllocateSlot(StatusCompletion done);
@@ -267,7 +272,10 @@ class StorageTarget {
   RaidLevel raid_level_;
   size_t next_read_member_ = 0;  ///< RAID1 read distribution cursor
 
-  std::vector<std::deque<SubRequest>> member_queues_;
+  /// Per-member FIFO queues. Vectors, not deques: they keep their capacity,
+  /// so steady-state queueing allocates nothing.
+  std::vector<std::vector<SubRequest>> member_queues_;
+  std::vector<MemberExtent> raid0_acc_;  ///< SubmitRaid0 scratch
   std::vector<bool> member_busy_;
   std::vector<Inflight> inflight_;
   std::vector<int64_t> free_slots_;  ///< reusable indexes into inflight_

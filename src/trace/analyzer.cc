@@ -1,9 +1,10 @@
 #include "trace/analyzer.h"
 
 #include <algorithm>
-#include <vector>
+#include <cinttypes>
+#include <cmath>
+#include <utility>
 
-#include "trace/run_tracker.h"
 #include "util/check.h"
 #include "util/table.h"
 
@@ -11,20 +12,226 @@ namespace ldb {
 
 namespace {
 
-/// Per-object view of the trace, in submit order.
-struct ObjectStream {
-  std::vector<double> submit_times;             // sorted
-  std::vector<std::pair<double, double>> busy;  // merged in-flight intervals
-  std::vector<std::pair<double, double>> intervals;  // raw padded intervals
-  uint64_t reads = 0;
-  uint64_t writes = 0;
-  int64_t read_bytes = 0;
-  int64_t write_bytes = 0;
-  uint64_t runs = 0;
-  uint64_t requests = 0;
-};
+/// Field checks shared by both front ends; `index` names the event.
+Status CheckEvent(const IoEvent& ev, int num_objects, uint64_t index) {
+  if (ev.object < 0 || ev.object >= num_objects) {
+    return Status::InvalidArgument(
+        StrFormat("event %" PRIu64 " references unknown object %d", index,
+                  ev.object));
+  }
+  if (!std::isfinite(ev.submit_time) || !std::isfinite(ev.complete_time)) {
+    return Status::InvalidArgument(
+        StrFormat("event %" PRIu64 " has a non-finite time", index));
+  }
+  if (ev.complete_time < ev.submit_time) {
+    return Status::InvalidArgument(StrFormat(
+        "event %" PRIu64 " completes at %.9g s, before its submit at %.9g s",
+        index, ev.complete_time, ev.submit_time));
+  }
+  return Status::Ok();
+}
 
 }  // namespace
+
+// ------------------------------------------------------------ TraceFitter
+
+TraceFitter::TraceFitter(int num_objects, AnalyzerOptions options)
+    : n_(std::max(num_objects, 0)), options_(options) {
+  if (num_objects <= 0) {
+    Fail(Status::InvalidArgument("num_objects must be positive"));
+  }
+  if (!std::isfinite(options_.overlap_window_s) ||
+      options_.overlap_window_s < 0.0) {
+    Fail(Status::InvalidArgument(
+        "overlap_window_s must be finite and non-negative"));
+  }
+  const size_t n = static_cast<size_t>(n_);
+  objects_.resize(n);
+  trackers_.assign(n, SequentialRunTracker(options_.max_open_runs,
+                                           options_.sequential_slack_bytes));
+  busy_hi_.assign(n, -std::numeric_limits<double>::infinity());
+  hits_.assign(n * n, 0);
+}
+
+void TraceFitter::Fail(Status status) {
+  if (error_.ok()) error_ = std::move(status);
+}
+
+void TraceFitter::Add(const IoEvent& ev, uint64_t index) {
+  if (!error_.ok()) return;
+  Status bad = CheckEvent(ev, n_, index);
+  if (!bad.ok()) return Fail(std::move(bad));
+  if (ev.submit_time < last_submit_) {
+    return Fail(Status::InvalidArgument(StrFormat(
+        "event %" PRIu64 " is submitted at %.9g s, before the previous "
+        "event (%.9g s): events must arrive in (submit_time, seq) order",
+        index, ev.submit_time, last_submit_)));
+  }
+  last_submit_ = ev.submit_time;
+  ++events_;
+  min_submit_ = std::min(min_submit_, ev.submit_time);
+  max_complete_ = std::max(max_complete_, ev.complete_time);
+
+  // Every later event starts its padded interval at or after `lo`, so the
+  // pending submits before it have seen every interval that can cover them.
+  const double lo = ev.submit_time - options_.overlap_window_s;
+  ResolveBefore(lo);
+
+  const size_t i = static_cast<size_t>(ev.object);
+  ObjectState& s = objects_[i];
+  ++s.requests;
+  if (ev.is_write) {
+    ++s.writes;
+    s.write_bytes += ev.size;
+  } else {
+    ++s.reads;
+    s.read_bytes += ev.size;
+  }
+  // Run detection on logical (object-relative) addresses: continue any
+  // open run, else open a new one (evicting the least recently used).
+  if (trackers_[i].Observe(ev.logical_offset, ev.size)) ++s.runs;
+
+  // Merge the padded in-flight interval into the object's current busy
+  // interval when they touch. Padded starts never decrease, so only the
+  // current interval's end is needed.
+  const double hi = ev.complete_time + options_.overlap_window_s;
+  double& busy_hi = busy_hi_[i];
+  busy_hi = lo <= busy_hi ? std::max(busy_hi, hi) : hi;
+
+  // Raw in-flight interval, for self-overlap (no padding: only requests
+  // actually concurrent at the device compete with each other).
+  s.inflight.push(ev.complete_time);
+  pending_.push_back(PendingSubmit{ev.submit_time, ev.object});
+}
+
+void TraceFitter::ResolveBefore(double bound) {
+  const size_t n = static_cast<size_t>(n_);
+  while (pending_head_ < pending_.size() &&
+         pending_[pending_head_].t < bound) {
+    // Equal submit times resolve together: an object's self-overlap counts
+    // its own submits at or before t, later ties included.
+    const double t = pending_[pending_head_].t;
+    size_t end = pending_head_ + 1;
+    while (end < pending_.size() && pending_[end].t == t) ++end;
+    for (size_t p = pending_head_; p < end; ++p) {
+      ++objects_[static_cast<size_t>(pending_[p].object)].resolved;
+    }
+    for (size_t p = pending_head_; p < end; ++p) {
+      const size_t i = static_cast<size_t>(pending_[p].object);
+      // Off the diagonal: t lies in k's busy intervals iff it is at most
+      // the end of k's current one (whose start is at or before t). The
+      // diagonal entry is overwritten by the self-overlap below.
+      uint64_t* row = &hits_[i * n];
+      for (size_t k = 0; k < n; ++k) row[k] += t <= busy_hi_[k] ? 1 : 0;
+      // On it: the object's own other requests in flight at t.
+      ObjectState& s = objects_[i];
+      while (!s.inflight.empty() && s.inflight.top() <= t) {
+        s.inflight.pop();
+        ++s.completed;
+      }
+      const uint64_t open = s.resolved - s.completed;
+      s.concurrent_sum += open > 0 ? open - 1 : 0;
+    }
+    pending_head_ = end;
+  }
+  if (pending_head_ == pending_.size()) {
+    pending_.clear();
+    pending_head_ = 0;
+  } else if (pending_head_ >= 4096 && 2 * pending_head_ >= pending_.size()) {
+    pending_.erase(pending_.begin(),
+                   pending_.begin() + static_cast<std::ptrdiff_t>(
+                                          pending_head_));
+    pending_head_ = 0;
+  }
+}
+
+Result<WorkloadSet> TraceFitter::Finish() {
+  if (!error_.ok()) return error_;
+  if (events_ == 0) {
+    return Status::InvalidArgument("cannot analyze an empty trace");
+  }
+  ResolveBefore(std::numeric_limits<double>::infinity());
+  const double duration = max_complete_ - min_submit_;
+  if (!(duration > 0.0) || !std::isfinite(duration)) {
+    return Status::InvalidArgument(StrFormat(
+        "trace of %" PRIu64 " events spans %.9g s; rates need a positive, "
+        "finite duration",
+        events_, duration));
+  }
+
+  const size_t n = static_cast<size_t>(n_);
+  WorkloadSet out(n);
+  std::vector<double> row;
+  for (size_t i = 0; i < n; ++i) {
+    const ObjectState& s = objects_[i];
+    WorkloadDesc& w = out[i];
+    row.assign(n, 0.0);
+    if (s.requests > 0) {
+      w.read_rate = static_cast<double>(s.reads) / duration;
+      w.write_rate = static_cast<double>(s.writes) / duration;
+      w.read_size = s.reads > 0 ? static_cast<double>(s.read_bytes) /
+                                      static_cast<double>(s.reads)
+                                : 0.0;
+      w.write_size = s.writes > 0 ? static_cast<double>(s.write_bytes) /
+                                        static_cast<double>(s.writes)
+                                  : 0.0;
+      LDB_CHECK_GT(s.runs, 0u);
+      const double requests = static_cast<double>(s.requests);
+      w.run_count = requests / static_cast<double>(s.runs);
+      // Off the diagonal: the fraction of i's submits inside k's busy
+      // intervals. On it, the self-overlap: the mean number of the
+      // object's own *other* requests in flight at its submit times. This
+      // is how concurrent queries scanning the same object show up; the
+      // target model folds it into the contention factor.
+      for (size_t k = 0; k < n; ++k) {
+        row[k] = static_cast<double>(hits_[i * n + k]) / requests;
+      }
+      row[i] = static_cast<double>(s.concurrent_sum) / requests;
+    }
+    SetOverlapRow(&w, i, row);
+    LDB_CHECK(IsValidWorkload(w, n, i));
+  }
+  return out;
+}
+
+// -------------------------------------------------- ReorderingTraceFitter
+
+ReorderingTraceFitter::ReorderingTraceFitter(int num_objects,
+                                             AnalyzerOptions options)
+    : fitter_(num_objects, options) {}
+
+void ReorderingTraceFitter::Observe(const IoEvent& ev) {
+  if (!error_.ok()) return;
+  // Min-heap on seq: the front is the smallest buffered seq.
+  const auto later = [](const IoEvent& a, const IoEvent& b) {
+    return a.seq > b.seq;
+  };
+  pending_.push_back(ev);
+  std::push_heap(pending_.begin(), pending_.end(), later);
+  while (!pending_.empty() && pending_.front().seq <= next_seq_) {
+    if (pending_.front().seq < next_seq_) {
+      error_ = Status::InvalidArgument(StrFormat(
+          "event %" PRIu64 " observed twice", pending_.front().seq));
+      return;
+    }
+    fitter_.Add(pending_.front(), next_seq_++);
+    std::pop_heap(pending_.begin(), pending_.end(), later);
+    pending_.pop_back();
+  }
+}
+
+Result<WorkloadSet> ReorderingTraceFitter::Finish() {
+  if (!error_.ok()) return error_;
+  if (!pending_.empty()) {
+    return Status::InvalidArgument(StrFormat(
+        "event %" PRIu64 " was never observed (%zu later events buffered): "
+        "seq must be dense from 0",
+        next_seq_, pending_.size()));
+  }
+  return fitter_.Finish();
+}
+
+// ---------------------------------------------------------- TraceAnalyzer
 
 Result<WorkloadSet> TraceAnalyzer::Analyze(const IoTrace& trace,
                                            int num_objects) const {
@@ -34,19 +241,17 @@ Result<WorkloadSet> TraceAnalyzer::Analyze(const IoTrace& trace,
   if (num_objects <= 0) {
     return Status::InvalidArgument("num_objects must be positive");
   }
-  const double duration = trace.Duration();
-  LDB_CHECK_GT(duration, 0.0);
+  // Validate before sorting (a NaN time would break the sort's ordering),
+  // naming events by their trace index.
+  const std::vector<IoEvent>& events = trace.events();
+  for (size_t e = 0; e < events.size(); ++e) {
+    LDB_RETURN_IF_ERROR(CheckEvent(events[e], num_objects, e));
+  }
 
   // Sort events by submit time (the trace is stored in completion order).
   std::vector<const IoEvent*> order;
-  order.reserve(trace.size());
-  for (const IoEvent& ev : trace.events()) {
-    if (ev.object < 0 || ev.object >= num_objects) {
-      return Status::InvalidArgument(
-          StrFormat("trace references unknown object %d", ev.object));
-    }
-    order.push_back(&ev);
-  }
+  order.reserve(events.size());
+  for (const IoEvent& ev : events) order.push_back(&ev);
   std::stable_sort(order.begin(), order.end(),
                    [](const IoEvent* a, const IoEvent* b) {
                      if (a->submit_time != b->submit_time) {
@@ -55,132 +260,11 @@ Result<WorkloadSet> TraceAnalyzer::Analyze(const IoTrace& trace,
                      return a->seq < b->seq;  // exact issue order on ties
                    });
 
-  std::vector<ObjectStream> streams(static_cast<size_t>(num_objects));
-  // Sequential-run detection state: per object, up to max_open_runs
-  // concurrently-open runs (expected next offset + LRU stamp). Shared with
-  // the online monitor via SequentialRunTracker.
-  std::vector<SequentialRunTracker> trackers(
-      static_cast<size_t>(num_objects),
-      SequentialRunTracker(options_.max_open_runs,
-                           options_.sequential_slack_bytes));
-
+  TraceFitter fitter(num_objects, options_);
   for (const IoEvent* ev : order) {
-    ObjectStream& s = streams[static_cast<size_t>(ev->object)];
-    s.submit_times.push_back(ev->submit_time);
-    ++s.requests;
-    if (ev->is_write) {
-      ++s.writes;
-      s.write_bytes += ev->size;
-    } else {
-      ++s.reads;
-      s.read_bytes += ev->size;
-    }
-    // Run detection on logical (object-relative) addresses: continue any
-    // open run, else open a new one (evicting the least recently used).
-    if (trackers[static_cast<size_t>(ev->object)].Observe(
-            ev->logical_offset, ev->size)) {
-      ++s.runs;
-    }
-
-    // Record the (padded) in-flight interval for overlap computation,
-    // merging with the previous interval when they touch.
-    // Raw in-flight interval, for self-overlap (no padding: only requests
-    // actually concurrent at the device compete with each other).
-    s.intervals.emplace_back(ev->submit_time, ev->complete_time);
-    const double lo = ev->submit_time - options_.overlap_window_s;
-    const double hi = ev->complete_time + options_.overlap_window_s;
-    if (!s.busy.empty() && lo <= s.busy.back().second) {
-      s.busy.back().second = std::max(s.busy.back().second, hi);
-    } else {
-      s.busy.emplace_back(lo, hi);
-    }
+    fitter.Add(*ev, static_cast<uint64_t>(ev - events.data()));
   }
-
-  WorkloadSet out(static_cast<size_t>(num_objects));
-  for (int i = 0; i < num_objects; ++i) {
-    const ObjectStream& s = streams[static_cast<size_t>(i)];
-    WorkloadDesc& w = out[static_cast<size_t>(i)];
-    if (s.requests == 0) continue;
-    w.read_rate = static_cast<double>(s.reads) / duration;
-    w.write_rate = static_cast<double>(s.writes) / duration;
-    w.read_size = s.reads > 0
-                      ? static_cast<double>(s.read_bytes) /
-                            static_cast<double>(s.reads)
-                      : 0.0;
-    w.write_size = s.writes > 0
-                       ? static_cast<double>(s.write_bytes) /
-                             static_cast<double>(s.writes)
-                       : 0.0;
-    LDB_CHECK_GT(s.runs, 0u);
-    w.run_count = static_cast<double>(s.requests) /
-                  static_cast<double>(s.runs);
-  }
-
-  // Overlap rows, one full row at a time. Off the diagonal: the fraction
-  // of i's submits inside k's busy intervals. On it, the self-overlap: the
-  // mean number of the object's own *other* requests in flight at its
-  // submit times. This is how concurrent queries scanning the same object
-  // show up; the target model folds it into the contention factor.
-  struct Edge {
-    double t;
-    int delta;
-  };
-  std::vector<Edge> edges;
-  std::vector<double> row;
-  for (int i = 0; i < num_objects; ++i) {
-    const ObjectStream& si = streams[static_cast<size_t>(i)];
-    row.assign(static_cast<size_t>(num_objects), 0.0);
-    if (si.requests > 0) {
-      for (int k = 0; k < num_objects; ++k) {
-        if (k == i) continue;
-        const ObjectStream& sk = streams[static_cast<size_t>(k)];
-        if (sk.requests == 0) continue;
-        uint64_t hits = 0;
-        size_t cursor = 0;
-        for (const double t : si.submit_times) {
-          while (cursor < sk.busy.size() && sk.busy[cursor].second < t) {
-            ++cursor;
-          }
-          if (cursor < sk.busy.size() && sk.busy[cursor].first <= t) ++hits;
-        }
-        row[static_cast<size_t>(k)] =
-            static_cast<double>(hits) / static_cast<double>(si.requests);
-      }
-
-      edges.clear();
-      edges.reserve(2 * si.intervals.size());
-      for (const auto& iv : si.intervals) {
-        edges.push_back(Edge{iv.first, +1});
-        edges.push_back(Edge{iv.second, -1});
-      }
-      std::sort(edges.begin(), edges.end(), [](const Edge& a, const Edge& b) {
-        if (a.t != b.t) return a.t < b.t;
-        return a.delta > b.delta;  // open before close at equal times
-      });
-      // Sweep: at each submit time, the number of open intervals includes
-      // the request's own, so subtract one.
-      uint64_t concurrent_sum = 0;
-      size_t cursor = 0;
-      int open = 0;
-      for (const double t : si.submit_times) {
-        while (cursor < edges.size() && edges[cursor].t <= t) {
-          open += edges[cursor].delta;
-          ++cursor;
-        }
-        concurrent_sum += static_cast<uint64_t>(std::max(0, open - 1));
-      }
-      row[static_cast<size_t>(i)] = static_cast<double>(concurrent_sum) /
-                                    static_cast<double>(si.requests);
-    }
-    SetOverlapRow(&out[static_cast<size_t>(i)], static_cast<size_t>(i), row);
-  }
-
-  for (int i = 0; i < num_objects; ++i) {
-    LDB_CHECK(IsValidWorkload(out[static_cast<size_t>(i)],
-                              static_cast<size_t>(num_objects),
-                              static_cast<size_t>(i)));
-  }
-  return out;
+  return fitter.Finish();
 }
 
 }  // namespace ldb

@@ -9,6 +9,7 @@
 #include "io/backend.h"
 #include "util/check.h"
 #include "util/table.h"
+#include "workload/request_slab.h"
 
 namespace ldb {
 
@@ -130,6 +131,17 @@ Result<RunResult> WorkloadRunner::Run(const OlapSpec* olap,
   std::function<void(QueryRun*, size_t)> on_request_done;
   std::function<void(QueryRun*)> start_step;
 
+  // Per-request contexts: a chunk completion captures only {slab, index}.
+  struct StreamRef {
+    QueryRun* q = nullptr;
+    size_t si = 0;
+  };
+  using Slab = RequestSlab<StreamRef>;
+  Slab slab([&](const Slab::Request& r) {
+    if (logical_observer_) logical_observer_(r.event);
+    on_request_done(r.payload.q, r.payload.si);
+  });
+
   std::vector<TargetChunk> chunks;  // scratch, reused across submissions
   issue_request = [&](QueryRun* q, size_t si) {
     StreamState& st = q->streams[si];
@@ -162,20 +174,14 @@ Result<RunResult> WorkloadRunner::Run(const OlapSpec* olap,
 
     chunks.clear();
     router_->Route(st.spec.object, offset, req, is_write, &chunks);
-    auto pending = std::make_shared<int>(static_cast<int>(chunks.size()));
+    const uint32_t index = slab.Open(static_cast<int>(chunks.size()));
     // Object-level (pre-striping) event, reported when the last chunk of
     // the request completes.
-    std::shared_ptr<IoEvent> logical_ev;
+    Slab::Request& r = slab.at(index);
+    r.payload = StreamRef{q, si};
     if (logical_observer_) {
-      logical_ev = std::make_shared<IoEvent>();
-      logical_ev->submit_time = system_->Now();
-      logical_ev->seq = next_logical_seq_++;
-      logical_ev->target = -1;
-      logical_ev->object = st.spec.object;
-      logical_ev->offset = offset;
-      logical_ev->logical_offset = offset;
-      logical_ev->size = req;
-      logical_ev->is_write = is_write;
+      r.event = LogicalEvent(system_->Now(), next_logical_seq_++,
+                             st.spec.object, offset, req, is_write);
     }
     int64_t logical = offset;
     for (const TargetChunk& c : chunks) {
@@ -186,22 +192,10 @@ Result<RunResult> WorkloadRunner::Run(const OlapSpec* olap,
       tr.object = st.spec.object;
       tr.logical_offset = logical;
       logical += c.size;
-      auto completion = [&, q, si, pending, logical_ev](double when) {
-        if (--*pending == 0) {
-          if (logical_ev) {
-            logical_ev->complete_time = when;
-            logical_observer_(*logical_ev);
-          }
-          on_request_done(q, si);
-        }
-      };
       if (backend_ != nullptr) {
-        backend_->Submit(c.target, tr, nullptr,
-                         [completion](double when, const Status& /*status*/) {
-                           completion(when);
-                         });
+        backend_->Submit(c.target, tr, nullptr, slab.ChunkCompletion(index));
       } else {
-        system_->Submit(c.target, tr, completion);
+        system_->SubmitWithStatus(c.target, tr, slab.ChunkCompletion(index));
       }
     }
   };

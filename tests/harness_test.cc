@@ -1,13 +1,23 @@
 #include <unistd.h>
 
+#include <map>
 #include <memory>
+#include <ostream>
 #include <string>
+#include <tuple>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/baselines.h"
 #include "core/harness.h"
+#include "storage/lvm.h"
+#include "trace/analyzer.h"
+#include "trace/trace.h"
+#include "trace_fit_oracle.h"
 #include "workload/catalog.h"
+#include "workload/runner.h"
 #include "workload/spec.h"
 
 namespace ldb {
@@ -95,6 +105,104 @@ TEST(HarnessTest, FitWorkloadsProducesProblemReadyOutput) {
   EXPECT_TRUE(problem->Validate().ok());
   EXPECT_EQ(problem->num_targets(), 2);
 }
+
+// FitWorkloads fits the logical completions as they happen. The
+// differential check runs the same simulation with a stored trace and
+// requires Analyze of that trace (and the batch oracle) to equal the
+// streamed fit bit for bit, on OLAP-only, OLTP-only and mixed runs.
+enum class FitSpec { kOlap, kOltp, kMixed };
+const char* const kFitSpecNames[] = {"Olap", "Oltp", "Mixed"};
+
+// ctest lists parameterized cases with the printed parameter; print the
+// spec's name rather than gtest's byte dump.
+void PrintTo(FitSpec spec, std::ostream* os) {
+  *os << kFitSpecNames[static_cast<int>(spec)];
+}
+
+constexpr double kOltpFitSeconds = 20.0;
+
+const ExperimentRig& ConsolidationRig(uint64_t seed) {
+  static std::map<uint64_t, std::unique_ptr<ExperimentRig>> rigs;
+  auto& rig = rigs[seed];
+  if (rig == nullptr) {
+    auto r = ExperimentRig::Create(
+        Catalog::Merge(Catalog::TpcH(kScale), Catalog::TpcC(kScale), "",
+                       "C_"),
+        {{"d0"}, {"d1"}, {"r2", 2}}, kScale, seed);
+    LDB_CHECK(r.ok());
+    rig = std::make_unique<ExperimentRig>(std::move(r).value());
+  }
+  return *rig;
+}
+
+/// The run FitWorkloads makes (same system, volumes and runner seed),
+/// keeping the object-level trace instead of fitting it.
+IoTrace CollectFitTrace(const ExperimentRig& rig, uint64_t seed,
+                        const Layout& layout, const OlapSpec* olap,
+                        const OltpSpec* oltp) {
+  auto system = rig.MakeSystem();
+  std::vector<std::vector<int>> placements;
+  for (int i = 0; i < rig.catalog().num_objects(); ++i) {
+    placements.push_back(layout.TargetsOf(i));
+  }
+  auto volumes =
+      StripedVolumeManager::Create(rig.catalog().sizes(), std::move(placements),
+                                   system->capacities(), 64 * kKiB);
+  LDB_CHECK(volumes.ok());
+  IoTrace trace;
+  WorkloadRunner runner(system.get(), &*volumes, seed);
+  runner.set_logical_observer([&trace](const IoEvent& ev) { trace.Add(ev); });
+  Result<RunResult> run = Status::Internal("unset");
+  if (olap != nullptr && oltp != nullptr) {
+    run = runner.RunMixed(*olap, *oltp);
+  } else if (olap != nullptr) {
+    run = runner.RunOlap(*olap);
+  } else {
+    run = runner.RunOltp(*oltp, kOltpFitSeconds);
+  }
+  LDB_CHECK(run.ok());
+  return trace;
+}
+
+class FitDifferential
+    : public ::testing::TestWithParam<std::tuple<FitSpec, uint64_t>> {};
+
+TEST_P(FitDifferential, StreamedFitEqualsAnalyzeOfTheSameRun) {
+  const auto [kind, seed] = GetParam();
+  const ExperimentRig& rig = ConsolidationRig(seed);
+  const int n = rig.catalog().num_objects();
+  auto olap = MakeOlapSpec(rig.catalog(), 1, 2, seed);
+  ASSERT_TRUE(olap.ok());
+  auto oltp = MakeOltpSpec(rig.catalog(), "C_", 4, /*warmup_s=*/1.0);
+  ASSERT_TRUE(oltp.ok());
+  const OlapSpec* o = kind == FitSpec::kOltp ? nullptr : &*olap;
+  const OltpSpec* t = kind == FitSpec::kOlap ? nullptr : &*oltp;
+  const Layout see =
+      Layout::StripeEverythingEverywhere(n, rig.num_targets());
+
+  auto streamed = rig.FitWorkloads(see, o, t, kOltpFitSeconds);
+  ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
+  const IoTrace trace = CollectFitTrace(rig, seed, see, o, t);
+  ASSERT_GT(trace.size(), 1000u);
+  auto analyzed = TraceAnalyzer().Analyze(trace, n);
+  ASSERT_TRUE(analyzed.ok()) << analyzed.status().ToString();
+  ExpectSameWorkloads(*streamed, *analyzed);
+  ExpectSameWorkloads(*analyzed, OracleFit(trace, n));
+}
+
+std::string FitName(
+    const ::testing::TestParamInfo<std::tuple<FitSpec, uint64_t>>& info) {
+  const int kind = static_cast<int>(std::get<0>(info.param));
+  return std::string(kFitSpecNames[kind]) + "Seed" +
+         std::to_string(std::get<1>(info.param));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Specs, FitDifferential,
+    ::testing::Combine(::testing::Values(FitSpec::kOlap, FitSpec::kOltp,
+                                         FitSpec::kMixed),
+                       ::testing::Values(uint64_t{3}, uint64_t{17})),
+    FitName);
 
 TEST(HarnessTest, ScaledDeviceCapacityTracksScale) {
   auto small = ExperimentRig::Create(Catalog::TpcH(0.02), {{"d"}}, 0.02, 3);

@@ -28,6 +28,7 @@
 #include "storage/disk.h"
 #include "storage/lvm.h"
 #include "trace/analyzer.h"
+#include "trace_fit_oracle.h"
 #include "util/check.h"
 #include "util/random.h"
 #include "util/table.h"
@@ -376,6 +377,82 @@ INSTANTIATE_TEST_SUITE_P(
                       SyntheticWorkload{500, 64 * kKiB, 25, 0.0},
                       SyntheticWorkload{100, 16 * kKiB, 100, 0.5},
                       SyntheticWorkload{50, 128 * kKiB, 8, 1.0}));
+
+// ------------------------------------------------- streaming trace fit
+
+// Random dense-seq streams, shaped like a simulator's logical observer
+// feed: seq follows submission order, submit times tie often, some
+// requests complete instantly, padded overlap windows chain and overlap,
+// and completions arrive in a random order. The reordering fitter must
+// equal Analyze of the stored trace and the batch oracle exactly.
+class StreamingFitProperty : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(StreamingFitProperty, EqualsAnalyzeAndOracleExactly) {
+  Rng rng(GetParam());
+  for (int trial = 0; trial < 20; ++trial) {
+    const int n = 1 + static_cast<int>(rng.UniformInt(uint64_t{6}));
+    const int count = 1 + static_cast<int>(rng.UniformInt(uint64_t{1500}));
+    AnalyzerOptions options;
+    const double windows[] = {0.0, 0.001, 0.05, 0.5};
+    options.overlap_window_s = windows[rng.UniformInt(uint64_t{4})];
+    options.max_open_runs = 1 + static_cast<int>(rng.UniformInt(uint64_t{8}));
+    const double step = rng.Uniform(0.0005, 0.05);
+
+    std::vector<IoEvent> events;
+    std::vector<int64_t> cursor(static_cast<size_t>(n), 0);
+    double now = rng.Uniform(0.0, 10.0);
+    for (int e = 0; e < count; ++e) {
+      if (rng.Bernoulli(0.5)) now += rng.Exponential(step);  // else a tie
+      IoEvent ev;
+      ev.seq = static_cast<uint64_t>(e);
+      ev.submit_time = now;
+      ev.complete_time =
+          rng.Bernoulli(0.15) ? now : now + rng.Exponential(4 * step);
+      ev.target = -1;
+      ev.object = static_cast<ObjectId>(rng.UniformInt(
+          static_cast<uint64_t>(n)));
+      int64_t& next = cursor[static_cast<size_t>(ev.object)];
+      if (rng.Bernoulli(0.3)) {
+        next = rng.UniformInt(int64_t{0}, int64_t{1} << 20) * kKiB;
+      }
+      ev.size = (1 + rng.UniformInt(int64_t{0}, int64_t{15})) * 4 * kKiB;
+      ev.offset = ev.logical_offset = next;
+      next += ev.size;
+      ev.is_write = rng.Bernoulli(0.3);
+      events.push_back(ev);
+    }
+
+    IoTrace trace;  // completion order, as a collector stores it
+    std::vector<IoEvent> by_completion = events;
+    std::stable_sort(by_completion.begin(), by_completion.end(),
+                     [](const IoEvent& a, const IoEvent& b) {
+                       return a.complete_time < b.complete_time;
+                     });
+    for (const IoEvent& ev : by_completion) trace.Add(ev);
+
+    std::vector<IoEvent> delivery = events;
+    rng.Shuffle(&delivery);
+    ReorderingTraceFitter fitter(n, options);
+    for (const IoEvent& ev : delivery) fitter.Observe(ev);
+    auto streamed = fitter.Finish();
+    auto analyzed = TraceAnalyzer(options).Analyze(trace, n);
+
+    SCOPED_TRACE(::testing::Message()
+                 << "trial " << trial << ": " << count << " events, " << n
+                 << " objects, window " << options.overlap_window_s);
+    ASSERT_EQ(streamed.ok(), analyzed.ok());
+    if (!analyzed.ok()) {
+      // Only a single-instant stream may fail.
+      EXPECT_EQ(trace.Duration(), 0.0);
+      continue;
+    }
+    ExpectSameWorkloads(*streamed, *analyzed);
+    ExpectSameWorkloads(*analyzed, OracleFit(trace, n, options));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, StreamingFitProperty,
+                         ::testing::Range(uint64_t{1}, uint64_t{11}));
 
 // ------------------------------------------------- layout regularity
 

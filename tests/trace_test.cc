@@ -1,3 +1,7 @@
+#include <cmath>
+#include <limits>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -6,6 +10,8 @@
 #include "storage/storage_system.h"
 #include "trace/analyzer.h"
 #include "trace/trace.h"
+#include "trace_fit_oracle.h"
+#include "util/random.h"
 #include "util/units.h"
 
 namespace ldb {
@@ -199,6 +205,172 @@ TEST(AnalyzerTest, WorkloadsAreValid) {
   for (size_t i = 0; i < ws->size(); ++i) {
     EXPECT_TRUE(IsValidWorkload((*ws)[i], 3, i));
   }
+}
+
+// ------------------------------------------------------ input validation
+
+bool IsInvalidArgumentNaming(const Status& status, const std::string& what) {
+  return status.code() == StatusCode::kInvalidArgument &&
+         status.message().find(what) != std::string::npos;
+}
+
+TEST(AnalyzerTest, RejectsZeroSpanTrace) {
+  IoTrace t;
+  t.Add(MakeEvent(2.0, 2.0, 0, 0, kKiB));  // zero latency, single instant
+  auto ws = TraceAnalyzer().Analyze(t, 1);
+  ASSERT_FALSE(ws.ok());
+  EXPECT_EQ(ws.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(AnalyzerTest, RejectsCompletionBeforeSubmitNamingTheEvent) {
+  IoTrace t;
+  t.Add(MakeEvent(0.0, 1.0, 0, 0, kKiB));
+  t.Add(MakeEvent(0.5, 0.4, 0, 0, kKiB));
+  auto ws = TraceAnalyzer().Analyze(t, 1);
+  ASSERT_FALSE(ws.ok());
+  EXPECT_TRUE(IsInvalidArgumentNaming(ws.status(), "event 1 "))
+      << ws.status().ToString();
+}
+
+TEST(AnalyzerTest, RejectsNonFiniteTimesNamingTheEvent) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const auto& [submit, complete] :
+       {std::pair{nan, 1.0}, std::pair{0.0, nan}, std::pair{0.0, inf},
+        std::pair{-inf, 1.0}}) {
+    IoTrace t;
+    t.Add(MakeEvent(0.0, 1.0, 0, 0, kKiB));
+    t.Add(MakeEvent(0.5, 1.5, 0, 0, kKiB));
+    t.Add(MakeEvent(submit, complete, 0, 0, kKiB));
+    auto ws = TraceAnalyzer().Analyze(t, 1);
+    ASSERT_FALSE(ws.ok());
+    EXPECT_TRUE(IsInvalidArgumentNaming(ws.status(), "event 2 "))
+        << ws.status().ToString();
+  }
+}
+
+TEST(AnalyzerTest, RejectsNegativeOverlapWindow) {
+  AnalyzerOptions opts;
+  opts.overlap_window_s = -0.01;
+  IoTrace t;
+  t.Add(MakeEvent(0.0, 1.0, 0, 0, kKiB));
+  EXPECT_FALSE(TraceAnalyzer(opts).Analyze(t, 1).ok());
+}
+
+TEST(TraceFitterTest, RejectsOutOfOrderSubmits) {
+  TraceFitter fitter(1);
+  fitter.Add(MakeEvent(1.0, 2.0, 0, 0, kKiB), 0);
+  fitter.Add(MakeEvent(0.5, 2.0, 0, 0, kKiB), 1);
+  fitter.Add(MakeEvent(3.0, 4.0, 0, 0, kKiB), 2);
+  auto ws = fitter.Finish();
+  ASSERT_FALSE(ws.ok());
+  EXPECT_TRUE(IsInvalidArgumentNaming(ws.status(), "event 1 "))
+      << ws.status().ToString();
+}
+
+/// Feeds `events` (seq = position) to a reordering fitter in reverse.
+Result<WorkloadSet> FitReversed(std::vector<IoEvent> events,
+                                int num_objects) {
+  ReorderingTraceFitter fitter(num_objects);
+  for (size_t e = 0; e < events.size(); ++e) events[e].seq = e;
+  for (auto it = events.rbegin(); it != events.rend(); ++it) {
+    fitter.Observe(*it);
+  }
+  return fitter.Finish();
+}
+
+TEST(ReorderingTraceFitterTest, RejectsBadEventsNamingTheSeq) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  auto zero_span = FitReversed({MakeEvent(2.0, 2.0, 0, 0, kKiB)}, 1);
+  ASSERT_FALSE(zero_span.ok());
+  EXPECT_EQ(zero_span.status().code(), StatusCode::kInvalidArgument);
+
+  auto backwards = FitReversed(
+      {MakeEvent(0.0, 1.0, 0, 0, kKiB), MakeEvent(0.5, 0.4, 0, 0, kKiB)}, 1);
+  ASSERT_FALSE(backwards.ok());
+  EXPECT_TRUE(IsInvalidArgumentNaming(backwards.status(), "event 1 "))
+      << backwards.status().ToString();
+
+  auto non_finite = FitReversed(
+      {MakeEvent(0.0, 1.0, 0, 0, kKiB), MakeEvent(0.5, nan, 0, 0, kKiB)}, 1);
+  ASSERT_FALSE(non_finite.ok());
+  EXPECT_TRUE(IsInvalidArgumentNaming(non_finite.status(), "event 1 "))
+      << non_finite.status().ToString();
+
+  auto unknown = FitReversed(
+      {MakeEvent(0.0, 1.0, 0, 0, kKiB), MakeEvent(0.5, 1.0, 4, 0, kKiB)}, 2);
+  ASSERT_FALSE(unknown.ok());
+  EXPECT_TRUE(IsInvalidArgumentNaming(unknown.status(), "event 1 "))
+      << unknown.status().ToString();
+
+  EXPECT_FALSE(ReorderingTraceFitter(1).Finish().ok());  // empty
+}
+
+TEST(ReorderingTraceFitterTest, RejectsSeqGapsAndDuplicates) {
+  IoEvent a = MakeEvent(0.0, 1.0, 0, 0, kKiB);
+  IoEvent b = MakeEvent(0.5, 1.5, 0, 0, kKiB);
+  IoEvent c = MakeEvent(0.7, 1.7, 0, 0, kKiB);
+  a.seq = 0;
+  b.seq = 1;
+  c.seq = 2;
+  {
+    ReorderingTraceFitter gap(1);
+    gap.Observe(a);
+    gap.Observe(c);  // seq 1 never arrives
+    EXPECT_FALSE(gap.Finish().ok());
+  }
+  {
+    ReorderingTraceFitter duplicate(1);
+    duplicate.Observe(a);
+    duplicate.Observe(c);
+    duplicate.Observe(c);  // buffered twice
+    duplicate.Observe(b);
+    EXPECT_FALSE(duplicate.Finish().ok());
+  }
+  {
+    ReorderingTraceFitter replayed(1);
+    replayed.Observe(a);
+    replayed.Observe(a);  // already released
+    replayed.Observe(b);
+    replayed.Observe(c);
+    EXPECT_FALSE(replayed.Finish().ok());
+  }
+  {
+    ReorderingTraceFitter far(1);
+    IoEvent late = c;
+    late.seq = uint64_t{1} << 40;
+    far.Observe(late);
+    EXPECT_FALSE(far.Finish().ok());
+  }
+}
+
+TEST(ReorderingTraceFitterTest, MatchesAnalyzeAndOracleInAnyCompletionOrder) {
+  // Three objects, equal submit times, zero-latency requests, and
+  // completions far out of submission order.
+  Rng rng(5);
+  std::vector<IoEvent> events;
+  double now = 0.0;
+  for (int e = 0; e < 500; ++e) {
+    if (rng.Bernoulli(0.6)) now += rng.Uniform(0.0, 0.03);
+    const double latency = rng.Bernoulli(0.2) ? 0.0 : rng.Exponential(0.2);
+    IoEvent ev = MakeEvent(now, now + latency, static_cast<ObjectId>(e % 3),
+                           rng.UniformInt(int64_t{0}, int64_t{64}) * kKiB,
+                           8 * kKiB, rng.Bernoulli(0.3));
+    ev.seq = static_cast<uint64_t>(e);
+    events.push_back(ev);
+  }
+  IoTrace trace;
+  for (const IoEvent& ev : events) trace.Add(ev);
+  std::vector<IoEvent> shuffled = events;
+  rng.Shuffle(&shuffled);
+  ReorderingTraceFitter fitter(3);
+  for (const IoEvent& ev : shuffled) fitter.Observe(ev);
+  auto streamed = fitter.Finish();
+  auto analyzed = TraceAnalyzer().Analyze(trace, 3);
+  ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
+  ASSERT_TRUE(analyzed.ok()) << analyzed.status().ToString();
+  ExpectSameWorkloads(*streamed, *analyzed);
+  ExpectSameWorkloads(*analyzed, OracleFit(trace, 3));
 }
 
 }  // namespace
