@@ -14,8 +14,8 @@ namespace ldb {
 /// Advisor configuration.
 struct AdvisorOptions {
   /// Solver knobs, including the evaluation engine's `num_threads`
-  /// (parallel column passes and multi-start seeds; results are identical
-  /// for every thread count).
+  /// (seed 0's column passes, then the other multi-start seeds racing it
+  /// in parallel; results are identical for every thread count).
   SolverOptions solver;
   RegularizerOptions regularizer;
   /// Produce a regular (LVM-implementable) final layout. When false the
@@ -24,7 +24,9 @@ struct AdvisorOptions {
   bool regularize = true;
   /// Extra random initial layouts beyond the Section 4.2 heuristic seed
   /// (the paper's optional multi-start loop, Figure 4). Our local solver
-  /// benefits from a couple of restarts where MINOS used one seed.
+  /// benefits from a couple of restarts where MINOS used one seed. The
+  /// heuristic seed is seed 0: every other seed races it and stops once
+  /// it cannot catch up (MultiStartSolver).
   int extra_random_seeds = 2;
   /// Additional multi-start seeds solved alongside the heuristic and
   /// random ones — the warm-start channel. A DBA's candidate layouts, or

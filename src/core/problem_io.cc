@@ -498,8 +498,28 @@ std::string FormatAdvisorReport(const LayoutProblem& problem,
   add("solver", result.utilization_solver);
   add("final", result.utilization_final);
   out += table.ToString();
+  // Solver effort, and each seed the race against seed 0 stopped with how
+  // far it trailed seed 0 at that round (in utilization points).
+  const SolverResult& solver = result.solver_stats;
+  out += StrFormat("\nSolver: %zu seed%s, %d steps, %lld column passes",
+                   solver.seeds.size(), solver.seeds.size() == 1 ? "" : "s",
+                   solver.iterations,
+                   static_cast<long long>(solver.gradient_evaluations));
+  bool any_stopped = false;
+  for (size_t s = 0; s < solver.seeds.size(); ++s) {
+    const SeedTrajectory& t = solver.seeds[s];
+    if (!t.stopped()) continue;
+    any_stopped = true;
+    const size_t r = static_cast<size_t>(t.stopped_round);
+    out += StrFormat(
+        "; seed %zu stopped after round %d, trailing seed 0 by %.2f pts", s,
+        t.stopped_round,
+        100 * (t.round_max[r] - solver.seeds[0].round_max[r]));
+  }
+  if (!any_stopped) out += "; no seed stopped";
+  out += "\n";
   out += StrFormat(
-      "\nAdvisor time: %.1f ms (solver %.1f ms, regularization %.1f ms)\n",
+      "Advisor time: %.1f ms (solver %.1f ms, regularization %.1f ms)\n",
       1e3 * result.total_seconds(), 1e3 * result.solver_seconds,
       1e3 * result.regularization_seconds);
   return out;

@@ -65,8 +65,8 @@ struct SolverOptions {
   /// Worker threads for the evaluation engine: 1 = fully serial (default),
   /// 0 = one per hardware core, n > 1 = exactly n. Results are
   /// bit-identical across thread counts — the per-column passes and
-  /// multi-start seeds are partitioned into index-addressed slots and all
-  /// reductions run serially in index order.
+  /// the raced multi-start seeds are partitioned into index-addressed
+  /// slots and all reductions run serially in index order.
   int num_threads = 1;
 };
 
@@ -99,6 +99,15 @@ struct SolverProfile {
   }
 };
 
+/// One seed's annealing record: the true max_j µ_j after each round it
+/// finished, and the round after which racing seed 0 stopped it.
+struct SeedTrajectory {
+  std::vector<double> round_max;
+  int stopped_round = -1;  ///< -1 = ran to completion
+
+  bool stopped() const { return stopped_round >= 0; }
+};
+
 /// Outcome of one solver run.
 struct SolverResult {
   Layout layout;            ///< optimized (generally non-regular) layout
@@ -116,6 +125,9 @@ struct SolverResult {
   /// Per-phase counters and timings of this solve.
   SolverProfile profile;
   bool feasible = false;    ///< capacity constraints satisfied
+  /// Per-seed trajectories in seed order: one entry for a single-seed
+  /// solve, one per initial layout for a multi-start solve.
+  std::vector<SeedTrajectory> seeds;
 
   SolverResult() : layout(1, 1), max_utilization(0) {}
 };

@@ -21,62 +21,65 @@ Result<SolverResult> MultiStartSolver::Solve(
     return Status::InvalidArgument("at least one initial layout required");
   }
 
-  // Each seed's run lands in its own slot; the reduction below walks the
-  // slots serially in seed order, so the outcome (winner, accumulated
-  // counters, first error) is identical for every thread count.
+  // Seed 0 runs to completion; a feasible seed 0 is the rival every other
+  // seed races.
   std::vector<std::optional<Result<SolverResult>>> runs(initials.size());
+  runs[0] = solver_.Solve(problem, initials[0]);
+  if (!runs[0]->ok()) return runs[0]->status();
+  std::vector<double> rival;
+  if ((*runs[0])->feasible) rival = (*runs[0])->seeds.front().round_max;
+
+  // Each later seed's run lands in its own slot; the reduction below walks
+  // the slots serially in seed order, so the outcome (winner, accumulated
+  // counters, first error) is identical for every thread count.
   const int threads = ThreadPool::EffectiveThreads(options_.num_threads);
-  if (threads > 1 && initials.size() > 1) {
-    // Seeds are the parallel unit here; force the per-seed solves serial so
-    // the pools do not compose (and per-seed results stay identical to a
-    // standalone serial solve).
+  const int64_t rest = static_cast<int64_t>(initials.size()) - 1;
+  if (threads > 1 && rest > 1) {
+    // The later seeds are the parallel unit here; force their solves
+    // serial so the pools do not compose.
     SolverOptions inner = options_;
     inner.num_threads = 1;
     const ProjectedGradientSolver inner_solver(inner);
     ThreadPool pool(threads);
-    pool.ParallelFor(static_cast<int64_t>(initials.size()),
-                     [&](int, int64_t s) {
-                       runs[static_cast<size_t>(s)] =
-                           inner_solver.Solve(problem, initials[static_cast<size_t>(s)]);
-                     });
+    pool.ParallelFor(rest, [&](int, int64_t k) {
+      const size_t s = static_cast<size_t>(k) + 1;
+      runs[s] = inner_solver.Solve(problem, initials[s], rival);
+    });
   } else {
-    for (size_t s = 0; s < initials.size(); ++s) {
-      runs[s] = solver_.Solve(problem, initials[s]);
+    for (size_t s = 1; s < initials.size(); ++s) {
+      runs[s] = solver_.Solve(problem, initials[s], rival);
       if (!runs[s]->ok()) break;  // later seeds would be discarded anyway
     }
   }
 
-  bool have_best = false;
-  SolverResult best;
+  SolverResult total;  // summed effort and every trajectory, in seed order
+  size_t best = 0;
   for (size_t s = 0; s < runs.size(); ++s) {
     LDB_CHECK(runs[s].has_value());
-    Result<SolverResult>& run = *runs[s];
-    if (!run.ok()) return run.status();
-    SolverResult r = std::move(run).value();
-    const bool better =
-        !have_best ||
-        (r.feasible && !best.feasible) ||
-        (r.feasible == best.feasible &&
-         r.max_utilization < best.max_utilization);
-    if (better) {
-      // Accumulate effort counters across starts before overwriting.
-      r.iterations += have_best ? best.iterations : 0;
-      r.objective_evaluations +=
-          have_best ? best.objective_evaluations : 0;
-      r.gradient_evaluations += have_best ? best.gradient_evaluations : 0;
-      r.interp_queries += have_best ? best.interp_queries : 0;
-      if (have_best) r.profile.Accumulate(best.profile);
-      best = std::move(r);
-      have_best = true;
-    } else {
-      best.iterations += r.iterations;
-      best.objective_evaluations += r.objective_evaluations;
-      best.gradient_evaluations += r.gradient_evaluations;
-      best.interp_queries += r.interp_queries;
-      best.profile.Accumulate(r.profile);
+    if (!runs[s]->ok()) return runs[s]->status();
+    const SolverResult& r = **runs[s];
+    total.iterations += r.iterations;
+    total.objective_evaluations += r.objective_evaluations;
+    total.gradient_evaluations += r.gradient_evaluations;
+    total.interp_queries += r.interp_queries;
+    total.profile.Accumulate(r.profile);
+    total.seeds.push_back(r.seeds.front());
+    const SolverResult& b = **runs[best];
+    if (!r.seeds.front().stopped() &&
+        ((r.feasible && !b.feasible) ||
+         (r.feasible == b.feasible &&
+          r.max_utilization < b.max_utilization))) {
+      best = s;
     }
   }
-  return best;
+  SolverResult result = std::move(*runs[best]).value();
+  result.iterations = total.iterations;
+  result.objective_evaluations = total.objective_evaluations;
+  result.gradient_evaluations = total.gradient_evaluations;
+  result.interp_queries = total.interp_queries;
+  result.profile = total.profile;
+  result.seeds = std::move(total.seeds);
+  return result;
 }
 
 std::vector<Layout> MultiStartSolver::RandomSeeds(

@@ -13,18 +13,28 @@ namespace ldb {
 /// feasible result. Initial layouts are a convenient channel for domain
 /// knowledge — a DBA's candidate layouts can simply be appended to the
 /// seed list.
+///
+/// The seeds race seed 0 (the paper's heuristic initial layout in the
+/// advisor): seed 0 always runs to completion, and when it ends feasible
+/// every other seed is solved against its per-round true max and stops
+/// once it cannot catch up (ProjectedGradientSolver::Solve). A stopped
+/// seed is never a candidate, but its effort counters are still summed.
 class MultiStartSolver {
  public:
   explicit MultiStartSolver(SolverOptions options = {});
 
   /// Solves from every seed in `initials`; returns the result with the
-  /// lowest max-utilization, preferring feasible results over infeasible
-  /// ones. `initials` must be non-empty.
+  /// lowest max-utilization among the seeds that ran to completion,
+  /// preferring feasible results over infeasible ones (ties go to the
+  /// lower seed). Effort counters are summed over all seeds and
+  /// SolverResult::seeds holds every seed's trajectory in seed order.
+  /// `initials` must be non-empty.
   ///
-  /// With `options.num_threads` != 1 the seeds run concurrently (each
-  /// per-seed solve forced serial so pools do not nest); results are
-  /// reduced serially in seed order and are bit-identical to the serial
-  /// driver for any thread count.
+  /// With `options.num_threads` != 1, seed 0 runs on the column pool and
+  /// seeds 1..k−1 then run concurrently, each per-seed solve forced serial
+  /// so pools do not nest. The only rival is seed 0, so those seeds are
+  /// independent of one another and of their schedule: results are
+  /// bit-identical to the one-thread run for any thread count.
   Result<SolverResult> Solve(const LayoutNlpProblem& problem,
                              const std::vector<Layout>& initials) const;
 

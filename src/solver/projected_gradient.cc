@@ -305,7 +305,8 @@ ProjectedGradientSolver::ProjectedGradientSolver(SolverOptions options)
     : options_(options) {}
 
 Result<SolverResult> ProjectedGradientSolver::Solve(
-    const LayoutNlpProblem& problem, const Layout& initial) const {
+    const LayoutNlpProblem& problem, const Layout& initial,
+    const std::vector<double>& rival) const {
   LDB_RETURN_IF_ERROR(ValidateProblem(problem, initial));
   const int n = problem.num_objects;
   const int m = problem.num_targets;
@@ -360,9 +361,11 @@ Result<SolverResult> ProjectedGradientSolver::Solve(
   Layout trial(n, m);
   double step = options_.initial_step;
 
+  SeedTrajectory& trajectory = result.seeds.emplace_back();
+  const int rounds = options_.annealing_rounds;
   double temp = options_.smoothmax_t0;
   double penalty = options_.penalty0;
-  for (int round = 0; round < options_.annealing_rounds; ++round) {
+  for (int round = 0; round < rounds; ++round) {
     double f = eval.Objective(temp, penalty);
     int stall = 0;
     for (int iter = 0; iter < options_.max_iterations_per_round; ++iter) {
@@ -469,15 +472,27 @@ Result<SolverResult> ProjectedGradientSolver::Solve(
     }
     temp *= options_.smoothmax_growth;
     penalty *= options_.penalty_growth;
+
+    const double mu = eval.TrueMax();
+    trajectory.round_max.push_back(mu);
+    const size_t r = static_cast<size_t>(round);
+    if (round >= kRaceFirstRound && r < rival.size() && mu > rival[r] &&
+        mu - rival[r] > (trajectory.round_max[r - 1] - mu) *
+                            static_cast<double>(rounds - 1 - round)) {
+      trajectory.stopped_round = round;
+      break;
+    }
   }
 
   // Penalty methods can leave a small capacity violation; repair greedily.
-  if (!x.SatisfiesCapacity(problem.object_sizes, problem.target_capacities)) {
+  // A stopped seed is no candidate, so it skips the repair.
+  if (!trajectory.stopped() &&
+      !x.SatisfiesCapacity(problem.object_sizes, problem.target_capacities)) {
     RepairCapacity(problem, &x);
     eval.Refresh(x);
   }
-
   result.feasible =
+      !trajectory.stopped() &&
       x.IsValid(problem.object_sizes, problem.target_capacities, 1e-6) &&
       problem.constraints.SatisfiedBy(x, /*tol=*/1e-3);
   result.max_utilization = eval.TrueMax();

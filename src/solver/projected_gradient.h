@@ -1,6 +1,8 @@
 #ifndef LAYOUTDB_SOLVER_PROJECTED_GRADIENT_H_
 #define LAYOUTDB_SOLVER_PROJECTED_GRADIENT_H_
 
+#include <vector>
+
 #include "solver/layout_nlp.h"
 #include "util/status.h"
 
@@ -31,19 +33,38 @@ namespace ldb {
 ///    and every reduction is serial in index order, so the result is
 ///    bit-identical for every thread count;
 ///  * like MINOS, the result is a locally optimal, generally non-regular
-///    layout that depends on the initial point.
+///    layout that depends on the initial point;
+///  * the true max_j µ_j after every annealing round is recorded in
+///    SolverResult::seeds, and a solve given a rival's per-round record
+///    stops once it cannot catch up (see Solve).
 class ProjectedGradientSolver {
  public:
+  /// First 0-based round after which a raced solve may stop. At the low
+  /// early temperatures a seed can sit flat for two rounds and then
+  /// overtake (measured on autopilot re-advises of the deployed layout),
+  /// so rounds 0 and 1 never stop a seed.
+  static constexpr int kRaceFirstRound = 2;
+
   explicit ProjectedGradientSolver(SolverOptions options = {});
 
   /// Runs the solver from `initial` (rows are projected onto the simplex
   /// first, so any non-negative seed is acceptable).
   ///
+  /// `rival` is another solve's per-round true max (its
+  /// SeedTrajectory::round_max, one entry per annealing round); empty =
+  /// no race. After round r ≥ kRaceFirstRound this solve stops when it
+  /// trails the rival, µ(r) > rival(r), by more than it could close by
+  /// repeating its last round's gain in every round left:
+  /// µ(r) − rival(r) > (µ(r−1) − µ(r)) · (R − 1 − r). A stopped solve
+  /// skips the capacity repair, reports feasible = false and its
+  /// stopped_round, and keeps its effort counters.
+  ///
   /// \returns InvalidArgument for malformed problems (dimension mismatches,
   ///   no make_column_eval or a factory returning null, non-positive
   ///   sizes/capacities).
   Result<SolverResult> Solve(const LayoutNlpProblem& problem,
-                             const Layout& initial) const;
+                             const Layout& initial,
+                             const std::vector<double>& rival = {}) const;
 
  private:
   SolverOptions options_;

@@ -139,8 +139,42 @@ TEST(ProblemIoTest, EndToEndAdvisorRunOnParsedProblem) {
       FormatAdvisorReport(loaded->problem, *rec);
   EXPECT_NE(report.find("Recommended layout"), std::string::npos);
   EXPECT_NE(report.find("A"), std::string::npos);
+  // The advisor's default seed set: the heuristic seed plus two random.
+  EXPECT_NE(report.find("Solver: 3 seeds, "), std::string::npos) << report;
 }
 
+TEST(ProblemIoTest, AdvisorReportPinsTheSolverLine) {
+  auto loaded = ParseProblemText(kSample);
+  ASSERT_TRUE(loaded.ok());
+  const LayoutProblem& problem = loaded->problem;
+  AdvisorResult result;
+  result.final_layout = Layout::StripeEverythingEverywhere(
+      problem.num_objects(), problem.num_targets());
+  result.utilization_initial.assign(
+      static_cast<size_t>(problem.num_targets()), 0.5);
+  result.utilization_solver = result.utilization_initial;
+  result.utilization_final = result.utilization_initial;
+  SolverResult& s = result.solver_stats;
+  s.iterations = 812;
+  s.gradient_evaluations = 9140;
+  s.seeds.resize(3);
+  s.seeds[0].round_max = {0.9, 0.7, 0.6, 0.55};
+  s.seeds[1].round_max = {0.95, 0.8, 0.65};
+  s.seeds[1].stopped_round = 2;
+  s.seeds[2].round_max = {0.8, 0.7, 0.6, 0.5};
+  const std::string report = FormatAdvisorReport(problem, result);
+  EXPECT_NE(report.find("\nSolver: 3 seeds, 812 steps, 9140 column passes; "
+                        "seed 1 stopped after round 2, trailing seed 0 by "
+                        "5.00 pts\nAdvisor time: "),
+            std::string::npos)
+      << report;
+
+  s.seeds.resize(1);
+  EXPECT_NE(FormatAdvisorReport(problem, result)
+                .find("\nSolver: 1 seed, 812 steps, 9140 column passes; "
+                      "no seed stopped\n"),
+            std::string::npos);
+}
 
 TEST(ProblemIoTest, FormatProblemTextRoundTrips) {
   auto loaded = ParseProblemText(kSample);

@@ -16,6 +16,7 @@
 #include "core/problem.h"
 #include "core/replan.h"
 #include "fd_oracle.h"
+#include "model/calibration.h"
 #include "model/cost_model.h"
 #include "model/layout.h"
 #include "model/layout_model.h"
@@ -23,6 +24,7 @@
 #include "monitor/online_analyzer.h"
 #include "scenario/player.h"
 #include "scenario/scenario.h"
+#include "solver/multistart.h"
 #include "solver/projected_gradient.h"
 #include "solver/simplex.h"
 #include "storage/disk.h"
@@ -310,6 +312,155 @@ TEST_P(SolverProperty, NeverWorseThanSeedAndAlwaysFeasible) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SolverProperty,
                          ::testing::Range(uint64_t{10}, uint64_t{20}));
+
+// ------------------------------------------ raced multistart vs full runs
+
+/// A tenant-shaped solver problem (the shape of bench_micro's
+/// BM_SolveTenant96 and of one layoutbench advise problem): n objects in
+/// co-access tenants of 8 with one weak cross-tenant link each, m disk-15k
+/// targets holding 1.6x the data, rates scaled so SEE's max utilization is
+/// 0.95, and a skewed regular seed on two targets per object.
+struct TenantInstance {
+  std::unique_ptr<TargetModel> model;
+  std::unique_ptr<WorkloadSet> workloads;
+  LayoutNlpProblem nlp;
+  Layout seed{1, 1};
+};
+
+const CostModel& TenantDiskCost() {
+  static const CostModel* model = [] {
+    DiskModel disk(Scsi15kParams());
+    CalibrationOptions options;
+    options.sample_requests = 64;
+    auto m = CalibrateDevice(disk, options);
+    LDB_CHECK(m.ok());
+    return new CostModel(std::move(m).value());
+  }();
+  return *model;
+}
+
+TenantInstance MakeTenantInstance(int n, int m, Rng* rng) {
+  constexpr int kTenant = 8;
+  TenantInstance ti;
+  ti.workloads = std::make_unique<WorkloadSet>(static_cast<size_t>(n));
+  WorkloadSet& ws = *ti.workloads;
+  std::vector<std::vector<double>> rows(
+      static_cast<size_t>(n), std::vector<double>(static_cast<size_t>(n)));
+  for (int i = 0; i < n; ++i) {
+    WorkloadDesc& w = ws[static_cast<size_t>(i)];
+    w.read_rate = rng->Uniform(1, 200);
+    w.read_size = 64 * kKiB;
+    w.write_rate = rng->Uniform(0, 20);
+    w.write_size = 64 * kKiB;
+    w.run_count = rng->Uniform(1, 100);
+    rows[static_cast<size_t>(i)][static_cast<size_t>(i)] =
+        rng->Uniform(0, 1.5);
+  }
+  for (int i = 0; i < n; ++i) {
+    const int lo = i / kTenant * kTenant;
+    for (int k = i + 1; k < std::min(n, lo + kTenant); ++k) {
+      const double o = rng->Uniform(0.05, 0.6);
+      rows[static_cast<size_t>(i)][static_cast<size_t>(k)] = o;
+      rows[static_cast<size_t>(k)][static_cast<size_t>(i)] = o;
+    }
+    const int k = static_cast<int>(rng->UniformInt(static_cast<uint64_t>(n)));
+    if (k / kTenant != i / kTenant) {
+      const double o = rng->Uniform(0.01, 0.1);
+      rows[static_cast<size_t>(i)][static_cast<size_t>(k)] = o;
+      rows[static_cast<size_t>(k)][static_cast<size_t>(i)] = o;
+    }
+  }
+  for (int i = 0; i < n; ++i) {
+    SetOverlapRow(&ws[static_cast<size_t>(i)], static_cast<size_t>(i),
+                  rows[static_cast<size_t>(i)]);
+  }
+  ti.model = std::make_unique<TargetModel>(
+      std::vector<TargetModelInfo>(
+          static_cast<size_t>(m),
+          TargetModelInfo{&TenantDiskCost(), 1, 64 * kKiB}),
+      LvmLayoutModel(64 * kKiB));
+  const double see_max =
+      ti.model->MaxUtilization(ws, Layout::StripeEverythingEverywhere(n, m));
+  for (WorkloadDesc& w : ws) {
+    w.read_rate *= 0.95 / see_max;
+    w.write_rate *= 0.95 / see_max;
+  }
+  ti.nlp.num_objects = n;
+  ti.nlp.num_targets = m;
+  int64_t total = 0;
+  for (int i = 0; i < n; ++i) {
+    ti.nlp.object_sizes.push_back(
+        rng->UniformInt(int64_t{64}, int64_t{512}) * kMiB);
+    total += ti.nlp.object_sizes.back();
+  }
+  ti.nlp.target_capacities.assign(static_cast<size_t>(m),
+                                  total * 16 / 10 / m);
+  const TargetModel* model = ti.model.get();
+  const WorkloadSet* w = ti.workloads.get();
+  ti.nlp.target_utilization = [model, w](const Layout& l, int j) {
+    return model->TargetUtilization(*w, l, j);
+  };
+  ti.nlp.make_column_eval = [model, w](int j) {
+    return model->MakeColumnEvaluator(*w, j);
+  };
+  ti.seed = Layout(n, m);
+  for (int i = 0; i < n; ++i) {
+    ti.seed.SetRowRegular(i, {i % m, (i + 1 + (i / m) % (m - 1)) % m});
+  }
+  return ti;
+}
+
+TEST(RaceOracleProperty, RacedEqualsBestOfEverySeedRunToCompletion) {
+  // The oracle solves every seed to completion and keeps the best by the
+  // multistart rule (feasible first, then lowest max-util, ties to the
+  // lower seed). Racing may only skip work that could not have won.
+  int cases = 0;
+  int cases_with_stops = 0;
+  for (const int m : {3, 5, 10}) {
+    for (const int n : {16, 24, 32, 48}) {
+      for (const uint64_t k : {1, 2}) {
+        SCOPED_TRACE(::testing::Message()
+                     << "n=" << n << " m=" << m << " k=" << k);
+        Rng rng(100000 * k + 1000 * static_cast<uint64_t>(m) +
+                static_cast<uint64_t>(n));
+        TenantInstance ti = MakeTenantInstance(n, m, &rng);
+        std::vector<Layout> seeds{ti.seed};
+        for (Layout& l : MultiStartSolver::RandomSeeds(ti.nlp, 2, &rng)) {
+          seeds.push_back(std::move(l));
+        }
+
+        const ProjectedGradientSolver solver;
+        SolverResult best;
+        for (size_t s = 0; s < seeds.size(); ++s) {
+          auto r = solver.Solve(ti.nlp, seeds[s]);
+          ASSERT_TRUE(r.ok());
+          if (s == 0 || (r->feasible && !best.feasible) ||
+              (r->feasible == best.feasible &&
+               r->max_utilization < best.max_utilization)) {
+            best = std::move(r).value();
+          }
+        }
+
+        auto raced = MultiStartSolver().Solve(ti.nlp, seeds);
+        ASSERT_TRUE(raced.ok());
+        EXPECT_TRUE(raced->layout == best.layout);
+        EXPECT_EQ(raced->max_utilization, best.max_utilization);
+        EXPECT_EQ(raced->feasible, best.feasible);
+        ++cases;
+        if (std::any_of(raced->seeds.begin(), raced->seeds.end(),
+                        [](const SeedTrajectory& t) { return t.stopped(); })) {
+          ++cases_with_stops;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(cases, 24);
+  // Fails if racing is disabled: the comparison above would then be
+  // vacuous.
+  EXPECT_GE(cases_with_stops, 1);
+  std::printf("raced multistart: %d of %d cases stopped a seed\n",
+              cases_with_stops, cases);
+}
 
 // ------------------------------------------------- analyzer round trip
 

@@ -342,6 +342,84 @@ TEST(SolverTest, AnalyticStepPricesEachLayoutOnce) {
   EXPECT_NEAR(r->max_utilization, true_max, 1e-9 * std::max(1.0, true_max));
 }
 
+// ------------------------------------------------------------------ Race
+
+/// Four objects on three equal targets (balanced optimum 5) and a seed
+/// with everything on target 0.
+LayoutNlpProblem MakeRaceProblem() {
+  return MakeLinearProblem({8, 4, 2, 1}, {1, 1, 1});
+}
+
+Layout AllOnFirstTarget(int n, int m) {
+  Layout l(n, m);
+  for (int i = 0; i < n; ++i) l.SetRowRegular(i, {0});
+  return l;
+}
+
+TEST(SolverTest, RecordsTrueMaxAfterEveryRound) {
+  ProjectedGradientSolver solver;
+  auto r = solver.Solve(MakeRaceProblem(), AllOnFirstTarget(4, 3));
+  ASSERT_TRUE(r.ok());
+  ASSERT_EQ(r->seeds.size(), 1u);
+  const SeedTrajectory& t = r->seeds.front();
+  EXPECT_FALSE(t.stopped());
+  ASSERT_EQ(t.round_max.size(),
+            static_cast<size_t>(SolverOptions{}.annealing_rounds));
+  EXPECT_LT(t.round_max.front(), 15.0);  // the seed's max is 15
+  // Capacity is ample, so no repair moves the last round's layout.
+  EXPECT_EQ(t.round_max.back(), r->max_utilization);
+}
+
+TEST(SolverTest, StopsOnceItCannotCatchTheRival) {
+  // A rival at zero in every round cannot be caught: the solve stops at
+  // round kRaceFirstRound or later, skips the repair, reports infeasible,
+  // and has spent fewer passes than the full schedule.
+  const LayoutNlpProblem p = MakeRaceProblem();
+  const Layout seed = AllOnFirstTarget(4, 3);
+  ProjectedGradientSolver solver;
+  auto full = solver.Solve(p, seed);
+  const int rounds = SolverOptions{}.annealing_rounds;
+  auto raced = solver.Solve(p, seed, std::vector<double>(rounds, 0.0));
+  ASSERT_TRUE(full.ok());
+  ASSERT_TRUE(raced.ok());
+  const SeedTrajectory& t = raced->seeds.front();
+  ASSERT_TRUE(t.stopped());
+  EXPECT_GE(t.stopped_round, ProjectedGradientSolver::kRaceFirstRound);
+  EXPECT_LT(t.stopped_round, rounds);
+  EXPECT_EQ(t.round_max.size(), static_cast<size_t>(t.stopped_round) + 1);
+  EXPECT_FALSE(raced->feasible);
+  EXPECT_EQ(raced->max_utilization, t.round_max.back());
+  EXPECT_LT(raced->gradient_evaluations, full->gradient_evaluations);
+  EXPECT_GT(raced->gradient_evaluations, 0);
+  // Up to the stop the raced solve is the unraced one.
+  for (size_t r = 0; r < t.round_max.size(); ++r) {
+    EXPECT_EQ(t.round_max[r], full->seeds.front().round_max[r]) << r;
+  }
+}
+
+TEST(SolverTest, NeverStopsLevelWithTheRivalOrBeforeRoundTwo) {
+  const LayoutNlpProblem p = MakeRaceProblem();
+  const Layout seed = AllOnFirstTarget(4, 3);
+  ProjectedGradientSolver solver;
+  auto full = solver.Solve(p, seed);
+  ASSERT_TRUE(full.ok());
+  // Racing its own trajectory: never strictly behind, never stopped, and
+  // the result is the unraced one.
+  auto self = solver.Solve(p, seed, full->seeds.front().round_max);
+  ASSERT_TRUE(self.ok());
+  EXPECT_FALSE(self->seeds.front().stopped());
+  EXPECT_TRUE(self->layout == full->layout);
+  EXPECT_EQ(self->gradient_evaluations, full->gradient_evaluations);
+  // With two rounds there is no round ≥ kRaceFirstRound to stop after.
+  SolverOptions two;
+  two.annealing_rounds = 2;
+  auto short_race =
+      ProjectedGradientSolver(two).Solve(p, seed, {0.0, 0.0});
+  ASSERT_TRUE(short_race.ok());
+  EXPECT_FALSE(short_race->seeds.front().stopped());
+  EXPECT_TRUE(short_race->feasible);
+}
+
 // ------------------------------------------------------------- MultiStart
 
 TEST(MultiStartTest, RequiresSeeds) {
@@ -375,6 +453,71 @@ TEST(MultiStartTest, AccumulatesEffortCounters) {
   ASSERT_TRUE(one.ok());
   ASSERT_TRUE(two.ok());
   EXPECT_GE(two->gradient_evaluations, 2 * one->gradient_evaluations);
+  // A seed identical to seed 0 is never behind it, so never stopped.
+  ASSERT_EQ(two->seeds.size(), 2u);
+  EXPECT_FALSE(two->seeds[1].stopped());
+}
+
+/// Seed 0 balanced-ish, the others worse starts of the race problem.
+std::vector<Layout> RaceSeeds() {
+  Layout balanced(4, 3);
+  balanced.SetRowRegular(0, {0});
+  balanced.SetRowRegular(1, {1});
+  balanced.SetRowRegular(2, {2});
+  balanced.SetRowRegular(3, {2});
+  return {balanced, AllOnFirstTarget(4, 3),
+          Layout::StripeEverythingEverywhere(4, 3)};
+}
+
+TEST(MultiStartTest, RacedSeedsStopButSeedZeroNever) {
+  const LayoutNlpProblem p = MakeRaceProblem();
+  const std::vector<Layout> seeds = RaceSeeds();
+  auto raced = MultiStartSolver().Solve(p, seeds);
+  ASSERT_TRUE(raced.ok());
+  ASSERT_EQ(raced->seeds.size(), seeds.size());
+  EXPECT_FALSE(raced->seeds[0].stopped());
+  int stopped = 0;
+  for (const SeedTrajectory& t : raced->seeds) stopped += t.stopped() ? 1 : 0;
+  EXPECT_GE(stopped, 1) << "the race must stop a trailing seed here";
+  // Never worse than seed 0 solved alone, and every seed's passes count.
+  auto alone = ProjectedGradientSolver().Solve(p, seeds[0]);
+  ASSERT_TRUE(alone.ok());
+  EXPECT_TRUE(raced->feasible);
+  EXPECT_LE(raced->max_utilization, alone->max_utilization);
+  EXPECT_GT(raced->gradient_evaluations, alone->gradient_evaluations);
+}
+
+TEST(MultiStartTest, InfeasibleSeedZeroOrTwoRoundsMeansNoRace) {
+  // Twice the data the targets hold: seed 0 ends infeasible, so it is no
+  // rival, and no seed stops.
+  LayoutNlpProblem over = MakeLinearProblem(
+      {8, 4, 2, 1}, {1, 1, 1}, std::vector<int64_t>(4, 3 * kGiB),
+      std::vector<int64_t>(3, 2 * kGiB));
+  // Seed 0 is SEE, which stays ahead of the other two here.
+  std::vector<Layout> seeds = RaceSeeds();
+  std::rotate(seeds.begin(), seeds.begin() + 2, seeds.end());
+  auto r = MultiStartSolver().Solve(over, seeds);
+  ASSERT_TRUE(r.ok());
+  EXPECT_FALSE(r->feasible);
+  for (const SeedTrajectory& t : r->seeds) EXPECT_FALSE(t.stopped());
+  // ...although racing seed 0's trajectory would have stopped one.
+  int would_stop = 0;
+  for (size_t s = 1; s < seeds.size(); ++s) {
+    auto raced = ProjectedGradientSolver().Solve(over, seeds[s],
+                                                 r->seeds[0].round_max);
+    ASSERT_TRUE(raced.ok());
+    would_stop += raced->seeds.front().stopped() ? 1 : 0;
+  }
+  EXPECT_GE(would_stop, 1);
+  // Two annealing rounds leave no round to race after.
+  SolverOptions two;
+  two.annealing_rounds = 2;
+  auto short_run = MultiStartSolver(two).Solve(MakeRaceProblem(), RaceSeeds());
+  ASSERT_TRUE(short_run.ok());
+  for (const SeedTrajectory& t : short_run->seeds) {
+    EXPECT_FALSE(t.stopped());
+    EXPECT_EQ(t.round_max.size(), 2u);
+  }
 }
 
 TEST(MultiStartTest, RandomSeedsAreValidSimplexRows) {

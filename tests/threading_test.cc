@@ -199,6 +199,8 @@ TEST(SolverThreadingTest, AnalyticBitIdenticalAcrossThreadCounts) {
 }
 
 TEST(MultiStartThreadingTest, BitIdenticalAcrossThreadCounts) {
+  // Seed 0 runs on the column pool, the raced seeds 1..k−1 on the seed
+  // pool; the outcome, stopped seeds included, must not depend on either.
   const int n = 12, m = 6;
   ModelProblem mp = MakeModelProblem(n, m, 23);
   Rng rng(5);
@@ -216,6 +218,11 @@ TEST(MultiStartThreadingTest, BitIdenticalAcrossThreadCounts) {
     if (!have_reference) {
       reference = std::move(r).value();
       have_reference = true;
+      int stopped = 0;
+      for (const SeedTrajectory& t : reference.seeds) {
+        stopped += t.stopped() ? 1 : 0;
+      }
+      EXPECT_GE(stopped, 1) << "the race must stop a seed on this problem";
       continue;
     }
     EXPECT_TRUE(r->layout == reference.layout) << "threads=" << threads;
@@ -223,6 +230,14 @@ TEST(MultiStartThreadingTest, BitIdenticalAcrossThreadCounts) {
         << "threads=" << threads;
     EXPECT_EQ(r->iterations, reference.iterations);
     EXPECT_EQ(r->gradient_evaluations, reference.gradient_evaluations);
+    EXPECT_EQ(r->interp_queries, reference.interp_queries);
+    ASSERT_EQ(r->seeds.size(), reference.seeds.size());
+    for (size_t s = 0; s < r->seeds.size(); ++s) {
+      EXPECT_EQ(r->seeds[s].round_max, reference.seeds[s].round_max)
+          << "threads=" << threads << " seed " << s;
+      EXPECT_EQ(r->seeds[s].stopped_round, reference.seeds[s].stopped_round)
+          << "threads=" << threads << " seed " << s;
+    }
   }
 }
 

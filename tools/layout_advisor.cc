@@ -99,6 +99,7 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <limits>
 
 #include "core/advisor.h"
 #include "core/autopilot.h"
@@ -112,6 +113,24 @@
 #include "scenario/sim.h"
 #include "storage/fault.h"
 #include "util/wal.h"
+
+namespace {
+
+/// Parses a whole argument as a non-negative decimal int (digits only, no
+/// sign, no trailing text, no overflow).
+bool ParseCount(const char* text, int* out) {
+  if (*text == '\0') return false;
+  long long value = 0;
+  for (const char* c = text; *c != '\0'; ++c) {
+    if (*c < '0' || *c > '9') return false;
+    value = value * 10 + (*c - '0');
+    if (value > std::numeric_limits<int>::max()) return false;
+  }
+  *out = static_cast<int>(value);
+  return true;
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   using namespace ldb;
@@ -151,11 +170,23 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[a], "--no-regularize") == 0) {
       options.regularize = false;
     } else if (std::strncmp(argv[a], "--seeds=", 8) == 0) {
-      options.extra_random_seeds = std::atoi(argv[a] + 8);
+      if (!ParseCount(argv[a] + 8, &options.extra_random_seeds)) {
+        std::fprintf(stderr,
+                     "--seeds needs a decimal integer >= 0 (extra random "
+                     "restarts), got '%s'\n",
+                     argv[a] + 8);
+        return 2;
+      }
     } else if (std::strcmp(argv[a], "--compare-see") == 0) {
       compare_see = true;
     } else if (std::strncmp(argv[a], "--threads=", 10) == 0) {
-      options.solver.num_threads = std::atoi(argv[a] + 10);
+      if (!ParseCount(argv[a] + 10, &options.solver.num_threads)) {
+        std::fprintf(stderr,
+                     "--threads needs a decimal integer >= 0 (0 = one per "
+                     "core), got '%s'\n",
+                     argv[a] + 10);
+        return 2;
+      }
       io_options.calibration.num_threads = options.solver.num_threads;
     } else if (std::strncmp(argv[a], "--calibration-cache=", 20) == 0) {
       io_options.calibration.cache_dir = argv[a] + 20;
