@@ -1,26 +1,48 @@
 #include "bench/bench_common.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <numeric>
 #include <utility>
 
+#include "util/spec_text.h"
 #include "util/table.h"
 
 namespace ldb {
 namespace bench {
 
+namespace {
+
+[[noreturn]] void BadFlag(const char* flag, const char* want,
+                          const char* got) {
+  std::fprintf(stderr, "%s needs %s, got '%s'\n", flag, want, got);
+  std::exit(2);
+}
+
+}  // namespace
+
 BenchEnv ParseBenchEnv(int argc, char** argv) {
   BenchEnv env;
   for (int a = 1; a < argc; ++a) {
     if (std::strncmp(argv[a], "--scale=", 8) == 0) {
-      env.scale = std::atof(argv[a] + 8);
+      if (!ParseDecimal(argv[a] + 8, &env.scale) || !(env.scale > 0.0) ||
+          !std::isfinite(env.scale)) {
+        BadFlag("--scale", "a finite number > 0", argv[a] + 8);
+      }
     } else if (std::strncmp(argv[a], "--seed=", 7) == 0) {
-      env.seed = static_cast<uint64_t>(std::atoll(argv[a] + 7));
+      int64_t seed = 0;
+      if (!ParseInteger(argv[a] + 7, &seed) || seed < 0) {
+        BadFlag("--seed", "a decimal integer >= 0", argv[a] + 7);
+      }
+      env.seed = static_cast<uint64_t>(seed);
     } else if (std::strncmp(argv[a], "--threads=", 10) == 0) {
-      env.num_threads = std::atoi(argv[a] + 10);
+      if (!ParseInteger(argv[a] + 10, &env.num_threads) ||
+          env.num_threads < 0) {
+        BadFlag("--threads", "a decimal integer >= 0", argv[a] + 10);
+      }
     } else if (std::strcmp(argv[a], "--json") == 0) {
       env.json = true;
       env.json_path = "-";
@@ -31,8 +53,6 @@ BenchEnv ParseBenchEnv(int argc, char** argv) {
       env.calibration_cache = argv[a] + 20;
     }
   }
-  LDB_CHECK_GT(env.scale, 0.0);
-  LDB_CHECK_GE(env.num_threads, 0);
   return env;
 }
 

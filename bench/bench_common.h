@@ -39,7 +39,8 @@ struct BenchEnv {
 
 /// Parses --scale=<f>, --seed=<n>, --threads=<n>, --json[=path], and
 /// --calibration-cache=<dir> from argv (ignores anything else, so binaries
-/// still run under blanket bench runners).
+/// still run under blanket bench runners). A malformed number (see
+/// util/spec_text.h) prints a message naming the flag and exits 2.
 BenchEnv ParseBenchEnv(int argc, char** argv);
 
 /// Calibration options implied by a BenchEnv (parallelism from --threads,

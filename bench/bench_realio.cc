@@ -43,6 +43,7 @@
 #include "storage/disk.h"
 #include "storage/storage_system.h"
 #include "util/random.h"
+#include "util/spec_text.h"
 #include "util/table.h"
 #include "util/units.h"
 
@@ -163,12 +164,12 @@ int main(int argc, char** argv) {
     if (std::strncmp(argv[a], "--backend-dir=", 14) == 0) {
       backend_dir = argv[a] + 14;
     } else if (std::strncmp(argv[a], "--requests=", 11) == 0) {
-      requests = std::atoi(argv[a] + 11);
+      if (!ParseInteger(argv[a] + 11, &requests) || requests <= 0) {
+        std::fprintf(stderr, "--requests needs a count > 0, got '%s'\n",
+                     argv[a] + 11);
+        return 2;
+      }
     }
-  }
-  if (requests <= 0) {
-    std::fprintf(stderr, "--requests needs a count > 0\n");
-    return 1;
   }
   if (backend_dir.empty()) {
     const char* tmp = std::getenv("TMPDIR");

@@ -1,9 +1,9 @@
 #include "core/journal.h"
 
 #include <cstdlib>
-#include <limits>
 #include <utility>
 
+#include "util/spec_text.h"
 #include "util/table.h"
 
 namespace ldb {
@@ -83,26 +83,12 @@ class FieldParser {
   }
   bool NextDouble(double* out) {
     std::string tok;
-    if (!NextToken(&tok)) return false;
-    char* end = nullptr;
-    *out = std::strtod(tok.c_str(), &end);
-    return end != tok.c_str() && *end == '\0';
+    return NextToken(&tok) && ParseDecimal(tok, out);
   }
-  bool NextInt64(int64_t* out) {
+  template <typename Int>  // int or int64_t; a value that does not fit fails
+  bool NextInt(Int* out) {
     std::string tok;
-    if (!NextToken(&tok)) return false;
-    char* end = nullptr;
-    *out = std::strtoll(tok.c_str(), &end, 10);
-    return end != tok.c_str() && *end == '\0';
-  }
-  bool NextInt(int* out) {
-    int64_t v = 0;
-    if (!NextInt64(&v) || v < std::numeric_limits<int>::min() ||
-        v > std::numeric_limits<int>::max()) {
-      return false;
-    }
-    *out = static_cast<int>(v);
-    return true;
+    return NextToken(&tok) && ParseInteger(tok, out);
   }
   bool NextHexU64(uint64_t* out) {
     std::string tok;
@@ -240,7 +226,7 @@ Status ParseControlRecords(const std::vector<std::string>& records,
       JournalRecord rec;
       if (!p.NextToken(&kind_name) ||
           !JournalKindFromName(kind_name, &rec.kind) ||
-          !p.NextInt(&rec.object) || !p.NextInt64(&rec.chunk)) {
+          !p.NextInt(&rec.object) || !p.NextInt(&rec.chunk)) {
         return CorruptRecord(static_cast<int64_t>(idx),
                              "malformed migration record");
       }

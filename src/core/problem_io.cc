@@ -2,13 +2,17 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cmath>
 #include <fstream>
 #include <map>
 #include <sstream>
+#include <string_view>
+#include <utility>
 
 #include "model/calibration.h"
 #include "storage/disk.h"
 #include "storage/ssd.h"
+#include "util/spec_text.h"
 #include "util/table.h"
 #include "util/units.h"
 
@@ -16,41 +20,38 @@ namespace ldb {
 
 namespace {
 
-/// Parses "64KiB" / "18.4GiB" / "65536" into bytes.
+/// Parses "64KiB" / "18.4GiB" / "65536" into bytes (at least one).
 Result<int64_t> ParseSize(const std::string& token) {
-  size_t suffix = 0;
+  static constexpr std::pair<std::string_view, int64_t> kUnits[] = {
+      {"KiB", kKiB}, {"MiB", kMiB}, {"GiB", kGiB}, {"B", 1}};
+  std::string_view number = token;
+  int64_t unit = 1;
+  for (const auto& [suffix, bytes] : kUnits) {
+    if (number.ends_with(suffix)) {
+      number.remove_suffix(suffix.size());
+      unit = bytes;
+      break;
+    }
+  }
   double value = 0;
-  try {
-    value = std::stod(token, &suffix);
-  } catch (...) {
-    return Status::InvalidArgument(StrFormat("bad size '%s'", token.c_str()));
-  }
-  const std::string unit = token.substr(suffix);
-  double mult = 1;
-  if (unit == "KiB") {
-    mult = static_cast<double>(kKiB);
-  } else if (unit == "MiB") {
-    mult = static_cast<double>(kMiB);
-  } else if (unit == "GiB") {
-    mult = static_cast<double>(kGiB);
-  } else if (!unit.empty() && unit != "B") {
-    return Status::InvalidArgument(
-        StrFormat("unknown size unit '%s'", unit.c_str()));
-  }
-  const double bytes = value * mult;
-  if (bytes <= 0 || bytes > 9e18) {
-    return Status::InvalidArgument(StrFormat("bad size '%s'", token.c_str()));
+  const bool parsed = ParseDecimal(number, &value);
+  const double bytes = value * static_cast<double>(unit);
+  if (!parsed || !(bytes >= 1 && bytes <= 9e18)) {
+    return Status::InvalidArgument(StrFormat(
+        "bad size '%s' (want a number of bytes >= 1, optionally in "
+        "B/KiB/MiB/GiB)",
+        token.c_str()));
   }
   return static_cast<int64_t>(bytes);
 }
 
 Result<double> ParseDouble(const std::string& token) {
-  try {
-    return std::stod(token);
-  } catch (...) {
+  double value = 0;
+  if (!ParseDecimal(token, &value)) {
     return Status::InvalidArgument(
         StrFormat("bad number '%s'", token.c_str()));
   }
+  return value;
 }
 
 Result<ObjectKind> ParseKind(const std::string& token) {
@@ -69,15 +70,16 @@ struct ParseState {
   std::map<std::string, const CostModel*> devices;  // device name -> model
   std::map<std::string, int> object_index;
   std::map<std::string, int> target_index;
-  std::vector<std::pair<std::string, std::vector<std::string>>> pins;
-  std::vector<std::pair<std::string, std::string>> separations;
-  // overlap rows buffered until all objects are known
-  struct OverlapEntry {
+  // Name references buffered until all objects are known, with their line
+  // for error context: overlap (a, b, value), self_overlap (a, value), pin
+  // (a, targets) and separate (a, b).
+  struct Reference {
+    int line = 0;
     std::string a, b;
-    double value;
+    double value = 0.0;
+    std::vector<std::string> targets;
   };
-  std::vector<OverlapEntry> overlaps;
-  std::vector<std::pair<std::string, double>> self_overlaps;
+  std::vector<Reference> overlaps, self_overlaps, pins, separations;
   // First-occurrence line numbers of the once-only directives (0 = not
   // seen yet), for duplicate-directive error context.
   int autopilot_line = 0;
@@ -146,11 +148,10 @@ Status HandleTarget(ParseState* st, const std::vector<std::string>& tok) {
   target.capacity_bytes = *capacity;
   for (size_t a = 5; a + 1 < tok.size(); a += 2) {
     if (tok[a] == "members") {
-      auto v = ParseDouble(tok[a + 1]);
-      if (!v.ok() || *v < 1) {
+      if (!ParseInteger(tok[a + 1], &target.num_members) ||
+          target.num_members < 1) {
         return Status::InvalidArgument("bad members count");
       }
-      target.num_members = static_cast<int>(*v);
     } else if (tok[a] == "stripe") {
       auto v = ParseSize(tok[a + 1]);
       if (!v.ok()) return v.status();
@@ -289,7 +290,7 @@ Result<LoadedProblem> ParseProblemText(const std::string& text,
         if (!v.ok()) {
           status = v.status();
         } else {
-          st.overlaps.push_back({tok[1], tok[2], *v});
+          st.overlaps.push_back({line_no, tok[1], tok[2], *v, {}});
         }
       }
     } else if (tok[0] == "self_overlap") {
@@ -300,21 +301,22 @@ Result<LoadedProblem> ParseProblemText(const std::string& text,
         if (!v.ok()) {
           status = v.status();
         } else {
-          st.self_overlaps.emplace_back(tok[1], *v);
+          st.self_overlaps.push_back({line_no, tok[1], "", *v, {}});
         }
       }
     } else if (tok[0] == "pin") {
       if (tok.size() < 3) {
         status = Status::InvalidArgument("pin <object> <target>...");
       } else {
-        st.pins.emplace_back(
-            tok[1], std::vector<std::string>(tok.begin() + 2, tok.end()));
+        st.pins.push_back({line_no, tok[1], "", 0.0,
+                           std::vector<std::string>(tok.begin() + 2,
+                                                    tok.end())});
       }
     } else if (tok[0] == "separate") {
       if (tok.size() != 3) {
         status = Status::InvalidArgument("separate <a> <b>");
       } else {
-        st.separations.emplace_back(tok[1], tok[2]);
+        st.separations.push_back({line_no, tok[1], tok[2], 0.0, {}});
       }
     } else if (tok[0] == "autopilot") {
       if (tok.size() < 2) {
@@ -379,11 +381,11 @@ Result<LoadedProblem> ParseProblemText(const std::string& text,
   // Resolve deferred references now that all names are known.
   LayoutProblem& p = st.out.problem;
   const size_t n = p.object_names.size();
-  auto object_id = [&](const std::string& name) -> Result<int> {
+  auto object_id = [&](const std::string& name, int line) -> Result<int> {
     const auto it = st.object_index.find(name);
     if (it == st.object_index.end()) {
       return Status::InvalidArgument(
-          StrFormat("unknown object '%s'", name.c_str()));
+          StrFormat("line %d: unknown object '%s'", line, name.c_str()));
     }
     return it->second;
   };
@@ -395,17 +397,17 @@ Result<LoadedProblem> ParseProblemText(const std::string& text,
     writes[i].emplace_back(static_cast<int32_t>(i), 0.0);
   }
   for (const auto& o : st.overlaps) {
-    auto a = object_id(o.a);
-    auto b = object_id(o.b);
+    auto a = object_id(o.a, o.line);
+    auto b = object_id(o.b, o.line);
     if (!a.ok()) return a.status();
     if (!b.ok()) return b.status();
     writes[static_cast<size_t>(*a)].emplace_back(*b, o.value);
     writes[static_cast<size_t>(*b)].emplace_back(*a, o.value);
   }
-  for (const auto& [name, value] : st.self_overlaps) {
-    auto a = object_id(name);
+  for (const auto& o : st.self_overlaps) {
+    auto a = object_id(o.a, o.line);
     if (!a.ok()) return a.status();
-    writes[static_cast<size_t>(*a)].emplace_back(*a, value);
+    writes[static_cast<size_t>(*a)].emplace_back(*a, o.value);
   }
   for (size_t i = 0; i < n; ++i) {
     auto& row = writes[i];
@@ -424,23 +426,23 @@ Result<LoadedProblem> ParseProblemText(const std::string& text,
   }
   if (!st.pins.empty()) {
     p.constraints.allowed_targets.assign(n, {});
-    for (const auto& [name, targets] : st.pins) {
-      auto a = object_id(name);
+    for (const auto& pin : st.pins) {
+      auto a = object_id(pin.a, pin.line);
       if (!a.ok()) return a.status();
-      for (const std::string& tname : targets) {
+      for (const std::string& tname : pin.targets) {
         const auto it = st.target_index.find(tname);
         if (it == st.target_index.end()) {
-          return Status::InvalidArgument(
-              StrFormat("unknown target '%s'", tname.c_str()));
+          return Status::InvalidArgument(StrFormat(
+              "line %d: unknown target '%s'", pin.line, tname.c_str()));
         }
         p.constraints.allowed_targets[static_cast<size_t>(*a)].push_back(
             it->second);
       }
     }
   }
-  for (const auto& [na, nb] : st.separations) {
-    auto a = object_id(na);
-    auto b = object_id(nb);
+  for (const auto& sep : st.separations) {
+    auto a = object_id(sep.a, sep.line);
+    auto b = object_id(sep.b, sep.line);
     if (!a.ok()) return a.status();
     if (!b.ok()) return b.status();
     p.constraints.separate.emplace_back(*a, *b);
@@ -596,21 +598,24 @@ std::string FormatProblemText(const LayoutProblem& problem) {
   for (int i = 0; i < n; ++i) {
     const WorkloadDesc& w = problem.workloads[static_cast<size_t>(i)];
     out += StrFormat(
-        "workload %s read_rate %.6g read_size %.0f write_rate %.6g "
-        "write_size %.0f run_count %.6g\n",
+        "workload %s read_rate %s read_size %.0f write_rate %s "
+        "write_size %.0f run_count %s\n",
         SanitizeName(problem.object_names[static_cast<size_t>(i)]).c_str(),
-        w.read_rate,
-        w.read_size, w.write_rate, w.write_size, w.run_count);
+        FormatExact(w.read_rate).c_str(), w.read_size,
+        FormatExact(w.write_rate).c_str(), w.write_size,
+        FormatExact(w.run_count).c_str());
   }
   out += "\n";
   // Overlaps: symmetric entries are emitted once with the mean of the two
   // directions (the format is symmetric); self-overlaps get their own line.
   for (int i = 0; i < n; ++i) {
     const WorkloadDesc& wi = problem.workloads[static_cast<size_t>(i)];
-    if (wi.overlap_with(static_cast<size_t>(i)) > 0) {
-      out += StrFormat("self_overlap %s %.6g\n",
-                       SanitizeName(problem.object_names[static_cast<size_t>(i)]).c_str(),
-                       wi.overlap_with(static_cast<size_t>(i)));
+    const double self = wi.overlap_with(static_cast<size_t>(i));
+    if (self != 0.0 || std::signbit(self)) {  // -0 must round-trip too
+      out += StrFormat(
+          "self_overlap %s %s\n",
+          SanitizeName(problem.object_names[static_cast<size_t>(i)]).c_str(),
+          FormatExact(self).c_str());
     }
     for (int k = i + 1; k < n; ++k) {
       const double a = wi.overlap_with(static_cast<size_t>(k));
@@ -618,12 +623,12 @@ std::string FormatProblemText(const LayoutProblem& problem) {
           problem.workloads[static_cast<size_t>(k)].overlap_with(
               static_cast<size_t>(i));
       const double mean = (a + b) / 2.0;
-      if (mean > 1e-9) {
+      if (mean > 0.0) {
         out += StrFormat(
-            "overlap %s %s %.6g\n",
+            "overlap %s %s %s\n",
             SanitizeName(problem.object_names[static_cast<size_t>(i)]).c_str(),
             SanitizeName(problem.object_names[static_cast<size_t>(k)]).c_str(),
-            mean);
+            FormatExact(mean).c_str());
       }
     }
   }

@@ -46,8 +46,11 @@ struct ProblemIoOptions {
 /// Parses the layoutdb problem-file format — the input of the standalone
 /// advisor CLI (the deployment mode the paper proposes in Section 8).
 ///
-/// Line-oriented; `#` starts a comment. Sizes accept `KiB`/`MiB`/`GiB`
-/// suffixes. Directives:
+/// Line-oriented; `#` starts a comment. Numbers follow util/spec_text.h
+/// (whole tokens: no NaN, hex or trailing text); `members` is an integer,
+/// and sizes are >= 1 byte with an optional `B`/`KiB`/`MiB`/`GiB` suffix.
+/// Errors name their line, references resolved after the whole file
+/// included. Directives:
 ///
 ///   lvm_stripe <size>
 ///   device <name> builtin:<model>         # disk-15k | disk-7200 | ssd
@@ -82,7 +85,8 @@ std::string FormatAdvisorReport(const LayoutProblem& problem,
                                 const AdvisorResult& result);
 
 /// Serializes a problem back to the problem-file format, so fitted
-/// workloads can be saved, edited, and fed to the CLI. Device lines use
+/// workloads can be saved, edited, and fed to the CLI. Numbers print
+/// exactly (util/spec_text.h FormatExact). Device lines use
 /// the cost models' device-model names, which round-trip for the builtin
 /// models ("disk-15k", "disk-7200", "ssd"); custom cost models serialize
 /// as builtin references by name and may not round-trip exactly.

@@ -12,6 +12,7 @@
 #include <cstdlib>
 #include <utility>
 
+#include "util/spec_text.h"
 #include "util/table.h"
 
 #if LDB_HAVE_LIBURING
@@ -24,11 +25,6 @@ namespace {
 
 int64_t RoundUp(int64_t v, int64_t unit) {
   return (v + unit - 1) / unit * unit;
-}
-
-Status ClauseError(int clause, const std::string& what) {
-  return Status::InvalidArgument(
-      StrFormat("backend target clause %d: %s", clause, what.c_str()));
 }
 
 }  // namespace
@@ -93,11 +89,13 @@ Result<std::unique_ptr<FileBackend>> FileBackend::Open(
 
   bool warned_direct = false;
   for (size_t t = 0; t < options.capacity_bytes.size(); ++t) {
-    const int clause = static_cast<int>(t) + 1;
+    const auto target_error = [t](const std::string& what) {
+      return ClauseError("backend target", static_cast<int>(t) + 1, what);
+    };
     const int64_t want = options.capacity_bytes[t];
     if (want <= 0) {
-      return ClauseError(clause, StrFormat("capacity must be > 0, got %lld",
-                                           (long long)want));
+      return target_error(
+          StrFormat("capacity must be > 0, got %lld", (long long)want));
     }
     Target target;
     target.path =
@@ -109,14 +107,12 @@ Result<std::unique_ptr<FileBackend>> FileBackend::Open(
     struct stat st;
     if (::stat(target.path.c_str(), &st) == 0) {
       if (!S_ISREG(st.st_mode) && !S_ISBLK(st.st_mode)) {
-        return ClauseError(
-            clause, StrFormat("%s is neither a regular file nor a block "
-                              "device",
-                              target.path.c_str()));
+        return target_error(
+            StrFormat("%s is neither a regular file nor a block device",
+                      target.path.c_str()));
       }
       if (S_ISREG(st.st_mode) && st.st_size % lbs != 0) {
-        return ClauseError(
-            clause,
+        return target_error(
             StrFormat("file %s size %lld is not a multiple of the %lld-byte "
                       "logical block",
                       target.path.c_str(), (long long)st.st_size,
@@ -126,26 +122,24 @@ Result<std::unique_ptr<FileBackend>> FileBackend::Open(
 
     target.buffered_fd = ::open(target.path.c_str(), O_RDWR | O_CREAT, 0644);
     if (target.buffered_fd < 0) {
-      return ClauseError(clause, StrFormat("open(%s) failed: %s",
-                                           target.path.c_str(),
-                                           strerror(errno)));
+      return target_error(StrFormat("open(%s) failed: %s",
+                                    target.path.c_str(), strerror(errno)));
     }
     const int64_t provisioned = RoundUp(want, lbs);
     target.capacity = options.dual_epoch ? 2 * provisioned : provisioned;
     struct stat now;
     if (::fstat(target.buffered_fd, &now) != 0) {
       ::close(target.buffered_fd);
-      return ClauseError(clause, StrFormat("fstat(%s) failed: %s",
-                                           target.path.c_str(),
-                                           strerror(errno)));
+      return target_error(StrFormat("fstat(%s) failed: %s",
+                                    target.path.c_str(), strerror(errno)));
     }
     if (S_ISREG(now.st_mode) && now.st_size < target.capacity &&
         ::ftruncate(target.buffered_fd, target.capacity) != 0) {
       ::close(target.buffered_fd);
-      return ClauseError(clause, StrFormat("ftruncate(%s, %lld) failed: %s",
-                                           target.path.c_str(),
-                                           (long long)target.capacity,
-                                           strerror(errno)));
+      return target_error(StrFormat("ftruncate(%s, %lld) failed: %s",
+                                    target.path.c_str(),
+                                    (long long)target.capacity,
+                                    strerror(errno)));
     }
     if (S_ISREG(now.st_mode) && now.st_size > target.capacity) {
       // Never shrink a pre-existing file; expose what is there.

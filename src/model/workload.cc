@@ -1,6 +1,7 @@
 #include "model/workload.h"
 
 #include <algorithm>
+#include <cmath>
 #include <string>
 
 #include "util/table.h"
@@ -14,6 +15,12 @@ namespace {
 /// diagonal position (SIZE_MAX = unknown, skip diagonal-specific checks).
 std::string WorkloadViolation(const WorkloadDesc& w, size_t n,
                               size_t self_index) {
+  const auto finite = [](double a, double b) {
+    return std::isfinite(a) && std::isfinite(b);
+  };
+  if (!finite(w.read_rate, w.write_rate)) return "non-finite request rate";
+  if (!finite(w.read_size, w.write_size)) return "non-finite request size";
+  if (!std::isfinite(w.run_count)) return "non-finite run_count";
   if (w.read_rate < 0 || w.write_rate < 0) return "negative request rate";
   if (w.read_size < 0 || w.write_size < 0) return "negative request size";
   if (w.read_rate > 0 && w.read_size <= 0)
@@ -39,6 +46,8 @@ std::string WorkloadViolation(const WorkloadDesc& w, size_t n,
       return StrFormat("overlap_index not sorted at entry %zu", j);
     const bool diagonal = static_cast<size_t>(idx) == self_index;
     saw_diagonal = saw_diagonal || diagonal;
+    if (!std::isfinite(w.overlap_value[j]))
+      return StrFormat("overlap_value[%zu] non-finite", j);
     if (w.overlap_value[j] < 0.0)
       return StrFormat("overlap_value[%zu] negative", j);
     // Off-diagonal entries are fractions; the diagonal (self-overlap) is a

@@ -1,39 +1,11 @@
 #include "monitor/autopilot_spec.h"
 
 #include <cmath>
-#include <cstdlib>
 
+#include "util/spec_text.h"
 #include "util/table.h"
 
 namespace ldb {
-
-namespace {
-
-Status ParseDouble(const std::string& value, const std::string& key,
-                   double* out) {
-  char* end = nullptr;
-  *out = std::strtod(value.c_str(), &end);
-  if (end == value.c_str() || *end != '\0') {
-    return Status::InvalidArgument(
-        StrFormat("autopilot spec: bad number '%s' for key '%s'",
-                  value.c_str(), key.c_str()));
-  }
-  return Status::Ok();
-}
-
-Status ParseInt(const std::string& value, const std::string& key,
-                int64_t* out) {
-  char* end = nullptr;
-  *out = std::strtoll(value.c_str(), &end, 10);
-  if (end == value.c_str() || *end != '\0') {
-    return Status::InvalidArgument(
-        StrFormat("autopilot spec: bad integer '%s' for key '%s'",
-                  value.c_str(), key.c_str()));
-  }
-  return Status::Ok();
-}
-
-}  // namespace
 
 Status AutopilotConfig::Validate() const {
   if (!(check_interval_s > 0.0) || !std::isfinite(check_interval_s)) {
@@ -87,117 +59,96 @@ Status AutopilotConfig::Validate() const {
 }
 
 Result<AutopilotConfig> ParseAutopilotSpec(const std::string& text) {
+  auto clauses = SplitSpecClauses("autopilot spec", text);
+  if (!clauses.ok()) return clauses.status();
   AutopilotConfig config;
-  size_t pos = 0;
-  int clause_index = 0;
-  const auto clause_error = [&clause_index](const std::string& what) {
-    return Status::InvalidArgument(
-        StrFormat("autopilot spec clause %d: %s", clause_index,
-                  what.c_str()));
-  };
-  while (pos <= text.size()) {
-    const size_t clause_end = std::min(text.find(';', pos), text.size());
-    const std::string clause = text.substr(pos, clause_end - pos);
-    pos = clause_end + 1;
-    if (clause.empty()) continue;
-    ++clause_index;
-
-    size_t cpos = 0;
-    while (cpos <= clause.size()) {
-      const size_t item_end = std::min(clause.find(',', cpos), clause.size());
-      const std::string item = clause.substr(cpos, item_end - cpos);
-      cpos = item_end + 1;
-      if (item.empty()) continue;
-      const size_t eq = item.find('=');
-      if (eq == std::string::npos) {
-        return clause_error(
-            StrFormat("'%s' is not key=value", item.c_str()));
-      }
-      const std::string key = item.substr(0, eq);
-      const std::string value = item.substr(eq + 1);
+  for (const SpecClause& clause : *clauses) {
+    for (const SpecItem& item : clause.items) {
+      const std::string& key = item.key;
       int64_t iv = 0;
+      int n = 0;
       double dv = 0.0;
       if (key == "interval") {
-        LDB_RETURN_IF_ERROR(ParseDouble(value, key, &dv));
+        LDB_RETURN_IF_ERROR(clause.Decimal(item, &dv));
         if (!(dv > 0.0) || !std::isfinite(dv)) {
-          return clause_error("interval must be > 0");
+          return clause.Error("interval must be > 0");
         }
         config.check_interval_s = dv;
       } else if (key == "window") {
-        LDB_RETURN_IF_ERROR(ParseDouble(value, key, &dv));
-        if (!(dv > 0.0)) return clause_error("window must be > 0");
+        LDB_RETURN_IF_ERROR(clause.Decimal(item, &dv));
+        if (!(dv > 0.0)) return clause.Error("window must be > 0");
         // An infinite window means no decay (the batch semantics).
         config.analyzer.half_life_s = std::isfinite(dv) ? dv : 0.0;
       } else if (key == "slack") {
-        LDB_RETURN_IF_ERROR(ParseInt(value, key, &iv));
-        if (iv < 0) return clause_error("slack must be >= 0");
+        LDB_RETURN_IF_ERROR(clause.Integer(item, &iv));
+        if (iv < 0) return clause.Error("slack must be >= 0");
         config.analyzer.sequential_slack_bytes = iv;
       } else if (key == "runs") {
-        LDB_RETURN_IF_ERROR(ParseInt(value, key, &iv));
-        if (iv < 1) return clause_error("runs must be >= 1");
-        config.analyzer.max_open_runs = static_cast<int>(iv);
+        LDB_RETURN_IF_ERROR(clause.Integer(item, &n));
+        if (n < 1) return clause.Error("runs must be >= 1");
+        config.analyzer.max_open_runs = n;
       } else if (key == "ring") {
-        LDB_RETURN_IF_ERROR(ParseInt(value, key, &iv));
-        if (iv < 1) return clause_error("ring must be >= 1");
-        config.analyzer.ring_capacity = static_cast<int>(iv);
+        LDB_RETURN_IF_ERROR(clause.Integer(item, &n));
+        if (n < 1) return clause.Error("ring must be >= 1");
+        config.analyzer.ring_capacity = n;
       } else if (key == "threshold") {
-        LDB_RETURN_IF_ERROR(ParseDouble(value, key, &dv));
+        LDB_RETURN_IF_ERROR(clause.Decimal(item, &dv));
         if (!(dv > 0.0)) {
-          return clause_error("threshold must be > 0 (inf disables)");
+          return clause.Error("threshold must be > 0 (inf disables)");
         }
         config.drift.threshold = dv;
       } else if (key == "trip") {
-        LDB_RETURN_IF_ERROR(ParseInt(value, key, &iv));
-        if (iv < 1) return clause_error("trip must be >= 1");
-        config.drift.trip_evaluations = static_cast<int>(iv);
+        LDB_RETURN_IF_ERROR(clause.Integer(item, &n));
+        if (n < 1) return clause.Error("trip must be >= 1");
+        config.drift.trip_evaluations = n;
       } else if (key == "clear") {
-        LDB_RETURN_IF_ERROR(ParseDouble(value, key, &dv));
+        LDB_RETURN_IF_ERROR(clause.Decimal(item, &dv));
         if (!(dv > 0.0 && dv <= 1.0)) {
-          return clause_error("clear must be in (0,1]");
+          return clause.Error("clear must be in (0,1]");
         }
         config.drift.clear_ratio = dv;
       } else if (key == "cooldown") {
-        LDB_RETURN_IF_ERROR(ParseDouble(value, key, &dv));
+        LDB_RETURN_IF_ERROR(clause.Decimal(item, &dv));
         if (dv < 0.0 || !std::isfinite(dv)) {
-          return clause_error("cooldown must be >= 0");
+          return clause.Error("cooldown must be >= 0");
         }
         config.drift.cooldown_s = dv;
       } else if (key == "minrate") {
-        LDB_RETURN_IF_ERROR(ParseDouble(value, key, &dv));
-        if (!(dv > 0.0)) return clause_error("minrate must be > 0");
+        LDB_RETURN_IF_ERROR(clause.Decimal(item, &dv));
+        if (!(dv > 0.0)) return clause.Error("minrate must be > 0");
         config.drift.min_rate = dv;
       } else if (key == "sustain") {
-        LDB_RETURN_IF_ERROR(ParseDouble(value, key, &dv));
+        LDB_RETURN_IF_ERROR(clause.Decimal(item, &dv));
         if (dv < 0.0 || dv > 1.0 || std::isnan(dv)) {
-          return clause_error("sustain must be in [0,1] (0 disables)");
+          return clause.Error("sustain must be in [0,1] (0 disables)");
         }
         config.drift.sustained_ratio = dv;
       } else if (key == "sustain_s") {
-        LDB_RETURN_IF_ERROR(ParseDouble(value, key, &dv));
+        LDB_RETURN_IF_ERROR(clause.Decimal(item, &dv));
         if (!(dv > 0.0) || !std::isfinite(dv)) {
-          return clause_error("sustain_s must be > 0");
+          return clause.Error("sustain_s must be > 0");
         }
         config.drift.sustained_s = dv;
       } else if (key == "gain") {
-        LDB_RETURN_IF_ERROR(ParseDouble(value, key, &dv));
+        LDB_RETURN_IF_ERROR(clause.Decimal(item, &dv));
         if (dv < 0.0 || !std::isfinite(dv)) {
-          return clause_error("gain must be >= 0");
+          return clause.Error("gain must be >= 0");
         }
         config.gate_min_gain = dv;
       } else if (key == "horizon") {
-        LDB_RETURN_IF_ERROR(ParseDouble(value, key, &dv));
+        LDB_RETURN_IF_ERROR(clause.Decimal(item, &dv));
         if (!(dv > 0.0) || !std::isfinite(dv)) {
-          return clause_error("horizon must be > 0");
+          return clause.Error("horizon must be > 0");
         }
         config.gate_horizon_s = dv;
       } else if (key == "bandwidth") {
-        LDB_RETURN_IF_ERROR(ParseDouble(value, key, &dv));
+        LDB_RETURN_IF_ERROR(clause.Decimal(item, &dv));
         if (!(dv > 0.0) || !std::isfinite(dv)) {
-          return clause_error("bandwidth must be > 0");
+          return clause.Error("bandwidth must be > 0");
         }
         config.gate_fallback_bandwidth = dv;
       } else {
-        return clause_error(StrFormat("unknown key '%s'", key.c_str()));
+        return clause.Error(StrFormat("unknown key '%s'", key.c_str()));
       }
     }
   }
@@ -206,21 +157,28 @@ Result<AutopilotConfig> ParseAutopilotSpec(const std::string& text) {
 }
 
 std::string AutopilotConfigToString(const AutopilotConfig& config) {
+  const OnlineAnalyzerOptions& a = config.analyzer;
+  const DriftOptions& d = config.drift;
   std::string out = StrFormat(
-      "interval=%g,window=%s,threshold=%g,trip=%d,clear=%g,cooldown=%g",
-      config.check_interval_s,
-      config.analyzer.half_life_s > 0.0
-          ? StrFormat("%g", config.analyzer.half_life_s).c_str()
-          : "inf",
-      config.drift.threshold, config.drift.trip_evaluations,
-      config.drift.clear_ratio, config.drift.cooldown_s);
-  if (config.drift.sustained_ratio > 0.0) {
-    out += StrFormat(",sustain=%g,sustain_s=%g",
-                     config.drift.sustained_ratio,
-                     config.drift.sustained_s);
+      "interval=%s;window=%s,slack=%lld,runs=%d,ring=%d",
+      FormatExact(config.check_interval_s).c_str(),
+      a.half_life_s > 0.0 ? FormatExact(a.half_life_s).c_str() : "inf",
+      static_cast<long long>(a.sequential_slack_bytes), a.max_open_runs,
+      a.ring_capacity);
+  out += StrFormat(
+      ";threshold=%s,trip=%d,clear=%s,cooldown=%s,minrate=%s,sustain=%s",
+      FormatExact(d.threshold).c_str(), d.trip_evaluations,
+      FormatExact(d.clear_ratio).c_str(), FormatExact(d.cooldown_s).c_str(),
+      FormatExact(d.min_rate).c_str(),
+      FormatExact(d.sustained_ratio).c_str());
+  // The dwell time has no valid "unset" spelling; 0 is its default.
+  if (d.sustained_s > 0.0) {
+    out += StrFormat(",sustain_s=%s", FormatExact(d.sustained_s).c_str());
   }
-  out += StrFormat(";gain=%g,horizon=%g", config.gate_min_gain,
-                   config.gate_horizon_s);
+  out += StrFormat(";gain=%s,horizon=%s,bandwidth=%s",
+                   FormatExact(config.gate_min_gain).c_str(),
+                   FormatExact(config.gate_horizon_s).c_str(),
+                   FormatExact(config.gate_fallback_bandwidth).c_str());
   return out;
 }
 

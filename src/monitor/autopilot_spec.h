@@ -33,9 +33,9 @@ struct AutopilotConfig {
   Status Validate() const;
 };
 
-/// Parses an `--autopilot` spec: semicolon-separated clauses of
-/// comma-separated key=value items, in the ParseFaultPlan grammar style,
-/// with clause-indexed errors.
+/// Parses an `--autopilot` spec in the util/spec_text.h grammar
+/// (semicolon-separated clauses of comma-separated key=value items), with
+/// its number policy and clause-indexed errors.
 ///
 ///   "interval=2;threshold=0.25,trip=2,cooldown=30;window=15,gain=0.02"
 ///
@@ -48,7 +48,8 @@ struct AutopilotConfig {
 /// (gate fallback bytes/s, > 0). An empty spec yields the defaults.
 Result<AutopilotConfig> ParseAutopilotSpec(const std::string& text);
 
-/// Renders a config back to the spec grammar (for logs and reports).
+/// Renders a config back to the spec grammar (for logs and reports), every
+/// key exactly, so ParseAutopilotSpec of the output reproduces the config.
 std::string AutopilotConfigToString(const AutopilotConfig& config);
 
 }  // namespace ldb

@@ -2,53 +2,35 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
+#include <string_view>
 
 #include "util/check.h"
 #include "util/random.h"
+#include "util/spec_text.h"
 #include "util/table.h"
 
 namespace ldb {
 
 namespace {
 
-Status BadNumber(const std::string& value, const std::string& key) {
-  return Status::InvalidArgument(StrFormat(
-      "bad number '%s' for key '%s'", value.c_str(), key.c_str()));
-}
-
-Status ParseDouble(const std::string& value, const std::string& key,
-                   double* out) {
-  char* end = nullptr;
-  *out = std::strtod(value.c_str(), &end);
-  if (end == value.c_str() || *end != '\0') return BadNumber(value, key);
-  return Status::Ok();
-}
-
-Status ParseInt(const std::string& value, const std::string& key,
-                int64_t* out) {
-  char* end = nullptr;
-  *out = std::strtoll(value.c_str(), &end, 10);
-  if (end == value.c_str() || *end != '\0') return BadNumber(value, key);
-  return Status::Ok();
-}
-
 /// "a:b" -> [a, b). Both bounds required.
-Status ParseRange(const std::string& value, int* first, int* count) {
+Status ParseRange(std::string_view value, int* first, int* count) {
   const size_t colon = value.find(':');
-  if (colon == std::string::npos) {
-    return Status::InvalidArgument(StrFormat(
-        "objects must be <first>:<end>, got '%s'", value.c_str()));
+  int a = 0, b = 0;
+  if (colon == std::string_view::npos ||
+      !ParseInteger(value.substr(0, colon), &a) ||
+      !ParseInteger(value.substr(colon + 1), &b)) {
+    return Status::InvalidArgument(
+        StrFormat("objects must be <first>:<end>, got '%.*s'",
+                  static_cast<int>(value.size()), value.data()));
   }
-  int64_t a = 0, b = 0;
-  LDB_RETURN_IF_ERROR(ParseInt(value.substr(0, colon), "objects", &a));
-  LDB_RETURN_IF_ERROR(ParseInt(value.substr(colon + 1), "objects", &b));
   if (a < 0 || b <= a) {
-    return Status::InvalidArgument(StrFormat(
-        "objects range '%s' must satisfy 0 <= first < end", value.c_str()));
+    return Status::InvalidArgument(
+        StrFormat("objects range '%.*s' must satisfy 0 <= first < end",
+                  static_cast<int>(value.size()), value.data()));
   }
-  *first = static_cast<int>(a);
-  *count = static_cast<int>(b - a);
+  *first = a;
+  *count = b - a;
   return Status::Ok();
 }
 
@@ -95,7 +77,9 @@ Status ScenarioSpec::Validate(int num_objects) const {
         std::isnan(t.write_fraction)) {
       return fail("write fraction must be in [0,1]");
     }
-    if (t.run_length < 1.0) return fail("runs must be >= 1");
+    if (!(t.run_length >= 1.0) || !std::isfinite(t.run_length)) {
+      return fail("runs must be >= 1");
+    }
     if (t.arrive_s < 0.0) return fail("arrive must be >= 0");
     if (t.depart_s < 0.0) return fail("depart must be >= 0");
     if (t.depart_s > 0.0 && t.depart_s <= t.arrive_s) {
@@ -162,59 +146,19 @@ Status ScenarioSpec::Validate(int num_objects) const {
 }
 
 Result<ScenarioSpec> ParseScenarioSpec(const std::string& text) {
+  auto clauses = SplitSpecClauses("scenario spec", text);
+  if (!clauses.ok()) return clauses.status();
   ScenarioSpec spec;
   bool saw_duration = false;
-  size_t pos = 0;
-  int clause_index = 0;
-  const auto clause_error = [&clause_index](const std::string& what) {
-    return Status::InvalidArgument(StrFormat(
-        "scenario spec clause %d: %s", clause_index, what.c_str()));
-  };
-  // Number parsing routed through clause_error so "bad number" failures
-  // carry the clause index like every other clause-level error.
-  const auto parse_double = [&](const std::string& value,
-                                const std::string& key,
-                                double* out) -> Status {
-    Status s = ParseDouble(value, key, out);
-    if (!s.ok()) return clause_error(std::string(s.message()));
-    return Status::Ok();
-  };
-  const auto parse_int = [&](const std::string& value,
-                             const std::string& key,
-                             int64_t* out) -> Status {
-    Status s = ParseInt(value, key, out);
-    if (!s.ok()) return clause_error(std::string(s.message()));
-    return Status::Ok();
-  };
-  while (pos <= text.size()) {
-    const size_t clause_end = std::min(text.find(';', pos), text.size());
-    const std::string clause = text.substr(pos, clause_end - pos);
-    pos = clause_end + 1;
-    if (clause.empty()) continue;
-    ++clause_index;
-
-    // Split the clause into key=value items.
-    std::vector<std::pair<std::string, std::string>> items;
-    size_t cpos = 0;
-    while (cpos <= clause.size()) {
-      const size_t item_end = std::min(clause.find(',', cpos), clause.size());
-      const std::string item = clause.substr(cpos, item_end - cpos);
-      cpos = item_end + 1;
-      if (item.empty()) continue;
-      const size_t eq = item.find('=');
-      if (eq == std::string::npos) {
-        return clause_error(StrFormat("'%s' is not key=value",
-                                      item.c_str()));
-      }
-      items.emplace_back(item.substr(0, eq), item.substr(eq + 1));
-    }
+  for (const SpecClause& clause : *clauses) {
+    const std::vector<SpecItem>& items = clause.items;
     if (items.empty()) continue;
-    const std::string& kind = items[0].first;
+    const std::string& kind = items[0].key;
 
     const auto tenant_ref = [&](const std::string& name) -> Result<int> {
       const int t = spec.FindTenant(name);
       if (t < 0) {
-        return clause_error(StrFormat(
+        return clause.Error(StrFormat(
             "unknown tenant '%s' (tenants must be declared first)",
             name.c_str()));
       }
@@ -223,78 +167,77 @@ Result<ScenarioSpec> ParseScenarioSpec(const std::string& text) {
 
     if (kind == "duration") {
       if (items.size() != 1) {
-        return clause_error("duration takes no further keys");
+        return clause.Error("duration takes no further keys");
       }
       double dv = 0.0;
-      LDB_RETURN_IF_ERROR(parse_double(items[0].second, kind, &dv));
+      LDB_RETURN_IF_ERROR(clause.Decimal(items[0], &dv));
       if (!(dv > 0.0) || !std::isfinite(dv)) {
-        return clause_error("duration must be > 0");
+        return clause.Error("duration must be > 0");
       }
       spec.duration_s = dv;
       saw_duration = true;
     } else if (kind == "seed") {
-      if (items.size() != 1) return clause_error("seed takes no further keys");
+      if (items.size() != 1) return clause.Error("seed takes no further keys");
       int64_t iv = 0;
-      LDB_RETURN_IF_ERROR(parse_int(items[0].second, kind, &iv));
-      if (iv < 0) return clause_error("seed must be >= 0");
+      LDB_RETURN_IF_ERROR(clause.Integer(items[0], &iv));
+      if (iv < 0) return clause.Error("seed must be >= 0");
       spec.seed = static_cast<uint64_t>(iv);
     } else if (kind == "tenant") {
       ScenarioTenant t;
-      t.name = items[0].second;
-      if (t.name.empty()) return clause_error("tenant name is empty");
+      t.name = items[0].value;
+      if (t.name.empty()) return clause.Error("tenant name is empty");
       if (spec.FindTenant(t.name) >= 0) {
-        return clause_error(StrFormat("duplicate tenant '%s'",
+        return clause.Error(StrFormat("duplicate tenant '%s'",
                                       t.name.c_str()));
       }
       bool saw_objects = false, saw_rate = false;
       for (size_t i = 1; i < items.size(); ++i) {
-        const std::string& key = items[i].first;
-        const std::string& value = items[i].second;
+        const std::string& key = items[i].key;
         double dv = 0.0;
-        int64_t iv = 0;
         if (key == "objects") {
-          Status s = ParseRange(value, &t.first_object, &t.count);
-          if (!s.ok()) return clause_error(std::string(s.message()));
+          Status s = ParseRange(items[i].value, &t.first_object, &t.count);
+          if (!s.ok()) return clause.Error(std::string(s.message()));
           saw_objects = true;
         } else if (key == "rate") {
-          LDB_RETURN_IF_ERROR(parse_double(value, key, &dv));
+          LDB_RETURN_IF_ERROR(clause.Decimal(items[i], &dv));
           if (dv < 0.0 || !std::isfinite(dv)) {
-            return clause_error("rate must be >= 0");
+            return clause.Error("rate must be >= 0");
           }
           t.rate = dv;
           saw_rate = true;
         } else if (key == "bytes") {
-          LDB_RETURN_IF_ERROR(parse_int(value, key, &iv));
-          if (iv < 1) return clause_error("bytes must be >= 1");
-          t.request_bytes = iv;
+          LDB_RETURN_IF_ERROR(clause.Integer(items[i], &t.request_bytes));
+          if (t.request_bytes < 1) return clause.Error("bytes must be >= 1");
         } else if (key == "write") {
-          LDB_RETURN_IF_ERROR(parse_double(value, key, &dv));
+          LDB_RETURN_IF_ERROR(clause.Decimal(items[i], &dv));
           if (dv < 0.0 || dv > 1.0 || std::isnan(dv)) {
-            return clause_error("write must be in [0,1]");
+            return clause.Error("write must be in [0,1]");
           }
           t.write_fraction = dv;
         } else if (key == "runs") {
-          LDB_RETURN_IF_ERROR(parse_double(value, key, &dv));
-          if (!(dv >= 1.0)) return clause_error("runs must be >= 1");
+          LDB_RETURN_IF_ERROR(clause.Decimal(items[i], &dv));
+          if (!(dv >= 1.0) || !std::isfinite(dv)) {
+            return clause.Error("runs must be >= 1");
+          }
           t.run_length = dv;
         } else if (key == "arrive") {
-          LDB_RETURN_IF_ERROR(parse_double(value, key, &dv));
-          if (dv < 0.0) return clause_error("arrive must be >= 0");
+          LDB_RETURN_IF_ERROR(clause.Decimal(items[i], &dv));
+          if (dv < 0.0) return clause.Error("arrive must be >= 0");
           t.arrive_s = dv;
         } else if (key == "depart") {
-          LDB_RETURN_IF_ERROR(parse_double(value, key, &dv));
-          if (!(dv > 0.0)) return clause_error("depart must be > 0");
+          LDB_RETURN_IF_ERROR(clause.Decimal(items[i], &dv));
+          if (!(dv > 0.0)) return clause.Error("depart must be > 0");
           t.depart_s = dv;
         } else {
-          return clause_error(StrFormat("unknown tenant key '%s'",
+          return clause.Error(StrFormat("unknown tenant key '%s'",
                                         key.c_str()));
         }
       }
-      if (!saw_objects) return clause_error("tenant needs objects=<a>:<b>");
-      if (!saw_rate) return clause_error("tenant needs rate=<r>");
+      if (!saw_objects) return clause.Error("tenant needs objects=<a>:<b>");
+      if (!saw_rate) return clause.Error("tenant needs rate=<r>");
       spec.tenants.push_back(std::move(t));
     } else if (kind == "phase" || kind == "flash") {
-      auto t = tenant_ref(items[0].second);
+      auto t = tenant_ref(items[0].value);
       if (!t.ok()) return t.status();
       ScenarioPhase p;
       p.tenant = *t;
@@ -302,9 +245,9 @@ Result<ScenarioSpec> ParseScenarioSpec(const std::string& text) {
       double at = 0.0, dur = 0.0;
       bool saw_x = false, saw_a = false, saw_b = false;
       for (size_t i = 1; i < items.size(); ++i) {
-        const std::string& key = items[i].first;
+        const std::string& key = items[i].key;
         double dv = 0.0;
-        LDB_RETURN_IF_ERROR(parse_double(items[i].second, key, &dv));
+        LDB_RETURN_IF_ERROR(clause.Decimal(items[i], &dv));
         if (!flash && key == "start") {
           p.start_s = dv;
           saw_a = true;
@@ -319,39 +262,39 @@ Result<ScenarioSpec> ParseScenarioSpec(const std::string& text) {
           saw_b = true;
         } else if (key == "x") {
           if (!(dv > 0.0) || !std::isfinite(dv)) {
-            return clause_error("x must be > 0");
+            return clause.Error("x must be > 0");
           }
           p.multiplier = dv;
           saw_x = true;
         } else {
-          return clause_error(StrFormat("unknown %s key '%s'", kind.c_str(),
+          return clause.Error(StrFormat("unknown %s key '%s'", kind.c_str(),
                                         key.c_str()));
         }
       }
       if (!saw_a || !saw_b || !saw_x) {
-        return clause_error(flash ? "flash needs at=, for=, x="
+        return clause.Error(flash ? "flash needs at=, for=, x="
                                   : "phase needs start=, end=, x=");
       }
       if (flash) {
         if (at < 0.0 || !(dur > 0.0)) {
-          return clause_error("flash needs at >= 0 and for > 0");
+          return clause.Error("flash needs at >= 0 and for > 0");
         }
         p.start_s = at;
         p.end_s = at + dur;
       } else if (p.start_s < 0.0 || !(p.end_s > p.start_s)) {
-        return clause_error("phase needs 0 <= start < end");
+        return clause.Error("phase needs 0 <= start < end");
       }
       spec.phases.push_back(p);
     } else if (kind == "drift") {
-      auto t = tenant_ref(items[0].second);
+      auto t = tenant_ref(items[0].value);
       if (!t.ok()) return t.status();
       ScenarioDrift d;
       d.tenant = *t;
       bool saw_x = false, saw_a = false, saw_b = false;
       for (size_t i = 1; i < items.size(); ++i) {
-        const std::string& key = items[i].first;
+        const std::string& key = items[i].key;
         double dv = 0.0;
-        LDB_RETURN_IF_ERROR(parse_double(items[i].second, key, &dv));
+        LDB_RETURN_IF_ERROR(clause.Decimal(items[i], &dv));
         if (key == "start") {
           d.start_s = dv;
           saw_a = true;
@@ -360,60 +303,58 @@ Result<ScenarioSpec> ParseScenarioSpec(const std::string& text) {
           saw_b = true;
         } else if (key == "x") {
           if (!(dv > 0.0) || !std::isfinite(dv)) {
-            return clause_error("x must be > 0");
+            return clause.Error("x must be > 0");
           }
           d.multiplier = dv;
           saw_x = true;
         } else {
-          return clause_error(StrFormat("unknown drift key '%s'",
+          return clause.Error(StrFormat("unknown drift key '%s'",
                                         key.c_str()));
         }
       }
       if (!saw_a || !saw_b || !saw_x) {
-        return clause_error("drift needs start=, end=, x=");
+        return clause.Error("drift needs start=, end=, x=");
       }
       if (d.start_s < 0.0 || !(d.end_s > d.start_s)) {
-        return clause_error("drift needs 0 <= start < end");
+        return clause.Error("drift needs 0 <= start < end");
       }
       spec.drifts.push_back(d);
     } else if (kind == "graph") {
-      auto t = tenant_ref(items[0].second);
+      auto t = tenant_ref(items[0].value);
       if (!t.ok()) return t.status();
       ScenarioGraph g;
       g.tenant = *t;
       for (size_t i = 1; i < items.size(); ++i) {
-        const std::string& key = items[i].first;
-        const std::string& value = items[i].second;
+        const std::string& key = items[i].key;
         double dv = 0.0;
-        int64_t iv = 0;
         if (key == "communities") {
-          LDB_RETURN_IF_ERROR(parse_int(value, key, &iv));
-          if (iv < 1) return clause_error("communities must be >= 1");
-          g.communities = static_cast<int>(iv);
+          LDB_RETURN_IF_ERROR(clause.Integer(items[i], &g.communities));
+          if (g.communities < 1) {
+            return clause.Error("communities must be >= 1");
+          }
         } else if (key == "coaccess") {
-          LDB_RETURN_IF_ERROR(parse_double(value, key, &dv));
+          LDB_RETURN_IF_ERROR(clause.Decimal(items[i], &dv));
           if (dv < 0.0 || dv > 1.0 || std::isnan(dv)) {
-            return clause_error("coaccess must be in [0,1]");
+            return clause.Error("coaccess must be in [0,1]");
           }
           g.coaccess = dv;
         } else if (key == "rewire") {
-          LDB_RETURN_IF_ERROR(parse_double(value, key, &dv));
+          LDB_RETURN_IF_ERROR(clause.Decimal(items[i], &dv));
           if (dv < 0.0 || !std::isfinite(dv)) {
-            return clause_error("rewire must be >= 0");
+            return clause.Error("rewire must be >= 0");
           }
           g.rewire_s = dv;
         } else if (key == "burst") {
-          LDB_RETURN_IF_ERROR(parse_int(value, key, &iv));
-          if (iv < 1) return clause_error("burst must be >= 1");
-          g.burst = static_cast<int>(iv);
+          LDB_RETURN_IF_ERROR(clause.Integer(items[i], &g.burst));
+          if (g.burst < 1) return clause.Error("burst must be >= 1");
         } else {
-          return clause_error(StrFormat("unknown graph key '%s'",
+          return clause.Error(StrFormat("unknown graph key '%s'",
                                         key.c_str()));
         }
       }
       spec.graphs.push_back(g);
     } else {
-      return clause_error(StrFormat("unknown clause kind '%s'",
+      return clause.Error(StrFormat("unknown clause kind '%s'",
                                     kind.c_str()));
     }
   }
@@ -426,39 +367,42 @@ Result<ScenarioSpec> ParseScenarioSpec(const std::string& text) {
 }
 
 std::string ScenarioToString(const ScenarioSpec& spec) {
-  std::string out = StrFormat("duration=%g", spec.duration_s);
-  if (spec.seed != 42) {
-    out += StrFormat(";seed=%llu",
-                     static_cast<unsigned long long>(spec.seed));
-  }
+  const auto name = [&spec](int tenant) {
+    return spec.tenants[static_cast<size_t>(tenant)].name.c_str();
+  };
+  std::string out =
+      StrFormat("duration=%s;seed=%llu", FormatExact(spec.duration_s).c_str(),
+                static_cast<unsigned long long>(spec.seed));
   for (const ScenarioTenant& t : spec.tenants) {
-    out += StrFormat(";tenant=%s,objects=%d:%d,rate=%g", t.name.c_str(),
-                     t.first_object, t.first_object + t.count, t.rate);
-    if (t.request_bytes != 64 * 1024) {
-      out += StrFormat(",bytes=%lld",
-                       static_cast<long long>(t.request_bytes));
+    out += StrFormat(
+        ";tenant=%s,objects=%d:%d,rate=%s,bytes=%lld,write=%s,runs=%s,"
+        "arrive=%s",
+        t.name.c_str(), t.first_object, t.first_object + t.count,
+        FormatExact(t.rate).c_str(), static_cast<long long>(t.request_bytes),
+        FormatExact(t.write_fraction).c_str(),
+        FormatExact(t.run_length).c_str(), FormatExact(t.arrive_s).c_str());
+    // depart=0 (stay to the end) has no spelling; the parser wants > 0.
+    if (t.depart_s > 0.0) {
+      out += StrFormat(",depart=%s", FormatExact(t.depart_s).c_str());
     }
-    if (t.write_fraction > 0.0) out += StrFormat(",write=%g",
-                                                 t.write_fraction);
-    if (t.run_length != 1.0) out += StrFormat(",runs=%g", t.run_length);
-    if (t.arrive_s > 0.0) out += StrFormat(",arrive=%g", t.arrive_s);
-    if (t.depart_s > 0.0) out += StrFormat(",depart=%g", t.depart_s);
   }
   for (const ScenarioPhase& p : spec.phases) {
-    out += StrFormat(";phase=%s,start=%g,end=%g,x=%g",
-                     spec.tenants[static_cast<size_t>(p.tenant)].name.c_str(),
-                     p.start_s, p.end_s, p.multiplier);
+    out += StrFormat(";phase=%s,start=%s,end=%s,x=%s", name(p.tenant),
+                     FormatExact(p.start_s).c_str(),
+                     FormatExact(p.end_s).c_str(),
+                     FormatExact(p.multiplier).c_str());
   }
   for (const ScenarioGraph& g : spec.graphs) {
-    out += StrFormat(";graph=%s,communities=%d,coaccess=%g,rewire=%g,"
-                     "burst=%d",
-                     spec.tenants[static_cast<size_t>(g.tenant)].name.c_str(),
-                     g.communities, g.coaccess, g.rewire_s, g.burst);
+    out += StrFormat(";graph=%s,communities=%d,coaccess=%s,rewire=%s,burst=%d",
+                     name(g.tenant), g.communities,
+                     FormatExact(g.coaccess).c_str(),
+                     FormatExact(g.rewire_s).c_str(), g.burst);
   }
   for (const ScenarioDrift& d : spec.drifts) {
-    out += StrFormat(";drift=%s,start=%g,end=%g,x=%g",
-                     spec.tenants[static_cast<size_t>(d.tenant)].name.c_str(),
-                     d.start_s, d.end_s, d.multiplier);
+    out += StrFormat(";drift=%s,start=%s,end=%s,x=%s", name(d.tenant),
+                     FormatExact(d.start_s).c_str(),
+                     FormatExact(d.end_s).c_str(),
+                     FormatExact(d.multiplier).c_str());
   }
   return out;
 }

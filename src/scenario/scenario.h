@@ -87,9 +87,9 @@ struct ScenarioSpec {
   double DepartTime(size_t t) const;
 };
 
-/// Parses the scenario spec grammar. Clauses are ';'-separated,
-/// comma-separated key=value items; the first key of each clause selects
-/// its kind, and errors are clause-indexed ("scenario spec clause 3: ..."):
+/// Parses the scenario spec grammar: the util/spec_text.h clauses and
+/// numbers, where the first key of each clause selects its kind. Errors are
+/// clause-indexed ("scenario spec clause 3: ..."):
 ///
 ///   duration=<s>                      scenario length (required, once)
 ///   seed=<n>                          RNG root (optional)
@@ -104,8 +104,9 @@ struct ScenarioSpec {
 /// Tenants must be declared before they are referenced.
 Result<ScenarioSpec> ParseScenarioSpec(const std::string& text);
 
-/// Renders a spec back to the clause grammar; ParseScenarioSpec of the
-/// output reproduces the spec (flash clauses re-serialize as phases).
+/// Renders a spec back to the clause grammar, every number exactly;
+/// ParseScenarioSpec of the output reproduces the spec bit for bit (flash
+/// clauses re-serialize as phases).
 std::string ScenarioToString(const ScenarioSpec& spec);
 
 /// Instantaneous rate multiplier of tenant `t` at time `time_s`: 0 while

@@ -1,10 +1,10 @@
 #include "storage/fault.h"
 
-#include <cstdlib>
 #include <utility>
 
 #include "util/check.h"
 #include "util/random.h"
+#include "util/spec_text.h"
 #include "util/table.h"
 
 namespace ldb {
@@ -25,133 +25,83 @@ const char* FaultKindName(FaultKind kind) {
   return "unknown";
 }
 
-namespace {
-
-Status ParseDouble(const std::string& value, const std::string& key,
-                   double* out) {
-  char* end = nullptr;
-  *out = std::strtod(value.c_str(), &end);
-  if (end == value.c_str() || *end != '\0') {
-    return Status::InvalidArgument(
-        StrFormat("fault spec: bad number '%s' for key '%s'", value.c_str(),
-                  key.c_str()));
-  }
-  return Status::Ok();
-}
-
-Status ParseInt(const std::string& value, const std::string& key,
-                int64_t* out) {
-  char* end = nullptr;
-  *out = std::strtoll(value.c_str(), &end, 10);
-  if (end == value.c_str() || *end != '\0') {
-    return Status::InvalidArgument(
-        StrFormat("fault spec: bad integer '%s' for key '%s'", value.c_str(),
-                  key.c_str()));
-  }
-  return Status::Ok();
-}
-
-}  // namespace
-
 Result<FaultPlan> ParseFaultPlan(const std::string& text) {
+  auto clauses = SplitSpecClauses("fault spec", text);
+  if (!clauses.ok()) return clauses.status();
   FaultPlan plan;
-  size_t pos = 0;
-  int clause_index = 0;
   // Value ranges are checked here so a bad spec is rejected with clause
   // context before it reaches consumers that never Arm() an injector
   // (HealthFromFaultPlan silently ignores out-of-range entries).
-  const auto clause_error = [&clause_index](const std::string& what) {
-    return Status::InvalidArgument(
-        StrFormat("fault spec clause %d: %s", clause_index, what.c_str()));
-  };
-  while (pos <= text.size()) {
-    const size_t clause_end = std::min(text.find(';', pos), text.size());
-    const std::string clause = text.substr(pos, clause_end - pos);
-    pos = clause_end + 1;
-    if (clause.empty()) continue;
-    ++clause_index;
-
+  for (const SpecClause& clause : *clauses) {
     FaultSpec spec;
     bool has_fault_key = false;
-    size_t cpos = 0;
-    while (cpos <= clause.size()) {
-      const size_t item_end = std::min(clause.find(',', cpos), clause.size());
-      const std::string item = clause.substr(cpos, item_end - cpos);
-      cpos = item_end + 1;
-      if (item.empty()) continue;
-      const size_t eq = item.find('=');
-      if (eq == std::string::npos) {
-        return clause_error(
-            StrFormat("'%s' is not key=value", item.c_str()));
-      }
-      const std::string key = item.substr(0, eq);
-      const std::string value = item.substr(eq + 1);
+    for (const SpecItem& item : clause.items) {
+      const std::string& key = item.key;
       int64_t iv = 0;
       double dv = 0.0;
       if (key == "seed") {
-        LDB_RETURN_IF_ERROR(ParseInt(value, key, &iv));
+        LDB_RETURN_IF_ERROR(clause.Integer(item, &iv));
+        if (iv < 0) return clause.Error("seed must be >= 0");
         plan.seed = static_cast<uint64_t>(iv);
       } else if (key == "retries") {
-        LDB_RETURN_IF_ERROR(ParseInt(value, key, &iv));
-        if (iv < 0) return clause_error("retries must be >= 0");
-        plan.max_retries = static_cast<int>(iv);
+        LDB_RETURN_IF_ERROR(clause.Integer(item, &plan.max_retries));
+        if (plan.max_retries < 0) return clause.Error("retries must be >= 0");
       } else if (key == "backoff") {
-        LDB_RETURN_IF_ERROR(ParseDouble(value, key, &dv));
-        if (dv < 0.0) return clause_error("backoff must be >= 0");
+        LDB_RETURN_IF_ERROR(clause.Decimal(item, &dv));
+        if (dv < 0.0) return clause.Error("backoff must be >= 0");
         plan.retry_backoff_s = dv;
       } else if (key == "t") {
-        LDB_RETURN_IF_ERROR(ParseDouble(value, key, &dv));
-        if (dv < 0.0) return clause_error("t must be >= 0");
+        LDB_RETURN_IF_ERROR(clause.Decimal(item, &dv));
+        if (dv < 0.0) return clause.Error("t must be >= 0");
         spec.time = dv;
         has_fault_key = true;
       } else if (key == "target") {
-        LDB_RETURN_IF_ERROR(ParseInt(value, key, &iv));
-        if (iv < 0) return clause_error("target must be >= 0");
-        spec.target = static_cast<int>(iv);
+        LDB_RETURN_IF_ERROR(clause.Integer(item, &spec.target));
+        if (spec.target < 0) return clause.Error("target must be >= 0");
         has_fault_key = true;
       } else if (key == "member") {
-        LDB_RETURN_IF_ERROR(ParseInt(value, key, &iv));
-        if (iv < 0) return clause_error("member must be >= 0");
-        spec.member = static_cast<int>(iv);
+        LDB_RETURN_IF_ERROR(clause.Integer(item, &spec.member));
+        if (spec.member < 0) return clause.Error("member must be >= 0");
         has_fault_key = true;
       } else if (key == "kind") {
-        if (value == "fail") {
+        if (item.value == "fail") {
           spec.kind = FaultKind::kFailStop;
-        } else if (value == "limp") {
+        } else if (item.value == "limp") {
           spec.kind = FaultKind::kLimp;
-        } else if (value == "transient") {
+        } else if (item.value == "transient") {
           spec.kind = FaultKind::kTransient;
-        } else if (value == "rebuild") {
+        } else if (item.value == "rebuild") {
           spec.kind = FaultKind::kRebuild;
-        } else if (value == "recover") {
+        } else if (item.value == "recover") {
           spec.kind = FaultKind::kRecover;
         } else {
-          return clause_error(
-              StrFormat("unknown kind '%s'", value.c_str()));
+          return clause.Error(
+              StrFormat("unknown kind '%s'", item.value.c_str()));
         }
         has_fault_key = true;
       } else if (key == "scale") {
-        LDB_RETURN_IF_ERROR(ParseDouble(value, key, &dv));
-        if (dv <= 0.0) return clause_error("scale must be > 0");
+        LDB_RETURN_IF_ERROR(clause.Decimal(item, &dv));
+        if (dv <= 0.0) return clause.Error("scale must be > 0");
         spec.latency_scale = dv;
         has_fault_key = true;
       } else if (key == "p") {
-        LDB_RETURN_IF_ERROR(ParseDouble(value, key, &dv));
-        if (dv < 0.0 || dv > 1.0) return clause_error("p must be in [0,1]");
+        LDB_RETURN_IF_ERROR(clause.Decimal(item, &dv));
+        if (dv < 0.0 || dv > 1.0) return clause.Error("p must be in [0,1]");
         spec.error_prob = dv;
         has_fault_key = true;
       } else if (key == "duration") {
-        LDB_RETURN_IF_ERROR(ParseDouble(value, key, &dv));
-        if (dv < 0.0) return clause_error("duration must be >= 0");
+        LDB_RETURN_IF_ERROR(clause.Decimal(item, &dv));
+        if (dv < 0.0) return clause.Error("duration must be >= 0");
         spec.duration = dv;
         has_fault_key = true;
       } else if (key == "chunk") {
-        LDB_RETURN_IF_ERROR(ParseInt(value, key, &iv));
-        if (iv <= 0) return clause_error("chunk must be > 0");
-        spec.rebuild_chunk_bytes = iv;
+        LDB_RETURN_IF_ERROR(clause.Integer(item, &spec.rebuild_chunk_bytes));
+        if (spec.rebuild_chunk_bytes <= 0) {
+          return clause.Error("chunk must be > 0");
+        }
         has_fault_key = true;
       } else {
-        return clause_error(StrFormat("unknown key '%s'", key.c_str()));
+        return clause.Error(StrFormat("unknown key '%s'", key.c_str()));
       }
     }
     if (has_fault_key) plan.faults.push_back(spec);
@@ -160,23 +110,18 @@ Result<FaultPlan> ParseFaultPlan(const std::string& text) {
 }
 
 std::string FaultPlanToString(const FaultPlan& plan) {
-  std::string out = StrFormat("seed=%llu,retries=%d,backoff=%g",
+  std::string out = StrFormat("seed=%llu,retries=%d,backoff=%s",
                               static_cast<unsigned long long>(plan.seed),
-                              plan.max_retries, plan.retry_backoff_s);
+                              plan.max_retries,
+                              FormatExact(plan.retry_backoff_s).c_str());
   for (const FaultSpec& f : plan.faults) {
-    out += StrFormat(";t=%g,target=%d,member=%d,kind=%s", f.time, f.target,
-                     f.member, FaultKindName(f.kind));
-    if (f.kind == FaultKind::kLimp) {
-      out += StrFormat(",scale=%g", f.latency_scale);
-    }
-    if (f.kind == FaultKind::kTransient) {
-      out += StrFormat(",p=%g", f.error_prob);
-    }
-    if (f.duration > 0.0) out += StrFormat(",duration=%g", f.duration);
-    if (f.kind == FaultKind::kRebuild) {
-      out += StrFormat(",chunk=%lld",
-                       static_cast<long long>(f.rebuild_chunk_bytes));
-    }
+    out += StrFormat(
+        ";t=%s,target=%d,member=%d,kind=%s,scale=%s,p=%s,duration=%s,"
+        "chunk=%lld",
+        FormatExact(f.time).c_str(), f.target, f.member,
+        FaultKindName(f.kind), FormatExact(f.latency_scale).c_str(),
+        FormatExact(f.error_prob).c_str(), FormatExact(f.duration).c_str(),
+        static_cast<long long>(f.rebuild_chunk_bytes));
   }
   return out;
 }
@@ -190,11 +135,11 @@ Status FaultInjector::Arm() {
   if (plan_.max_retries < 0) {
     return Status::InvalidArgument("fault plan: retries must be >= 0");
   }
-  if (plan_.retry_backoff_s < 0.0) {
+  if (!(plan_.retry_backoff_s >= 0.0)) {
     return Status::InvalidArgument("fault plan: backoff must be >= 0");
   }
   for (const FaultSpec& f : plan_.faults) {
-    if (f.time < 0.0) {
+    if (!(f.time >= 0.0)) {  // NaN fails too
       return Status::InvalidArgument("fault plan: fault time must be >= 0");
     }
     if (f.target < 0 || f.target >= system_->num_targets()) {
@@ -209,13 +154,13 @@ Status FaultInjector::Arm() {
     }
     switch (f.kind) {
       case FaultKind::kLimp:
-        if (f.latency_scale <= 0.0) {
+        if (!(f.latency_scale > 0.0)) {
           return Status::InvalidArgument(
               "fault plan: limp scale must be > 0");
         }
         break;
       case FaultKind::kTransient:
-        if (f.error_prob < 0.0 || f.error_prob > 1.0) {
+        if (!(f.error_prob >= 0.0 && f.error_prob <= 1.0)) {
           return Status::InvalidArgument(
               "fault plan: transient p must be in [0,1]");
         }

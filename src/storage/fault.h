@@ -58,9 +58,12 @@ struct FaultPlan {
 /// recover), scale (limp multiplier), p (transient error rate), duration
 /// (s), chunk (rebuild bytes). Plan-level keys seed/retries/backoff may
 /// appear in any clause; a clause with only plan-level keys adds no fault.
+/// The clause grammar, number policy and error shape ("fault spec clause
+/// N: ...") are util/spec_text.h's.
 Result<FaultPlan> ParseFaultPlan(const std::string& text);
 
-/// Renders a plan back to the spec grammar (for logs and reports).
+/// Renders a plan back to the spec grammar (for logs and reports), every
+/// key exactly, so ParseFaultPlan of the output reproduces the plan.
 std::string FaultPlanToString(const FaultPlan& plan);
 
 /// Schedules a FaultPlan onto a storage system's event queue.

@@ -11,6 +11,7 @@
 #include <cstring>
 #include <filesystem>
 
+#include "util/spec_text.h"
 #include "util/table.h"
 
 namespace ldb {
@@ -152,18 +153,6 @@ Result<WalReadResult> ParseWalBytes(const std::string& data,
   return result;
 }
 
-Status ParseCrashInt(const std::string& value, const std::string& key,
-                     int64_t* out) {
-  char* end = nullptr;
-  *out = std::strtoll(value.c_str(), &end, 10);
-  if (end == value.c_str() || *end != '\0') {
-    return Status::InvalidArgument(
-        StrFormat("journal-crash spec: bad integer '%s' for key '%s'",
-                  value.c_str(), key.c_str()));
-  }
-  return Status::Ok();
-}
-
 }  // namespace
 
 uint32_t Crc32c(const void* data, size_t n, uint32_t seed) {
@@ -177,55 +166,34 @@ uint32_t Crc32c(const void* data, size_t n, uint32_t seed) {
 }
 
 Result<WalCrashPolicy> ParseWalCrashPolicy(const std::string& text) {
+  auto clauses = SplitSpecClauses("journal-crash", text);
+  if (!clauses.ok()) return clauses.status();
   WalCrashPolicy policy;
-  size_t pos = 0;
-  int clause_index = 0;
-  const auto clause_error = [&clause_index](const std::string& what) {
-    return Status::InvalidArgument(StrFormat("journal-crash clause %d: %s",
-                                             clause_index, what.c_str()));
-  };
-  while (pos <= text.size()) {
-    const size_t clause_end = std::min(text.find(';', pos), text.size());
-    const std::string clause = text.substr(pos, clause_end - pos);
-    pos = clause_end + 1;
-    if (clause.empty()) continue;
-    ++clause_index;
-    size_t cpos = 0;
-    while (cpos <= clause.size()) {
-      const size_t item_end = std::min(clause.find(',', cpos), clause.size());
-      const std::string item = clause.substr(cpos, item_end - cpos);
-      cpos = item_end + 1;
-      if (item.empty()) continue;
-      const size_t eq = item.find('=');
-      if (eq == std::string::npos) {
-        return clause_error(StrFormat("'%s' is not key=value", item.c_str()));
+  for (const SpecClause& clause : *clauses) {
+    for (const SpecItem& item : clause.items) {
+      if (item.key == "seed") {
+        int64_t seed = 0;
+        LDB_RETURN_IF_ERROR(clause.Integer(item, &seed));
+        if (seed < 0) return clause.Error("seed must be >= 0");
+        policy.seed = static_cast<uint64_t>(seed);
+        continue;
       }
-      const std::string key = item.substr(0, eq);
-      const std::string value = item.substr(eq + 1);
-      int64_t iv = 0;
-      if (key == "seed") {
-        LDB_RETURN_IF_ERROR(ParseCrashInt(value, key, &iv));
-        policy.seed = static_cast<uint64_t>(iv);
-      } else if (key == "after") {
-        LDB_RETURN_IF_ERROR(ParseCrashInt(value, key, &iv));
-        if (iv < 0) return clause_error("after must be >= 0");
-        policy.fail_after_appends = iv;
-      } else if (key == "torn") {
-        LDB_RETURN_IF_ERROR(ParseCrashInt(value, key, &iv));
-        if (iv < 0) return clause_error("torn must be >= 0");
-        policy.torn_bytes = iv;
-      } else if (key == "syncs") {
-        LDB_RETURN_IF_ERROR(ParseCrashInt(value, key, &iv));
-        if (iv < 0) return clause_error("syncs must be >= 0");
-        policy.drop_syncs_after = iv;
-      } else {
-        return clause_error(StrFormat("unknown key '%s'", key.c_str()));
+      int64_t* field = item.key == "after"   ? &policy.fail_after_appends
+                       : item.key == "torn"  ? &policy.torn_bytes
+                       : item.key == "syncs" ? &policy.drop_syncs_after
+                                             : nullptr;
+      if (field == nullptr) {
+        return clause.Error(StrFormat("unknown key '%s'", item.key.c_str()));
+      }
+      LDB_RETURN_IF_ERROR(clause.Integer(item, field));
+      if (*field < 0) {
+        return clause.Error(StrFormat("%s must be >= 0", item.key.c_str()));
       }
     }
   }
   if (policy.torn_bytes >= 0 && policy.fail_after_appends < 0) {
-    clause_index = 1;
-    return clause_error("torn requires after=N (the crashing append)");
+    return ClauseError("journal-crash", 1,
+                       "torn requires after=N (the crashing append)");
   }
   return policy;
 }

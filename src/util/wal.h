@@ -42,10 +42,11 @@ struct WalCrashPolicy {
   }
 };
 
-/// Parses a crash-policy spec: comma-separated `key=value` items, with
-/// `;`-separated clauses for error indexing (normally one clause). Keys:
-/// `after` (fail_after_appends), `torn` (torn_bytes), `syncs`
-/// (drop_syncs_after), `seed`. Example: "after=12,torn=5".
+/// Parses a crash-policy spec in the util/spec_text.h grammar:
+/// comma-separated `key=value` items, with `;`-separated clauses for error
+/// indexing (normally one clause). Keys, all integers >= 0: `after`
+/// (fail_after_appends), `torn` (torn_bytes), `syncs` (drop_syncs_after),
+/// `seed`. Example: "after=12,torn=5".
 Result<WalCrashPolicy> ParseWalCrashPolicy(const std::string& text);
 
 /// Parsed contents of a WAL file.

@@ -1,6 +1,7 @@
 # Strict numeric flags of layout_advisor: a malformed or negative --seeds /
-# --threads exits 2 with a message naming the flag (nothing is advised),
-# and well-formed values advise normally.
+# --threads, or a malformed --migrate-throttle / --autopilot-duration /
+# --drift-threshold, exits 2 with a message naming the flag (nothing is
+# advised), and well-formed values advise normally.
 #
 #   cmake -DADVISOR=<layout_advisor> -DPROBLEM=<problem file>
 #         -P cli_args_e2e.cmake
@@ -15,6 +16,27 @@ foreach(arg --seeds=abc --seeds=-4 --seeds= --seeds=3x --seeds=+2
   endif()
   string(REGEX MATCH "^--[a-z]+" flag "${arg}")
   if(NOT err MATCHES "${flag} needs a decimal integer >= 0")
+    message(FATAL_ERROR "${arg}: no message naming ${flag}:\n${err}")
+  endif()
+  if(out MATCHES "Recommended layout")
+    message(FATAL_ERROR "${arg}: advised despite the bad flag:\n${out}")
+  endif()
+endforeach()
+
+# The decimal flags take the spec grammar's numbers: NaN, trailing text,
+# hex and out-of-range values exit 2 with a message naming the flag.
+foreach(arg --migrate-throttle=nan --migrate-throttle=5MB
+            --migrate-throttle=0 --autopilot-duration=30s
+            --autopilot-duration=inf --autopilot-duration=0x1e
+            --drift-threshold=nan --drift-threshold=0.5x
+            --drift-threshold=+0.5)
+  execute_process(COMMAND ${ADVISOR} ${PROBLEM} ${arg}
+    RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+  if(NOT rc EQUAL 2)
+    message(FATAL_ERROR "${arg}: expected exit 2, got ${rc}\n${out}${err}")
+  endif()
+  string(REGEX MATCH "^--[a-z-]+" flag "${arg}")
+  if(NOT err MATCHES "^${flag}")
     message(FATAL_ERROR "${arg}: no message naming ${flag}:\n${err}")
   endif()
   if(out MATCHES "Recommended layout")

@@ -3,6 +3,7 @@
 // a seeded fault schedule replays bit-identically across repeated runs and
 // host thread counts.
 
+#include <cmath>
 #include <memory>
 #include <string>
 #include <vector>
@@ -67,6 +68,22 @@ TEST(FaultPlanTest, RejectsMalformedSpecs) {
   EXPECT_FALSE(ParseFaultPlan("t=abc,target=0,kind=fail").ok());
   EXPECT_FALSE(ParseFaultPlan("bogus=1").ok());
   EXPECT_FALSE(ParseFaultPlan("t=1,target=0,kind").ok());
+  // NaN, hex, a leading '+' and trailing text are not numbers.
+  EXPECT_FALSE(ParseFaultPlan("t=nan,target=0,kind=fail").ok());
+  EXPECT_FALSE(ParseFaultPlan("t=1,target=0,kind=limp,scale=nan").ok());
+  EXPECT_FALSE(ParseFaultPlan("t=1,target=0,kind=transient,p=nan").ok());
+  EXPECT_FALSE(
+      ParseFaultPlan("t=1,target=0,kind=limp,scale=2,duration=nan").ok());
+  EXPECT_FALSE(ParseFaultPlan("backoff=nan;t=1,target=0,kind=fail").ok());
+  EXPECT_FALSE(ParseFaultPlan("t=0x10,target=0,kind=fail").ok());
+  EXPECT_FALSE(ParseFaultPlan("t=+1,target=0,kind=fail").ok());
+  EXPECT_FALSE(ParseFaultPlan("t=1s,target=0,kind=fail").ok());
+  // Number errors carry the clause index like every other error.
+  auto r = ParseFaultPlan("t=1,target=0,kind=fail;t=nan,target=0,kind=fail");
+  ASSERT_FALSE(r.ok());
+  EXPECT_NE(r.status().message().find("fault spec clause 2: bad number"),
+            std::string::npos)
+      << r.status().message();
 }
 
 TEST(FaultPlanTest, ErrorsNameTheOffendingClause) {
@@ -93,6 +110,14 @@ TEST(FaultPlanTest, RejectsOutOfRangeFieldValues) {
       ParseFaultPlan("t=1,target=0,kind=transient,p=0.1,duration=-3").ok());
   EXPECT_FALSE(ParseFaultPlan("retries=-1;t=1,target=0,kind=fail").ok());
   EXPECT_FALSE(ParseFaultPlan("backoff=-0.5;t=1,target=0,kind=fail").ok());
+  // Values that do not fit their field are rejected, not truncated
+  // (4294967296 would become target 0) or wrapped (seed=-1).
+  EXPECT_FALSE(ParseFaultPlan("t=1,target=4294967296,kind=fail").ok());
+  EXPECT_FALSE(ParseFaultPlan("retries=4294967297;t=1,target=0").ok());
+  EXPECT_FALSE(ParseFaultPlan("seed=-1;t=1,target=0,kind=fail").ok());
+  EXPECT_FALSE(
+      ParseFaultPlan("t=1,target=0,kind=rebuild,chunk=99999999999999999999")
+          .ok());
   // The in-range versions of the same clauses parse fine.
   EXPECT_TRUE(ParseFaultPlan("t=1,target=0,kind=limp,scale=2").ok());
   EXPECT_TRUE(ParseFaultPlan("t=1,target=0,kind=transient,p=0.5").ok());
@@ -121,6 +146,11 @@ TEST(FaultInjectorTest, ArmValidatesThePlan) {
   {
     FaultPlan plan;
     plan.faults.push_back({1.0, 0, 0, FaultKind::kLimp, -2.0});
+    EXPECT_FALSE(FaultInjector(sys.get(), plan).Arm().ok());
+  }
+  {
+    FaultPlan plan;
+    plan.faults.push_back({std::nan(""), 0, 0, FaultKind::kFailStop});
     EXPECT_FALSE(FaultInjector(sys.get(), plan).Arm().ok());
   }
   auto raid0 = MakeSystem(2, RaidLevel::kRaid0);

@@ -1,6 +1,8 @@
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -174,6 +176,45 @@ TEST(WorkloadTest, ValidateWorkloadSetPinpointsClause) {
       << missing.message();
   EXPECT_NE(missing.message().find("no overlap row"), std::string::npos)
       << missing.message();
+}
+
+TEST(WorkloadTest, ValidateWorkloadSetRejectsNonFiniteValues) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  struct Case {
+    const char* what;
+    void (*poison)(WorkloadDesc*, double);
+  };
+  const Case cases[] = {
+      {"non-finite request rate",
+       [](WorkloadDesc* w, double v) { w->read_rate = v; }},
+      {"non-finite request rate",
+       [](WorkloadDesc* w, double v) { w->write_rate = v; }},
+      {"non-finite request size",
+       [](WorkloadDesc* w, double v) { w->read_size = v; }},
+      {"non-finite request size",
+       [](WorkloadDesc* w, double v) { w->write_size = v; }},
+      {"non-finite run_count",
+       [](WorkloadDesc* w, double v) { w->run_count = v; }},
+      {"overlap_value[0] non-finite",
+       [](WorkloadDesc* w, double v) { w->overlap_value[0] = v; }},
+      {"overlap_value[1] non-finite",
+       [](WorkloadDesc* w, double v) { w->overlap_value[1] = v; }},
+  };
+  for (const Case& c : cases) {
+    for (const double bad : {inf, nan}) {
+      WorkloadSet ws(2);
+      for (size_t i = 0; i < 2; ++i) SetFullOverlapRow(&ws[i], {0.1, 0.1});
+      ws[1].read_rate = ws[1].write_rate = 1.0;
+      ws[1].read_size = ws[1].write_size = 8 * kKiB;
+      c.poison(&ws[1], bad);
+      const Status s = ValidateWorkloadSet(ws);
+      ASSERT_FALSE(s.ok()) << c.what << " = " << bad;
+      EXPECT_NE(s.message().find(std::string("workload 1: ") + c.what),
+                std::string::npos)
+          << s.message();
+    }
+  }
 }
 
 TEST(WorkloadTest, SetOverlapRowKeepsDiagonalAndNonzeros) {

@@ -544,6 +544,18 @@ TEST(AutopilotSpecTest, RejectsMalformedItemsAndNumbers) {
   EXPECT_FALSE(ParseAutopilotSpec("runs=0").ok());
   EXPECT_FALSE(ParseAutopilotSpec("horizon=0").ok());
   EXPECT_FALSE(ParseAutopilotSpec("bandwidth=0").ok());
+  // Too large for the int field: rejected, not truncated to 1.
+  EXPECT_FALSE(ParseAutopilotSpec("runs=4294967297").ok());
+  EXPECT_FALSE(ParseAutopilotSpec("slack=99999999999999999999").ok());
+  EXPECT_FALSE(ParseAutopilotSpec("interval=2s").ok());
+  EXPECT_FALSE(ParseAutopilotSpec("interval=0x2").ok());
+  EXPECT_FALSE(ParseAutopilotSpec("interval= 2").ok());
+  auto bad = ParseAutopilotSpec("interval=2;trip=3.5");
+  ASSERT_FALSE(bad.ok());
+  EXPECT_NE(bad.status().message().find("autopilot spec clause 2: bad "
+                                        "integer '3.5' for key 'trip'"),
+            std::string::npos)
+      << bad.status().ToString();
 }
 
 TEST(AutopilotSpecTest, RoundTripsThroughToString) {
@@ -555,6 +567,23 @@ TEST(AutopilotSpecTest, RoundTripsThroughToString) {
   EXPECT_DOUBLE_EQ(again->check_interval_s, 3.0);
   EXPECT_DOUBLE_EQ(again->drift.threshold, 0.3);
   EXPECT_DOUBLE_EQ(again->analyzer.half_life_s, 0.0);
+
+  // Every key comes back, and bit-identically: the analyzer keys, minrate
+  // and bandwidth too, and a double that needs all 17 digits.
+  config = ParseAutopilotSpec(
+      "interval=0.30000000000000004;slack=4096,runs=3,ring=77;"
+      "minrate=0.75,bandwidth=12345678.9");
+  ASSERT_TRUE(config.ok()) << config.status().ToString();
+  again = ParseAutopilotSpec(AutopilotConfigToString(*config));
+  ASSERT_TRUE(again.ok()) << again.status().ToString();
+  EXPECT_EQ(again->check_interval_s, 0.1 + 0.2);  // %g would print 0.3
+  EXPECT_EQ(again->analyzer.sequential_slack_bytes, 4096);
+  EXPECT_EQ(again->analyzer.max_open_runs, 3);
+  EXPECT_EQ(again->analyzer.ring_capacity, 77);
+  EXPECT_EQ(again->drift.min_rate, 0.75);
+  EXPECT_EQ(again->gate_fallback_bandwidth, 12345678.9);
+  EXPECT_EQ(AutopilotConfigToString(*again),
+            AutopilotConfigToString(*config));
 }
 
 TEST(AutopilotSpecTest, ParsesAndRoundTripsSustainKeys) {
@@ -566,7 +595,7 @@ TEST(AutopilotSpecTest, ParsesAndRoundTripsSustainKeys) {
   ASSERT_TRUE(again.ok()) << again.status().ToString();
   EXPECT_DOUBLE_EQ(again->drift.sustained_ratio, 0.7);
   EXPECT_DOUBLE_EQ(again->drift.sustained_s, 90.0);
-  // Disabled sustain is not emitted, so defaults round-trip unchanged.
+  // Disabled sustain round-trips as disabled.
   auto off = ParseAutopilotSpec(AutopilotConfigToString(AutopilotConfig{}));
   ASSERT_TRUE(off.ok());
   EXPECT_DOUBLE_EQ(off->drift.sustained_ratio, 0.0);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/problem_io.h"
+#include "util/table.h"
 #include "util/units.h"
 
 namespace ldb {
@@ -84,6 +85,55 @@ TEST(ProblemIoTest, RejectsDuplicatesAndBadSizes) {
       "device d builtin:ssd\ntarget t0 d capacity 8GiB\n"
       "object A table 1GiB\nobject A table 1GiB\n";
   EXPECT_FALSE(ParseProblemText(dup).ok());
+}
+
+TEST(ProblemIoTest, RejectsMalformedNumbersWithTheLine) {
+  const std::string head =
+      "device d builtin:ssd\n"
+      "object A table 1GiB\n";
+  const std::string workload =
+      "workload A read_rate 1 read_size 8KiB write_rate 0 write_size 0 "
+      "run_count 1\n";
+  // Each was silently accepted before: members 2.7 read as 2, members 3x
+  // as 3, read_rate 5abc as 5, and read_rate nan as NaN.
+  for (const std::string& line :
+       {std::string("target t0 d capacity 8GiB members 2.7\n"),
+        std::string("target t0 d capacity 8GiB members 3x\n"),
+        std::string("target t0 d capacity 8GiB members 4294967297\n"),
+        std::string("target t0 d capacity 8GiB stripe 64KiBx\n"),
+        std::string("target t0 d capacity 0.5\n")}) {
+    auto r = ParseProblemText(head + line + workload);
+    ASSERT_FALSE(r.ok()) << line;
+    EXPECT_NE(r.status().message().find("line 3"), std::string::npos)
+        << r.status().message();
+  }
+  const std::string target = "target t0 d capacity 8GiB\n";
+  for (const char* rate : {"5abc", "nan", "+5", "0x5", "1e999"}) {
+    auto r = ParseProblemText(
+        head + target +
+        StrFormat("workload A read_rate %s read_size 8KiB write_rate 0 "
+                  "write_size 0 run_count 1\n",
+                  rate));
+    ASSERT_FALSE(r.ok()) << rate;
+    EXPECT_NE(r.status().message().find("line 4"), std::string::npos)
+        << r.status().message();
+  }
+  // inf is a number, but not a valid rate: the final validation names the
+  // object.
+  auto inf = ParseProblemText(head + target +
+                              "workload A read_rate inf read_size 8KiB "
+                              "write_rate 0 write_size 0 run_count 1\n");
+  ASSERT_FALSE(inf.ok());
+  EXPECT_NE(inf.status().message().find("workload 0: non-finite"),
+            std::string::npos)
+      << inf.status().message();
+  // Deferred name references keep their line.
+  auto unknown = ParseProblemText(head + target + workload +
+                                  "overlap A NOPE 0.5\n");
+  ASSERT_FALSE(unknown.ok());
+  EXPECT_NE(unknown.status().message().find("line 5: unknown object 'NOPE'"),
+            std::string::npos)
+      << unknown.status().message();
 }
 
 TEST(ProblemIoTest, DuplicateNamesReportLineAndWhichName) {
@@ -360,7 +410,9 @@ TEST(ProblemIoTest, ScenarioErrorsCarryContext) {
 
 TEST(ProblemIoTest, FormatLoadedProblemRoundTripsDirectives) {
   std::string text(kSample);
-  text += "autopilot interval=1;threshold=0.4,sustain=0.7,sustain_s=60\n";
+  text += "autopilot interval=1;threshold=0.4,sustain=0.7,sustain_s=60;"
+          "slack=4096,runs=3,ring=77,minrate=0.75,"
+          "bandwidth=0.30000000000000004\n";
   text += "faults t=1,target=0,member=0,kind=fail\n";
   text += "scenario duration=30;tenant=front,objects=0:2,rate=40\n";
   auto loaded = ParseProblemText(text);
@@ -373,6 +425,12 @@ TEST(ProblemIoTest, FormatLoadedProblemRoundTripsDirectives) {
   EXPECT_TRUE(again->has_faults);
   EXPECT_TRUE(again->has_scenario);
   EXPECT_DOUBLE_EQ(again->autopilot.drift.sustained_ratio, 0.7);
+  // The keys the formatter used to drop come back bit-identically.
+  EXPECT_EQ(again->autopilot.analyzer.sequential_slack_bytes, 4096);
+  EXPECT_EQ(again->autopilot.analyzer.max_open_runs, 3);
+  EXPECT_EQ(again->autopilot.analyzer.ring_capacity, 77);
+  EXPECT_EQ(again->autopilot.drift.min_rate, 0.75);
+  EXPECT_EQ(again->autopilot.gate_fallback_bandwidth, 0.1 + 0.2);
   EXPECT_EQ(again->faults.faults.size(), 1u);
   EXPECT_DOUBLE_EQ(again->scenario.duration_s, 30.0);
   EXPECT_EQ(ScenarioToString(again->scenario),

@@ -2,10 +2,19 @@
 // (gtest TEST_P). These complement the example-based unit tests by
 // exercising each component across its input space.
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <bit>
+#include <charconv>
 #include <cmath>
+#include <filesystem>
+#include <fstream>
+#include <functional>
+#include <iterator>
 #include <numeric>
 #include <ostream>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -14,6 +23,7 @@
 #include "core/harness.h"
 #include "core/incremental.h"
 #include "core/problem.h"
+#include "core/problem_io.h"
 #include "core/replan.h"
 #include "fd_oracle.h"
 #include "model/calibration.h"
@@ -21,6 +31,7 @@
 #include "model/layout.h"
 #include "model/layout_model.h"
 #include "model/target_model.h"
+#include "monitor/autopilot_spec.h"
 #include "monitor/online_analyzer.h"
 #include "scenario/player.h"
 #include "scenario/scenario.h"
@@ -28,6 +39,7 @@
 #include "solver/projected_gradient.h"
 #include "solver/simplex.h"
 #include "storage/disk.h"
+#include "storage/fault.h"
 #include "storage/lvm.h"
 #include "trace/analyzer.h"
 #include "trace_fit_oracle.h"
@@ -35,6 +47,7 @@
 #include "util/random.h"
 #include "util/table.h"
 #include "util/units.h"
+#include "util/wal.h"
 
 namespace ldb {
 
@@ -1145,6 +1158,394 @@ TEST_P(ScenarioChurnProperty, SnapshotsStayValidAcrossChurn) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ScenarioChurnProperty,
                          ::testing::Range(uint64_t{1}, uint64_t{6}));
+
+// ------------------------------------------------------ spec grammar fuzz
+//
+// Byte-level mutants of known-good inputs go through every hand-written
+// grammar: the fault, autopilot, scenario and journal-crash specs, and the
+// problem file. Every call must return a Status. A rejection names a
+// clause (specs) or line (problem files) inside the input, unless it is a
+// whole-input verdict. An acceptance holds no NaN, passes the type's own
+// Validate(), and re-parses from its formatter to a bit-identical value.
+
+constexpr int kMutantsPerGrammar = 2000;
+
+/// Every field of a parsed value, flattened. Doubles compare by bit
+/// pattern, so a digit the formatter dropped, or a -0 that came back as 0,
+/// shows up.
+struct Fields {
+  std::vector<double> reals;
+  std::vector<int64_t> ints;
+  std::vector<std::string> text;
+
+  void Add(double v) { reals.push_back(v); }
+  void Add(int v) { ints.push_back(v); }
+  void Add(int64_t v) { ints.push_back(v); }
+  void Add(uint64_t v) { ints.push_back(static_cast<int64_t>(v)); }
+  void Add(bool v) { ints.push_back(v); }
+  void Add(const std::string& v) { text.push_back(v); }
+  template <typename... T>
+  void AddAll(const T&... v) {
+    (Add(v), ...);
+  }
+
+  bool HasNaN() const {
+    return std::any_of(reals.begin(), reals.end(),
+                       [](double v) { return std::isnan(v); });
+  }
+  bool operator==(const Fields& o) const {
+    if (ints != o.ints || text != o.text || reals.size() != o.reals.size()) {
+      return false;
+    }
+    for (size_t i = 0; i < reals.size(); ++i) {
+      if (std::bit_cast<uint64_t>(reals[i]) !=
+          std::bit_cast<uint64_t>(o.reals[i])) {
+        return false;
+      }
+    }
+    return true;
+  }
+};
+
+void Collect(const FaultPlan& plan, Fields* f) {
+  f->AddAll(plan.seed, plan.max_retries, plan.retry_backoff_s);
+  for (const FaultSpec& s : plan.faults) {
+    f->AddAll(s.time, s.target, s.member, static_cast<int>(s.kind),
+              s.latency_scale, s.error_prob, s.duration,
+              s.rebuild_chunk_bytes);
+  }
+}
+
+void Collect(const AutopilotConfig& c, Fields* f) {
+  const OnlineAnalyzerOptions& a = c.analyzer;
+  const DriftOptions& d = c.drift;
+  f->AddAll(c.check_interval_s, c.gate_min_gain, c.gate_horizon_s,
+            c.gate_fallback_bandwidth, a.half_life_s,
+            a.sequential_slack_bytes, a.overlap_window_s, a.max_open_runs,
+            a.ring_capacity, a.busy_capacity, a.sparse_overlap, d.threshold,
+            d.trip_evaluations, d.clear_ratio, d.cooldown_s, d.min_rate,
+            d.sustained_ratio, d.sustained_s);
+}
+
+void Collect(const ScenarioSpec& s, Fields* f) {
+  f->AddAll(s.duration_s, s.seed);
+  for (const ScenarioTenant& t : s.tenants) {
+    f->AddAll(t.name, t.first_object, t.count, t.rate, t.request_bytes,
+              t.write_fraction, t.run_length, t.arrive_s, t.depart_s);
+  }
+  for (const ScenarioPhase& p : s.phases) {
+    f->AddAll(p.tenant, p.start_s, p.end_s, p.multiplier);
+  }
+  for (const ScenarioDrift& d : s.drifts) {
+    f->AddAll(d.tenant, d.start_s, d.end_s, d.multiplier);
+  }
+  for (const ScenarioGraph& g : s.graphs) {
+    f->AddAll(g.tenant, g.communities, g.coaccess, g.rewire_s, g.burst);
+  }
+}
+
+void Collect(const WalCrashPolicy& p, Fields* f) {
+  f->AddAll(p.seed, p.fail_after_appends, p.torn_bytes, p.drop_syncs_after);
+}
+
+void Collect(const LoadedProblem& loaded, Fields* f) {
+  const LayoutProblem& p = loaded.problem;
+  f->Add(p.lvm_stripe_bytes);
+  for (const AdvisorTarget& t : p.targets) {
+    f->AddAll(t.name, t.cost_model->device_model(), t.capacity_bytes,
+              t.num_members, t.stripe_bytes, static_cast<int>(t.raid_level));
+  }
+  for (size_t i = 0; i < p.object_names.size(); ++i) {
+    const WorkloadDesc& w = p.workloads[i];
+    f->AddAll(p.object_names[i], static_cast<int>(p.object_kinds[i]),
+              p.object_sizes[i], w.read_rate, w.write_rate, w.read_size,
+              w.write_size, w.run_count);
+    for (size_t k = 0; k < w.overlap_index.size(); ++k) {
+      f->AddAll(w.overlap_index[k], w.overlap_value[k]);
+    }
+  }
+  for (const std::vector<int>& allowed : p.constraints.allowed_targets) {
+    f->Add(static_cast<int>(allowed.size()));
+    for (int j : allowed) f->Add(j);
+  }
+  for (const auto& [a, b] : p.constraints.separate) f->AddAll(a, b);
+  f->AddAll(loaded.has_autopilot, loaded.has_faults, loaded.has_scenario);
+  if (loaded.has_autopilot) Collect(loaded.autopilot, f);
+  if (loaded.has_faults) Collect(loaded.faults, f);
+  if (loaded.has_scenario) Collect(loaded.scenario, f);
+}
+
+template <typename T>
+Fields FieldsOf(const T& value) {
+  Fields f;
+  Collect(value, &f);
+  return f;
+}
+
+/// One or two edits, biased toward the characters and tokens that
+/// matter to the number and clause syntax: a byte replaced, inserted or
+/// deleted, a token inserted, or the value after a `=` or blank replaced
+/// by a token.
+std::string Mutate(std::string s, Rng& rng) {
+  static const std::string kBytes = "0123456789.-+eE;,=:# \n\txnaif";
+  static const char* const kTokens[] = {
+      "0", "1", "2.5", "1e3", "0.30000000000000004", "-0", "1e-320", "inf",
+      "-inf", "nan", "0x1p3", "1e999", "-1", "99999999999999999999",
+      "4294967297", "+1", "1.5x", ";", ",", "="};
+  const auto token = [&rng] {
+    return std::string(kTokens[rng.UniformInt(std::size(kTokens))]);
+  };
+  const int edits = 1 + static_cast<int>(rng.UniformInt(uint64_t{2}));
+  for (int e = 0; e < edits; ++e) {
+    const size_t pos = static_cast<size_t>(rng.UniformInt(s.size() + 1));
+    const char byte = kBytes[rng.UniformInt(kBytes.size())];
+    switch (rng.UniformInt(uint64_t{6})) {
+      case 0:
+        if (pos < s.size()) s[pos] = byte;
+        break;
+      case 1:
+        s.insert(pos, 1, byte);
+        break;
+      case 2:
+        if (pos < s.size()) s.erase(pos, 1);
+        break;
+      case 3:
+        s.insert(pos, token());
+        break;
+      case 4: {
+        const size_t at = s.find_first_of("= ", pos);
+        if (at == std::string::npos) break;
+        const size_t end = std::min(s.find_first_of(",; \n\t", at + 1),
+                                    s.size());
+        s.replace(at + 1, end - at - 1, token());
+        break;
+      }
+      default:  // any byte at all
+        if (pos < s.size()) s[pos] = static_cast<char>(rng.UniformInt(256));
+        break;
+    }
+  }
+  return s;
+}
+
+/// Whether `message` names "<label>N" at least once, with every such N in
+/// [1, max].
+bool NamesIndexWithin(const std::string& message, const std::string& label,
+                      int max) {
+  bool named = false;
+  for (size_t at = message.find(label); at != std::string::npos;
+       at = message.find(label, at + 1)) {
+    int n = 0;
+    const char* begin = message.data() + at + label.size();
+    if (std::from_chars(begin, message.data() + message.size(), n).ec !=
+        std::errc()) {
+      continue;
+    }
+    if (n < 1 || n > max) return false;
+    named = true;
+  }
+  return named;
+}
+
+int CountClauses(const std::string& text) {
+  int clauses = 0;
+  size_t start = 0;
+  while (start <= text.size()) {
+    const size_t end = std::min(text.find(';', start), text.size());
+    if (end > start) ++clauses;
+    start = end + 1;
+  }
+  return clauses;
+}
+
+int CountLines(const std::string& text) {
+  return 1 + static_cast<int>(std::count(text.begin(), text.end(), '\n'));
+}
+
+template <typename T>
+struct Grammar {
+  std::function<Result<T>(const std::string&)> parse;
+  std::function<std::string(const T&)> format;
+  std::function<Status(const T&)> validate;
+  bool line_indexed = false;  ///< "line N" (problem files), else "clause N"
+  /// Prefixes of the rejections that judge the input as a whole (checks
+  /// across clauses or objects), which name no clause or line.
+  std::vector<std::string> whole_input_verdicts;
+};
+
+/// Runs kMutantsPerGrammar mutants of `corpus` through `g`.
+template <typename T>
+void FuzzGrammar(const Grammar<T>& g, const std::vector<std::string>& corpus,
+                uint64_t seed) {
+  int accepted = 0;
+  for (int i = 0; i < kMutantsPerGrammar; ++i) {
+    Rng rng(MixSeed(seed, static_cast<uint64_t>(i)));
+    const std::string text =
+        Mutate(corpus[static_cast<size_t>(i) % corpus.size()], rng);
+    const Result<T> parsed = g.parse(text);
+    if (!parsed.ok()) {
+      const std::string& msg = parsed.status().message();
+      const bool indexed =
+          g.line_indexed ? NamesIndexWithin(msg, "line ", CountLines(text))
+                         : NamesIndexWithin(msg, "clause ", CountClauses(text));
+      const bool whole_input = std::any_of(
+          g.whole_input_verdicts.begin(), g.whole_input_verdicts.end(),
+          [&msg](const std::string& p) { return msg.rfind(p, 0) == 0; });
+      EXPECT_TRUE(indexed || whole_input)
+          << "mutant " << i << ": '" << text << "'\n  -> " << msg;
+      continue;
+    }
+    ++accepted;
+    const Fields fields = FieldsOf(*parsed);
+    EXPECT_FALSE(fields.HasNaN()) << "mutant " << i << ": '" << text << "'";
+    const Status valid = g.validate(*parsed);
+    EXPECT_TRUE(valid.ok()) << "mutant " << i << ": '" << text << "'\n  -> "
+                            << valid.ToString();
+    const std::string formatted = g.format(*parsed);
+    const Result<T> again = g.parse(formatted);
+    if (!again.ok()) {
+      ADD_FAILURE() << "mutant " << i << ": '" << text
+                    << "'\n  formats as '" << formatted
+                    << "', which is rejected: " << again.status().ToString();
+      continue;
+    }
+    EXPECT_TRUE(FieldsOf(*again) == fields)
+        << "mutant " << i << ": '" << text << "'\n  formats as '"
+        << formatted << "', which parses to a different value";
+  }
+  // Neither side may be vacuous.
+  EXPECT_GT(accepted, kMutantsPerGrammar / 40);
+  EXPECT_LT(accepted, kMutantsPerGrammar - kMutantsPerGrammar / 40);
+}
+
+TEST(SpecGrammarFuzz, FaultPlan) {
+  const Grammar<FaultPlan> g{ParseFaultPlan, FaultPlanToString,
+                             [](const FaultPlan&) { return Status::Ok(); },
+                             /*line_indexed=*/false, {}};
+  FuzzGrammar(g,
+              {"t=5,target=1,kind=fail;t=9,target=1,kind=rebuild,"
+               "chunk=1048576",
+               "seed=7,retries=2,backoff=0.001;t=1,target=0,member=2,"
+               "kind=transient,p=0.30000000000000004,duration=4",
+               "seed=3;t=1,target=0,kind=fail;t=2,target=0,member=1,"
+               "kind=limp,scale=2.5"},
+              0xfa17);
+}
+
+TEST(SpecGrammarFuzz, AutopilotSpec) {
+  const Grammar<AutopilotConfig> g{
+      ParseAutopilotSpec, AutopilotConfigToString,
+      [](const AutopilotConfig& c) { return c.Validate(); },
+      /*line_indexed=*/false,
+      {"sustain_s must be > 0 when sustain is enabled"}};
+  FuzzGrammar(g,
+              {"interval=1.5;threshold=0.4,trip=3,clear=0.25,cooldown=45;"
+               "window=20,slack=32768,runs=4,ring=512;"
+               "gain=0.05,horizon=600,bandwidth=1048576,minrate=2",
+               "window=inf;threshold=inf",
+               "threshold=0.4,sustain=0.7,sustain_s=90,"
+               "gain=0.30000000000000004"},
+              0xa070);
+}
+
+TEST(SpecGrammarFuzz, ScenarioSpec) {
+  const Grammar<ScenarioSpec> g{
+      ParseScenarioSpec, ScenarioToString,
+      [](const ScenarioSpec& s) { return s.Validate(); },
+      /*line_indexed=*/false,
+      {"scenario spec: missing duration", "scenario has no tenants",
+       "tenant '", "phase on '", "drift on '", "graph on '"}};
+  FuzzGrammar(g,
+              {"duration=120;seed=7;"
+               "tenant=oltp,objects=0:5,rate=20,bytes=8192,write=0.3,runs=4;"
+               "tenant=batch,objects=5:9,rate=5,arrive=30,depart=90;"
+               "phase=oltp,start=10,end=40,x=3;flash=oltp,at=50,for=5,x=50;"
+               "graph=batch,communities=2,coaccess=0.6,rewire=20,burst=2;"
+               "drift=oltp,start=60,end=110,x=1.4",
+               "duration=30;seed=9;tenant=front,objects=0:1,"
+               "rate=0.30000000000000004,write=0.25;"
+               "tenant=back,objects=1:2,rate=5,arrive=10;"
+               "flash=front,at=12,for=3,x=1.4000000000000001"},
+              0x5ce0);
+}
+
+TEST(SpecGrammarFuzz, JournalCrashPolicy) {
+  // WalCrashPolicy has no formatter of its own; the grammar's is one line.
+  const Grammar<WalCrashPolicy> g{
+      ParseWalCrashPolicy,
+      [](const WalCrashPolicy& p) {
+        std::string out = StrFormat("seed=%llu",
+                                    static_cast<unsigned long long>(p.seed));
+        if (p.fail_after_appends >= 0) {
+          out += StrFormat(",after=%lld",
+                           static_cast<long long>(p.fail_after_appends));
+        }
+        if (p.torn_bytes >= 0) {
+          out += StrFormat(",torn=%lld", static_cast<long long>(p.torn_bytes));
+        }
+        if (p.drop_syncs_after >= 0) {
+          out += StrFormat(",syncs=%lld",
+                           static_cast<long long>(p.drop_syncs_after));
+        }
+        return out;
+      },
+      [](const WalCrashPolicy&) { return Status::Ok(); },
+      /*line_indexed=*/false, {}};
+  FuzzGrammar(g, {"after=12,torn=5,seed=7", "syncs=3", "after=0;syncs=2"},
+              0xc4a5);
+}
+
+TEST(SpecGrammarFuzz, ProblemFile) {
+  // A per-test calibration cache: only the first parse calibrates, on a
+  // tiny grid.
+  ProblemIoOptions options;
+  CalibrationOptions& cal = options.calibration;
+  cal.size_axis = {static_cast<double>(8 * kKiB),
+                   static_cast<double>(64 * kKiB)};
+  cal.run_axis = {1, 8};
+  cal.contention_axis = {0, 2};
+  cal.warmup_requests = 4;
+  cal.sample_requests = 24;
+  cal.cache_dir = StrFormat("%s/ldb-grammar-fuzz-%d",
+                            ::testing::TempDir().c_str(),
+                            static_cast<int>(getpid()));
+  std::ifstream in(LDB_SAMPLE_PROBLEM);
+  ASSERT_TRUE(in) << LDB_SAMPLE_PROBLEM;
+  const std::string sample((std::istreambuf_iterator<char>(in)),
+                           std::istreambuf_iterator<char>());
+  // Directives, and numbers that need all 17 digits to come back.
+  const std::string directives =
+      sample +
+      "autopilot interval=1.5;threshold=0.4,trip=3;window=20,slack=32768,"
+      "runs=4,ring=512;gain=0.05,bandwidth=1048576,minrate=2\n"
+      "faults seed=7,retries=2;t=1,target=0,member=1,kind=limp,scale=2.5\n"
+      "scenario duration=30;seed=9;tenant=front,objects=0:3,rate=40,"
+      "write=0.25\n"
+      "scenario tenant=back,objects=3:5,rate=5,arrive=10;"
+      "flash=front,at=12,for=3,x=20\n"
+      "workload WAL read_rate 0 read_size 0 write_rate 50.000000000000007 "
+      "write_size 16KiB run_count 800\n"
+      "overlap DIM_CUSTOMER FACT_SALES_PKEY 0.30000000000000004\n";
+  const Grammar<LoadedProblem> g{
+      [&options](const std::string& text) {
+        return ParseProblemText(text, options);
+      },
+      [](const LoadedProblem& p) { return FormatProblemText(p); },
+      [](const LoadedProblem& p) {
+        LDB_RETURN_IF_ERROR(p.problem.Validate());
+        if (p.has_autopilot) LDB_RETURN_IF_ERROR(p.autopilot.Validate());
+        if (p.has_scenario) {
+          LDB_RETURN_IF_ERROR(p.scenario.Validate(p.problem.num_objects()));
+        }
+        return Status::Ok();
+      },
+      /*line_indexed=*/true,
+      {"no objects", "no targets", "workload ", "objects need ",
+       "cannot separate an object from itself", "object "}};
+  FuzzGrammar(g, {sample, directives}, 0x9b1e);
+  std::error_code ec;
+  std::filesystem::remove_all(cal.cache_dir, ec);
+}
 
 }  // namespace
 }  // namespace ldb

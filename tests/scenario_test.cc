@@ -91,6 +91,30 @@ TEST(ScenarioSpecTest, ErrorsAreClauseIndexed) {
   ASSERT_FALSE(r.ok());
   EXPECT_NE(r.status().message().find("missing duration"), std::string::npos);
 
+  // Numbers too large for their field are rejected with the clause, not
+  // clamped to INT64_MAX.
+  r = ParseScenarioSpec("duration=10;seed=99999999999999999999");
+  ASSERT_FALSE(r.ok());
+  EXPECT_NE(r.status().message().find("scenario spec clause 2"),
+            std::string::npos)
+      << r.status().ToString();
+  r = ParseScenarioSpec(
+      "duration=10;tenant=a,objects=0:2,rate=1,bytes=99999999999999999999");
+  ASSERT_FALSE(r.ok());
+  EXPECT_NE(r.status().message().find("scenario spec clause 2"),
+            std::string::npos)
+      << r.status().ToString();
+  r = ParseScenarioSpec("duration=10;tenant=a,objects=0:4294967297,rate=1");
+  ASSERT_FALSE(r.ok());
+  EXPECT_NE(r.status().message().find("scenario spec clause 2"),
+            std::string::npos)
+      << r.status().ToString();
+  r = ParseScenarioSpec("duration=nan;tenant=a,objects=0:2,rate=1");
+  ASSERT_FALSE(r.ok());
+  EXPECT_NE(r.status().message().find("scenario spec clause 1"),
+            std::string::npos)
+      << r.status().ToString();
+
   // Validation failures carry the clause of the offending tenant.
   r = ParseScenarioSpec("duration=10;tenant=a,objects=4:2,rate=1");
   ASSERT_FALSE(r.ok());

@@ -244,6 +244,16 @@ TEST(WalTest, ParseWalCrashPolicyGrammar) {
   EXPECT_FALSE(ParseWalCrashPolicy("torn=3").ok());
   EXPECT_FALSE(ParseWalCrashPolicy("after=").ok());
   EXPECT_FALSE(ParseWalCrashPolicy("after=-2").ok());
+  // Seeds must be >= 0 (not wrapped), and a count past INT64_MAX is
+  // rejected, not clamped; both with the clause index.
+  for (const char* spec : {"seed=-1", "after=99999999999999999999",
+                           "after=1.5", "syncs=+3"}) {
+    auto bad = ParseWalCrashPolicy(spec);
+    ASSERT_FALSE(bad.ok()) << spec;
+    EXPECT_NE(bad.status().message().find("journal-crash clause 1"),
+              std::string::npos)
+        << bad.status().ToString();
+  }
 }
 
 TEST(WalTest, FailAfterAppendsCrashesExactlyThere) {

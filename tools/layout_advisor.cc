@@ -98,8 +98,6 @@
 #include <string>
 
 #include <cmath>
-#include <cstdlib>
-#include <limits>
 
 #include "core/advisor.h"
 #include "core/autopilot.h"
@@ -112,22 +110,15 @@
 #include "monitor/autopilot_spec.h"
 #include "scenario/sim.h"
 #include "storage/fault.h"
+#include "util/spec_text.h"
 #include "util/wal.h"
 
 namespace {
 
-/// Parses a whole argument as a non-negative decimal int (digits only, no
-/// sign, no trailing text, no overflow).
+/// Parses a whole argument as a decimal int >= 0 (no `+`, no trailing
+/// text, no overflow).
 bool ParseCount(const char* text, int* out) {
-  if (*text == '\0') return false;
-  long long value = 0;
-  for (const char* c = text; *c != '\0'; ++c) {
-    if (*c < '0' || *c > '9') return false;
-    value = value * 10 + (*c - '0');
-    if (value > std::numeric_limits<int>::max()) return false;
-  }
-  *out = static_cast<int>(value);
-  return true;
+  return ldb::ParseInteger(text, out) && *out >= 0;
 }
 
 }  // namespace
@@ -198,9 +189,13 @@ int main(int argc, char** argv) {
       migrate = true;
     } else if (std::strncmp(argv[a], "--migrate-throttle=", 19) == 0) {
       migrate = true;
-      migrate_throttle_mbps = std::atof(argv[a] + 19);
-      if (migrate_throttle_mbps <= 0.0) {
-        std::fprintf(stderr, "--migrate-throttle needs a rate > 0 (MB/s)\n");
+      if (!ParseDecimal(argv[a] + 19, &migrate_throttle_mbps) ||
+          !(migrate_throttle_mbps > 0.0) ||
+          !std::isfinite(migrate_throttle_mbps)) {
+        std::fprintf(stderr,
+                     "--migrate-throttle needs a finite rate > 0 (MB/s), "
+                     "got '%s'\n",
+                     argv[a] + 19);
         return 2;
       }
     } else if (std::strncmp(argv[a], "--autopilot=", 12) == 0) {
@@ -236,22 +231,22 @@ int main(int argc, char** argv) {
       backend_dir = argv[a] + 14;
     } else if (std::strncmp(argv[a], "--autopilot-duration=", 21) == 0) {
       autopilot = true;
-      autopilot_duration_s = std::atof(argv[a] + 21);
-      if (!(autopilot_duration_s > 0.0) ||
+      if (!ParseDecimal(argv[a] + 21, &autopilot_duration_s) ||
+          !(autopilot_duration_s > 0.0) ||
           !std::isfinite(autopilot_duration_s)) {
         std::fprintf(stderr,
-                     "--autopilot-duration needs a finite duration > 0 (s)\n");
+                     "--autopilot-duration needs a finite duration > 0 (s), "
+                     "got '%s'\n",
+                     argv[a] + 21);
         return 2;
       }
     } else if (std::strncmp(argv[a], "--drift-threshold=", 18) == 0) {
       autopilot = true;
       has_drift_threshold = true;
-      char* end = nullptr;
-      drift_threshold = std::strtod(argv[a] + 18, &end);
-      if (end == argv[a] + 18 || *end != '\0' || std::isnan(drift_threshold) ||
-          drift_threshold <= 0.0) {
+      if (!ParseDecimal(argv[a] + 18, &drift_threshold) ||
+          !(drift_threshold > 0.0)) {
         // Mirrors the spec parser: > 0 required, inf allowed (disables
-        // tripping), nan and garbage rejected.
+        // tripping).
         std::fprintf(stderr,
                      "--drift-threshold: threshold must be > 0 "
                      "(inf disables tripping), got '%s'\n",

@@ -17,6 +17,8 @@
 //   --disks=<n>    number of single-disk targets (default 4)
 //   --calibration-cache=<dir>   persistent device cost-model cache
 
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -25,6 +27,7 @@
 #include "core/harness.h"
 #include "util/table.h"
 #include "core/problem_io.h"
+#include "util/spec_text.h"
 #include "workload/catalog.h"
 #include "workload/spec.h"
 
@@ -39,21 +42,33 @@ int main(int argc, char** argv) {
     if (std::strncmp(argv[a], "--workload=", 11) == 0) {
       workload = argv[a] + 11;
     } else if (std::strncmp(argv[a], "--scale=", 8) == 0) {
-      scale = std::atof(argv[a] + 8);
+      if (!ParseDecimal(argv[a] + 8, &scale) || !(scale > 0.0) ||
+          !std::isfinite(scale)) {
+        std::fprintf(stderr, "--scale needs a finite number > 0, got '%s'\n",
+                     argv[a] + 8);
+        return 2;
+      }
     } else if (std::strncmp(argv[a], "--seed=", 7) == 0) {
-      seed = static_cast<uint64_t>(std::atoll(argv[a] + 7));
+      int64_t parsed = 0;
+      if (!ParseInteger(argv[a] + 7, &parsed) || parsed < 0) {
+        std::fprintf(stderr,
+                     "--seed needs a decimal integer >= 0, got '%s'\n",
+                     argv[a] + 7);
+        return 2;
+      }
+      seed = static_cast<uint64_t>(parsed);
     } else if (std::strncmp(argv[a], "--disks=", 8) == 0) {
-      disks = std::atoi(argv[a] + 8);
+      if (!ParseInteger(argv[a] + 8, &disks) || disks <= 0) {
+        std::fprintf(stderr, "--disks needs a count > 0, got '%s'\n",
+                     argv[a] + 8);
+        return 2;
+      }
     } else if (std::strncmp(argv[a], "--calibration-cache=", 20) == 0) {
       calibration.cache_dir = argv[a] + 20;
     } else {
       std::fprintf(stderr, "unknown option %s\n", argv[a]);
       return 2;
     }
-  }
-  if (scale <= 0 || disks <= 0) {
-    std::fprintf(stderr, "bad scale/disks\n");
-    return 2;
   }
 
   const bool consolidation = workload == "consolidation";
