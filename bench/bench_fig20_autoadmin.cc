@@ -43,7 +43,7 @@ int main(int argc, char** argv) {
   AutoAdminAdvisor autoadmin;
   const auto t0 = std::chrono::steady_clock::now();
   auto estimates = EstimateQueriesFromSpec(
-      *olap1, advised1->problem, AutoAdminOptions{}.temp_estimate_error);
+      *olap1, advised1->problem, kAutoAdminTempEstimateError);
   auto aa_layout = autoadmin.Recommend(advised1->problem, estimates);
   const double aa_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)

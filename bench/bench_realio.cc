@@ -1,5 +1,5 @@
 // Sim-vs-real drift: the same request classes replayed once through the
-// event-queue simulator (SimBackend) and once through real files
+// event-queue simulator (StorageSystem) and once through real files
 // (FileBackend), reporting per-class service-time drift.
 //
 // Each class is a (pattern, request size, direction) tuple — the axes the
@@ -37,9 +37,7 @@
 #include <vector>
 
 #include "bench/bench_common.h"
-#include "io/backend.h"
 #include "io/file_backend.h"
-#include "io/sim_backend.h"
 #include "storage/disk.h"
 #include "storage/storage_system.h"
 #include "util/random.h"
@@ -113,7 +111,6 @@ std::vector<double> ReplaySim(const DiskModel& proto, const RequestClass& c,
                               const std::vector<int64_t>& offsets) {
   std::vector<TargetSpec> specs{{"d0", &proto, 1, 64 * kKiB}};
   StorageSystem sys(specs);
-  SimBackend backend(&sys);
   std::vector<double> service;
   service.reserve(offsets.size());
   for (int64_t off : offsets) {
@@ -122,10 +119,9 @@ std::vector<double> ReplaySim(const DiskModel& proto, const RequestClass& c,
     req.size = c.request_bytes;
     req.is_write = c.is_write;
     const double submitted = sys.Now();
-    backend.Submit(0, req, nullptr,
-                   [&service, submitted](double when, const Status&) {
-                     service.push_back(when - submitted);
-                   });
+    sys.Submit(0, req, [&service, submitted](double when) {
+      service.push_back(when - submitted);
+    });
     sys.queue().RunUntilIdle();
   }
   return service;

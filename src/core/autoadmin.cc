@@ -9,8 +9,19 @@
 
 namespace ldb {
 
-AutoAdminAdvisor::AutoAdminAdvisor(AutoAdminOptions options)
-    : options_(options) {}
+namespace {
+
+/// Step 2 considers spreading an object only if its total estimated volume
+/// is at least this fraction of the heaviest object's.
+constexpr double kSpreadThreshold = 0.10;
+/// Step 2 spreads an object onto a target only if the co-access weight
+/// with objects already there is at most this fraction of the object's own
+/// weight. Zero spreads only onto targets holding no co-accessed object at
+/// all — which is why AutoAdmin keeps LINEITEM on a single target in the
+/// paper's Figure 20(b).
+constexpr double kCoaccessTolerance = 0.0;
+
+}  // namespace
 
 Result<Layout> AutoAdminAdvisor::Recommend(
     const LayoutProblem& problem,
@@ -100,7 +111,7 @@ Result<Layout> AutoAdminAdvisor::Recommend(
   const std::vector<int64_t> capacities = problem.capacities();
   for (int i : order) {
     const double wi = weight[static_cast<size_t>(i)];
-    if (max_weight <= 0.0 || wi < options_.spread_threshold * max_weight) {
+    if (max_weight <= 0.0 || wi < kSpreadThreshold * max_weight) {
       continue;
     }
     std::vector<int> spread_targets;
@@ -112,7 +123,7 @@ Result<Layout> AutoAdminAdvisor::Recommend(
             edge[static_cast<size_t>(i) * nn + static_cast<size_t>(k)];
       }
       if (j == home[static_cast<size_t>(i)] ||
-          coaccess <= options_.coaccess_tolerance * wi) {
+          coaccess <= kCoaccessTolerance * wi) {
         spread_targets.push_back(j);
       }
     }

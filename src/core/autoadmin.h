@@ -23,23 +23,11 @@ struct QueryEstimate {
   std::vector<QueryAccessEstimate> accesses;
 };
 
-/// Options for the AutoAdmin-style advisor.
-struct AutoAdminOptions {
-  /// Multiplier on temp-space volume estimates, modeling the optimizer
-  /// cardinality-estimation errors the paper observed for PostgreSQL on
-  /// TPC-H Q18 (Section 6.6): intermediate-result sizes are mispredicted
-  /// by orders of magnitude, inflating TEMP SPACE's apparent importance.
-  double temp_estimate_error = 20.0;
-  /// Step 2 considers spreading an object only if its total estimated
-  /// volume is at least this fraction of the heaviest object's.
-  double spread_threshold = 0.10;
-  /// Step 2 will spread an object onto a target only if the co-access
-  /// weight with objects already there is at most this fraction of the
-  /// object's own weight. Zero (the default) spreads only onto targets
-  /// holding no co-accessed object at all — which is why AutoAdmin keeps
-  /// LINEITEM on a single target in the paper's Figure 20(b).
-  double coaccess_tolerance = 0.0;
-};
+/// Multiplier on temp-space volume estimates, modeling the optimizer
+/// cardinality-estimation errors the paper observed for PostgreSQL on
+/// TPC-H Q18 (Section 6.6): intermediate-result sizes are mispredicted by
+/// orders of magnitude, inflating TEMP SPACE's apparent importance.
+inline constexpr double kAutoAdminTempEstimateError = 20.0;
 
 /// Reimplementation of the AutoAdmin relational-layout technique
 /// (Agrawal, Chaudhuri, Das, Narasayya, ICDE 2003) the paper compares
@@ -57,14 +45,9 @@ struct AutoAdminOptions {
 /// consequences Section 6.6 measures.
 class AutoAdminAdvisor {
  public:
-  explicit AutoAdminAdvisor(AutoAdminOptions options = {});
-
   /// Recommends a (regular) layout from query-level estimates.
   Result<Layout> Recommend(const LayoutProblem& problem,
                            const std::vector<QueryEstimate>& queries) const;
-
- private:
-  AutoAdminOptions options_;
 };
 
 /// Derives query-level estimates from an OLAP spec the way an optimizer

@@ -249,13 +249,7 @@ void Controller::Decide(WorkloadSet live, double now) {
   pending_manager = managers.size() - 1;
   pending_reference = std::move(live);
   router->set_delegate(active);
-  if (options->migrate.start_delay_s > 0.0) {
-    MigrationExecutor* exec = active;
-    system->queue().ScheduleAfter(options->migrate.start_delay_s,
-                                  [exec]() { exec->Start(); });
-  } else {
-    active->Start();
-  }
+  active->Start();
   d.started = true;
   d.note = StrFormat("migration started: %d objects, %.1f MiB",
                      plan.objects_moved,
@@ -557,12 +551,7 @@ Result<AutopilotReport> RunAutopilotSim(
         WorkloadRunner runner(system, router, seed);
         runner.set_on_finished(on_finished);
         runner.set_logical_observer(observe);
-        if (olap != nullptr && oltp != nullptr) {
-          return runner.RunMixed(*olap, *oltp);
-        }
-        if (olap != nullptr) return runner.RunOlap(*olap);
-        if (oltp != nullptr) return runner.RunOltp(*oltp, oltp_duration_s);
-        return Status::InvalidArgument("no workload given");
+        return runner.Run(olap, oltp, oltp_duration_s);
       });
 }
 

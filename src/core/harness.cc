@@ -148,10 +148,7 @@ Result<RunResult> ExperimentRig::Execute(const Layout& layout,
   if (!volumes.ok()) return volumes.status();
 
   WorkloadRunner runner(system.get(), &*volumes, seed_);
-  if (olap != nullptr && oltp != nullptr) return runner.RunMixed(*olap, *oltp);
-  if (olap != nullptr) return runner.RunOlap(*olap);
-  if (oltp != nullptr) return runner.RunOltp(*oltp, oltp_duration_s);
-  return Status::InvalidArgument("no workload given");
+  return runner.Run(olap, oltp, oltp_duration_s);
 }
 
 Result<RunResult> ExperimentRig::ExecuteWithFaults(
@@ -178,16 +175,7 @@ Result<RunResult> ExperimentRig::ExecuteWithFaults(
   LDB_RETURN_IF_ERROR(injector.Arm());
 
   WorkloadRunner runner(system.get(), &*volumes, seed_);
-  Result<RunResult> run = Status::Internal("unreachable");
-  if (olap != nullptr && oltp != nullptr) {
-    run = runner.RunMixed(*olap, *oltp);
-  } else if (olap != nullptr) {
-    run = runner.RunOlap(*olap);
-  } else if (oltp != nullptr) {
-    run = runner.RunOltp(*oltp, oltp_duration_s);
-  } else {
-    return Status::InvalidArgument("no workload given");
-  }
+  Result<RunResult> run = runner.Run(olap, oltp, oltp_duration_s);
   if (!run.ok()) return run.status();
   RunResult result = std::move(run).value();
   result.skipped_faults = injector.skipped();
@@ -257,16 +245,7 @@ Result<WorkloadSet> ExperimentRig::FitWorkloads(const Layout& trace_layout,
   WorkloadRunner runner(system.get(), &*volumes, seed_);
   runner.set_logical_observer(
       [&fitter](const IoEvent& ev) { fitter.Observe(ev); });
-  Result<RunResult> run = Status::Internal("unreachable");
-  if (olap != nullptr && oltp != nullptr) {
-    run = runner.RunMixed(*olap, *oltp);
-  } else if (olap != nullptr) {
-    run = runner.RunOlap(*olap);
-  } else if (oltp != nullptr) {
-    run = runner.RunOltp(*oltp, oltp_duration_s);
-  } else {
-    return Status::InvalidArgument("no workload given");
-  }
+  Result<RunResult> run = runner.Run(olap, oltp, oltp_duration_s);
   if (!run.ok()) return run.status();
   return fitter.Finish();
 }

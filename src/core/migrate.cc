@@ -6,7 +6,7 @@
 
 #include "core/journal.h"
 #include "core/sim_setup.h"
-#include "io/backend.h"
+#include "io/file_backend.h"
 #include "io/pattern.h"
 #include "storage/disk.h"
 #include "storage/ssd.h"
@@ -73,6 +73,9 @@ const char* JournalKindName(JournalKind kind) {
 
 namespace {
 
+/// How long a backpressure-deferred pump waits before rechecking.
+constexpr double kBackpressureRecheckS = 0.002;
+
 Status ValidateMigrateOptions(const MigrateOptions& options) {
   if (options.chunk_bytes <= 0) {
     return Status::InvalidArgument("migrate: chunk_bytes must be > 0");
@@ -80,21 +83,11 @@ Status ValidateMigrateOptions(const MigrateOptions& options) {
   if (options.bandwidth_bytes_per_s < 0.0) {
     return Status::InvalidArgument("migrate: bandwidth must be >= 0");
   }
-  if (options.burst_bytes < 0) {
-    return Status::InvalidArgument("migrate: burst must be >= 0");
-  }
   if (options.max_bg_share <= 0.0 || options.max_bg_share > 1.0) {
     return Status::InvalidArgument("migrate: max_bg_share must be in (0,1]");
   }
-  if (options.backpressure_recheck_s <= 0.0) {
-    return Status::InvalidArgument(
-        "migrate: backpressure_recheck_s must be > 0");
-  }
   if (options.max_inflight_chunks <= 0) {
     return Status::InvalidArgument("migrate: max_inflight_chunks must be > 0");
-  }
-  if (options.start_delay_s < 0.0) {
-    return Status::InvalidArgument("migrate: start_delay_s must be >= 0");
   }
   return Status::Ok();
 }
@@ -316,8 +309,7 @@ void MigrationExecutor::Start() {
   }
   // Token bucket starts full.
   if (options_.bandwidth_bytes_per_s > 0.0 && tokens_ <= 0.0) {
-    tokens_ = static_cast<double>(
-        std::max(options_.burst_bytes, options_.chunk_bytes));
+    tokens_ = static_cast<double>(options_.chunk_bytes);
     last_refill_ = system_->Now();
   }
   Pump();
@@ -376,16 +368,15 @@ void MigrationExecutor::Pump() {
         const double bg = static_cast<double>(bg_inflight_requests_) + 1.0;
         if (bg / (bg + static_cast<double>(fg)) > options_.max_bg_share) {
           ++stats_.backpressure_deferrals;
-          SchedulePump(options_.backpressure_recheck_s);
+          SchedulePump(kBackpressureRecheckS);
           return;
         }
       }
     }
 
-    // Token bucket, in copied bytes.
+    // Token bucket, in copied bytes; it holds one chunk.
     if (options_.bandwidth_bytes_per_s > 0.0) {
-      const double cap = static_cast<double>(
-          std::max(options_.burst_bytes, options_.chunk_bytes));
+      const double cap = static_cast<double>(options_.chunk_bytes);
       const double now = system_->Now();
       tokens_ = std::min(
           cap, tokens_ + (now - last_refill_) * options_.bandwidth_bytes_per_s);
@@ -559,7 +550,7 @@ void MigrationExecutor::CommitChunk(size_t plan_index, size_t chunk_index) {
 
 Status MigrationExecutor::CopyChunkReal(const ObjectPlan& plan,
                                         const Chunk& chunk) {
-  BlockBackend* backend = options_.data_backend;
+  FileBackend* backend = options_.data_backend;
   copy_buf_.resize(static_cast<size_t>(chunk.size));
   scratch_.clear();
   source_->Map(plan.object, chunk.offset, chunk.size, &scratch_);
@@ -879,8 +870,7 @@ Result<MigrationRunReport> RunMigrationSim(
 
   // Start the copy engine via the queue so it begins after the runner's
   // quiescent reset, with foreground traffic already flowing.
-  system->queue().ScheduleAfter(options.start_delay_s,
-                                [&exec]() { exec->Start(); });
+  system->queue().ScheduleAfter(0.0, [&exec]() { exec->Start(); });
 
   WorkloadRunner runner(system, exec.get(), seed);
   std::vector<double> latencies;
@@ -888,16 +878,7 @@ Result<MigrationRunReport> RunMigrationSim(
     latencies.push_back(ev.complete_time - ev.submit_time);
   });
 
-  Result<RunResult> run = Status::Internal("unreachable");
-  if (olap != nullptr && oltp != nullptr) {
-    run = runner.RunMixed(*olap, *oltp);
-  } else if (olap != nullptr) {
-    run = runner.RunOlap(*olap);
-  } else if (oltp != nullptr) {
-    run = runner.RunOltp(*oltp, oltp_duration_s);
-  } else {
-    return Status::InvalidArgument("no workload given");
-  }
+  Result<RunResult> run = runner.Run(olap, oltp, oltp_duration_s);
   if (!run.ok()) return run.status();
 
   MigrationRunReport report;

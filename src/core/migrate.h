@@ -20,7 +20,7 @@
 
 namespace ldb {
 
-class BlockBackend;
+class FileBackend;
 
 /// Copy progress of one migration chunk.
 enum class ChunkState {
@@ -92,22 +92,16 @@ struct MigrateOptions {
   /// Copy granularity; also the state-machine/journal granularity.
   int64_t chunk_bytes = kMiB;
   /// Token-bucket rate for migration I/O, counted in *copied* bytes (each
-  /// copied byte costs one read plus one write). 0 = unthrottled.
+  /// copied byte costs one read plus one write). 0 = unthrottled. The
+  /// bucket holds one chunk.
   double bandwidth_bytes_per_s = 0.0;
-  /// Bucket capacity; 0 defaults to one chunk.
-  int64_t burst_bytes = 0;
   /// Backpressure: migration submissions stall while background requests
   /// would exceed this share of in-flight requests system-wide
   /// (bg / (bg + fg) > max_bg_share with the next copy counted in). 1.0
   /// disables backpressure.
   double max_bg_share = 1.0;
-  /// How long a backpressure-deferred pump waits before rechecking.
-  double backpressure_recheck_s = 0.002;
   /// Copy pipeline depth, in chunks.
   int max_inflight_chunks = 1;
-  /// Simulated seconds to wait after run start before copying begins
-  /// (honored by the harness entry points, which schedule Start()).
-  double start_delay_s = 0.0;
   /// Durable control plane (harness entry points): path of the WAL every
   /// JournalRecord is serialized into before taking effect. Empty =
   /// in-memory journaling only.
@@ -125,7 +119,7 @@ struct MigrateOptions {
   /// is journaled, so journaled-committed implies copied, and unjournaled
   /// chunks are re-copied idempotently on resume). A real-copy failure
   /// rolls the migration back. Must outlive the executor.
-  BlockBackend* data_backend = nullptr;
+  FileBackend* data_backend = nullptr;
 };
 
 /// Progress/impact counters of one migration.

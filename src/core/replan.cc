@@ -380,7 +380,7 @@ Result<ReplanResult> ReplanAfterFailure(const LayoutProblem& problem,
   }();
 
   // Displaced objects re-enter by decreasing request rate (the ordering
-  // the initial-layout heuristic and PlaceIncrementally use).
+  // the initial-layout heuristic uses).
   std::stable_sort(displaced.begin(), displaced.end(), [&](int a, int b) {
     return problem.workloads[static_cast<size_t>(a)].total_rate() >
            problem.workloads[static_cast<size_t>(b)].total_rate();

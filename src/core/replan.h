@@ -113,9 +113,8 @@ struct ReplanResult {
   ReplanResult() : layout(1, 1) {}
 };
 
-/// Failure-aware re-layout (sibling of PlaceIncrementally): rebuilds the
-/// placement around failed/derated targets while moving as little data as
-/// possible.
+/// Failure-aware re-layout: rebuilds the placement around failed/derated
+/// targets while moving as little data as possible.
 ///
 /// `current` must be the regular layout in effect (every row sums to 1).
 /// Rows with mass on a failed target are displaced and re-placed greedily

@@ -37,7 +37,7 @@ double NowS() {
 }
 
 /// Times the mean primary service time of one real grid point.
-Result<double> MeasureRealPoint(BlockBackend* backend, int target,
+Result<double> MeasureRealPoint(FileBackend* backend, int target,
                                 double request_size, double run_count,
                                 double contention, bool primary_is_write,
                                 const CalibrationOptions& opts, Rng* rng,
@@ -106,7 +106,7 @@ Result<double> MeasureRealPoint(BlockBackend* backend, int target,
 
 }  // namespace
 
-Result<CostModel> CalibrateBackendTarget(BlockBackend* backend, int target,
+Result<CostModel> CalibrateBackendTarget(FileBackend* backend, int target,
                                          const std::string& model_name,
                                          const CalibrationOptions& options) {
   if (options.size_axis.empty() || options.run_axis.empty() ||
@@ -144,15 +144,16 @@ Result<CostModel> CalibrateBackendTarget(BlockBackend* backend, int target,
                            std::move(write_costs));
 }
 
-uint64_t BackendCalibrationKey(const BlockBackend& backend, int target,
+uint64_t BackendCalibrationKey(const FileBackend& backend, int target,
                                const std::string& model_name,
                                const CalibrationOptions& options) {
   const BackendGeometry& g = backend.geometry();
   std::ostringstream text;
   text.precision(17);
-  text << "calib-real-v1|" << model_name << "|kind "
-       << BackendKindName(g.kind) << "|target " << target << "|capacity "
-       << g.capacity_bytes[static_cast<size_t>(target)] << "|lbs "
+  // "kind file" keeps keys of existing cache files valid.
+  text << "calib-real-v1|" << model_name << "|kind file|target " << target
+       << "|capacity " << g.capacity_bytes[static_cast<size_t>(target)]
+       << "|lbs "
        << g.logical_block_bytes << "|direct " << (g.direct_io ? 1 : 0)
        << "|sizes";
   for (double v : options.size_axis) text << " " << v;
@@ -167,7 +168,7 @@ uint64_t BackendCalibrationKey(const BlockBackend& backend, int target,
 }
 
 Result<CostModel> CalibrateBackendTargetCached(
-    BlockBackend* backend, int target, const std::string& model_name,
+    FileBackend* backend, int target, const std::string& model_name,
     const CalibrationOptions& options) {
   std::string dir = options.cache_dir;
   if (dir.empty()) {

@@ -3,7 +3,7 @@
 
 #include <string>
 
-#include "io/backend.h"
+#include "io/file_backend.h"
 #include "model/calibration.h"
 
 namespace ldb {
@@ -26,15 +26,15 @@ namespace ldb {
 /// buffered fallback the tables measure the page cache, which the caller
 /// should treat as a lower bound (the probe's `direct_io` flag says
 /// which).
-Result<CostModel> CalibrateBackendTarget(BlockBackend* backend, int target,
+Result<CostModel> CalibrateBackendTarget(FileBackend* backend, int target,
                                          const std::string& model_name,
                                          const CalibrationOptions& options);
 
 /// Cache key for a real-backend calibration: hashes the backend geometry
-/// (kind, capacity, block size, direct-I/O flag) and the grid/options, in
+/// (capacity, block size, direct-I/O flag) and the grid/options, in
 /// a namespace ("calib-real-v1") disjoint from simulated keys so real and
 /// simulated tables never alias in the calibcache.
-uint64_t BackendCalibrationKey(const BlockBackend& backend, int target,
+uint64_t BackendCalibrationKey(const FileBackend& backend, int target,
                                const std::string& model_name,
                                const CalibrationOptions& options);
 
@@ -43,7 +43,7 @@ uint64_t BackendCalibrationKey(const BlockBackend& backend, int target,
 /// LDB_CALIBRATION_CACHE, `<model_name>-<key>.costmodel` files in the
 /// calibcache v1 format.
 Result<CostModel> CalibrateBackendTargetCached(
-    BlockBackend* backend, int target, const std::string& model_name,
+    FileBackend* backend, int target, const std::string& model_name,
     const CalibrationOptions& options);
 
 }  // namespace ldb

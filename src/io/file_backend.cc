@@ -78,7 +78,6 @@ Result<std::unique_ptr<FileBackend>> FileBackend::Open(
 
   auto backend = std::unique_ptr<FileBackend>(new FileBackend());
   backend->options_ = options;
-  backend->geometry_.kind = BackendKind::kFile;
   backend->geometry_.num_targets =
       static_cast<int>(options.capacity_bytes.size());
   backend->geometry_.logical_block_bytes = lbs;

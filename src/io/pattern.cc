@@ -89,7 +89,7 @@ Status ForEachChunk(VolumeRouter* router, int64_t chunk_bytes, Fn fn) {
 
 }  // namespace
 
-Status PopulateBackendPattern(BlockBackend* backend, VolumeRouter* router,
+Status PopulateBackendPattern(FileBackend* backend, VolumeRouter* router,
                               int64_t chunk_bytes) {
   std::vector<char> buf;
   LDB_RETURN_IF_ERROR(ForEachChunk(
@@ -104,7 +104,7 @@ Status PopulateBackendPattern(BlockBackend* backend, VolumeRouter* router,
   return backend->Sync();
 }
 
-Result<int64_t> VerifyBackendPattern(BlockBackend* backend,
+Result<int64_t> VerifyBackendPattern(FileBackend* backend,
                                      VolumeRouter* router,
                                      int64_t chunk_bytes) {
   std::vector<char> buf;

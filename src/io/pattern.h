@@ -3,7 +3,7 @@
 
 #include <cstdint>
 
-#include "io/backend.h"
+#include "io/file_backend.h"
 #include "storage/lvm.h"
 #include "util/status.h"
 
@@ -29,13 +29,13 @@ int64_t FindPatternMismatch(ObjectId object, int64_t offset, int64_t size,
 /// Writes every object's full pattern through `router`'s *read* routing
 /// (the authoritative single location) onto `backend`. Used once at the
 /// start of a fresh real-backend run, before any migration moves bytes.
-Status PopulateBackendPattern(BlockBackend* backend, VolumeRouter* router,
+Status PopulateBackendPattern(FileBackend* backend, VolumeRouter* router,
                               int64_t chunk_bytes = 1 << 20);
 
 /// Reads every object byte back through `router`'s read routing and checks
 /// it against the pattern. Returns the total bytes verified, or an error
 /// naming the first mismatching object/offset.
-Result<int64_t> VerifyBackendPattern(BlockBackend* backend,
+Result<int64_t> VerifyBackendPattern(FileBackend* backend,
                                      VolumeRouter* router,
                                      int64_t chunk_bytes = 1 << 20);
 

@@ -11,6 +11,11 @@ namespace ldb {
 
 namespace {
 
+/// Open-loop overload protection: logical requests beyond this many in
+/// flight are shed (counted, not submitted). Deterministic — shedding
+/// depends only on the event order, which is seed-determined.
+constexpr int kMaxInFlight = 4096;
+
 /// Per-tenant driver state: one RNG stream and a staleness generation.
 struct TenantState {
   Rng rng;
@@ -40,9 +45,6 @@ ScenarioPlayer::ScenarioPlayer(StorageSystem* system, VolumeRouter* router,
 
 Result<RunResult> ScenarioPlayer::Play() {
   LDB_RETURN_IF_ERROR(spec_->Validate(router_->num_objects()));
-  if (options_.max_in_flight < 1) {
-    return Status::InvalidArgument("max_in_flight must be >= 1");
-  }
 
   // Start from quiescent devices so measurements reflect this run only.
   for (int j = 0; j < system_->num_targets(); ++j) system_->target(j).Reset();
@@ -109,7 +111,7 @@ Result<RunResult> ScenarioPlayer::Play() {
                           (tenant.write_fraction > 0.0 &&
                            ts.rng.Bernoulli(tenant.write_fraction));
 
-    if (in_flight >= options_.max_in_flight) {
+    if (in_flight >= kMaxInFlight) {
       ++stats_.shed;
       return;
     }

@@ -18,10 +18,6 @@ struct ScenarioPlayerOptions {
   /// tenant then gets its own decorrelated stream via
   /// Rng(MixSeed(MixSeed(spec.seed, seed), tenant)).
   uint64_t seed = 42;
-  /// Open-loop overload protection: logical requests beyond this many in
-  /// flight are shed (counted, not submitted). Deterministic — shedding
-  /// depends only on the event order, which is seed-determined.
-  int max_in_flight = 4096;
   /// Scenario-clock resume: start playing `start_offset_s` seconds into
   /// the scenario timeline (clamped to the duration) instead of at zero.
   /// Phase/flash/churn windows, graph rewiring, and the end-of-scenario

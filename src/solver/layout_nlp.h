@@ -51,16 +51,8 @@ struct LayoutNlpProblem {
 struct SolverOptions {
   int max_iterations_per_round = 60;  ///< gradient steps per annealing round
   int annealing_rounds = 6;           ///< smooth-max / penalty schedule length
-  double initial_step = 0.25;        ///< first trial step length
-  double armijo_c = 1e-4;            ///< sufficient-decrease coefficient
-  double backtrack = 0.5;            ///< step shrink factor
-  int max_backtracks = 25;
-  double tolerance = 1e-6;  ///< relative improvement deemed converged
-  int patience = 6;         ///< converged iterations before stopping a round
   double smoothmax_t0 = 30.0;      ///< initial log-sum-exp temperature
   double smoothmax_growth = 2.5;   ///< temperature multiplier per round
-  double penalty0 = 10.0;          ///< initial capacity-violation weight
-  double penalty_growth = 4.0;     ///< penalty multiplier per round
 
   /// Worker threads for the evaluation engine: 1 = fully serial (default),
   /// 0 = one per hardware core, n > 1 = exactly n. Results are

@@ -15,6 +15,16 @@ namespace ldb {
 
 namespace {
 
+// Line search and annealing schedule constants.
+constexpr double kInitialStep = 0.25;   // first trial step length
+constexpr double kArmijoC = 1e-4;       // sufficient-decrease coefficient
+constexpr double kBacktrack = 0.5;      // step shrink factor
+constexpr int kMaxBacktracks = 25;
+constexpr double kTolerance = 1e-6;     // relative improvement deemed converged
+constexpr int kPatience = 6;            // converged iterations before a round ends
+constexpr double kPenalty0 = 10.0;      // initial capacity-violation weight
+constexpr double kPenaltyGrowth = 4.0;  // penalty multiplier per round
+
 /// Monotonic nanoseconds for the per-phase profiling counters. Timings are
 /// observability only — they never feed back into the optimization, so the
 /// solve stays deterministic.
@@ -359,12 +369,12 @@ Result<SolverResult> ProjectedGradientSolver::Solve(
   std::vector<double> smw(static_cast<size_t>(m));
   std::vector<double> dcap(static_cast<size_t>(m));
   Layout trial(n, m);
-  double step = options_.initial_step;
+  double step = kInitialStep;
 
   SeedTrajectory& trajectory = result.seeds.emplace_back();
   const int rounds = options_.annealing_rounds;
   double temp = options_.smoothmax_t0;
-  double penalty = options_.penalty0;
+  double penalty = kPenalty0;
   for (int round = 0; round < rounds; ++round) {
     double f = eval.Objective(temp, penalty);
     int stall = 0;
@@ -428,7 +438,7 @@ Result<SolverResult> ProjectedGradientSolver::Solve(
       bool accepted = false;
       double alpha = step;
       const int64_t ls_t0 = NowNanos();
-      for (int bt = 0; bt < options_.max_backtracks; ++bt) {
+      for (int bt = 0; bt < kMaxBacktracks; ++bt) {
         trial = x;
         for (int i = 0; i < n; ++i) {
           if (RowFrozen(problem, i)) continue;
@@ -441,12 +451,12 @@ Result<SolverResult> ProjectedGradientSolver::Solve(
         trial_eval.Refresh(trial);
         result.profile.line_search.calls += 1;
         const double f_trial = trial_eval.Objective(temp, penalty);
-        if (f_trial < f - options_.armijo_c * alpha * grad_norm2) {
+        if (f_trial < f - kArmijoC * alpha * grad_norm2) {
           f_best = f_trial;
           accepted = true;
           break;
         }
-        alpha *= options_.backtrack;
+        alpha *= kBacktrack;
       }
       result.profile.line_search.ns += NowNanos() - ls_t0;
       if (!accepted) break;  // no descent direction at this temperature
@@ -463,15 +473,15 @@ Result<SolverResult> ProjectedGradientSolver::Solve(
         result.profile.refresh.ns += NowNanos() - rf_t0;
       }
       f = eval.Objective(temp, penalty);
-      step = std::min(options_.initial_step, alpha * 2.0);
-      if (improvement < options_.tolerance) {
-        if (++stall >= options_.patience) break;
+      step = std::min(kInitialStep, alpha * 2.0);
+      if (improvement < kTolerance) {
+        if (++stall >= kPatience) break;
       } else {
         stall = 0;
       }
     }
     temp *= options_.smoothmax_growth;
-    penalty *= options_.penalty_growth;
+    penalty *= kPenaltyGrowth;
 
     const double mu = eval.TrueMax();
     trajectory.round_max.push_back(mu);

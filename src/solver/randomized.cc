@@ -12,6 +12,10 @@ namespace ldb {
 
 namespace {
 
+// Acceptance temperatures, relative to the seed's objective.
+constexpr double kInitialTemperature = 0.25;
+constexpr double kFinalTemperature = 1e-3;
+
 /// Proposes a mutation of object i's stripe set: add, remove, or swap one
 /// target. Returns false if no move is possible.
 bool ProposeMove(const LayoutNlpProblem& p, const std::vector<int>& current,
@@ -99,8 +103,7 @@ Result<SolverResult> RandomizedSearchSolver::Solve(
     return Status::InvalidArgument(
         "randomized search needs a valid regular seed");
   }
-  if (options_.iterations <= 0 || options_.initial_temperature <= 0 ||
-      options_.final_temperature <= 0) {
+  if (options_.iterations <= 0) {
     return Status::InvalidArgument("bad search options");
   }
 
@@ -121,8 +124,8 @@ Result<SolverResult> RandomizedSearchSolver::Solve(
   Layout best = x;
   double best_objective = objective;
 
-  const double t0 = options_.initial_temperature * std::max(1e-9, objective);
-  const double t1 = options_.final_temperature * std::max(1e-9, objective);
+  const double t0 = kInitialTemperature * std::max(1e-9, objective);
+  const double t1 = kFinalTemperature * std::max(1e-9, objective);
   const double cooling =
       std::pow(t1 / t0, 1.0 / std::max(1, options_.iterations - 1));
   double temperature = t0;

@@ -11,10 +11,6 @@ namespace ldb {
 /// Options for the randomized layout search.
 struct RandomizedSearchOptions {
   int iterations = 20000;
-  /// Initial acceptance temperature, relative to the seed's objective.
-  double initial_temperature = 0.25;
-  /// Final temperature, relative to the seed's objective.
-  double final_temperature = 1e-3;
   uint64_t seed = 42;
 };
 

@@ -16,8 +16,8 @@ struct TargetChunk {
   int64_t offset = 0;  ///< target-relative byte offset
   int64_t size = 0;
   /// Data-plane epoch of the manager that produced this chunk (see
-  /// StripedVolumeManager::set_data_epoch). Inert for the simulator; a
-  /// real BlockBackend shifts the file offset by epoch * stride so source
+  /// StripedVolumeManager::set_data_epoch). Inert for the simulator; the
+  /// FileBackend shifts the file offset by epoch * stride so source
   /// and destination extents of a migration never overlap on media.
   int epoch = 0;
 };

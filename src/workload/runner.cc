@@ -6,7 +6,6 @@
 #include <memory>
 #include <utility>
 
-#include "io/backend.h"
 #include "util/check.h"
 #include "util/table.h"
 #include "workload/request_slab.h"
@@ -63,9 +62,6 @@ Result<RunResult> WorkloadRunner::RunOlap(const OlapSpec& olap) {
 
 Result<RunResult> WorkloadRunner::RunOltp(const OltpSpec& oltp,
                                           double duration_s) {
-  if (duration_s <= 0.0) {
-    return Status::InvalidArgument("duration must be positive");
-  }
   return Run(nullptr, &oltp, duration_s);
 }
 
@@ -77,7 +73,12 @@ Result<RunResult> WorkloadRunner::RunMixed(const OlapSpec& olap,
 Result<RunResult> WorkloadRunner::Run(const OlapSpec* olap,
                                       const OltpSpec* oltp,
                                       double duration_s) {
-  LDB_CHECK(olap != nullptr || oltp != nullptr);
+  if (olap == nullptr && oltp == nullptr) {
+    return Status::InvalidArgument("no workload given");
+  }
+  if (olap == nullptr && duration_s <= 0.0) {
+    return Status::InvalidArgument("duration must be positive");
+  }
 
   // Validate workload object references against the volume manager.
   auto validate_profile = [&](const QueryProfile& q) -> Status {
@@ -192,11 +193,7 @@ Result<RunResult> WorkloadRunner::Run(const OlapSpec* olap,
       tr.object = st.spec.object;
       tr.logical_offset = logical;
       logical += c.size;
-      if (backend_ != nullptr) {
-        backend_->Submit(c.target, tr, nullptr, slab.ChunkCompletion(index));
-      } else {
-        system_->SubmitWithStatus(c.target, tr, slab.ChunkCompletion(index));
-      }
+      system_->SubmitWithStatus(c.target, tr, slab.ChunkCompletion(index));
     }
   };
 

@@ -13,8 +13,6 @@
 
 namespace ldb {
 
-class BlockBackend;
-
 /// Outcome of a workload execution on the simulated storage system.
 struct RunResult {
   double elapsed_seconds = 0.0;      ///< wall-clock (simulated) duration
@@ -73,14 +71,6 @@ class WorkloadRunner {
     on_finished_ = std::move(hook);
   }
 
-  /// Routes foreground submissions through a BlockBackend seam instead of
-  /// calling the simulator directly. Only backends whose completions ride
-  /// the event queue (SimBackend) can drive the closed loop — see the seam
-  /// contract in io/backend.h. A SimBackend over the same system is
-  /// bit-identical to the default direct path. `backend` must outlive the
-  /// runner; null restores the direct path.
-  void set_backend(BlockBackend* backend) { backend_ = backend; }
-
   /// Runs an OLAP workload to completion.
   Result<RunResult> RunOlap(const OlapSpec& olap);
 
@@ -93,14 +83,17 @@ class WorkloadRunner {
   /// [warmup, OLAP completion].
   Result<RunResult> RunMixed(const OlapSpec& olap, const OltpSpec& oltp);
 
- private:
-  /// Shared implementation; all driver state lives on the stack because
-  /// the event loop runs to completion before this returns.
+  /// Dispatches on which workloads are given: both = RunMixed, OLAP only =
+  /// RunOlap, OLTP only = RunOltp for `duration_s` (ignored otherwise).
+  /// All run state lives on the stack because the event loop runs to
+  /// completion before this returns.
+  /// \returns InvalidArgument when neither workload is given, or when an
+  ///   OLTP-only run has a non-positive duration.
   Result<RunResult> Run(const OlapSpec* olap, const OltpSpec* oltp,
                         double duration_s);
 
+ private:
   StorageSystem* system_;
-  BlockBackend* backend_ = nullptr;  ///< optional submission seam
   std::unique_ptr<PassthroughRouter> owned_router_;  ///< legacy-ctor shim
   VolumeRouter* router_;
   Rng rng_;

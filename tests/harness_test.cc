@@ -71,11 +71,39 @@ TEST(HarnessTest, ExecuteRequiresRegularLayout) {
   EXPECT_FALSE(rig.Execute(bad, &*olap, nullptr).ok());
 }
 
+// Every entry point dispatches through WorkloadRunner::Run, which refuses a
+// run with neither an OLAP nor an OLTP workload.
 TEST(HarnessTest, ExecuteRequiresSomeWorkload) {
   const ExperimentRig& rig = SmallRig();
-  const Layout see = Layout::StripeEverythingEverywhere(
-      rig.catalog().num_objects(), 2);
-  EXPECT_FALSE(rig.Execute(see, nullptr, nullptr).ok());
+  const int n = rig.catalog().num_objects();
+  const Layout see = Layout::StripeEverythingEverywhere(n, 2);
+  WorkloadSet reference(static_cast<size_t>(n));
+  for (int i = 0; i < n; ++i) {
+    WorkloadDesc& w = reference[static_cast<size_t>(i)];
+    w.read_rate = 1.0;
+    w.read_size = 8 * 1024;
+    w.run_count = 1.0;
+    w.overlap_index = {i};
+    w.overlap_value = {0.0};
+  }
+  const auto code = [](const Status& s) { return s.code(); };
+  EXPECT_EQ(code(rig.Execute(see, nullptr, nullptr).status()),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(code(rig.ExecuteWithFaults(see, nullptr, nullptr, FaultPlan{},
+                                       10.0)
+                     .status()),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(code(rig.FitWorkloads(see, nullptr, nullptr, 10.0).status()),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(code(rig.ExecuteWithMigration(see, see, nullptr, nullptr,
+                                          FaultPlan{}, MigrateOptions{}, 10.0)
+                     .status()),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(code(rig.ExecuteWithAutopilot(see, reference, nullptr, nullptr,
+                                          FaultPlan{}, AutopilotOptions{},
+                                          10.0)
+                     .status()),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(HarnessTest, ExecutionIsDeterministicAcrossFreshSystems) {

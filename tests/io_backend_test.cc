@@ -1,8 +1,7 @@
-// BlockBackend seam: the sim adapter must be bit-identical to calling the
-// simulator directly, and the file backend must move real bytes — probe
-// validation, alignment accounting, async submission, the dual-epoch data
-// plane, and a full in-process migration whose every byte verifies against
-// the deterministic pattern afterward.
+// The file backend must move real bytes: probe validation, alignment
+// accounting, async submission, the dual-epoch data plane, and a full
+// in-process migration whose every byte verifies against the deterministic
+// pattern afterward.
 
 #include <unistd.h>
 
@@ -17,10 +16,8 @@
 #include <gtest/gtest.h>
 
 #include "core/migrate.h"
-#include "io/backend.h"
 #include "io/file_backend.h"
 #include "io/pattern.h"
-#include "io/sim_backend.h"
 #include "storage/disk.h"
 #include "storage/fault.h"
 #include "storage/lvm.h"
@@ -28,9 +25,7 @@
 #include "util/check.h"
 #include "util/table.h"
 #include "util/units.h"
-#include "workload/catalog.h"
 #include "workload/query.h"
-#include "workload/runner.h"
 #include "workload/spec.h"
 
 namespace ldb {
@@ -72,92 +67,6 @@ FileBackendOptions SmallFileOptions(const std::string& dir, int targets,
   o.capacity_bytes.assign(static_cast<size_t>(targets), capacity);
   o.quiet = true;  // tmpfs build dirs reject O_DIRECT; that's fine here
   return o;
-}
-
-// ------------------------------------------------------------- SimBackend
-
-TEST(SimBackendTest, GeometryAndDataPlaneContract) {
-  DiskModel proto(Scsi15kParams());
-  auto sys = MakeSystem3(proto);
-  SimBackend backend(sys.get());
-  const BackendGeometry& g = backend.geometry();
-  EXPECT_EQ(g.kind, BackendKind::kSim);
-  EXPECT_EQ(g.num_targets, 3);
-  ASSERT_EQ(g.capacity_bytes.size(), 3u);
-  EXPECT_FALSE(g.direct_io);
-  // The sim has no bytes to serve.
-  char buf[512];
-  EXPECT_FALSE(backend.ReadSync(0, 0, 512, buf).ok());
-  EXPECT_FALSE(backend.WriteSync(0, 0, 512, buf).ok());
-  EXPECT_TRUE(backend.Sync().ok());
-  EXPECT_EQ(backend.PumpCompletions(), 0);
-  EXPECT_TRUE(backend.Drain().ok());
-}
-
-TEST(SimBackendTest, BitIdenticalToDirectSimulatorRun) {
-  // The load-bearing differential: the same workload, same seed, run once
-  // through the direct submission path and once through the SimBackend
-  // seam, must produce *exactly* equal results — same virtual clock, same
-  // request count, same per-target utilization to the last bit.
-  Catalog cat = Catalog::TpcH(0.01);
-  auto spec = MakeOlapSpec(cat, 1, 2, 7);
-  ASSERT_TRUE(spec.ok());
-  DiskModel proto(Scsi15kParams());
-
-  auto run = [&](bool through_backend) {
-    std::vector<TargetSpec> specs;
-    for (int j = 0; j < 3; ++j) {
-      specs.push_back({StrFormat("disk%d", j), &proto, 1, 64 * kKiB});
-    }
-    auto sys = std::make_unique<StorageSystem>(specs);
-    std::vector<std::vector<int>> placements(
-        static_cast<size_t>(cat.num_objects()), std::vector<int>{0, 1, 2});
-    auto vol = StripedVolumeManager::Create(cat.sizes(), placements,
-                                            sys->capacities(), kMiB);
-    LDB_CHECK(vol.ok());
-    WorkloadRunner runner(sys.get(), &*vol, /*seed=*/42);
-    std::unique_ptr<SimBackend> backend;
-    if (through_backend) {
-      backend = std::make_unique<SimBackend>(sys.get());
-      runner.set_backend(backend.get());
-    }
-    auto result = runner.RunOlap(*spec);
-    LDB_CHECK(result.ok());
-    return std::move(result).value();
-  };
-
-  const RunResult direct = run(false);
-  const RunResult seamed = run(true);
-  EXPECT_EQ(seamed.elapsed_seconds, direct.elapsed_seconds);
-  EXPECT_EQ(seamed.olap_queries_completed, direct.olap_queries_completed);
-  EXPECT_EQ(seamed.total_requests, direct.total_requests);
-  ASSERT_EQ(seamed.utilization.size(), direct.utilization.size());
-  for (size_t j = 0; j < direct.utilization.size(); ++j) {
-    EXPECT_EQ(seamed.utilization[j], direct.utilization[j]) << "target " << j;
-  }
-}
-
-TEST(SimBackendTest, CountersCountSeamSubmissions) {
-  Catalog cat = Catalog::TpcH(0.01);
-  auto spec = MakeOlapSpec(cat, 1, 1, 7);
-  ASSERT_TRUE(spec.ok());
-  DiskModel proto(Scsi15kParams());
-  auto sys = MakeSystem3(proto);
-  std::vector<std::vector<int>> placements(
-      static_cast<size_t>(cat.num_objects()), std::vector<int>{0, 1, 2});
-  auto vol = StripedVolumeManager::Create(cat.sizes(), placements,
-                                          sys->capacities(), kMiB);
-  ASSERT_TRUE(vol.ok());
-  WorkloadRunner runner(sys.get(), &*vol);
-  SimBackend backend(sys.get());
-  runner.set_backend(&backend);
-  auto result = runner.RunOlap(*spec);
-  ASSERT_TRUE(result.ok());
-  const BackendCounters c = backend.counters();
-  // Every target-level request flowed through the seam.
-  EXPECT_EQ(c.reads + c.writes, result->total_requests);
-  EXPECT_GT(c.bytes_read + c.bytes_written, 0);
-  EXPECT_EQ(c.errors, 0u);
 }
 
 // ------------------------------------------------------------ FileBackend

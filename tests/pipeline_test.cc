@@ -249,7 +249,7 @@ TEST(PipelineTest, AutoAdminMatchesAdvisorSeriallyButHurtsConcurrent) {
   Advised advised1 = Advise(rig, &*olap1, nullptr);
   AutoAdminAdvisor autoadmin;
   auto estimates = EstimateQueriesFromSpec(
-      *olap1, advised1.problem, AutoAdminOptions{}.temp_estimate_error);
+      *olap1, advised1.problem, kAutoAdminTempEstimateError);
   auto aa = autoadmin.Recommend(advised1.problem, estimates);
   ASSERT_TRUE(aa.ok());
 

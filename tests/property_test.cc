@@ -21,7 +21,6 @@
 #include <gtest/gtest.h>
 
 #include "core/harness.h"
-#include "core/incremental.h"
 #include "core/problem.h"
 #include "core/problem_io.h"
 #include "core/replan.h"
@@ -648,7 +647,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, LayoutRegularityProperty,
                          ::testing::Values(uint64_t{1}, uint64_t{2},
                                            uint64_t{3}));
 
-// ---------------------------------------- incremental / failure re-layout
+// ------------------------------------------------------ failure re-layout
 
 const CostModel& PropertyCost() {
   static const CostModel* model = [] {
@@ -833,48 +832,9 @@ TEST_P(ReplanProperty, RespectsAllowedTargetConstraints) {
   }
 }
 
-class IncrementalProperty : public ::testing::TestWithParam<uint64_t> {};
-
-TEST_P(IncrementalProperty, FrozenRowsNeverMoveAndNewRowsArePlaced) {
-  Rng rng(GetParam());
-  for (int trial = 0; trial < 60; ++trial) {
-    const int n = 2 + static_cast<int>(rng.UniformInt(uint64_t{6}));
-    const int m = 2 + static_cast<int>(rng.UniformInt(uint64_t{3}));
-    const LayoutProblem p = RandomProblem(rng, n, m);
-    Layout current = RandomRegularLayout(rng, n, m);
-    // Blank a random non-empty subset of rows: these are the "new" objects.
-    std::vector<bool> is_new(static_cast<size_t>(n), false);
-    for (int i = 0; i < n; ++i) is_new[i] = rng.Bernoulli(0.4);
-    is_new[static_cast<size_t>(rng.UniformInt(static_cast<uint64_t>(n)))] =
-        true;
-    for (int i = 0; i < n; ++i) {
-      if (!is_new[i]) continue;
-      for (int j = 0; j < m; ++j) current.Set(i, j, 0.0);
-    }
-
-    auto result = PlaceIncrementally(p, current);
-    ASSERT_TRUE(result.ok()) << result.status().ToString();
-    EXPECT_TRUE(result->SatisfiesIntegrity(1e-9));
-    EXPECT_TRUE(result->IsRegular(1e-9));
-    EXPECT_TRUE(result->SatisfiesCapacity(p.object_sizes, p.capacities()));
-    for (int i = 0; i < n; ++i) {
-      if (is_new[i]) {
-        EXPECT_FALSE(result->TargetsOf(i).empty());
-      } else {
-        for (int j = 0; j < m; ++j) {
-          EXPECT_EQ(result->At(i, j), current.At(i, j));
-        }
-      }
-    }
-  }
-}
-
 INSTANTIATE_TEST_SUITE_P(Seeds, ReplanProperty,
                          ::testing::Values(uint64_t{11}, uint64_t{12},
                                            uint64_t{13}));
-INSTANTIATE_TEST_SUITE_P(Seeds, IncrementalProperty,
-                         ::testing::Values(uint64_t{21}, uint64_t{22},
-                                           uint64_t{23}));
 
 // ------------------------------------------- analytic utilization gradient
 

@@ -71,9 +71,8 @@
 // (grammar "after=N[,torn=K]" / "syncs=S", see ParseWalCrashPolicy); a
 // fired crash exits with status 3 and prints the resume command.
 //
-// --backend=<sim|file> selects the execution backend for migration data
-// (src/io/backend.h). `sim` (the default) keeps everything on the event-
-// queue simulator, bit-identical to builds before the seam existed.
+// --backend=<sim|file> selects the execution backend for migration data.
+// `sim` (the default) keeps everything on the event-queue simulator.
 // `file` opens a real-I/O FileBackend under --backend-dir=<dir> (one
 // `target-NNN.dat` file per target, O_DIRECT when the filesystem supports
 // it, buffered + a warning otherwise): migration chunks are then *really
