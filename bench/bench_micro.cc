@@ -275,9 +275,10 @@ BENCHMARK(BM_WorkloadRunnerRequests)->Unit(benchmark::kMillisecond);
 
 void BM_OnlineAnalyzerObserve(benchmark::State& state) {
   // The autopilot monitor's I/O hot path: one completion event through the
-  // streaming analyzer (rates, sizes, run detection, overlap rings), with
-  // a dense concurrent stream so the overlap scans do real work. The cost
-  // per event is the monitor's whole per-I/O overhead; the acceptance
+  // decayed trace fitter (reorder heap, rates, sizes, run detection, the
+  // overlap row of each resolved submit), with a dense concurrent stream
+  // so the overlap windows hold real work. The cost per event is the
+  // monitor's whole per-I/O overhead; the acceptance
   // budget is <2% of a device I/O (hundreds of microseconds), checked
   // end-to-end by bench_autopilot's observer_overhead stage.
   const int n = static_cast<int>(state.range(0));
@@ -300,25 +301,32 @@ void BM_OnlineAnalyzerObserve(benchmark::State& state) {
   }
   size_t i = 0;
   double shift = 0.0;
+  uint64_t seq_shift = 0;
   for (auto _ : state) {
     IoEvent ev = events[i];
-    // Keep simulated time moving forward across passes over the buffer.
+    // Keep simulated time moving forward and seq dense across passes over
+    // the buffer.
     ev.submit_time += shift;
     ev.complete_time += shift;
+    ev.seq += seq_shift;
     analyzer.Observe(ev);
     if (++i == events.size()) {
       i = 0;
       shift += events.back().complete_time;
+      seq_shift += events.size();
     }
   }
-  benchmark::DoNotOptimize(analyzer.events());
+  // Aborts on a duplicate seq instead of timing a fitter that stopped.
+  WorkloadSet ws = analyzer.Snapshot();
+  benchmark::DoNotOptimize(ws.data());
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_OnlineAnalyzerObserve)->Arg(4)->Arg(40);
 
 void BM_OnlineAnalyzerSnapshot(benchmark::State& state) {
-  // The controller-tick path: fitting the windowed WorkloadSet from the
-  // live counters (runs every check_interval_s, not per I/O).
+  // The controller-tick path: the decayed fit of the stream so far, its
+  // last overlap window resolved on a copy of the fitter (runs every
+  // check_interval_s, not per I/O).
   const int n = 40;
   OnlineAnalyzer analyzer(n);
   Rng rng(7);

@@ -22,8 +22,9 @@
 //
 // --json emits one row per (target, class) for tools/bench_record.py.
 // --backend-dir=<dir> places the backing files (default: a fresh
-// directory under the system temp dir). --requests=<n> sets the per-class
-// request count.
+// directory under the system temp dir). The bench deletes the files it
+// made on exit, and the directory too when it made that. --requests=<n>
+// sets the per-class request count.
 
 #include <unistd.h>
 
@@ -32,8 +33,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench/bench_common.h"
@@ -150,6 +153,30 @@ std::vector<double> ReplayReal(FileBackend* backend, const RequestClass& c,
   return service;
 }
 
+/// The real side's backing store. Going out of scope (on every exit path)
+/// it closes the backend and deletes what the bench put on disk: the
+/// backing file, or the whole directory when the bench made it.
+struct BackingStore {
+  explicit BackingStore(std::string dir_in)
+      : dir(std::move(dir_in)), made_dir(!std::filesystem::exists(dir)) {}
+  BackingStore(const BackingStore&) = delete;
+  BackingStore& operator=(const BackingStore&) = delete;
+  ~BackingStore() {
+    const std::string file = backend ? backend->target_path(0) : "";
+    backend.reset();
+    std::error_code ec;
+    if (made_dir) {
+      std::filesystem::remove_all(dir, ec);
+    } else if (!file.empty()) {
+      std::filesystem::remove(file, ec);
+    }
+  }
+
+  std::string dir;
+  bool made_dir;
+  std::unique_ptr<FileBackend> backend;
+};
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -185,13 +212,15 @@ int main(int argc, char** argv) {
   fopts.dir = backend_dir;
   fopts.capacity_bytes = {kSpanBytes};
   fopts.quiet = true;
+  BackingStore store(backend_dir);
   auto opened = FileBackend::Open(fopts);
   if (!opened.ok()) {
     std::fprintf(stderr, "file backend: %s\n",
                  opened.status().ToString().c_str());
     return 1;
   }
-  FileBackend* real = opened->get();
+  store.backend = std::move(opened).value();
+  FileBackend* real = store.backend.get();
   {
     std::vector<char> block(static_cast<size_t>(kMiB), 0x5a);
     for (int64_t off = 0; off < kSpanBytes; off += kMiB) {

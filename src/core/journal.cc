@@ -371,8 +371,6 @@ Status ControlJournal::Append(const JournalRecord& record) {
   return Status::Ok();
 }
 
-Status ControlJournal::Sync() { return writer_->Sync(); }
-
 Status ControlJournal::AppendPlanBinding(uint64_t digest) {
   LDB_RETURN_IF_ERROR(writer_->Append(
       StrFormat("%s %llx", kTagPlan, static_cast<unsigned long long>(digest))));

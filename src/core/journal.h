@@ -71,9 +71,16 @@ struct RecoveredControlState {
 bool ResolveDeployedState(const RecoveredControlState& state, Layout* layout,
                           WorkloadSet* reference);
 
-/// Durable control-plane journal: a JournalSink over a WalWriter, plus the
-/// plan-binding / intent / checkpoint records the migration and autopilot
-/// control paths append around the executor's own records.
+/// Durable control-plane journal over a WalWriter: the MigrationExecutor's
+/// records, plus the plan-binding / intent / checkpoint records the
+/// migration and autopilot control paths append around them.
+///
+/// Write-ahead contract: the executor calls Append *before* the
+/// corresponding state transition takes effect, so the on-disk log is
+/// always a prefix of the applied transitions and replaying it through
+/// MigrationExecutor::Resume() reconstructs a consistent executor. A
+/// failed Append is treated as process death: the executor freezes
+/// without applying the transition.
 ///
 /// Sync policy ("commit points synced, intra-chunk records batched"):
 /// kBeginMigration and every terminal record fsync; kBeginChunk /
@@ -82,7 +89,7 @@ bool ResolveDeployedState(const RecoveredControlState& state, Layout* layout,
 /// foreground write until the migration itself commits — losing a batched
 /// record only re-copies the chunk from a still-current source. Binding,
 /// intent, and checkpoint records always sync.
-class ControlJournal final : public JournalSink {
+class ControlJournal final {
  public:
   /// Opens (creating or recovering) the journal at `path`. Torn tails are
   /// truncated; interior corruption is a hard error. `policy` arms
@@ -93,9 +100,8 @@ class ControlJournal final : public JournalSink {
   /// State recovered at Open() time (unchanged by later appends).
   const RecoveredControlState& recovered() const { return recovered_; }
 
-  // ---- JournalSink (MigrationExecutor records). ----
-  Status Append(const JournalRecord& record) override;
-  Status Sync() override;
+  /// Appends one MigrationExecutor record; commit points sync.
+  Status Append(const JournalRecord& record);
 
   /// Binds the following migration records to a plan digest. Synced.
   Status AppendPlanBinding(uint64_t digest);

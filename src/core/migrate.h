@@ -20,6 +20,7 @@
 
 namespace ldb {
 
+class ControlJournal;
 class FileBackend;
 
 /// Copy progress of one migration chunk.
@@ -71,21 +72,6 @@ struct JournalRecord {
 };
 
 using MigrationJournal = std::vector<JournalRecord>;
-
-/// Durable sink for journal records. The executor calls Append *before*
-/// the corresponding state transition takes effect (write-ahead), so a
-/// sink's on-disk log is always a prefix of the applied transitions and
-/// replaying it through Resume() reconstructs a consistent executor.
-/// Commit-point durability (fsync) is the sink's policy; see
-/// ControlJournal in core/journal.h. A failed Append is treated as
-/// process death: the executor freezes without applying the transition.
-class JournalSink {
- public:
-  virtual ~JournalSink() = default;
-  virtual Status Append(const JournalRecord& record) = 0;
-  /// Explicit durability barrier (sinks may also sync inside Append).
-  virtual Status Sync() = 0;
-};
 
 /// Knobs of the migration executor.
 struct MigrateOptions {
@@ -212,12 +198,12 @@ class MigrationExecutor final : public VolumeRouter {
     commit_hook_ = std::move(hook);
   }
 
-  /// Installs a durable journal sink (must outlive the executor). Every
-  /// subsequent record is appended to the sink before its transition is
+  /// Installs the durable journal (must outlive the executor). Every
+  /// subsequent record is appended to it before its transition is
   /// applied; a failed append freezes the executor (see journal_failed()).
-  void set_journal_sink(JournalSink* sink) { journal_sink_ = sink; }
+  void set_journal_sink(ControlJournal* sink) { journal_sink_ = sink; }
 
-  /// True once a sink append failed: the durable intent could not be
+  /// True once a journal append failed: the durable intent could not be
   /// recorded, so the executor behaves as if the process died — no further
   /// copies are issued and no more transitions are applied. Routing keeps
   /// serving from the last consistent state.
@@ -273,9 +259,9 @@ class MigrationExecutor final : public VolumeRouter {
   void Complete();
   void Rollback(int target, const std::string& reason);
   void Abort(int target, const std::string& reason);
-  /// Appends to the sink (if any) then the in-memory journal. Returns
-  /// false — and freezes the executor — when the sink append failed; the
-  /// caller must not apply the transition in that case.
+  /// Appends to the durable journal (if any) then the in-memory one.
+  /// Returns false — and freezes the executor — when the durable append
+  /// failed; the caller must not apply the transition in that case.
   bool Journal(JournalKind kind, int object, int64_t chunk);
 
   /// Submits one copy pass (all target chunks of `range` on one side) and
@@ -303,7 +289,7 @@ class MigrationExecutor final : public VolumeRouter {
   mutable MigrationStats stats_;
   int failed_target_ = -1;
   std::string failure_reason_;
-  JournalSink* journal_sink_ = nullptr;
+  ControlJournal* journal_sink_ = nullptr;
   bool journal_failed_ = false;
   Status journal_failure_;
   std::function<void()> commit_hook_;

@@ -20,9 +20,6 @@ Status AutopilotConfig::Validate() const {
   if (analyzer.max_open_runs < 1) {
     return Status::InvalidArgument("max open runs must be >= 1");
   }
-  if (analyzer.ring_capacity < 1) {
-    return Status::InvalidArgument("ring capacity must be >= 1");
-  }
   if (!(drift.threshold > 0.0)) {  // NaN also fails here
     return Status::InvalidArgument("drift threshold must be > 0");
   }
@@ -87,10 +84,6 @@ Result<AutopilotConfig> ParseAutopilotSpec(const std::string& text) {
         LDB_RETURN_IF_ERROR(clause.Integer(item, &n));
         if (n < 1) return clause.Error("runs must be >= 1");
         config.analyzer.max_open_runs = n;
-      } else if (key == "ring") {
-        LDB_RETURN_IF_ERROR(clause.Integer(item, &n));
-        if (n < 1) return clause.Error("ring must be >= 1");
-        config.analyzer.ring_capacity = n;
       } else if (key == "threshold") {
         LDB_RETURN_IF_ERROR(clause.Decimal(item, &dv));
         if (!(dv > 0.0)) {
@@ -160,11 +153,10 @@ std::string AutopilotConfigToString(const AutopilotConfig& config) {
   const OnlineAnalyzerOptions& a = config.analyzer;
   const DriftOptions& d = config.drift;
   std::string out = StrFormat(
-      "interval=%s;window=%s,slack=%lld,runs=%d,ring=%d",
+      "interval=%s;window=%s,slack=%lld,runs=%d",
       FormatExact(config.check_interval_s).c_str(),
       a.half_life_s > 0.0 ? FormatExact(a.half_life_s).c_str() : "inf",
-      static_cast<long long>(a.sequential_slack_bytes), a.max_open_runs,
-      a.ring_capacity);
+      static_cast<long long>(a.sequential_slack_bytes), a.max_open_runs);
   out += StrFormat(
       ";threshold=%s,trip=%d,clear=%s,cooldown=%s,minrate=%s,sustain=%s",
       FormatExact(d.threshold).c_str(), d.trip_evaluations,

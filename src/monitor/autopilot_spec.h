@@ -41,11 +41,12 @@ struct AutopilotConfig {
 ///
 /// Keys: interval (s, > 0), window (analyzer half-life s, > 0 or inf for
 /// an all-history window), slack (sequential slack bytes, >= 0), runs
-/// (max open runs, >= 1), ring (retained requests per object, >= 1),
-/// threshold (> 0; inf disables drift tripping), trip (evaluations, >=
-/// 1), clear (hysteresis ratio in (0,1]), cooldown (s, >= 0), minrate
-/// (req/s, > 0), gain (utilization, >= 0), horizon (s, > 0), bandwidth
-/// (gate fallback bytes/s, > 0). An empty spec yields the defaults.
+/// (max open runs, >= 1), threshold (> 0; inf disables drift tripping),
+/// trip (evaluations, >= 1), clear (hysteresis ratio in (0,1]), cooldown
+/// (s, >= 0), minrate (req/s, > 0), sustain (ratio in [0,1], 0 disables),
+/// sustain_s (s, > 0), gain (utilization, >= 0), horizon (s, > 0),
+/// bandwidth (gate fallback bytes/s, > 0). An empty spec yields the
+/// defaults.
 Result<AutopilotConfig> ParseAutopilotSpec(const std::string& text);
 
 /// Renders a config back to the spec grammar (for logs and reports), every

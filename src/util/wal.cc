@@ -171,13 +171,6 @@ Result<WalCrashPolicy> ParseWalCrashPolicy(const std::string& text) {
   WalCrashPolicy policy;
   for (const SpecClause& clause : *clauses) {
     for (const SpecItem& item : clause.items) {
-      if (item.key == "seed") {
-        int64_t seed = 0;
-        LDB_RETURN_IF_ERROR(clause.Integer(item, &seed));
-        if (seed < 0) return clause.Error("seed must be >= 0");
-        policy.seed = static_cast<uint64_t>(seed);
-        continue;
-      }
       int64_t* field = item.key == "after"   ? &policy.fail_after_appends
                        : item.key == "torn"  ? &policy.torn_bytes
                        : item.key == "syncs" ? &policy.drop_syncs_after

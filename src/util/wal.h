@@ -32,7 +32,6 @@ uint32_t Crc32c(const void* data, size_t n, uint32_t seed = 0);
 /// kIoError and crashed() is true — the process is "dead"; callers treat
 /// this as a stop-the-world signal (see MigrationExecutor freeze).
 struct WalCrashPolicy {
-  uint64_t seed = 0;               ///< Reserved for seeded fuzz harnesses.
   int64_t fail_after_appends = -1;  ///< Crash on append #(this+1); <0 = never.
   int64_t torn_bytes = -1;  ///< Frame bytes written by the crashing append.
   int64_t drop_syncs_after = -1;  ///< Syncs after this count no-op; <0 = none.
@@ -45,8 +44,8 @@ struct WalCrashPolicy {
 /// Parses a crash-policy spec in the util/spec_text.h grammar:
 /// comma-separated `key=value` items, with `;`-separated clauses for error
 /// indexing (normally one clause). Keys, all integers >= 0: `after`
-/// (fail_after_appends), `torn` (torn_bytes), `syncs` (drop_syncs_after),
-/// `seed`. Example: "after=12,torn=5".
+/// (fail_after_appends), `torn` (torn_bytes), `syncs` (drop_syncs_after).
+/// Example: "after=12,torn=5".
 Result<WalCrashPolicy> ParseWalCrashPolicy(const std::string& text);
 
 /// Parsed contents of a WAL file.

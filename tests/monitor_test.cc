@@ -1,7 +1,8 @@
 // The autopilot's sensor stack: the shared sequential-run tracker, the
-// streaming OnlineAnalyzer (whose stationary fit must reproduce the batch
-// TraceAnalyzer — the load-bearing differential), the drift detector's
-// score/hysteresis/cooldown state machine, and the --autopilot spec parser.
+// OnlineAnalyzer (the trace fitter over the live stream: exactly the batch
+// fit with decay off, the weighted oracle with it on), the drift
+// detector's score/hysteresis/cooldown state machine, and the --autopilot
+// spec parser.
 
 #include <algorithm>
 #include <cmath>
@@ -18,6 +19,7 @@
 #include "trace/analyzer.h"
 #include "trace/run_tracker.h"
 #include "trace/trace.h"
+#include "trace_fit_oracle.h"
 #include "util/random.h"
 #include "util/units.h"
 
@@ -81,17 +83,15 @@ TEST(RunTrackerTest, ResetForgetsOpenRuns) {
   EXPECT_TRUE(tr.Observe(2 * 4096, 4096));
 }
 
-// ---------------------------------------------------- OnlineAnalyzer (diff)
+// ------------------------------------------------ OnlineAnalyzer (oracles)
 
 /// Deterministic stationary multi-object stream with sequential runs,
 /// writes, cross-object overlap structure (bursty phases) and genuine
-/// same-object concurrency on object 0. Per-object completion order equals
-/// submit order (serial streams with constant service), which pins the
-/// run-detection order; cross-object orders interleave freely.
+/// same-object concurrency on object 0. seq is dense in submit order, the
+/// monitor's contract; cross-object completions interleave freely.
 std::vector<IoEvent> MakeStationaryTrace(int num_objects, uint64_t seed) {
   Rng rng(seed);
   std::vector<IoEvent> events;
-  uint64_t seq = 0;
   for (int i = 0; i < num_objects; ++i) {
     const double period = 0.004 + 0.0013 * i;
     const double service = 0.002;
@@ -107,7 +107,6 @@ std::vector<IoEvent> MakeStationaryTrace(int num_objects, uint64_t seed) {
       ev.object = i;
       ev.submit_time = base;
       ev.complete_time = base + service;
-      ev.seq = seq++;
       ev.size = 4 * kKiB + static_cast<int64_t>(
                                rng.UniformInt(4) * 4 * kKiB);
       if (k % 5 == 0) {
@@ -120,12 +119,10 @@ std::vector<IoEvent> MakeStationaryTrace(int num_objects, uint64_t seed) {
 
       if (i == 0) {
         // A second concurrent stream on object 0: in flight alongside the
-        // first (self-overlap), same constant service time so completion
-        // order still matches submit order.
+        // first (self-overlap).
         IoEvent ev2 = ev;
         ev2.submit_time = base + 0.0005;
         ev2.complete_time = ev2.submit_time + service;
-        ev2.seq = seq++;
         ev2.logical_offset =
             static_cast<int64_t>(rng.UniformInt(1024)) * kMiB;
         ev2.is_write = false;
@@ -133,47 +130,16 @@ std::vector<IoEvent> MakeStationaryTrace(int num_objects, uint64_t seed) {
       }
     }
   }
+  std::stable_sort(events.begin(), events.end(),
+                   [](const IoEvent& a, const IoEvent& b) {
+                     return a.submit_time < b.submit_time;
+                   });
+  for (size_t e = 0; e < events.size(); ++e) events[e].seq = e;
   return events;
 }
 
-void ExpectWorkloadsMatch(const WorkloadSet& batch, const WorkloadSet& online,
-                          double tol) {
-  ASSERT_EQ(batch.size(), online.size());
-  for (size_t i = 0; i < batch.size(); ++i) {
-    const WorkloadDesc& b = batch[i];
-    const WorkloadDesc& o = online[i];
-    EXPECT_NEAR(b.read_rate, o.read_rate, tol * (1.0 + b.read_rate))
-        << "object " << i;
-    EXPECT_NEAR(b.write_rate, o.write_rate, tol * (1.0 + b.write_rate))
-        << "object " << i;
-    EXPECT_NEAR(b.read_size, o.read_size, tol * (1.0 + b.read_size))
-        << "object " << i;
-    EXPECT_NEAR(b.write_size, o.write_size, tol * (1.0 + b.write_size))
-        << "object " << i;
-    EXPECT_NEAR(b.run_count, o.run_count, tol * (1.0 + b.run_count))
-        << "object " << i;
-    for (size_t k = 0; k < batch.size(); ++k) {
-      EXPECT_NEAR(b.overlap_with(k), o.overlap_with(k),
-                  tol * (1.0 + b.overlap_with(k)))
-          << "object " << i << " overlap " << k;
-    }
-  }
-}
-
-/// The differential itself: batch TraceAnalyzer over the trace vs
-/// OnlineAnalyzer fed the same events in completion order, decay disabled.
-void RunDifferential(double overlap_window_s, int ring_capacity,
-                     uint64_t seed) {
-  const int n = 4;
-  std::vector<IoEvent> events = MakeStationaryTrace(n, seed);
-
-  IoTrace trace;
-  for (const IoEvent& ev : events) trace.Add(ev);
-  AnalyzerOptions batch_opts;
-  batch_opts.overlap_window_s = overlap_window_s;
-  auto batch = TraceAnalyzer(batch_opts).Analyze(trace, n);
-  ASSERT_TRUE(batch.ok()) << batch.status().ToString();
-
+/// The stream in the order the simulator delivers it: by completion.
+std::vector<IoEvent> ByCompletion(std::vector<IoEvent> events) {
   std::stable_sort(events.begin(), events.end(),
                    [](const IoEvent& a, const IoEvent& b) {
                      if (a.complete_time != b.complete_time) {
@@ -181,32 +147,100 @@ void RunDifferential(double overlap_window_s, int ring_capacity,
                      }
                      return a.seq < b.seq;
                    });
+  return events;
+}
+
+IoTrace TraceOf(const std::vector<IoEvent>& events) {
+  IoTrace trace;
+  for (const IoEvent& ev : events) trace.Add(ev);
+  return trace;
+}
+
+/// With decay off, the monitor fed the stream in completion order ends at
+/// exactly the batch fit: TraceAnalyzer::Analyze and the oracle.
+void RunDifferential(double overlap_window_s, uint64_t seed) {
+  const int n = 4;
+  const std::vector<IoEvent> events = MakeStationaryTrace(n, seed);
+  const IoTrace trace = TraceOf(events);
+  AnalyzerOptions batch_opts;
+  batch_opts.overlap_window_s = overlap_window_s;
+  auto batch = TraceAnalyzer(batch_opts).Analyze(trace, n);
+  ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+
   OnlineAnalyzerOptions online_opts;
   online_opts.half_life_s = 0.0;  // stationary window: batch semantics
   online_opts.overlap_window_s = overlap_window_s;
-  online_opts.ring_capacity = ring_capacity;
   OnlineAnalyzer analyzer(n, online_opts);
-  for (const IoEvent& ev : events) analyzer.Observe(ev);
+  for (const IoEvent& ev : ByCompletion(events)) analyzer.Observe(ev);
   EXPECT_EQ(analyzer.events(), events.size());
 
-  ExpectWorkloadsMatch(*batch, analyzer.Snapshot(), 1e-9);
+  const WorkloadSet online = analyzer.Snapshot();
+  ExpectSameWorkloads(online, *batch);
+  ExpectSameWorkloads(online, OracleFit(trace, n, batch_opts));
 }
 
 TEST(OnlineAnalyzerTest, MatchesBatchAnalyzerOnStationaryTrace) {
-  RunDifferential(/*overlap_window_s=*/0.05, /*ring_capacity=*/256, 7);
+  RunDifferential(/*overlap_window_s=*/0.05, 7);
 }
 
 TEST(OnlineAnalyzerTest, MatchesBatchAcrossOverlapWindows) {
-  RunDifferential(0.001, 256, 11);
-  RunDifferential(0.005, 256, 11);
-  RunDifferential(0.02, 256, 11);
+  RunDifferential(0.001, 11);
+  RunDifferential(0.005, 11);
+  RunDifferential(0.02, 11);
 }
 
-TEST(OnlineAnalyzerTest, MatchesBatchAcrossRingCapacities) {
-  // The deferred-overlap lookback only ever needs the pad window, so even
-  // small rings reproduce the batch numbers on this stream.
-  RunDifferential(0.005, 64, 13);
-  RunDifferential(0.005, 1024, 13);
+TEST(OnlineAnalyzerTest, DecayedFitMatchesTheWeightedOracle) {
+  // The trace spans ~6 s: at a 0.05 s half-life the weights' exponent
+  // passes the fitter's rebase point, so the rescaled sums are covered.
+  const int n = 4;
+  const std::vector<IoEvent> events = MakeStationaryTrace(n, 17);
+  const IoTrace trace = TraceOf(events);
+  for (const double half_life : {0.05, 0.5, 3.0, 60.0}) {
+    SCOPED_TRACE(::testing::Message() << "half-life " << half_life);
+    OnlineAnalyzerOptions opts;
+    opts.half_life_s = half_life;
+    OnlineAnalyzer analyzer(n, opts);
+    for (const IoEvent& ev : ByCompletion(events)) analyzer.Observe(ev);
+    const OracleDecay decay = DecayWeights(trace, half_life);
+    ExpectNearWorkloads(analyzer.Snapshot(), OracleFit(trace, n, opts, &decay),
+                        1e-12);
+  }
+}
+
+TEST(OnlineAnalyzerTest, MidStreamSnapshotFitsTheReleasedPrefix) {
+  // Mid-stream, the snapshot is the fit of the released prefix (every seq
+  // below the oldest one not yet observed) as if the stream ended there:
+  // completed events waiting behind an older seq are left out, and the
+  // last overlap window's pending submits are resolved on a copy, so the
+  // stream keeps fitting unchanged afterwards.
+  const int n = 4;
+  std::vector<IoEvent> events = MakeStationaryTrace(n, 23);
+  // Every third request is slow, so later submits complete before it and
+  // wait in the reorder heap.
+  for (IoEvent& ev : events) {
+    if (ev.seq % 3 == 0) ev.complete_time += 0.003;
+  }
+  const std::vector<IoEvent> delivery = ByCompletion(events);
+  OnlineAnalyzerOptions opts;
+  opts.half_life_s = 0.0;
+  OnlineAnalyzer analyzer(n, opts);
+  std::vector<bool> seen(events.size(), false);
+  size_t released = 0;
+  int held_back = 0;
+  for (size_t d = 0; d < delivery.size(); ++d) {
+    analyzer.Observe(delivery[d]);
+    seen[delivery[d].seq] = true;
+    while (released < seen.size() && seen[released]) ++released;
+    if (d % 97 != 0 || released < 2) continue;
+    SCOPED_TRACE(::testing::Message() << "after " << d + 1 << " events");
+    if (released < d + 1) ++held_back;
+    const std::vector<IoEvent> prefix(events.begin(),
+                                      events.begin() +
+                                          static_cast<std::ptrdiff_t>(released));
+    ExpectSameWorkloads(analyzer.Snapshot(), OracleFit(TraceOf(prefix), n));
+  }
+  EXPECT_GT(held_back, 0);  // the reorder heap held events at some snapshots
+  ExpectSameWorkloads(analyzer.Snapshot(), OracleFit(TraceOf(events), n));
 }
 
 TEST(OnlineAnalyzerTest, SnapshotIsEmptyBeforeAnyEvent) {
@@ -220,25 +254,6 @@ TEST(OnlineAnalyzerTest, SnapshotIsEmptyBeforeAnyEvent) {
     EXPECT_EQ(w.overlap_index, std::vector<int32_t>{i});
     EXPECT_EQ(w.overlap_value, std::vector<double>{0.0});
   }
-}
-
-TEST(OnlineAnalyzerTest, ResetReproducesAFreshFit) {
-  std::vector<IoEvent> events = MakeStationaryTrace(4, 21);
-  std::stable_sort(events.begin(), events.end(),
-                   [](const IoEvent& a, const IoEvent& b) {
-                     return a.complete_time < b.complete_time;
-                   });
-  OnlineAnalyzerOptions opts;
-  opts.half_life_s = 0.0;
-  OnlineAnalyzer a(4, opts);
-  OnlineAnalyzer b(4, opts);
-  for (const IoEvent& ev : events) a.Observe(ev);
-  // b sees garbage first, then Reset, then the same stream.
-  for (size_t k = 0; k < 100 && k < events.size(); ++k) b.Observe(events[k]);
-  b.Reset();
-  EXPECT_EQ(b.events(), 0u);
-  for (const IoEvent& ev : events) b.Observe(ev);
-  ExpectWorkloadsMatch(a.Snapshot(), b.Snapshot(), 1e-12);
 }
 
 TEST(OnlineAnalyzerTest, DecayForgetsAnOldPhase) {
@@ -255,6 +270,7 @@ TEST(OnlineAnalyzerTest, DecayForgetsAnOldPhase) {
     ev.complete_time = ev.submit_time + 0.004;
     ev.logical_offset = k * ev.size;
     analyzer.Observe(ev);
+    ++ev.seq;
   }
   for (int k = 0; k < 500; ++k) {
     ev.object = 1;
@@ -262,6 +278,7 @@ TEST(OnlineAnalyzerTest, DecayForgetsAnOldPhase) {
     ev.complete_time = ev.submit_time + 0.004;
     ev.logical_offset = k * ev.size;
     analyzer.Observe(ev);
+    ++ev.seq;
   }
   WorkloadSet ws = analyzer.Snapshot();
   EXPECT_GT(ws[1].read_rate, 50.0);
@@ -488,7 +505,7 @@ TEST(AutopilotSpecTest, EmptySpecYieldsDefaults) {
 TEST(AutopilotSpecTest, ParsesFullGrammar) {
   auto config = ParseAutopilotSpec(
       "interval=1.5;threshold=0.4,trip=3,clear=0.25,cooldown=45;"
-      "window=20,slack=32768,runs=4,ring=512;"
+      "window=20,slack=32768,runs=4;"
       "gain=0.05,horizon=600,bandwidth=1048576,minrate=2");
   ASSERT_TRUE(config.ok()) << config.status().ToString();
   EXPECT_DOUBLE_EQ(config->check_interval_s, 1.5);
@@ -499,7 +516,6 @@ TEST(AutopilotSpecTest, ParsesFullGrammar) {
   EXPECT_DOUBLE_EQ(config->analyzer.half_life_s, 20.0);
   EXPECT_EQ(config->analyzer.sequential_slack_bytes, 32768);
   EXPECT_EQ(config->analyzer.max_open_runs, 4);
-  EXPECT_EQ(config->analyzer.ring_capacity, 512);
   EXPECT_DOUBLE_EQ(config->gate_min_gain, 0.05);
   EXPECT_DOUBLE_EQ(config->gate_horizon_s, 600.0);
   EXPECT_DOUBLE_EQ(config->gate_fallback_bandwidth, 1048576.0);
@@ -524,6 +540,13 @@ TEST(AutopilotSpecTest, ErrorsAreClauseIndexed) {
   ASSERT_FALSE(bad.ok());
   EXPECT_NE(bad.status().message().find("clause 3"), std::string::npos);
   EXPECT_NE(bad.status().message().find("bogus"), std::string::npos);
+
+  // The monitor has no ring any more: the key is unknown.
+  bad = ParseAutopilotSpec("interval=2;window=20,ring=512");
+  ASSERT_FALSE(bad.ok());
+  EXPECT_NE(bad.status().message().find("clause 2: unknown key 'ring'"),
+            std::string::npos)
+      << bad.status().ToString();
 }
 
 TEST(AutopilotSpecTest, RejectsZeroAndNegativeThreshold) {
@@ -540,7 +563,6 @@ TEST(AutopilotSpecTest, RejectsMalformedItemsAndNumbers) {
   EXPECT_FALSE(ParseAutopilotSpec("interval=inf").ok());
   EXPECT_FALSE(ParseAutopilotSpec("clear=1.5").ok());
   EXPECT_FALSE(ParseAutopilotSpec("cooldown=-1").ok());
-  EXPECT_FALSE(ParseAutopilotSpec("ring=0").ok());
   EXPECT_FALSE(ParseAutopilotSpec("runs=0").ok());
   EXPECT_FALSE(ParseAutopilotSpec("horizon=0").ok());
   EXPECT_FALSE(ParseAutopilotSpec("bandwidth=0").ok());
@@ -571,7 +593,7 @@ TEST(AutopilotSpecTest, RoundTripsThroughToString) {
   // Every key comes back, and bit-identically: the analyzer keys, minrate
   // and bandwidth too, and a double that needs all 17 digits.
   config = ParseAutopilotSpec(
-      "interval=0.30000000000000004;slack=4096,runs=3,ring=77;"
+      "interval=0.30000000000000004;slack=4096,runs=3;"
       "minrate=0.75,bandwidth=12345678.9");
   ASSERT_TRUE(config.ok()) << config.status().ToString();
   again = ParseAutopilotSpec(AutopilotConfigToString(*config));
@@ -579,7 +601,6 @@ TEST(AutopilotSpecTest, RoundTripsThroughToString) {
   EXPECT_EQ(again->check_interval_s, 0.1 + 0.2);  // %g would print 0.3
   EXPECT_EQ(again->analyzer.sequential_slack_bytes, 4096);
   EXPECT_EQ(again->analyzer.max_open_runs, 3);
-  EXPECT_EQ(again->analyzer.ring_capacity, 77);
   EXPECT_EQ(again->drift.min_rate, 0.75);
   EXPECT_EQ(again->gate_fallback_bandwidth, 12345678.9);
   EXPECT_EQ(AutopilotConfigToString(*again),

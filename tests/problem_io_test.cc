@@ -411,7 +411,7 @@ TEST(ProblemIoTest, ScenarioErrorsCarryContext) {
 TEST(ProblemIoTest, FormatLoadedProblemRoundTripsDirectives) {
   std::string text(kSample);
   text += "autopilot interval=1;threshold=0.4,sustain=0.7,sustain_s=60;"
-          "slack=4096,runs=3,ring=77,minrate=0.75,"
+          "slack=4096,runs=3,minrate=0.75,"
           "bandwidth=0.30000000000000004\n";
   text += "faults t=1,target=0,member=0,kind=fail\n";
   text += "scenario duration=30;tenant=front,objects=0:2,rate=40\n";
@@ -428,7 +428,6 @@ TEST(ProblemIoTest, FormatLoadedProblemRoundTripsDirectives) {
   // The keys the formatter used to drop come back bit-identically.
   EXPECT_EQ(again->autopilot.analyzer.sequential_slack_bytes, 4096);
   EXPECT_EQ(again->autopilot.analyzer.max_open_runs, 3);
-  EXPECT_EQ(again->autopilot.analyzer.ring_capacity, 77);
   EXPECT_EQ(again->autopilot.drift.min_rate, 0.75);
   EXPECT_EQ(again->autopilot.gate_fallback_bandwidth, 0.1 + 0.2);
   EXPECT_EQ(again->faults.faults.size(), 1u);

@@ -547,7 +547,8 @@ INSTANTIATE_TEST_SUITE_P(
 // feed: seq follows submission order, submit times tie often, some
 // requests complete instantly, padded overlap windows chain and overlap,
 // and completions arrive in a random order. The reordering fitter must
-// equal Analyze of the stored trace and the batch oracle exactly.
+// equal Analyze of the stored trace and the batch oracle exactly, and with
+// decay the weighted oracle to 1e-12.
 class StreamingFitProperty : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(StreamingFitProperty, EqualsAnalyzeAndOracleExactly) {
@@ -611,6 +612,18 @@ TEST_P(StreamingFitProperty, EqualsAnalyzeAndOracleExactly) {
     }
     ExpectSameWorkloads(*streamed, *analyzed);
     ExpectSameWorkloads(*analyzed, OracleFit(trace, n, options));
+
+    // Decayed, it matches the weighted oracle: from 1 to 128 half-lives
+    // over the stream, the last past the fitter's rebase point.
+    const double half_lives[] = {1, 4, 16, 64, 128};
+    const double half_life = trace.Duration() / half_lives[trial % 5];
+    ReorderingTraceFitter decayed(n, options, half_life);
+    for (const IoEvent& ev : delivery) decayed.Observe(ev);
+    auto decayed_fit = decayed.Finish();
+    ASSERT_TRUE(decayed_fit.ok()) << decayed_fit.status().ToString();
+    const OracleDecay decay = DecayWeights(trace, half_life);
+    ExpectNearWorkloads(*decayed_fit, OracleFit(trace, n, options, &decay),
+                        1e-12);
   }
 }
 
@@ -1182,9 +1195,8 @@ void Collect(const AutopilotConfig& c, Fields* f) {
   f->AddAll(c.check_interval_s, c.gate_min_gain, c.gate_horizon_s,
             c.gate_fallback_bandwidth, a.half_life_s,
             a.sequential_slack_bytes, a.overlap_window_s, a.max_open_runs,
-            a.ring_capacity, a.busy_capacity, a.sparse_overlap, d.threshold,
-            d.trip_evaluations, d.clear_ratio, d.cooldown_s, d.min_rate,
-            d.sustained_ratio, d.sustained_s);
+            a.sparse_overlap, d.threshold, d.trip_evaluations, d.clear_ratio,
+            d.cooldown_s, d.min_rate, d.sustained_ratio, d.sustained_s);
 }
 
 void Collect(const ScenarioSpec& s, Fields* f) {
@@ -1205,7 +1217,7 @@ void Collect(const ScenarioSpec& s, Fields* f) {
 }
 
 void Collect(const WalCrashPolicy& p, Fields* f) {
-  f->AddAll(p.seed, p.fail_after_appends, p.torn_bytes, p.drop_syncs_after);
+  f->AddAll(p.fail_after_appends, p.torn_bytes, p.drop_syncs_after);
 }
 
 void Collect(const LoadedProblem& loaded, Fields* f) {
@@ -1400,7 +1412,7 @@ TEST(SpecGrammarFuzz, AutopilotSpec) {
       {"sustain_s must be > 0 when sustain is enabled"}};
   FuzzGrammar(g,
               {"interval=1.5;threshold=0.4,trip=3,clear=0.25,cooldown=45;"
-               "window=20,slack=32768,runs=4,ring=512;"
+               "window=20,slack=32768,runs=4;"
                "gain=0.05,horizon=600,bandwidth=1048576,minrate=2",
                "window=inf;threshold=inf",
                "threshold=0.4,sustain=0.7,sustain_s=90,"
@@ -1434,24 +1446,20 @@ TEST(SpecGrammarFuzz, JournalCrashPolicy) {
   const Grammar<WalCrashPolicy> g{
       ParseWalCrashPolicy,
       [](const WalCrashPolicy& p) {
-        std::string out = StrFormat("seed=%llu",
-                                    static_cast<unsigned long long>(p.seed));
-        if (p.fail_after_appends >= 0) {
-          out += StrFormat(",after=%lld",
-                           static_cast<long long>(p.fail_after_appends));
-        }
-        if (p.torn_bytes >= 0) {
-          out += StrFormat(",torn=%lld", static_cast<long long>(p.torn_bytes));
-        }
-        if (p.drop_syncs_after >= 0) {
-          out += StrFormat(",syncs=%lld",
-                           static_cast<long long>(p.drop_syncs_after));
-        }
+        std::string out;
+        const auto item = [&out](const char* key, int64_t v) {
+          if (v < 0) return;
+          out += StrFormat("%s%s=%lld", out.empty() ? "" : ",", key,
+                           static_cast<long long>(v));
+        };
+        item("after", p.fail_after_appends);
+        item("torn", p.torn_bytes);
+        item("syncs", p.drop_syncs_after);
         return out;
       },
       [](const WalCrashPolicy&) { return Status::Ok(); },
       /*line_indexed=*/false, {}};
-  FuzzGrammar(g, {"after=12,torn=5,seed=7", "syncs=3", "after=0;syncs=2"},
+  FuzzGrammar(g, {"after=12,torn=5", "syncs=3", "after=0;syncs=2"},
               0xc4a5);
 }
 
@@ -1477,7 +1485,7 @@ TEST(SpecGrammarFuzz, ProblemFile) {
   const std::string directives =
       sample +
       "autopilot interval=1.5;threshold=0.4,trip=3;window=20,slack=32768,"
-      "runs=4,ring=512;gain=0.05,bandwidth=1048576,minrate=2\n"
+      "runs=4;gain=0.05,bandwidth=1048576,minrate=2\n"
       "faults seed=7,retries=2;t=1,target=0,member=1,kind=limp,scale=2.5\n"
       "scenario duration=30;seed=9;tenant=front,objects=0:3,rate=40,"
       "write=0.25\n"

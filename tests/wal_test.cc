@@ -221,11 +221,10 @@ TEST(WalTest, FuzzedDamageYieldsPrefixOrError) {
 // ------------------------------------------------------- crash injection
 
 TEST(WalTest, ParseWalCrashPolicyGrammar) {
-  auto p = ParseWalCrashPolicy("after=12,torn=5,seed=7");
+  auto p = ParseWalCrashPolicy("after=12,torn=5");
   ASSERT_TRUE(p.ok()) << p.status().ToString();
   EXPECT_EQ(p->fail_after_appends, 12);
   EXPECT_EQ(p->torn_bytes, 5);
-  EXPECT_EQ(p->seed, 7u);
   EXPECT_TRUE(p->enabled());
 
   auto s = ParseWalCrashPolicy("syncs=3");
@@ -240,13 +239,21 @@ TEST(WalTest, ParseWalCrashPolicyGrammar) {
   auto bad_key = ParseWalCrashPolicy("bogus=1");
   ASSERT_FALSE(bad_key.ok());
   EXPECT_NE(bad_key.status().ToString().find("clause 1"), std::string::npos);
+  // `seed` is not a key (no crash mode draws randomness): unknown, with
+  // its clause number.
+  auto seed = ParseWalCrashPolicy("after=1;seed=7");
+  ASSERT_FALSE(seed.ok());
+  EXPECT_NE(seed.status().message().find(
+                "journal-crash clause 2: unknown key 'seed'"),
+            std::string::npos)
+      << seed.status().ToString();
   // torn without after has no crashing append to tear.
   EXPECT_FALSE(ParseWalCrashPolicy("torn=3").ok());
   EXPECT_FALSE(ParseWalCrashPolicy("after=").ok());
   EXPECT_FALSE(ParseWalCrashPolicy("after=-2").ok());
-  // Seeds must be >= 0 (not wrapped), and a count past INT64_MAX is
-  // rejected, not clamped; both with the clause index.
-  for (const char* spec : {"seed=-1", "after=99999999999999999999",
+  // A count past INT64_MAX is rejected, not clamped, with the clause
+  // index.
+  for (const char* spec : {"after=99999999999999999999",
                            "after=1.5", "syncs=+3"}) {
     auto bad = ParseWalCrashPolicy(spec);
     ASSERT_FALSE(bad.ok()) << spec;
