@@ -306,6 +306,27 @@ TEST(ReorderingTraceFitterTest, RejectsBadEventsNamingTheSeq) {
   EXPECT_FALSE(ReorderingTraceFitter(1).Finish().ok());  // empty
 }
 
+TEST(ReorderingTraceFitterTest, SnapshotTellsNoSpanYetFromBadInput) {
+  ReorderingTraceFitter fitter(1);
+  EXPECT_EQ(fitter.Snapshot().status().code(),
+            StatusCode::kFailedPrecondition);  // nothing observed
+  IoEvent a = MakeEvent(2.0, 2.0, 0, 0, kKiB);
+  a.seq = 0;
+  fitter.Observe(a);
+  EXPECT_EQ(fitter.Snapshot().status().code(),
+            StatusCode::kFailedPrecondition);  // zero span so far
+  IoEvent b = MakeEvent(2.5, 3.0, 0, kKiB, kKiB);
+  b.seq = 1;
+  fitter.Observe(b);
+  EXPECT_TRUE(fitter.Snapshot().ok());
+  IoEvent bad = MakeEvent(3.0, 2.9, 0, 0, kKiB);  // completes first
+  bad.seq = 2;
+  fitter.Observe(bad);
+  EXPECT_TRUE(IsInvalidArgumentNaming(fitter.Snapshot().status(), "event 2 "));
+  fitter.Observe(b);  // a duplicate is an input error too
+  EXPECT_EQ(fitter.Snapshot().status().code(), StatusCode::kInvalidArgument);
+}
+
 TEST(ReorderingTraceFitterTest, RejectsSeqGapsAndDuplicates) {
   IoEvent a = MakeEvent(0.0, 1.0, 0, 0, kKiB);
   IoEvent b = MakeEvent(0.5, 1.5, 0, 0, kKiB);
