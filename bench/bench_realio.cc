@@ -8,8 +8,9 @@
 // directly observable on both engines with no queueing ambiguity. The sim
 // side runs on a calibrated 15K-disk model in virtual seconds; the real
 // side stripes the same byte space over a file under --backend-dir and
-// measures wall-clock seconds (timing-only replay: null data buffers move
-// through the backend's aligned scratch).
+// times one synchronous ReadSync/WriteSync per request in wall-clock
+// seconds (timing-only replay: null data buffers move through the
+// backend's aligned scratch).
 //
 // Absolute drift against the *disk* model is expected on any modern
 // filesystem (page cache, NVMe, tmpfs) — the point of the bench is the
@@ -130,24 +131,20 @@ std::vector<double> ReplaySim(const DiskModel& proto, const RequestClass& c,
   return service;
 }
 
-/// Serial replay through the file backend: wall-clock per request,
-/// measured around Submit+Drain (depth 1, so no queueing is hidden).
+/// Serial replay through the file backend: wall-clock per request, timed
+/// around one timing-only ReadSync/WriteSync (depth 1, so no queueing is
+/// hidden).
 std::vector<double> ReplayReal(FileBackend* backend, const RequestClass& c,
                                const std::vector<int64_t>& offsets) {
   std::vector<double> service;
   service.reserve(offsets.size());
   for (int64_t off : offsets) {
-    TargetRequest req;
-    req.offset = off;
-    req.size = c.request_bytes;
-    req.is_write = c.is_write;
     const auto t0 = std::chrono::steady_clock::now();
-    Status got = Status::Ok();
-    backend->Submit(0, req, nullptr,
-                    [&got](double, const Status& s) { got = s; });
-    const Status drained = backend->Drain();
+    const Status got =
+        c.is_write ? backend->WriteSync(0, off, c.request_bytes, nullptr)
+                   : backend->ReadSync(0, off, c.request_bytes, nullptr);
     const auto t1 = std::chrono::steady_clock::now();
-    if (!got.ok() || !drained.ok()) continue;  // dropped from the sample
+    if (!got.ok()) continue;  // dropped from the sample
     service.push_back(std::chrono::duration<double>(t1 - t0).count());
   }
   return service;

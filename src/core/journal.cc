@@ -3,6 +3,7 @@
 #include <cstdlib>
 #include <utility>
 
+#include "util/fnv.h"
 #include "util/spec_text.h"
 #include "util/table.h"
 
@@ -18,14 +19,6 @@ constexpr char kTagProblem[] = "pstate";
 constexpr char kTagIntent[] = "intent";
 constexpr char kTagCheckpoint[] = "ckpt";
 constexpr char kTagScenarioPos[] = "spos";
-
-uint64_t FnvMix(uint64_t h, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (8 * i)) & 0xFF;
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
 
 bool JournalKindFromName(const std::string& name, JournalKind* out) {
   static constexpr JournalKind kAll[] = {
@@ -316,14 +309,14 @@ uint64_t MigrationPlanDigest(const std::vector<int64_t>& object_sizes,
                              const std::vector<std::vector<int>>& from,
                              const std::vector<std::vector<int>>& to,
                              int64_t chunk_bytes) {
-  uint64_t h = 1469598103934665603ULL;  // FNV-1a offset basis
-  h = FnvMix(h, static_cast<uint64_t>(object_sizes.size()));
-  h = FnvMix(h, static_cast<uint64_t>(chunk_bytes));
-  for (int64_t s : object_sizes) h = FnvMix(h, static_cast<uint64_t>(s));
+  uint64_t h = kJournalDigestSeed;
+  h = FnvMixU64(h, static_cast<uint64_t>(object_sizes.size()));
+  h = FnvMixU64(h, static_cast<uint64_t>(chunk_bytes));
+  for (int64_t s : object_sizes) h = FnvMixU64(h, static_cast<uint64_t>(s));
   for (const auto& placements : {&from, &to}) {
     for (const std::vector<int>& row : *placements) {
-      h = FnvMix(h, static_cast<uint64_t>(row.size()));
-      for (int t : row) h = FnvMix(h, static_cast<uint64_t>(t));
+      h = FnvMixU64(h, static_cast<uint64_t>(row.size()));
+      for (int t : row) h = FnvMixU64(h, static_cast<uint64_t>(t));
     }
   }
   return h;

@@ -14,11 +14,12 @@
 
 namespace ldb {
 
-/// FNV-1a digest binding a journal to one specific migration plan: object
-/// count and sizes, chunking, and the from/to placements. Recovery refuses
-/// a journal whose digest disagrees with the plan being resumed — replaying
-/// chunk commits against different placements would route reads at data
-/// that was never copied there.
+/// Digest binding a journal to one specific migration plan: object count
+/// and sizes, chunking, and the from/to placements, folded with FNV-1a
+/// from kJournalDigestSeed (util/fnv.h), not the FNV offset basis.
+/// Recovery refuses a journal whose digest disagrees with the plan being
+/// resumed — replaying chunk commits against different placements would
+/// route reads at data that was never copied there.
 uint64_t MigrationPlanDigest(const std::vector<int64_t>& object_sizes,
                              const std::vector<std::vector<int>>& from,
                              const std::vector<std::vector<int>>& to,

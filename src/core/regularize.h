@@ -135,7 +135,7 @@ struct RegularCandidateChoice {
 /// least-loaded targets) against the pricer's layout, drops capacity and
 /// constraint violators, and returns the one minimizing the maximum
 /// (derated) utilization. The caller applies the winner. Shared by the
-/// regularizer, incremental placement and failure re-planning.
+/// regularizer and failure re-planning.
 RegularCandidateChoice BestRegularRowForObject(
     const RegularizerOptions& options, CandidatePricer* pricer, int i);
 

@@ -4,6 +4,7 @@
 
 #include "storage/disk.h"
 #include "storage/ssd.h"
+#include "util/fnv.h"
 #include "util/table.h"
 
 namespace ldb {
@@ -94,27 +95,15 @@ Result<OltpSpec> SyntheticForeground(const LayoutProblem& problem,
 
 namespace {
 
-uint64_t FnvMixU64(uint64_t h, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (8 * i)) & 0xFF;
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
+/// Length-prefixed, so adjacent strings cannot run together.
 uint64_t FnvMixStr(uint64_t h, const std::string& s) {
-  h = FnvMixU64(h, static_cast<uint64_t>(s.size()));
-  for (char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ULL;
-  }
-  return h;
+  return FnvMixBytes(FnvMixU64(h, static_cast<uint64_t>(s.size())), s);
 }
 
 }  // namespace
 
 uint64_t ProblemStateDigest(const LayoutProblem& problem) {
-  uint64_t h = 1469598103934665603ULL;  // FNV-1a offset basis
+  uint64_t h = kJournalDigestSeed;
   h = FnvMixU64(h, static_cast<uint64_t>(problem.num_objects()));
   h = FnvMixU64(h, static_cast<uint64_t>(problem.num_targets()));
   h = FnvMixU64(h, static_cast<uint64_t>(problem.lvm_stripe_bytes));

@@ -38,9 +38,10 @@ Result<OltpSpec> SyntheticForeground(const LayoutProblem& problem,
                                      const std::string& label,
                                      const std::string& context);
 
-/// FNV-1a digest of the problem's *physical* state: object count and
-/// sizes, LVM stripe size, and each target's name, geometry, and device
-/// model. Workload descriptions are deliberately excluded — they drift
+/// Digest of the problem's *physical* state: object count and sizes, LVM
+/// stripe size, and each target's name, geometry, and device model,
+/// folded with FNV-1a from kJournalDigestSeed (util/fnv.h), not the FNV
+/// offset basis. Workload descriptions are deliberately excluded — they drift
 /// (that is the autopilot's whole job) without invalidating a journal.
 /// The autopilot control journal binds itself to this digest so that
 /// `--resume` against a journal recorded for a different problem file is

@@ -2,33 +2,16 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
-#include <cstdlib>
-#include <filesystem>
 #include <sstream>
 #include <vector>
 
+#include "util/fnv.h"
 #include "util/random.h"
 #include "util/table.h"
 
 namespace ldb {
 
 namespace {
-
-uint64_t HashText(uint64_t hash, const std::string& text) {
-  for (const char c : text) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 1099511628211ULL;
-  }
-  return hash;
-}
-
-std::string KeyHex(uint64_t key) {
-  char buf[17];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(key));
-  return buf;
-}
 
 double NowS() {
   return std::chrono::duration<double>(
@@ -104,6 +87,14 @@ Result<double> MeasureRealPoint(FileBackend* backend, int target,
   return total / measured;
 }
 
+Status CheckTarget(const FileBackend& backend, int target) {
+  if (target < 0 || target >= backend.geometry().num_targets) {
+    return Status::InvalidArgument(
+        StrFormat("calibration target %d out of range", target));
+  }
+  return Status::Ok();
+}
+
 }  // namespace
 
 Result<CostModel> CalibrateBackendTarget(FileBackend* backend, int target,
@@ -116,10 +107,7 @@ Result<CostModel> CalibrateBackendTarget(FileBackend* backend, int target,
   if (options.sample_requests <= 0) {
     return Status::InvalidArgument("sample_requests must be positive");
   }
-  if (target < 0 || target >= backend->geometry().num_targets) {
-    return Status::InvalidArgument(
-        StrFormat("calibration target %d out of range", target));
-  }
+  LDB_RETURN_IF_ERROR(CheckTarget(*backend, target));
   const size_t n_run = options.run_axis.size();
   const size_t n_chi = options.contention_axis.size();
   const size_t points = options.size_axis.size() * n_run * n_chi;
@@ -164,32 +152,22 @@ uint64_t BackendCalibrationKey(const FileBackend& backend, int target,
   text << "|warmup " << options.warmup_requests << "|samples "
        << options.sample_requests << "|intf " << options.interferer_size_bytes
        << "|seed " << options.seed;
-  return HashText(14695981039346656037ULL, text.str());
+  return FnvMixBytes(kFnvOffsetBasis, text.str());
 }
 
 Result<CostModel> CalibrateBackendTargetCached(
     FileBackend* backend, int target, const std::string& model_name,
     const CalibrationOptions& options) {
-  std::string dir = options.cache_dir;
-  if (dir.empty()) {
-    const char* env = std::getenv("LDB_CALIBRATION_CACHE");
-    if (env != nullptr) dir = env;
-  }
-  if (dir.empty()) {
-    return CalibrateBackendTarget(backend, target, model_name, options);
-  }
-  const uint64_t key =
-      BackendCalibrationKey(*backend, target, model_name, options);
-  const std::string path =
-      dir + "/" + model_name + "-" + KeyHex(key) + ".costmodel";
-  auto cached = LoadCostModelCache(path, key);
-  if (cached.ok()) return cached;
-  auto model = CalibrateBackendTarget(backend, target, model_name, options);
-  if (!model.ok()) return model;
-  std::error_code ec;
-  std::filesystem::create_directories(dir, ec);
-  (void)SaveCostModelCache(path, key, *model);
-  return model;
+  // BackendCalibrationKey indexes the target's geometry.
+  LDB_RETURN_IF_ERROR(CheckTarget(*backend, target));
+  return CalibrateThroughCache(
+      options, model_name,
+      [&] {
+        return BackendCalibrationKey(*backend, target, model_name, options);
+      },
+      [&] {
+        return CalibrateBackendTarget(backend, target, model_name, options);
+      });
 }
 
 }  // namespace ldb

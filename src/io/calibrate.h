@@ -38,10 +38,9 @@ uint64_t BackendCalibrationKey(const FileBackend& backend, int target,
                                const std::string& model_name,
                                const CalibrationOptions& options);
 
-/// CalibrateBackendTarget with the same persistent cache protocol as
-/// CalibrateDeviceCached: cache dir from options.cache_dir or
-/// LDB_CALIBRATION_CACHE, `<model_name>-<key>.costmodel` files in the
-/// calibcache v1 format.
+/// CalibrateBackendTarget behind CalibrateThroughCache, the persistent
+/// cache protocol CalibrateDeviceCached uses, keyed by
+/// BackendCalibrationKey.
 Result<CostModel> CalibrateBackendTargetCached(
     FileBackend* backend, int target, const std::string& model_name,
     const CalibrationOptions& options);

@@ -7,17 +7,12 @@
 #include <sys/types.h>
 #include <unistd.h>
 
-#include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <utility>
 
 #include "util/spec_text.h"
 #include "util/table.h"
-
-#if LDB_HAVE_LIBURING
-#include <liburing.h>
-#endif
 
 namespace ldb {
 
@@ -48,14 +43,6 @@ Status FileBackend::Bounce::Reserve(int64_t bytes, int64_t align) {
   return Status::Ok();
 }
 
-bool FileBackend::IoUringCompiledIn() {
-#if LDB_HAVE_LIBURING
-  return true;
-#else
-  return false;
-#endif
-}
-
 Result<std::unique_ptr<FileBackend>> FileBackend::Open(
     const FileBackendOptions& options) {
   if (options.dir.empty()) {
@@ -71,18 +58,11 @@ Result<std::unique_ptr<FileBackend>> FileBackend::Open(
   if (options.capacity_bytes.empty()) {
     return Status::InvalidArgument("file backend requires >= 1 target");
   }
-  if (options.queue_depth <= 0 || options.num_workers <= 0) {
-    return Status::InvalidArgument(
-        "queue_depth and num_workers must be positive");
-  }
-
   auto backend = std::unique_ptr<FileBackend>(new FileBackend());
-  backend->options_ = options;
   backend->geometry_.num_targets =
       static_cast<int>(options.capacity_bytes.size());
   backend->geometry_.logical_block_bytes = lbs;
   backend->geometry_.direct_io = true;
-  backend->epoch_ = std::chrono::steady_clock::now();
 
   ::mkdir(options.dir.c_str(), 0755);  // best-effort; open() reports errors
 
@@ -164,25 +144,10 @@ Result<std::unique_ptr<FileBackend>> FileBackend::Open(
     }
     backend->targets_.push_back(target);
   }
-
-  backend->worker_bounce_.reserve(static_cast<size_t>(options.num_workers));
-  for (int w = 0; w < options.num_workers; ++w) {
-    backend->worker_bounce_.push_back(std::make_unique<Bounce>());
-  }
-  for (int w = 0; w < options.num_workers; ++w) {
-    backend->workers_.emplace_back(
-        [b = backend.get(), w]() { b->WorkerLoop(w); });
-  }
   return backend;
 }
 
 FileBackend::~FileBackend() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    stopping_ = true;
-  }
-  job_cv_.notify_all();
-  for (auto& worker : workers_) worker.join();
   for (auto& target : targets_) {
     if (target.direct_fd >= 0) ::close(target.direct_fd);
     if (target.buffered_fd >= 0) ::close(target.buffered_fd);
@@ -193,162 +158,65 @@ const std::string& FileBackend::target_path(int t) const {
   return targets_[static_cast<size_t>(t)].path;
 }
 
-double FileBackend::NowS() const {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       epoch_)
-      .count();
-}
-
-void FileBackend::Submit(int target, const TargetRequest& req, void* data,
-                         Completion done) {
-  Job job;
-  job.target = target;
-  job.offset = req.offset;
-  job.size = req.size;
-  job.is_write = req.is_write;
-  job.data = data;
-  job.done = std::move(done);
-
-  std::unique_lock<std::mutex> lock(mu_);
-  if (target < 0 || target >= static_cast<int>(targets_.size()) ||
-      req.size <= 0 || req.offset < 0 ||
-      req.offset + req.size > targets_[static_cast<size_t>(target)].capacity) {
-    ++counters_.errors;
-    fired_.push_back(Fired{std::move(job.done), NowS(),
-                           Status::InvalidArgument(StrFormat(
-                               "request [%lld, +%lld) out of range on "
-                               "target %d",
-                               (long long)req.offset, (long long)req.size,
-                               target))});
-    return;
+Status FileBackend::Execute(int target_index, int64_t offset, int64_t size,
+                            bool is_write, void* data) {
+  // `size > capacity - offset` cannot overflow once offset >= 0;
+  // `offset + size` could.
+  if (target_index < 0 || target_index >= static_cast<int>(targets_.size()) ||
+      size <= 0 || offset < 0 ||
+      size > targets_[static_cast<size_t>(target_index)].capacity - offset) {
+    return Status::InvalidArgument(StrFormat(
+        "%s [%lld, +%lld) out of range on target %d",
+        is_write ? "WriteSync" : "ReadSync", (long long)offset,
+        (long long)size, target_index));
   }
-  Target& tgt = targets_[static_cast<size_t>(target)];
-  space_cv_.wait(lock,
-                 [&] { return tgt.inflight < options_.queue_depth; });
-  ++tgt.inflight;
-  ++total_inflight_;
-  jobs_.push_back(std::move(job));
-  lock.unlock();
-  job_cv_.notify_one();
-}
-
-void FileBackend::WorkerLoop(int worker) {
-  Bounce* bounce = worker_bounce_[static_cast<size_t>(worker)].get();
-  for (;;) {
-    Job job;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      job_cv_.wait(lock, [&] { return stopping_ || !jobs_.empty(); });
-      if (jobs_.empty()) return;  // stopping, queue drained
-      job = std::move(jobs_.front());
-      jobs_.pop_front();
-    }
-    const Status status = Execute(job, bounce);
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      fired_.push_back(Fired{std::move(job.done), NowS(), status});
-      --targets_[static_cast<size_t>(job.target)].inflight;
-      --total_inflight_;
-    }
-    space_cv_.notify_all();
-    drain_cv_.notify_all();
-  }
-}
-
-Status FileBackend::Execute(const Job& job, Bounce* bounce) {
-  const Target& target = targets_[static_cast<size_t>(job.target)];
+  const Target& target = targets_[static_cast<size_t>(target_index)];
   const int64_t lbs = geometry_.logical_block_bytes;
-  const bool aligned = job.offset % lbs == 0 && job.size % lbs == 0;
+  const bool aligned = offset % lbs == 0 && size % lbs == 0;
   const bool data_aligned =
-      job.data != nullptr &&
-      reinterpret_cast<uintptr_t>(job.data) % static_cast<uintptr_t>(lbs) ==
-          0;
+      data != nullptr &&
+      reinterpret_cast<uintptr_t>(data) % static_cast<uintptr_t>(lbs) == 0;
   const bool use_direct = aligned && target.direct_fd >= 0;
   const int fd = use_direct ? target.direct_fd : target.buffered_fd;
 
+  std::lock_guard<std::mutex> lock(mu_);
   char* buf;
-  if (job.data != nullptr && (!use_direct || data_aligned)) {
-    buf = static_cast<char*>(job.data);
+  if (data != nullptr && (!use_direct || data_aligned)) {
+    buf = static_cast<char*>(data);
   } else {
-    // Timing-only replay (null data) or an unaligned caller buffer under
-    // O_DIRECT: move bytes through the worker's aligned scratch.
-    LDB_RETURN_IF_ERROR(bounce->Reserve(job.size, lbs));
-    buf = bounce->data;
-    if (job.is_write && job.data != nullptr) {
-      memcpy(buf, job.data, static_cast<size_t>(job.size));
+    // Timing-only (null data) or an unaligned caller buffer under
+    // O_DIRECT: move bytes through the aligned bounce buffer.
+    LDB_RETURN_IF_ERROR(bounce_.Reserve(size, lbs));
+    buf = bounce_.data;
+    if (is_write && data != nullptr) {
+      memcpy(buf, data, static_cast<size_t>(size));
     }
   }
 
-  const double start = NowS();
-  Status status = Transfer(fd, job.is_write, job.offset, job.size, buf);
-  const double elapsed = NowS() - start;
+  const auto start = std::chrono::steady_clock::now();
+  const Status status = Transfer(fd, is_write, offset, size, buf);
+  counters_.io_time_s += std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - start)
+                             .count();
 
-  if (status.ok() && !job.is_write && job.data != nullptr &&
-      buf != job.data) {
-    memcpy(job.data, buf, static_cast<size_t>(job.size));
+  if (status.ok() && !is_write && data != nullptr && buf != data) {
+    memcpy(data, buf, static_cast<size_t>(size));
   }
-
-  std::lock_guard<std::mutex> lock(mu_);
-  counters_.io_time_s += elapsed;
   if (!aligned) ++counters_.unaligned_requests;
   if (!status.ok()) {
     ++counters_.errors;
-  } else if (job.is_write) {
+  } else if (is_write) {
     ++counters_.writes;
-    counters_.bytes_written += job.size;
+    counters_.bytes_written += size;
   } else {
     ++counters_.reads;
-    counters_.bytes_read += job.size;
+    counters_.bytes_read += size;
   }
   return status;
 }
 
 Status FileBackend::Transfer(int fd, bool is_write, int64_t offset,
                              int64_t size, char* buf) {
-#if LDB_HAVE_LIBURING
-  if (options_.use_io_uring) {
-    struct io_uring ring;
-    if (io_uring_queue_init(4, &ring, 0) == 0) {
-      int64_t done = 0;
-      Status status;
-      while (done < size) {
-        struct io_uring_sqe* sqe = io_uring_get_sqe(&ring);
-        const unsigned len = static_cast<unsigned>(
-            std::min<int64_t>(size - done, 1 << 30));
-        if (is_write) {
-          io_uring_prep_write(sqe, fd, buf + done, len, offset + done);
-        } else {
-          io_uring_prep_read(sqe, fd, buf + done, len, offset + done);
-        }
-        io_uring_submit(&ring);
-        struct io_uring_cqe* cqe = nullptr;
-        const int rc = io_uring_wait_cqe(&ring, &cqe);
-        if (rc != 0) {
-          status = Status::IoError(
-              StrFormat("io_uring_wait_cqe failed: %s", strerror(-rc)));
-          break;
-        }
-        const int res = cqe->res;
-        io_uring_cqe_seen(&ring, cqe);
-        if (res < 0) {
-          status = Status::IoError(StrFormat("io_uring %s failed: %s",
-                                             is_write ? "write" : "read",
-                                             strerror(-res)));
-          break;
-        }
-        if (res == 0) {
-          status = Status::IoError("io_uring short transfer at EOF");
-          break;
-        }
-        done += res;
-      }
-      io_uring_queue_exit(&ring);
-      return status;
-    }
-    // Ring setup failed (kernel too old, rlimit): fall through to p{read,
-    // write}.
-  }
-#endif
   int64_t done = 0;
   while (done < size) {
     const size_t len = static_cast<size_t>(size - done);
@@ -375,40 +243,13 @@ Status FileBackend::Transfer(int fd, bool is_write, int64_t offset,
 
 Status FileBackend::ReadSync(int target, int64_t offset, int64_t size,
                              void* buf) {
-  if (target < 0 || target >= static_cast<int>(targets_.size()) ||
-      size <= 0 || offset < 0 ||
-      offset + size > targets_[static_cast<size_t>(target)].capacity) {
-    return Status::InvalidArgument(
-        StrFormat("ReadSync [%lld, +%lld) out of range on target %d",
-                  (long long)offset, (long long)size, target));
-  }
-  Job job;
-  job.target = target;
-  job.offset = offset;
-  job.size = size;
-  job.is_write = false;
-  job.data = buf;
-  std::lock_guard<std::mutex> lock(sync_mu_);
-  return Execute(job, &sync_bounce_);
+  return Execute(target, offset, size, /*is_write=*/false, buf);
 }
 
 Status FileBackend::WriteSync(int target, int64_t offset, int64_t size,
                               const void* buf) {
-  if (target < 0 || target >= static_cast<int>(targets_.size()) ||
-      size <= 0 || offset < 0 ||
-      offset + size > targets_[static_cast<size_t>(target)].capacity) {
-    return Status::InvalidArgument(
-        StrFormat("WriteSync [%lld, +%lld) out of range on target %d",
-                  (long long)offset, (long long)size, target));
-  }
-  Job job;
-  job.target = target;
-  job.offset = offset;
-  job.size = size;
-  job.is_write = true;
-  job.data = const_cast<void*>(buf);
-  std::lock_guard<std::mutex> lock(sync_mu_);
-  return Execute(job, &sync_bounce_);
+  return Execute(target, offset, size, /*is_write=*/true,
+                 const_cast<void*>(buf));
 }
 
 Status FileBackend::Sync() {
@@ -423,28 +264,6 @@ Status FileBackend::Sync() {
   }
   std::lock_guard<std::mutex> lock(mu_);
   ++counters_.syncs;
-  return Status::Ok();
-}
-
-int FileBackend::PumpCompletions() {
-  std::vector<Fired> ready;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    ready.swap(fired_);
-  }
-  for (Fired& f : ready) {
-    if (f.done) f.done(f.when_s, f.status);
-  }
-  return static_cast<int>(ready.size());
-}
-
-Status FileBackend::Drain() {
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    drain_cv_.wait(lock,
-                   [&] { return total_inflight_ == 0 && jobs_.empty(); });
-  }
-  PumpCompletions();
   return Status::Ok();
 }
 

@@ -11,6 +11,7 @@
 #include <utility>
 
 #include "util/check.h"
+#include "util/fnv.h"
 #include "util/random.h"
 #include "util/thread_pool.h"
 #include "util/wal.h"
@@ -111,15 +112,6 @@ double MeasurePoint(BlockDevice* dev, double request_size, double run_count,
   return total / measured;
 }
 
-/// FNV-1a over the bytes of `text`, folded into `hash`.
-uint64_t HashText(uint64_t hash, const std::string& text) {
-  for (const char c : text) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 1099511628211ULL;
-  }
-  return hash;
-}
-
 std::string KeyHex(uint64_t key) {
   char buf[17];
   std::snprintf(buf, sizeof(buf), "%016llx",
@@ -127,13 +119,9 @@ std::string KeyHex(uint64_t key) {
   return buf;
 }
 
-/// The cache directory to use: the explicit option wins, then the
-/// environment (how CI shares calibrations across jobs and runs), else
-/// none.
-std::string ResolveCacheDir(const CalibrationOptions& options) {
-  if (!options.cache_dir.empty()) return options.cache_dir;
-  const char* env = std::getenv("LDB_CALIBRATION_CACHE");
-  return env == nullptr ? std::string() : std::string(env);
+std::string CachePath(const std::string& dir, const std::string& model_name,
+                      uint64_t key) {
+  return dir + "/" + model_name + "-" + KeyHex(key) + ".costmodel";
 }
 
 }  // namespace
@@ -201,14 +189,14 @@ uint64_t CalibrationCacheKey(const BlockDevice& prototype,
   text << "|warmup " << options.warmup_requests << "|samples "
        << options.sample_requests << "|intf " << options.interferer_size_bytes
        << "|seed " << options.seed;
-  return HashText(14695981039346656037ULL, text.str());
+  return FnvMixBytes(kFnvOffsetBasis, text.str());
 }
 
 std::string CalibrationCachePath(const std::string& dir,
                                  const BlockDevice& prototype,
                                  const CalibrationOptions& options) {
-  return dir + "/" + prototype.model_name() + "-" +
-         KeyHex(CalibrationCacheKey(prototype, options)) + ".costmodel";
+  return CachePath(dir, prototype.model_name(),
+                   CalibrationCacheKey(prototype, options));
 }
 
 Status SaveCostModelCache(const std::string& path, uint64_t key,
@@ -242,21 +230,37 @@ Result<CostModel> LoadCostModelCache(const std::string& path,
   return CostModel::FromText(body.str());
 }
 
-Result<CostModel> CalibrateDeviceCached(const BlockDevice& prototype,
-                                        const CalibrationOptions& options) {
-  const std::string dir = ResolveCacheDir(options);
-  if (dir.empty()) return CalibrateDevice(prototype, options);
-  const uint64_t key = CalibrationCacheKey(prototype, options);
-  const std::string path = CalibrationCachePath(dir, prototype, options);
-  auto cached = LoadCostModelCache(path, key);
+Result<CostModel> CalibrateThroughCache(
+    const CalibrationOptions& options, const std::string& model_name,
+    const std::function<uint64_t()>& key,
+    const std::function<Result<CostModel>()>& calibrate) {
+  // The explicit option wins, then the environment (how CI shares
+  // calibrations across jobs and runs).
+  std::string dir = options.cache_dir;
+  if (dir.empty()) {
+    const char* env = std::getenv("LDB_CALIBRATION_CACHE");
+    if (env != nullptr) dir = env;
+  }
+  if (dir.empty()) return calibrate();
+  const uint64_t k = key();
+  const std::string path = CachePath(dir, model_name, k);
+  auto cached = LoadCostModelCache(path, k);
   if (cached.ok()) return cached;
-  auto model = CalibrateDevice(prototype, options);
+  auto model = calibrate();
   if (!model.ok()) return model;
   std::error_code ec;
   std::filesystem::create_directories(dir, ec);
   // Failure to persist only costs a future recalibration.
-  (void)SaveCostModelCache(path, key, *model);
+  (void)SaveCostModelCache(path, k, *model);
   return model;
+}
+
+Result<CostModel> CalibrateDeviceCached(const BlockDevice& prototype,
+                                        const CalibrationOptions& options) {
+  return CalibrateThroughCache(
+      options, prototype.model_name(),
+      [&] { return CalibrationCacheKey(prototype, options); },
+      [&] { return CalibrateDevice(prototype, options); });
 }
 
 uint64_t CalibrationMeasurePoints() {

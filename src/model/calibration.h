@@ -2,6 +2,7 @@
 #define LAYOUTDB_MODEL_CALIBRATION_H_
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <string>
 #include <vector>
@@ -78,6 +79,17 @@ std::string CalibrationCachePath(const std::string& dir,
 /// content.
 Status SaveCostModelCache(const std::string& path, uint64_t key,
                           const CostModel& model);
+
+/// The persistent cache protocol shared by simulated and real calibration.
+/// Resolves the cache dir (options.cache_dir, else LDB_CALIBRATION_CACHE);
+/// with none, just runs `calibrate`. Otherwise returns the model in
+/// `<dir>/<model_name>-<key()>.costmodel` when that file holds the key,
+/// else runs `calibrate` and saves its result there. `key` is only
+/// evaluated when a cache dir is set.
+Result<CostModel> CalibrateThroughCache(
+    const CalibrationOptions& options, const std::string& model_name,
+    const std::function<uint64_t()>& key,
+    const std::function<Result<CostModel>()>& calibrate);
 
 /// Reads a model written by SaveCostModelCache, verifying the format
 /// version and that the stored key equals `expected_key` (stale-key

@@ -1,14 +1,16 @@
 // The file backend must move real bytes: probe validation, alignment
-// accounting, async submission, the dual-epoch data plane, and a full
-// in-process migration whose every byte verifies against the deterministic
-// pattern afterward.
+// accounting, timing-only and out-of-range requests, the dual-epoch data
+// plane, and a full in-process migration whose every byte verifies against
+// the deterministic pattern afterward.
 
 #include <unistd.h>
 
 #include <sys/stat.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -133,60 +135,73 @@ TEST(FileBackendTest, SyncRoundtripAndAlignmentCounters) {
   EXPECT_GE(b.counters().io_time_s, 0.0);
 }
 
-TEST(FileBackendTest, AsyncSubmitDeliversCompletionsOnPump) {
-  const std::string dir = FreshDir("async");
+TEST(FileBackendTest, NullBufferIsTimingOnlyAndCounted) {
+  const std::string dir = FreshDir("timing");
   auto opened = FileBackend::Open(SmallFileOptions(dir, 2, kMiB));
   ASSERT_TRUE(opened.ok()) << opened.status().ToString();
   auto& b = **opened;
 
   std::vector<char> data(64 * kKiB);
   FillPattern(/*object=*/1, /*offset=*/0, 64 * kKiB, data.data());
-  int fired = 0;
-  Status last;
-  double when = -1.0;
-  TargetRequest req;
-  req.offset = 128 * kKiB;
-  req.size = 64 * kKiB;
-  req.is_write = true;
-  b.Submit(1, req, data.data(), [&](double t, const Status& s) {
-    ++fired;
-    when = t;
-    last = s;
-  });
-  // Timing-only replay: null data moves bytes through worker scratch.
-  TargetRequest replay;
-  replay.offset = 0;
-  replay.size = 64 * kKiB;
-  replay.is_write = false;
-  b.Submit(0, replay, nullptr, [&](double, const Status& s) {
-    ++fired;
-    EXPECT_TRUE(s.ok()) << s.ToString();
-  });
-  ASSERT_TRUE(b.Drain().ok());
-  EXPECT_EQ(fired, 2);
-  EXPECT_TRUE(last.ok()) << last.ToString();
-  EXPECT_GE(when, 0.0);
+  ASSERT_TRUE(b.WriteSync(1, 128 * kKiB, 64 * kKiB, data.data()).ok());
 
+  // Timing-only: null buffers move bytes through the backend's scratch
+  // and count like any other request.
+  const BackendCounters before = b.counters();
+  const Status read = b.ReadSync(1, 128 * kKiB, 64 * kKiB, nullptr);
+  ASSERT_TRUE(read.ok()) << read.ToString();
+  const Status write = b.WriteSync(0, 0, 64 * kKiB, nullptr);
+  ASSERT_TRUE(write.ok()) << write.ToString();
+  const BackendCounters after = b.counters();
+  EXPECT_EQ(after.reads, before.reads + 1);
+  EXPECT_EQ(after.writes, before.writes + 1);
+  EXPECT_EQ(after.bytes_read, before.bytes_read + 64 * kKiB);
+  EXPECT_EQ(after.bytes_written, before.bytes_written + 64 * kKiB);
+  EXPECT_EQ(after.errors, before.errors);
+  EXPECT_GE(after.io_time_s, before.io_time_s);
+
+  // The timing-only write went to target 0: target 1's bytes are intact.
   std::vector<char> back(64 * kKiB, 0);
   ASSERT_TRUE(b.ReadSync(1, 128 * kKiB, 64 * kKiB, back.data()).ok());
   EXPECT_EQ(std::memcmp(data.data(), back.data(), data.size()), 0);
 }
 
-TEST(FileBackendTest, OutOfRangeSubmitCompletesWithError) {
+TEST(FileBackendTest, OutOfRangeRejectedOnBothCalls) {
   const std::string dir = FreshDir("range");
   auto opened = FileBackend::Open(SmallFileOptions(dir, 1, kMiB));
   ASSERT_TRUE(opened.ok()) << opened.status().ToString();
   auto& b = **opened;
-  std::vector<char> buf(4096);
-  Status got = Status::Ok();
-  TargetRequest req;
-  req.offset = kMiB;  // starts exactly at capacity
-  req.size = 4096;
-  req.is_write = false;
-  b.Submit(0, req, buf.data(), [&](double, const Status& s) { got = s; });
-  ASSERT_TRUE(b.Drain().ok());
-  EXPECT_FALSE(got.ok());
-  EXPECT_GE(b.counters().errors, 1u);
+  std::vector<char> buf(8192);
+  struct Case {
+    const char* what;
+    int target;
+    int64_t offset;
+    int64_t size;
+  };
+  const Case cases[] = {
+      {"starts at capacity", 0, kMiB, 4096},
+      {"straddles the end", 0, kMiB - 4096, 8192},
+      {"negative offset", 0, -4096, 4096},
+      {"offset + size overflows", 0,
+       std::numeric_limits<int64_t>::max() - 4095, 8192},
+      {"zero size", 0, 0, 0},
+      {"bad target", 1, 0, 4096},
+      {"negative target", -1, 0, 4096},
+  };
+  const BackendCounters before = b.counters();
+  for (const Case& c : cases) {
+    const Status read = b.ReadSync(c.target, c.offset, c.size, buf.data());
+    EXPECT_EQ(read.code(), StatusCode::kInvalidArgument) << c.what;
+    const Status write = b.WriteSync(c.target, c.offset, c.size, buf.data());
+    EXPECT_EQ(write.code(), StatusCode::kInvalidArgument) << c.what;
+  }
+  const BackendCounters after = b.counters();
+  EXPECT_EQ(after.reads, before.reads);
+  EXPECT_EQ(after.writes, before.writes);
+  EXPECT_EQ(after.bytes_read, before.bytes_read);
+  EXPECT_EQ(after.bytes_written, before.bytes_written);
+  EXPECT_EQ(after.errors, before.errors);
+  EXPECT_EQ(after.unaligned_requests, before.unaligned_requests);
 }
 
 TEST(FileBackendTest, DualEpochHalvesAreDisjoint) {

@@ -426,8 +426,9 @@ TEST(RegularizeExactnessTest, MatchesFromScratchReference) {
 }
 
 // Places the all-zero rows one at a time, in decreasing request-rate order,
-// on the best regular row the pricer finds, with every other row frozen.
-TEST(RegularizeExactnessTest, PlaceIncrementallyMatchesReference) {
+// on the best regular row the pricer finds, with every other row frozen
+// (failure re-planning's path for displaced rows).
+TEST(RegularizeExactnessTest, GreedyEmptyRowPlacementMatchesReference) {
   for (uint64_t seed = 0; seed < 60; ++seed) {
     Rng rng(2000 + seed);
     const int n = 3 + static_cast<int>(rng.UniformInt(uint64_t{8}));
