@@ -7,6 +7,8 @@
 // completion time substantially and does not sacrifice (ideally improves)
 // OLTP throughput, primarily by separating the TPC-H scan tables from the
 // TPC-C random-access tables.
+//
+// Exits 1 unless the advised layout's OLAP1-21 time is below SEE's.
 
 #include <cstdio>
 
@@ -46,11 +48,13 @@ int main(int argc, char** argv) {
   table.AddRow({"Optimized", StrFormat("%.0f", opt_run->elapsed_seconds),
                 StrFormat("%.0f", opt_run->tpm)});
   std::printf("%s\n", table.ToString().c_str());
+  // The caption's claim: the advised layout finishes OLAP1-21 sooner.
+  const bool olap_faster = opt_run->elapsed_seconds < see_run->elapsed_seconds;
   std::printf(
-      "OLAP speedup %.2fx (paper 1.43x); OLTP throughput ratio %.2fx "
+      "OLAP speedup %.2fx (paper 1.43x) %s; OLTP throughput ratio %.2fx "
       "(paper 1.18x)\n",
       see_run->elapsed_seconds / opt_run->elapsed_seconds,
-      opt_run->tpm / see_run->tpm);
+      olap_faster ? "[ok]" : "[MISS]", opt_run->tpm / see_run->tpm);
   if (env.json) {
     JsonRows json;
     json.BeginRow();
@@ -60,6 +64,7 @@ int main(int argc, char** argv) {
     json.Field("speedup",
                see_run->elapsed_seconds / opt_run->elapsed_seconds);
     json.Field("paper_speedup", 1.43);
+    json.Field("olap_faster", olap_faster);
     json.Field("see_tpm", see_run->tpm);
     json.Field("optimized_tpm", opt_run->tpm);
     json.Field("tpm_ratio", opt_run->tpm / see_run->tpm);
@@ -70,5 +75,5 @@ int main(int argc, char** argv) {
       return 1;
     }
   }
-  return 0;
+  return olap_faster ? 0 : 1;
 }

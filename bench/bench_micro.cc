@@ -3,14 +3,19 @@
 // interpolation, the trace fit, the workload runner's request path, the
 // target model's utilization computation (the solver's inner loop), the
 // fused column kernel, the regularizer sweep,
-// simplex projection, a small end-to-end solve, and a full solve shaped
-// like one advise_4x96 problem, single-seed and raced multi-start.
+// simplex projection, a small end-to-end solve, a full solve shaped
+// like one advise_4x96 problem, single-seed and raced multi-start, a WAL
+// append + fsync, and one aligned FileBackend write + read round-trip.
 //
 // --json[=path] maps onto google-benchmark's JSON reporters, so every
 // benchmark binary in this repo shares one machine-readable flag.
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <vector>
@@ -20,6 +25,7 @@
 #include "core/advisor.h"
 #include "core/problem.h"
 #include "core/regularize.h"
+#include "io/file_backend.h"
 #include "model/calibration.h"
 #include "model/target_model.h"
 #include "monitor/online_analyzer.h"
@@ -34,6 +40,7 @@
 #include "trace/trace.h"
 #include "util/random.h"
 #include "util/units.h"
+#include "util/wal.h"
 #include "workload/catalog.h"
 #include "workload/runner.h"
 #include "workload/spec.h"
@@ -778,6 +785,99 @@ void BM_MultiStartTenant96(benchmark::State& state) {
   state.counters["max_util"] = last.max_utilization;
 }
 BENCHMARK(BM_MultiStartTenant96)->Unit(benchmark::kMillisecond);
+
+/// A fresh directory under the system temp dir, removed with everything in
+/// it when the owner goes out of scope.
+class ScratchDir {
+ public:
+  explicit ScratchDir(const std::string& name)
+      : path_(std::filesystem::temp_directory_path() /
+              ("ldb-micro-" + name + "-" + std::to_string(::getpid()))) {
+    // A failure here shows up as the kernel's Open error.
+    std::error_code ec;
+    std::filesystem::remove_all(path_, ec);
+    std::filesystem::create_directories(path_, ec);
+  }
+  ~ScratchDir() {
+    std::error_code ec;
+    std::filesystem::remove_all(path_, ec);
+  }
+  ScratchDir(const ScratchDir&) = delete;
+  ScratchDir& operator=(const ScratchDir&) = delete;
+
+  std::string path() const { return path_.string(); }
+
+ private:
+  std::filesystem::path path_;
+};
+
+// One journal-sized record appended and made durable: the migration
+// journal's per-commit cost (util.wal.* in layoutbench's migrate_realfile).
+void BM_WalAppendSync(benchmark::State& state) {
+  const ScratchDir dir("wal");
+  auto wal = WalWriter::Open(dir.path() + "/bench.wal");
+  if (!wal.ok()) {
+    state.SkipWithError(wal.status().ToString().c_str());
+    return;
+  }
+  const std::string record(static_cast<size_t>(state.range(0)), 'r');
+  for (auto _ : state) {
+    Status s = (*wal)->Append(record);
+    if (s.ok()) s = (*wal)->Sync();
+    if (!s.ok()) {
+      state.SkipWithError(s.ToString().c_str());
+      break;
+    }
+  }
+  state.SetBytesProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_WalAppendSync)
+    ->Arg(64)
+    ->Arg(4096)
+    ->UseRealTime()
+    ->Unit(benchmark::kMicrosecond);
+
+// One aligned WriteSync + ReadSync of the same block on a one-target
+// backend (O_DIRECT where the temp filesystem takes it): the data plane
+// under every migration chunk copy and pattern check.
+void BM_FileBackendRoundTrip(benchmark::State& state) {
+  const int64_t bytes = state.range(0);
+  const ScratchDir dir("backend");
+  FileBackendOptions options;
+  options.dir = dir.path();
+  options.capacity_bytes = {16 * kMiB};
+  options.quiet = true;
+  auto backend = FileBackend::Open(options);
+  if (!backend.ok()) {
+    state.SkipWithError(backend.status().ToString().c_str());
+    return;
+  }
+  const size_t align = static_cast<size_t>(options.logical_block_bytes);
+  std::unique_ptr<char, decltype(&std::free)> buf(
+      static_cast<char*>(std::aligned_alloc(align, static_cast<size_t>(bytes))),
+      &std::free);
+  std::memset(buf.get(), 0x5a, static_cast<size_t>(bytes));
+  const int64_t slots = options.capacity_bytes[0] / bytes;
+  int64_t slot = 0;
+  for (auto _ : state) {
+    const int64_t offset = (slot++ % slots) * bytes;
+    Status s = (*backend)->WriteSync(0, offset, bytes, buf.get());
+    if (s.ok()) s = (*backend)->ReadSync(0, offset, bytes, buf.get());
+    if (!s.ok()) {
+      state.SkipWithError(s.ToString().c_str());
+      break;
+    }
+    benchmark::DoNotOptimize(buf.get());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(state.iterations() * 2 * bytes);
+  state.counters["direct"] = (*backend)->geometry().direct_io ? 1 : 0;
+}
+BENCHMARK(BM_FileBackendRoundTrip)
+    ->Arg(4 * kKiB)
+    ->Arg(kMiB)
+    ->UseRealTime()
+    ->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 }  // namespace ldb

@@ -1,5 +1,7 @@
 #include "core/harness.h"
 
+#include <atomic>
+#include <optional>
 #include <utility>
 
 #include "storage/disk.h"
@@ -24,7 +26,38 @@ int64_t ScaledCapacity(int64_t bytes, double scale) {
                            static_cast<int64_t>(bytes * scale));
 }
 
+std::atomic<uint64_t> g_simulated_runs{0};
+
+std::vector<std::vector<int>> PlacementsOf(const Catalog& catalog,
+                                           const Layout& layout) {
+  std::vector<std::vector<int>> placements;
+  placements.reserve(static_cast<size_t>(catalog.num_objects()));
+  for (int i = 0; i < catalog.num_objects(); ++i) {
+    placements.push_back(layout.TargetsOf(i));
+  }
+  return placements;
+}
+
+/// The OLTP duration a run uses. WorkloadRunner::Run ignores it whenever an
+/// OLAP workload is given (the OLAP sequence sets the run's length), so
+/// such runs are equal whatever duration the caller passed.
+double UsedDuration(const OlapSpec* olap, double oltp_duration_s) {
+  return olap != nullptr ? 0.0 : oltp_duration_s;
+}
+
+/// Whether a run's spec pointer names the traced run's spec: both absent,
+/// or both present and equal field by field.
+template <typename Spec>
+bool SameSpec(const Spec* spec, const std::optional<Spec>& traced) {
+  return spec == nullptr ? !traced.has_value()
+                         : traced.has_value() && *spec == *traced;
+}
+
 }  // namespace
+
+uint64_t RigSimulatedRuns() {
+  return g_simulated_runs.load(std::memory_order_relaxed);
+}
 
 Result<ExperimentRig> ExperimentRig::Create(Catalog catalog,
                                             std::vector<RigTargetDef> targets,
@@ -128,6 +161,36 @@ std::vector<AdvisorTarget> ExperimentRig::AdvisorTargets() const {
   return out;
 }
 
+Result<RunResult> ExperimentRig::RunPlaced(
+    Placements placements, const OlapSpec* olap, const OltpSpec* oltp,
+    double oltp_duration_s, const FaultPlan* faults,
+    StorageSystem::Observer logical_observer) const {
+  auto system = MakeSystem();
+  auto volumes =
+      StripedVolumeManager::Create(catalog_.sizes(), std::move(placements),
+                                   system->capacities(), kLvmStripeBytes);
+  if (!volumes.ok()) return volumes.status();
+
+  // Arm before the run: fault times are ScheduleAfter-relative, and the
+  // runner's target Reset preserves fault RNG seeds and retry policy.
+  std::optional<FaultInjector> injector;
+  if (faults != nullptr) {
+    injector.emplace(system.get(), *faults);
+    LDB_RETURN_IF_ERROR(injector->Arm());
+  }
+
+  WorkloadRunner runner(system.get(), &*volumes, seed_);
+  if (logical_observer) {
+    runner.set_logical_observer(std::move(logical_observer));
+  }
+  g_simulated_runs.fetch_add(1, std::memory_order_relaxed);
+  Result<RunResult> run = runner.Run(olap, oltp, oltp_duration_s);
+  if (!run.ok() || !injector) return run;
+  RunResult result = std::move(run).value();
+  result.skipped_faults = injector->skipped();
+  return result;
+}
+
 Result<RunResult> ExperimentRig::Execute(const Layout& layout,
                                          const OlapSpec* olap,
                                          const OltpSpec* oltp,
@@ -136,19 +199,18 @@ Result<RunResult> ExperimentRig::Execute(const Layout& layout,
     return Status::FailedPrecondition(
         "Execute requires a regular layout (the LVM stripes round-robin)");
   }
-  auto system = MakeSystem();
-  std::vector<std::vector<int>> placements;
-  placements.reserve(static_cast<size_t>(catalog_.num_objects()));
-  for (int i = 0; i < catalog_.num_objects(); ++i) {
-    placements.push_back(layout.TargetsOf(i));
+  Placements placements = PlacementsOf(catalog_, layout);
+  {
+    std::lock_guard<std::mutex> lock(traced_->mu);
+    const std::optional<TracedRun>& t = traced_->entry;
+    if (t && t->placements == placements && SameSpec(olap, t->olap) &&
+        SameSpec(oltp, t->oltp) &&
+        t->oltp_duration_s == UsedDuration(olap, oltp_duration_s)) {
+      return t->result;
+    }
   }
-  auto volumes =
-      StripedVolumeManager::Create(catalog_.sizes(), std::move(placements),
-                                   system->capacities(), kLvmStripeBytes);
-  if (!volumes.ok()) return volumes.status();
-
-  WorkloadRunner runner(system.get(), &*volumes, seed_);
-  return runner.Run(olap, oltp, oltp_duration_s);
+  return RunPlaced(std::move(placements), olap, oltp, oltp_duration_s,
+                   nullptr, nullptr);
 }
 
 Result<RunResult> ExperimentRig::ExecuteWithFaults(
@@ -158,28 +220,8 @@ Result<RunResult> ExperimentRig::ExecuteWithFaults(
     return Status::FailedPrecondition(
         "ExecuteWithFaults requires a regular layout");
   }
-  auto system = MakeSystem();
-  std::vector<std::vector<int>> placements;
-  placements.reserve(static_cast<size_t>(catalog_.num_objects()));
-  for (int i = 0; i < catalog_.num_objects(); ++i) {
-    placements.push_back(layout.TargetsOf(i));
-  }
-  auto volumes =
-      StripedVolumeManager::Create(catalog_.sizes(), std::move(placements),
-                                   system->capacities(), kLvmStripeBytes);
-  if (!volumes.ok()) return volumes.status();
-
-  // Arm before the run: fault times are ScheduleAfter-relative, and the
-  // runner's target Reset preserves fault RNG seeds and retry policy.
-  FaultInjector injector(system.get(), plan);
-  LDB_RETURN_IF_ERROR(injector.Arm());
-
-  WorkloadRunner runner(system.get(), &*volumes, seed_);
-  Result<RunResult> run = runner.Run(olap, oltp, oltp_duration_s);
-  if (!run.ok()) return run.status();
-  RunResult result = std::move(run).value();
-  result.skipped_faults = injector.skipped();
-  return result;
+  return RunPlaced(PlacementsOf(catalog_, layout), olap, oltp,
+                   oltp_duration_s, &plan, nullptr);
 }
 
 Result<MigrationRunReport> ExperimentRig::ExecuteWithMigration(
@@ -191,18 +233,10 @@ Result<MigrationRunReport> ExperimentRig::ExecuteWithMigration(
         "ExecuteWithMigration requires regular layouts");
   }
   auto system = MakeSystem();
-  std::vector<std::vector<int>> from_placements;
-  std::vector<std::vector<int>> to_placements;
-  from_placements.reserve(static_cast<size_t>(catalog_.num_objects()));
-  to_placements.reserve(static_cast<size_t>(catalog_.num_objects()));
-  for (int i = 0; i < catalog_.num_objects(); ++i) {
-    from_placements.push_back(from.TargetsOf(i));
-    to_placements.push_back(to.TargetsOf(i));
-  }
   return RunMigrationSim(system.get(), catalog_.sizes(),
-                         std::move(from_placements), std::move(to_placements),
-                         kLvmStripeBytes, olap, oltp, oltp_duration_s, faults,
-                         options, seed_);
+                         PlacementsOf(catalog_, from),
+                         PlacementsOf(catalog_, to), kLvmStripeBytes, olap,
+                         oltp, oltp_duration_s, faults, options, seed_);
 }
 
 Result<AutopilotReport> ExperimentRig::ExecuteWithAutopilot(
@@ -227,26 +261,28 @@ Result<WorkloadSet> ExperimentRig::FitWorkloads(const Layout& trace_layout,
   if (!trace_layout.IsRegular()) {
     return Status::FailedPrecondition("tracing layout must be regular");
   }
-  auto system = MakeSystem();
-  std::vector<std::vector<int>> placements;
-  placements.reserve(static_cast<size_t>(catalog_.num_objects()));
-  for (int i = 0; i < catalog_.num_objects(); ++i) {
-    placements.push_back(trace_layout.TargetsOf(i));
-  }
-  auto volumes =
-      StripedVolumeManager::Create(catalog_.sizes(), std::move(placements),
-                                   system->capacities(), kLvmStripeBytes);
-  if (!volumes.ok()) return volumes.status();
+  Placements placements = PlacementsOf(catalog_, trace_layout);
 
   // Fit from the object-level (pre-striping) request stream: the paper's
   // W_i describe objects, not their current on-target placement. The
   // fitter consumes completions as they happen; no trace is stored.
   ReorderingTraceFitter fitter(catalog_.num_objects());
-  WorkloadRunner runner(system.get(), &*volumes, seed_);
-  runner.set_logical_observer(
-      [&fitter](const IoEvent& ev) { fitter.Observe(ev); });
-  Result<RunResult> run = runner.Run(olap, oltp, oltp_duration_s);
+  Result<RunResult> run =
+      RunPlaced(placements, olap, oltp, oltp_duration_s, nullptr,
+                [&fitter](const IoEvent& ev) { fitter.Observe(ev); });
   if (!run.ok()) return run.status();
+
+  TracedRun traced{std::move(placements),
+                   olap != nullptr ? std::optional<OlapSpec>(*olap)
+                                   : std::nullopt,
+                   oltp != nullptr ? std::optional<OltpSpec>(*oltp)
+                                   : std::nullopt,
+                   UsedDuration(olap, oltp_duration_s),
+                   std::move(run).value()};
+  {
+    std::lock_guard<std::mutex> lock(traced_->mu);
+    traced_->entry = std::move(traced);
+  }
   return fitter.Finish();
 }
 

@@ -1,7 +1,10 @@
 #ifndef LAYOUTDB_CORE_HARNESS_H_
 #define LAYOUTDB_CORE_HARNESS_H_
 
+#include <cstdint>
 #include <memory>
+#include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -67,6 +70,12 @@ class ExperimentRig {
   /// valid) on a fresh system; returns the measured results. Exactly one
   /// of `olap`/`oltp` may be null; with both set, runs the consolidation
   /// protocol (OLTP until OLAP completes).
+  ///
+  /// When the inputs equal those of the last FitWorkloads on this rig
+  /// (same placements, equal specs, and for an OLTP-only run the same
+  /// `oltp_duration_s`), the traced run already was this execution and its
+  /// RunResult is returned without simulating again; the result is
+  /// bit-identical either way.
   Result<RunResult> Execute(const Layout& layout, const OlapSpec* olap,
                             const OltpSpec* oltp,
                             double oltp_duration_s = 0.0) const;
@@ -104,7 +113,9 @@ class ExperimentRig {
 
   /// The paper's workload-characterization pipeline (Section 5.1): runs
   /// the workloads under `trace_layout` with tracing enabled and fits
-  /// Rome-style workload descriptions from the trace.
+  /// Rome-style workload descriptions from the trace. The run's inputs and
+  /// RunResult replace the rig's one remembered traced run, which a later
+  /// Execute with the same inputs returns.
   Result<WorkloadSet> FitWorkloads(const Layout& trace_layout,
                                    const OlapSpec* olap,
                                    const OltpSpec* oltp,
@@ -114,18 +125,50 @@ class ExperimentRig {
   Result<LayoutProblem> MakeProblem(WorkloadSet workloads) const;
 
  private:
+  using Placements = std::vector<std::vector<int>>;
+
+  /// The inputs and result of the last traced run. The logical observer
+  /// draws no random numbers and schedules no events, so the traced run is
+  /// the untraced run of the same inputs, bit for bit.
+  struct TracedRun {
+    Placements placements;
+    std::optional<OlapSpec> olap;
+    std::optional<OltpSpec> oltp;
+    double oltp_duration_s = 0.0;  ///< 0 when an OLAP spec sets the length
+    RunResult result;
+  };
+  /// Guards the one-entry memo, so const methods stay callable from
+  /// several threads; held by pointer so the rig stays movable.
+  struct TracedRunMemo {
+    std::mutex mu;
+    std::optional<TracedRun> entry;
+  };
+
   ExperimentRig() = default;
 
+  /// Runs the workloads on a fresh system with every object striped over
+  /// its placement. A non-null `faults` is armed before the run starts; a
+  /// non-empty `logical_observer` sees every object-level completion.
+  Result<RunResult> RunPlaced(Placements placements, const OlapSpec* olap,
+                              const OltpSpec* oltp, double oltp_duration_s,
+                              const FaultPlan* faults,
+                              StorageSystem::Observer logical_observer) const;
+
   Catalog catalog_;
-  std::vector<RigTargetDef> defs_;
   std::vector<TargetSpec> target_specs_;  ///< prototypes owned below
   std::vector<std::unique_ptr<BlockDevice>> prototypes_;
-  std::vector<std::string> target_names_;
   CostModelRegistry cost_models_;
   std::vector<RigTargetDef> targets_;
   double scale_ = 1.0;
   uint64_t seed_ = 42;
+  std::unique_ptr<TracedRunMemo> traced_ =
+      std::make_unique<TracedRunMemo>();
 };
+
+/// Process-wide count of workload simulations started by ExperimentRig's
+/// Execute, ExecuteWithFaults and FitWorkloads. Monotone; tests use deltas
+/// to prove that an Execute was served from the traced run, or was not.
+uint64_t RigSimulatedRuns();
 
 }  // namespace ldb
 

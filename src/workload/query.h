@@ -26,6 +26,8 @@ struct StreamSpec {
   int64_t request_bytes = 256 * kKiB;
   AccessPattern pattern = AccessPattern::kSequential;
   double write_fraction = 0.0;  ///< probability each request is a write
+
+  bool operator==(const StreamSpec&) const = default;
 };
 
 /// A step accesses its streams concurrently and completes when all finish
@@ -42,6 +44,8 @@ struct StreamSpec {
 struct QueryStep {
   std::vector<StreamSpec> streams;
   int depth = 4;  ///< outstanding requests across the step (1 per stream)
+
+  bool operator==(const QueryStep&) const = default;
 };
 
 /// A query (or OLTP transaction) profile: steps execute in order.
@@ -53,6 +57,8 @@ struct QueryStep {
 struct QueryProfile {
   std::string name;
   std::vector<QueryStep> steps;
+
+  bool operator==(const QueryProfile&) const = default;
 
   /// Total bytes transferred by the profile.
   int64_t TotalBytes() const {

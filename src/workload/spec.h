@@ -18,6 +18,8 @@ struct OlapSpec {
   std::string name;
   std::vector<QueryProfile> queries;
   int concurrency = 1;
+
+  bool operator==(const OlapSpec&) const = default;
 };
 
 /// An OLTP workload: `terminals` simulated clients repeatedly executing
@@ -32,6 +34,8 @@ struct OltpSpec {
   /// OLTP from trivially saturating the disks — matching the modest tpmC
   /// levels of the paper's testbed.
   double txn_overhead_s = 1.2;
+
+  bool operator==(const OltpSpec&) const = default;
 };
 
 /// Builds the paper's OLAP workloads over a TPC-H catalog:

@@ -1,9 +1,12 @@
 #include <unistd.h>
 
+#include <bit>
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <ostream>
 #include <string>
+#include <thread>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -231,6 +234,169 @@ INSTANTIATE_TEST_SUITE_P(
                                          FitSpec::kMixed),
                        ::testing::Values(uint64_t{3}, uint64_t{17})),
     FitName);
+
+// ---- The traced run doubles as the execution of its inputs ----
+
+ExperimentRig FreshConsolidationRig() {
+  auto r = ExperimentRig::Create(
+      Catalog::Merge(Catalog::TpcH(kScale), Catalog::TpcC(kScale), "", "C_"),
+      {{"d0"}, {"d1"}, {"r2", 2}}, kScale, 3);
+  LDB_CHECK(r.ok());
+  return std::move(r).value();
+}
+
+uint64_t Bits(double v) { return std::bit_cast<uint64_t>(v); }
+
+/// Every RunResult field, doubles compared by their bits.
+void ExpectSameRunBitForBit(const RunResult& a, const RunResult& b) {
+  EXPECT_EQ(Bits(a.elapsed_seconds), Bits(b.elapsed_seconds));
+  EXPECT_EQ(a.olap_queries_completed, b.olap_queries_completed);
+  EXPECT_EQ(a.oltp_transactions, b.oltp_transactions);
+  EXPECT_EQ(Bits(a.tpm), Bits(b.tpm));
+  EXPECT_EQ(a.total_requests, b.total_requests);
+  ASSERT_EQ(a.utilization.size(), b.utilization.size());
+  for (size_t j = 0; j < a.utilization.size(); ++j) {
+    EXPECT_EQ(Bits(a.utilization[j]), Bits(b.utilization[j]))
+        << "target " << j;
+  }
+  EXPECT_EQ(a.faults.faults_injected, b.faults.faults_injected);
+  EXPECT_EQ(a.faults.transient_errors, b.faults.transient_errors);
+  EXPECT_EQ(a.faults.retries, b.faults.retries);
+  EXPECT_EQ(a.faults.failed_requests, b.faults.failed_requests);
+  EXPECT_EQ(a.faults.degraded_reads, b.faults.degraded_reads);
+  EXPECT_EQ(a.faults.rebuild_bytes, b.faults.rebuild_bytes);
+  EXPECT_EQ(Bits(a.faults.degraded_time), Bits(b.faults.degraded_time));
+  EXPECT_EQ(a.skipped_faults, b.skipped_faults);
+}
+
+// Rig A traces and then executes the same inputs; rig B, built the same
+// way, only executes. A's Execute must simulate nothing and still equal
+// B's simulated run bit for bit, on mixed, OLAP-only and OLTP-only runs.
+// The mixed case traces with a 60 s duration and executes with none, as
+// the figure benches do: with an OLAP workload the runner ignores it.
+TEST(HarnessTest, TracedRunIsReusedBitForBit) {
+  const ExperimentRig a = FreshConsolidationRig();
+  const ExperimentRig b = FreshConsolidationRig();
+  const int n = a.catalog().num_objects();
+  auto olap = MakeOlapSpec(a.catalog(), 1, 2, 3);
+  ASSERT_TRUE(olap.ok());
+  auto oltp = MakeOltpSpec(a.catalog(), "C_", 4, /*warmup_s=*/1.0);
+  ASSERT_TRUE(oltp.ok());
+  const Layout see = Layout::StripeEverythingEverywhere(n, a.num_targets());
+
+  struct Case {
+    const char* name;
+    const OlapSpec* olap;
+    const OltpSpec* oltp;
+    double trace_duration_s;
+    double duration_s;
+  };
+  for (const Case& c :
+       {Case{"mixed", &*olap, &*oltp, 60.0, 0.0},
+        Case{"olap", &*olap, nullptr, 0.0, 0.0},
+        Case{"oltp", nullptr, &*oltp, kOltpFitSeconds, kOltpFitSeconds}}) {
+    SCOPED_TRACE(c.name);
+    ASSERT_TRUE(a.FitWorkloads(see, c.olap, c.oltp, c.trace_duration_s).ok());
+    const uint64_t before = RigSimulatedRuns();
+    auto reused = a.Execute(see, c.olap, c.oltp, c.duration_s);
+    ASSERT_TRUE(reused.ok());
+    EXPECT_EQ(RigSimulatedRuns(), before);
+    auto simulated = b.Execute(see, c.olap, c.oltp, c.duration_s);
+    ASSERT_TRUE(simulated.ok());
+    EXPECT_EQ(RigSimulatedRuns(), before + 1);
+    EXPECT_GT(simulated->total_requests, 1000u);
+    ExpectSameRunBitForBit(*reused, *simulated);
+  }
+}
+
+// Any input that differs from the traced run's, a fault run, and the
+// inputs of a replaced trace all simulate.
+TEST(HarnessTest, TracedRunIsNotReusedForOtherInputs) {
+  const ExperimentRig rig = FreshConsolidationRig();
+  const int n = rig.catalog().num_objects();
+  auto olap = MakeOlapSpec(rig.catalog(), 1, 2, 3);
+  ASSERT_TRUE(olap.ok());
+  auto oltp = MakeOltpSpec(rig.catalog(), "C_", 4, /*warmup_s=*/1.0);
+  ASSERT_TRUE(oltp.ok());
+  const Layout see = Layout::StripeEverythingEverywhere(n, rig.num_targets());
+  Layout two_disks(n, rig.num_targets());
+  for (int i = 0; i < n; ++i) two_disks.SetRowRegular(i, {0, 1});
+  OlapSpec olap_edited = *olap;
+  olap_edited.queries.back().steps.back().streams.back().request_bytes *= 2;
+  OltpSpec oltp_edited = *oltp;
+  oltp_edited.warmup_s = 2.0;
+
+  ASSERT_TRUE(rig.FitWorkloads(see, &*olap, &*oltp).ok());
+  auto traced = rig.Execute(see, &*olap, &*oltp);
+  ASSERT_TRUE(traced.ok());
+
+  const auto simulates = [](const Result<RunResult>& run, uint64_t before) {
+    return run.ok() && RigSimulatedRuns() == before + 1;
+  };
+  uint64_t before = RigSimulatedRuns();
+  EXPECT_TRUE(simulates(rig.Execute(two_disks, &*olap, &*oltp), before))
+      << "another layout";
+  before = RigSimulatedRuns();
+  EXPECT_TRUE(simulates(rig.Execute(see, &olap_edited, &*oltp), before))
+      << "an OLAP stream's request size";
+  before = RigSimulatedRuns();
+  EXPECT_TRUE(simulates(rig.Execute(see, &*olap, &oltp_edited), before))
+      << "the OLTP warmup";
+  before = RigSimulatedRuns();
+  EXPECT_TRUE(simulates(rig.Execute(see, &*olap, nullptr), before))
+      << "OLAP-only after a mixed trace";
+  before = RigSimulatedRuns();
+  auto faulted = rig.ExecuteWithFaults(see, &*olap, &*oltp, FaultPlan{});
+  EXPECT_TRUE(simulates(faulted, before)) << "an empty fault plan";
+  ASSERT_TRUE(faulted.ok());
+  ExpectSameRunBitForBit(*faulted, *traced);
+
+  // A second trace replaces the entry: its own inputs are reused, another
+  // duration of an OLTP-only run and the first trace's inputs simulate.
+  ASSERT_TRUE(rig.FitWorkloads(see, nullptr, &*oltp, kOltpFitSeconds).ok());
+  before = RigSimulatedRuns();
+  ASSERT_TRUE(rig.Execute(see, nullptr, &*oltp, kOltpFitSeconds).ok());
+  EXPECT_EQ(RigSimulatedRuns(), before) << "the replacing trace's inputs";
+  EXPECT_TRUE(simulates(rig.Execute(see, nullptr, &*oltp, 10.0), before))
+      << "another duration";
+  before = RigSimulatedRuns();
+  EXPECT_TRUE(simulates(rig.Execute(see, &*olap, &*oltp), before))
+      << "the replaced trace's inputs";
+}
+
+// The rig's const methods may run on several threads: executions that
+// read the entry race a trace that replaces it, and every run still equals
+// its single-threaded result.
+TEST(HarnessTest, TracedRunIsSafeAcrossThreads) {
+  const ExperimentRig rig = FreshConsolidationRig();
+  const int n = rig.catalog().num_objects();
+  auto olap = MakeOlapSpec(rig.catalog(), 1, 2, 3);
+  ASSERT_TRUE(olap.ok());
+  auto oltp = MakeOltpSpec(rig.catalog(), "C_", 4, /*warmup_s=*/1.0);
+  ASSERT_TRUE(oltp.ok());
+  const Layout see = Layout::StripeEverythingEverywhere(n, rig.num_targets());
+  auto mixed = rig.Execute(see, &*olap, &*oltp);
+  auto olap_only = rig.Execute(see, &*olap, nullptr);
+  ASSERT_TRUE(mixed.ok());
+  ASSERT_TRUE(olap_only.ok());
+  ASSERT_TRUE(rig.FitWorkloads(see, &*olap, &*oltp).ok());
+
+  std::vector<Result<RunResult>> runs(3, Status::Internal("unset"));
+  {
+    std::vector<std::thread> threads;
+    threads.emplace_back([&] { runs[0] = rig.Execute(see, &*olap, &*oltp); });
+    threads.emplace_back([&] { runs[1] = rig.Execute(see, &*olap, &*oltp); });
+    threads.emplace_back([&] { runs[2] = rig.Execute(see, &*olap, nullptr); });
+    threads.emplace_back([&] {
+      EXPECT_TRUE(rig.FitWorkloads(see, &*olap, nullptr).ok());
+    });
+    for (std::thread& t : threads) t.join();
+  }
+  for (int i = 0; i < 3; ++i) ASSERT_TRUE(runs[static_cast<size_t>(i)].ok());
+  ExpectSameRunBitForBit(*runs[0], *mixed);
+  ExpectSameRunBitForBit(*runs[1], *mixed);
+  ExpectSameRunBitForBit(*runs[2], *olap_only);
+}
 
 TEST(HarnessTest, ScaledDeviceCapacityTracksScale) {
   auto small = ExperimentRig::Create(Catalog::TpcH(0.02), {{"d"}}, 0.02, 3);

@@ -1,4 +1,5 @@
 #include <algorithm>
+#include <functional>
 #include <set>
 #include <vector>
 
@@ -226,6 +227,58 @@ TEST(SpecTest, RejectsBadParameters) {
   EXPECT_FALSE(MakeOlapSpec(c, 0, 1, 7).ok());
   EXPECT_FALSE(MakeOlapSpec(c, 1, 0, 7).ok());
   EXPECT_FALSE(MakeOltpSpec(Catalog::TpcC(0.1), "", 0).ok());
+}
+
+/// Each edit changes one field of a copy of `base`; the copy must then
+/// compare unequal, and an unedited copy equal.
+template <typename T>
+void ExpectEveryEditUnequal(const T& base,
+                            const std::vector<std::function<void(T&)>>& edits) {
+  EXPECT_TRUE(T(base) == base);
+  for (size_t e = 0; e < edits.size(); ++e) {
+    T edited = base;
+    edits[e](edited);
+    EXPECT_FALSE(edited == base) << "edit " << e;
+  }
+}
+
+// Specs compare field by field, nested levels included: the rig reuses a
+// traced run only for specs equal to the traced ones.
+TEST(SpecTest, ChangingAnyFieldMakesSpecsUnequal) {
+  const StreamSpec stream{3, kMiB, 64 * kKiB, AccessPattern::kRandom, 0.25};
+  ExpectEveryEditUnequal<StreamSpec>(
+      stream, {[](StreamSpec& s) { s.object = 4; },
+               [](StreamSpec& s) { s.bytes += 1; },
+               [](StreamSpec& s) { s.request_bytes = 8 * kKiB; },
+               [](StreamSpec& s) { s.pattern = AccessPattern::kAppend; },
+               [](StreamSpec& s) { s.write_fraction = 0.5; }});
+
+  const QueryStep step{{stream, stream}, 2};
+  ExpectEveryEditUnequal<QueryStep>(
+      step, {[](QueryStep& s) { s.streams[1].bytes += 1; },
+             [](QueryStep& s) { s.streams.pop_back(); },
+             [](QueryStep& s) { s.depth = 3; }});
+
+  const QueryProfile profile{"Q1", {step, step}};
+  ExpectEveryEditUnequal<QueryProfile>(
+      profile, {[](QueryProfile& q) { q.name = "Q2"; },
+                [](QueryProfile& q) { q.steps[1].depth = 1; },
+                [](QueryProfile& q) { q.steps.pop_back(); }});
+
+  const OlapSpec olap{"OLAP1-2", {profile, profile}, 2};
+  ExpectEveryEditUnequal<OlapSpec>(
+      olap, {[](OlapSpec& o) { o.name = "OLAP1-3"; },
+             [](OlapSpec& o) { o.queries[1].steps[0].streams[0].object = 5; },
+             [](OlapSpec& o) { o.queries.pop_back(); },
+             [](OlapSpec& o) { o.concurrency = 1; }});
+
+  const OltpSpec oltp{"TPC-C", profile, 9, 5.0, 1.2};
+  ExpectEveryEditUnequal<OltpSpec>(
+      oltp, {[](OltpSpec& o) { o.name = "TPC-C'"; },
+             [](OltpSpec& o) { o.transaction.name = "NewOrder"; },
+             [](OltpSpec& o) { o.terminals = 8; },
+             [](OltpSpec& o) { o.warmup_s = 0.0; },
+             [](OltpSpec& o) { o.txn_overhead_s = 1.0; }});
 }
 
 // ------------------------------------------------------------------ Runner
