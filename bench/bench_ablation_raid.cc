@@ -67,7 +67,8 @@ int main(int argc, char** argv) {
       auto oltp = MakeOltpSpec(oltp_rig->catalog(), "", 9, 5.0);
       if (oltp.ok()) {
         auto advised_oltp = AdviseForWorkload(*oltp_rig, nullptr, &*oltp,
-                                              AdvisorOptions{});
+                                              AdvisorOptions{},
+                                              /*oltp_duration_s=*/60.0);
         if (advised_oltp.ok()) {
           auto run = oltp_rig->Execute(advised_oltp->result.final_layout,
                                        nullptr, &*oltp, /*duration=*/60.0);

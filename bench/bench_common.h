@@ -90,7 +90,10 @@ Result<ExperimentRig> FourDiskTpchRig(const BenchEnv& env);
 Layout SeeLayout(const ExperimentRig& rig);
 
 /// The full advisor pipeline of Section 6: trace the workloads under SEE,
-/// fit workload descriptions, and recommend a layout.
+/// fit workload descriptions, and recommend a layout. `oltp_duration_s` is
+/// the trace length of an OLTP-only run (ExperimentRig::FitWorkloads); with
+/// an OLAP spec the trace runs the OLAP streams to completion and ignores
+/// it, so only OLTP-only callers pass one.
 struct AdvisedLayout {
   LayoutProblem problem;
   AdvisorResult result;
@@ -99,7 +102,7 @@ Result<AdvisedLayout> AdviseForWorkload(const ExperimentRig& rig,
                                         const OlapSpec* olap,
                                         const OltpSpec* oltp,
                                         AdvisorOptions options = {},
-                                        double oltp_duration_s = 60.0);
+                                        double oltp_duration_s = 0.0);
 
 /// Renders the rows of `layout` restricted to the `count` objects with the
 /// highest fitted request rates (the way the paper's layout figures show

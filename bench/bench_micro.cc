@@ -2,10 +2,11 @@
 // times, the simulator's event throughput, LVM mapping, cost-model
 // interpolation, the trace fit, the workload runner's request path, the
 // target model's utilization computation (the solver's inner loop), the
-// fused column kernel, the regularizer sweep,
-// simplex projection, a small end-to-end solve, a full solve shaped
-// like one advise_4x96 problem, single-seed and raced multi-start, a WAL
-// append + fsync, and one aligned FileBackend write + read round-trip.
+// fused column kernel (at a fixed layout and as a line-search trial), the
+// regularizer sweep, simplex projection, a small end-to-end solve, a full
+// solve shaped like one advise_4x96 problem, single-seed and raced
+// multi-start, the scenario player's open-loop replay, a WAL append +
+// fsync, and one aligned FileBackend write + read round-trip.
 //
 // --json[=path] maps onto google-benchmark's JSON reporters, so every
 // benchmark binary in this repo shares one machine-readable flag.
@@ -29,6 +30,8 @@
 #include "model/calibration.h"
 #include "model/target_model.h"
 #include "monitor/online_analyzer.h"
+#include "scenario/player.h"
+#include "scenario/scenario.h"
 #include "solver/multistart.h"
 #include "solver/projected_gradient.h"
 #include "solver/simplex.h"
@@ -280,6 +283,42 @@ void BM_WorkloadRunnerRequests(benchmark::State& state) {
 }
 BENCHMARK(BM_WorkloadRunnerRequests)->Unit(benchmark::kMillisecond);
 
+void BM_ScenarioPlayerSteps(benchmark::State& state) {
+  // The open-loop scenario step kernel: per-tenant Poisson arrivals under
+  // a phase shift, community co-access bursts with rewiring, through the
+  // volume manager, four disks and the event queue — the foreground of
+  // every scenario_autopilot replay. Items are logical requests.
+  constexpr int kObjects = 16;
+  auto spec = ParseScenarioSpec(
+      "duration=20;seed=7;"
+      "tenant=alpha,objects=0:8,rate=40,bytes=65536,write=0.2,runs=4;"
+      "tenant=beta,objects=8:16,rate=10,bytes=8192,write=0.3;"
+      "phase=beta,start=10,end=20,x=4;"
+      "graph=alpha,communities=4,coaccess=0.8,rewire=5,burst=3");
+  LDB_CHECK(spec.ok());
+  const std::vector<int64_t> sizes(kObjects, 64 * kMiB);
+  DiskModel proto(Scsi15kParams());
+  uint64_t requests = 0;
+  for (auto _ : state) {
+    StorageSystem sys({{"d0", &proto, 1, 64 * kKiB},
+                       {"d1", &proto, 1, 64 * kKiB},
+                       {"d2", &proto, 1, 64 * kKiB},
+                       {"d3", &proto, 1, 64 * kKiB}});
+    std::vector<std::vector<int>> placements(kObjects,
+                                             std::vector<int>{0, 1, 2, 3});
+    auto volumes = StripedVolumeManager::Create(
+        sizes, std::move(placements), sys.capacities(), 64 * kKiB);
+    LDB_CHECK(volumes.ok());
+    PassthroughRouter router(&*volumes);
+    ScenarioPlayer player(&sys, &router, *spec);
+    auto run = player.Play();
+    LDB_CHECK(run.ok());
+    requests += player.stats().requests;
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(requests));
+}
+BENCHMARK(BM_ScenarioPlayerSteps)->Unit(benchmark::kMillisecond);
+
 void BM_OnlineAnalyzerObserve(benchmark::State& state) {
   // The autopilot monitor's I/O hot path: one completion event through the
   // decayed trace fitter (reorder heap, rates, sizes, run detection, the
@@ -458,7 +497,9 @@ BENCHMARK(BM_GridInterpAtWithGrad);
 void BM_TargetModelColumnGradient(benchmark::State& state) {
   // The analytic engine's unit of work: one fused pass returning µ_j and
   // all N partials ∂µ_j/∂L_ij (the solver prices every line-search trial
-  // with it).
+  // with it). The layout never changes, so after the first pass every
+  // object's cost-table lookups are memo hits; BM_TargetModelColumnTrial
+  // times passes whose inputs move.
   const int n = static_cast<int>(state.range(0));
   const int m = 4;
   Rng rng(3);
@@ -476,6 +517,43 @@ void BM_TargetModelColumnGradient(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_TargetModelColumnGradient)->Arg(20)->Arg(40)->Arg(160);
+
+void BM_TargetModelColumnTrial(benchmark::State& state) {
+  // The fused pass as a line-search trial meets it: one row moves per
+  // pass, which moves the contention factor of every present object that
+  // overlaps it, on a column where about half the objects are absent
+  // (their lookups sit at a fixed fraction → 0 limit). Items are passes.
+  const int n = static_cast<int>(state.range(0));
+  const int m = 4;
+  Rng rng(3);
+  WorkloadSet ws = MakeWorkloads(n, &rng);
+  std::vector<TargetModelInfo> infos(
+      static_cast<size_t>(m),
+      TargetModelInfo{&SharedCostModel(), 1, 64 * kKiB});
+  TargetModel model(infos, LvmLayoutModel(64 * kKiB));
+  Layout layout = Layout::StripeEverythingEverywhere(n, m);
+  for (int i = 0; i < n; i += 2) {
+    layout.Set(i, 0, 0.0);
+    for (int j = 1; j < m; ++j) layout.Set(i, j, 1.0 / (m - 1));
+  }
+  auto ctx = model.MakeColumnEvaluator(ws, 0);
+  std::vector<double> grad(static_cast<size_t>(n));
+  // Present rows step their column-0 fraction up and down in turn.
+  int i = 1;
+  double step = 0.01;
+  for (auto _ : state) {
+    layout.Set(i, 0, layout.At(i, 0) + step);
+    benchmark::DoNotOptimize(ctx->EvaluateWithGradient(layout, grad.data()));
+    benchmark::DoNotOptimize(grad.data());
+    i += 2;
+    if (i >= n) {
+      i = 1;
+      step = -step;
+    }
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_TargetModelColumnTrial)->Arg(20)->Arg(96)->Arg(160);
 
 /// Tenant-banded workloads: each object overlaps only its `neighbors`
 /// ring neighbours.
@@ -638,16 +716,26 @@ BENCHMARK(BM_RegularizeSweep)
     ->Unit(benchmark::kMillisecond);
 
 void BM_SimplexProjection(benchmark::State& state) {
+  // Rows are drawn before timing and copied in per iteration, so the time
+  // is the projection's, not the random draws'.
   const size_t n = static_cast<size_t>(state.range(0));
+  constexpr size_t kRows = 64;
   Rng rng(4);
+  std::vector<double> rows(kRows * n);
+  for (auto& x : rows) x = rng.Uniform(-1, 2);
   std::vector<double> v(n);
+  size_t r = 0;
   for (auto _ : state) {
-    for (auto& x : v) x = rng.Uniform(-1, 2);
+    std::copy_n(rows.begin() + static_cast<std::ptrdiff_t>(r * n), n,
+                v.begin());
     ProjectToSimplex(v.data(), n);
     benchmark::DoNotOptimize(v.data());
+    benchmark::ClobberMemory();
+    r = (r + 1) % kRows;
   }
 }
-BENCHMARK(BM_SimplexProjection)->Arg(4)->Arg(40);
+// Arg(10) is the solver's row: one entry per target of advise_4x96.
+BENCHMARK(BM_SimplexProjection)->Arg(4)->Arg(10)->Arg(40);
 
 void BM_SolverSmallProblemCached(benchmark::State& state) {
   // A small full solve (10 objects, 4 targets). The name predates the

@@ -12,9 +12,16 @@ class Layout;
 ///
 /// The solver prices every layout it visits (the seed and each
 /// line-search trial) with one fused value+gradient pass per column. A pass
-/// costs one O(N²) interference product plus O(N) cost-table lookups.
-/// Evaluators for distinct columns must be usable concurrently (the
-/// solver holds one per column, each driven by one task at a time).
+/// costs one O(N²) interference product plus at most O(N) cost-table
+/// lookups. Evaluators for distinct columns must be usable concurrently
+/// (the solver holds one per column, each driven by one task at a time).
+///
+/// An evaluator may keep state between passes only to skip work — the
+/// target model's kernel remembers each object's last lookup inputs and
+/// results, keyed on exact equality — never in a way that changes a
+/// result: every pass returns the doubles a fresh evaluator would for the
+/// same layout, whatever layouts came before. That is what lets the solver
+/// price trials and adopted layouts on different evaluators.
 class ColumnEvaluator {
  public:
   virtual ~ColumnEvaluator() = default;
@@ -26,8 +33,9 @@ class ColumnEvaluator {
   /// subgradient is produced.
   virtual double EvaluateWithGradient(const Layout& layout, double* grad) = 0;
 
-  /// Interpolator queries issued by the kernel since construction
-  /// (profiling counter; 0 when the evaluator has no cost tables).
+  /// Cost-table lookups the kernel actually performed since construction
+  /// (profiling counter; lookups skipped by a memo do not count; 0 when
+  /// the evaluator has no cost tables).
   virtual int64_t interp_queries() const { return 0; }
 };
 

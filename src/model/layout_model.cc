@@ -9,56 +9,8 @@ LvmLayoutModel::LvmLayoutModel(int64_t stripe_bytes)
   LDB_CHECK_GT(stripe_bytes_, 0);
 }
 
-PerTargetWorkload LvmLayoutModel::Transform(const WorkloadDesc& w,
-                                            double fraction) const {
-  LDB_CHECK_GE(fraction, 0.0);
-  LDB_CHECK_LE(fraction, 1.0 + 1e-9);
-  PerTargetWorkload out;
-  if (fraction <= 0.0) return out;
-
-  // Request sizes are unchanged by striping; rates scale with the fraction
-  // of the object (and hence of its accesses) on this target.
-  out.read_size = w.read_size;
-  out.write_size = w.write_size;
-  out.read_rate = w.read_rate * fraction;
-  out.write_rate = w.write_rate * fraction;
-
-  // Run count (Figure 7). A run of Q_i requests of mean size B_i covers
-  // Q_i*B_i bytes:
-  //  * fits within one stripe               -> stays intact: Q_i;
-  //  * spans more than StripeSize/L_ij      -> split round-robin over the
-  //    object's targets, this target sees its share: Q_i * L_ij;
-  //  * otherwise the stripe boundary caps the run: StripeSize / B_i.
-  const double stripe = static_cast<double>(stripe_bytes_);
-  const double b = w.mean_size();
-  if (b <= 0.0) {
-    out.run_count = w.run_count;
-  } else if (w.run_count * b < stripe) {
-    out.run_count = w.run_count;
-  } else if (w.run_count * b > stripe / fraction) {
-    out.run_count = w.run_count * fraction;
-  } else {
-    out.run_count = stripe / b;
-  }
-  if (out.run_count < 1.0) out.run_count = 1.0;
-  return out;
-}
-
-double LvmLayoutModel::TransformRunDerivative(const WorkloadDesc& w,
-                                              double fraction) const {
-  LDB_CHECK_GE(fraction, 0.0);
-  LDB_CHECK_LE(fraction, 1.0 + 1e-9);
-  if (fraction <= 0.0) return 0.0;
-  const double stripe = static_cast<double>(stripe_bytes_);
-  const double b = w.mean_size();
-  // Mirror Transform's branch structure: only the round-robin split branch
-  // moves with the fraction, and the clamp at 1 flattens it again.
-  if (b <= 0.0) return 0.0;
-  if (w.run_count * b < stripe) return 0.0;
-  if (w.run_count * b > stripe / fraction) {
-    return w.run_count * fraction < 1.0 ? 0.0 : w.run_count;
-  }
-  return 0.0;
+double LvmLayoutModel::MeanSize(const WorkloadDesc& w) {
+  return w.mean_size();
 }
 
 }  // namespace ldb

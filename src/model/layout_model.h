@@ -4,6 +4,7 @@
 #include <cstdint>
 
 #include "model/workload.h"
+#include "util/check.h"
 #include "util/units.h"
 
 namespace ldb {
@@ -31,8 +32,10 @@ class LvmLayoutModel {
   explicit LvmLayoutModel(int64_t stripe_bytes = kMiB);
 
   /// Computes W_ij for L_ij = `fraction`. A zero fraction yields an
-  /// all-zero workload.
-  PerTargetWorkload Transform(const WorkloadDesc& w, double fraction) const;
+  /// all-zero workload. Inline, with TransformRunDerivative: the column
+  /// kernel calls both once per object per pass.
+  inline PerTargetWorkload Transform(const WorkloadDesc& w,
+                                     double fraction) const;
 
   /// d(run_count)/d(fraction) of Transform at `fraction` — the analytic
   /// counterpart used by the solver's closed-form gradient. The run count
@@ -41,13 +44,73 @@ class LvmLayoutModel {
   /// clamp at 1; every other branch is constant. At branch boundaries the
   /// slope of the branch Transform itself takes is returned — a valid
   /// subgradient.
-  double TransformRunDerivative(const WorkloadDesc& w, double fraction) const;
+  inline double TransformRunDerivative(const WorkloadDesc& w,
+                                       double fraction) const;
 
   int64_t stripe_bytes() const { return stripe_bytes_; }
 
  private:
+  /// w.mean_size(), computed out of line. Inline, its mul-add would be
+  /// contracted to an FMA in the translation units built with -mfma (the
+  /// batched kernels) and rounded separately everywhere else; one copy
+  /// keeps Transform's result the same in every caller, which is what
+  /// keeps TargetUtilization and the regularizer's pricer bit-identical.
+  static double MeanSize(const WorkloadDesc& w);
+
   int64_t stripe_bytes_;
 };
+
+PerTargetWorkload LvmLayoutModel::Transform(const WorkloadDesc& w,
+                                            double fraction) const {
+  LDB_CHECK_GE(fraction, 0.0);
+  LDB_CHECK_LE(fraction, 1.0 + 1e-9);
+  PerTargetWorkload out;
+  if (fraction <= 0.0) return out;
+
+  // Request sizes are unchanged by striping; rates scale with the fraction
+  // of the object (and hence of its accesses) on this target.
+  out.read_size = w.read_size;
+  out.write_size = w.write_size;
+  out.read_rate = w.read_rate * fraction;
+  out.write_rate = w.write_rate * fraction;
+
+  // Run count (Figure 7). A run of Q_i requests of mean size B_i covers
+  // Q_i*B_i bytes:
+  //  * fits within one stripe               -> stays intact: Q_i;
+  //  * spans more than StripeSize/L_ij      -> split round-robin over the
+  //    object's targets, this target sees its share: Q_i * L_ij;
+  //  * otherwise the stripe boundary caps the run: StripeSize / B_i.
+  const double stripe = static_cast<double>(stripe_bytes_);
+  const double b = MeanSize(w);
+  if (b <= 0.0) {
+    out.run_count = w.run_count;
+  } else if (w.run_count * b < stripe) {
+    out.run_count = w.run_count;
+  } else if (w.run_count * b > stripe / fraction) {
+    out.run_count = w.run_count * fraction;
+  } else {
+    out.run_count = stripe / b;
+  }
+  if (out.run_count < 1.0) out.run_count = 1.0;
+  return out;
+}
+
+double LvmLayoutModel::TransformRunDerivative(const WorkloadDesc& w,
+                                              double fraction) const {
+  LDB_CHECK_GE(fraction, 0.0);
+  LDB_CHECK_LE(fraction, 1.0 + 1e-9);
+  if (fraction <= 0.0) return 0.0;
+  const double stripe = static_cast<double>(stripe_bytes_);
+  const double b = MeanSize(w);
+  // Mirror Transform's branch structure: only the round-robin split branch
+  // moves with the fraction, and the clamp at 1 flattens it again.
+  if (b <= 0.0) return 0.0;
+  if (w.run_count * b < stripe) return 0.0;
+  if (w.run_count * b > stripe / fraction) {
+    return w.run_count * fraction < 1.0 ? 0.0 : w.run_count;
+  }
+  return 0.0;
+}
 
 }  // namespace ldb
 

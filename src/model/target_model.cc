@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "util/check.h"
 
@@ -210,7 +211,8 @@ class TargetColumnContext final : public ColumnEvaluator {
   // transposed overlap-matrix·vector product — O(stored overlap entries),
   // the same work as the interference dots. Cost-table lookups run at
   // cells located once: request sizes per query template, run count and χ
-  // per object.
+  // per object. An object whose (run, χ) equals its last pass's prices no
+  // lookup at all (LookupMemo).
 
   double EvaluateWithGradient(const Layout& layout, double* grad) override {
     return BatchedColumn(layout, grad);
@@ -295,6 +297,70 @@ class TargetColumnContext final : public ColumnEvaluator {
     }
   }
 
+  /// One object's member-cost sums at its last priced (run, χ), and the run
+  /// cell last located for it. The sums are a function of (run, χ) alone —
+  /// the query template and cost tables are fixed for the context's
+  /// lifetime — so a pass whose inputs compare equal to the keys reuses
+  /// them and gets the doubles a fresh lookup would compute. Keys start as
+  /// NaN, which equals nothing (a NaN input always misses). The one pair of
+  /// equal doubles with different bits, ±0, can only be a χ (run ≥ 1), and
+  /// both clamp to the same cell at the contention axis front, which
+  /// CostModel::Create holds at ≥ 0.
+  ///
+  /// The run cell has its own key: on a constant run-count branch χ moves
+  /// every pass while run does not.
+  struct LookupMemo {
+    double run = std::numeric_limits<double>::quiet_NaN();
+    double chi = std::numeric_limits<double>::quiet_NaN();
+    double mc_read = 0.0, mc_write = 0.0;      ///< member costs
+    double drun_read = 0.0, drun_write = 0.0;  ///< their ∂/∂run
+    double dchi_read = 0.0, dchi_write = 0.0;  ///< their ∂/∂χ
+    double cell_run = std::numeric_limits<double>::quiet_NaN();
+    CostModel::Cell run_cell{};
+  };
+
+  /// Prices object i's query template at (run, χ) into `m`, unless `m`
+  /// already holds that point.
+  void PriceObject(const CostModel& cm, size_t i, double run, double chi,
+                   LookupMemo* m) {
+    if (run == m->run && chi == m->chi) return;
+    if (run != m->cell_run) {
+      m->run_cell = cm.LocateLog2Run(std::log2(run));
+      m->cell_run = run;
+    }
+    const CostModel::Cell chi_cell = cm.LocateChi(chi);
+    const double run_scale = run * CostModel::kLn2;
+    double mc_read = 0.0, mc_write = 0.0;
+    double drun_read = 0.0, drun_write = 0.0;
+    double dchi_read = 0.0, dchi_write = 0.0;
+    const size_t q_end = tmpl_begin_[i + 1];
+    queries_ += static_cast<int64_t>(q_end - tmpl_begin_[i]);
+    for (size_t q = tmpl_begin_[i]; q < q_end; ++q) {
+      const QueryTemplate& t = tmpl_[q];
+      double g[3];
+      const double cost =
+          cm.table(t.write_table).ValueGrad3(t.size, m->run_cell, chi_cell, g);
+      const double d_run = g[1] / run_scale;
+      if (t.write_role) {
+        mc_write += t.coef * cost;
+        drun_write += t.coef * d_run;
+        dchi_write += t.coef * g[2];
+      } else {
+        mc_read += t.coef * cost;
+        drun_read += t.coef * d_run;
+        dchi_read += t.coef * g[2];
+      }
+    }
+    m->run = run;
+    m->chi = chi;
+    m->mc_read = mc_read;
+    m->mc_write = mc_write;
+    m->drun_read = drun_read;
+    m->drun_write = drun_write;
+    m->dchi_read = dchi_read;
+    m->dchi_write = dchi_write;
+  }
+
   /// Transform's run count in the fraction → 0+ limit: the round-robin
   /// split branch (run ∝ fraction) is unreachable there, leaving the
   /// constant branches.
@@ -314,7 +380,10 @@ class TargetColumnContext final : public ColumnEvaluator {
     const size_t un = static_cast<size_t>(n);
     const TargetModelInfo& tgt = model_->target_info(j_);
     EnsureDiagonal(un);
-    if (tmpl_begin_.size() != un + 1) BuildQueryTemplate(tgt, un);
+    if (tmpl_begin_.size() != un + 1) {
+      BuildQueryTemplate(tgt, un);
+      memo_.assign(un, LookupMemo{});
+    }
 
     bper_.resize(un);
     bfrac_.resize(un);
@@ -359,12 +428,10 @@ class TargetColumnContext final : public ColumnEvaluator {
       binterf_[i] = std::max(0.0, dot - rate[i] * diag_[i]);
     }
 
-    // Price each object's lookups inline at cells located once per object
-    // (both tables share the run and χ axes).
+    // Price each object's lookups at cells located once per object (both
+    // tables share the run and χ axes), or reuse its last pass's sums.
     const CostModel& cm = *tgt.cost_model;
     double mu_j = 0.0;
-    mc_read_.resize(un);
-    mc_write_.resize(un);
     brun_slope_.resize(un);
     ck_.assign(un, 0.0);
     bslope_.assign(un, 0.0);
@@ -382,41 +449,18 @@ class TargetColumnContext final : public ColumnEvaluator {
         run = LimitRunCount(wi);
         chi = binterf_[i] > 0.0 ? kClampedChi : diag_[i];
       }
-      const CostModel::Cell run_cell = cm.LocateLog2Run(std::log2(run));
-      const CostModel::Cell chi_cell = cm.LocateChi(chi);
-      const double run_scale = run * CostModel::kLn2;
-      double mc_read = 0.0, mc_write = 0.0;
-      double drun_read = 0.0, drun_write = 0.0;
-      double dchi_read = 0.0, dchi_write = 0.0;
-      const size_t q_end = tmpl_begin_[i + 1];
-      queries_ += static_cast<int64_t>(q_end - tmpl_begin_[i]);
-      for (size_t q = tmpl_begin_[i]; q < q_end; ++q) {
-        const QueryTemplate& t = tmpl_[q];
-        double g[3];
-        const double cost =
-            cm.table(t.write_table).ValueGrad3(t.size, run_cell, chi_cell, g);
-        const double d_run = g[1] / run_scale;
-        if (t.write_role) {
-          mc_write += t.coef * cost;
-          drun_write += t.coef * d_run;
-          dchi_write += t.coef * g[2];
-        } else {
-          mc_read += t.coef * cost;
-          drun_read += t.coef * d_run;
-          dchi_read += t.coef * g[2];
-        }
-      }
-      mc_read_[i] = mc_read;
-      mc_write_[i] = mc_write;
+      LookupMemo& m = memo_[i];
+      PriceObject(cm, i, run, chi, &m);
       if (rate[i] <= 0.0) continue;  // absent: adds nothing to the value
       const PerTargetWorkload& p = bper_[i];
-      mu_j += p.read_rate * mc_read + p.write_rate * mc_write;
+      mu_j += p.read_rate * m.mc_read + p.write_rate * m.mc_write;
       // χ-slope and its rate-normalized cross-term coefficient; the
       // run-branch slope waits for the layout model's Q′.
-      const double slope = p.read_rate * dchi_read + p.write_rate * dchi_write;
+      const double slope =
+          p.read_rate * m.dchi_read + p.write_rate * m.dchi_write;
       bslope_[i] = slope;
       ck_[i] = slope / rate[i];
-      brun_slope_[i] = p.read_rate * drun_read + p.write_rate * drun_write;
+      brun_slope_[i] = p.read_rate * m.drun_read + p.write_rate * m.drun_write;
     }
 
     // Cross terms for every i at once: Σ_k c_k·O_k[i] is a transposed
@@ -438,8 +482,8 @@ class TargetColumnContext final : public ColumnEvaluator {
     for (size_t i = 0; i < un; ++i) {
       const WorkloadDesc& wi = (*workloads_)[i];
       const double lam = wi.total_rate();
-      double g =
-          wi.read_rate * mc_read_[i] + wi.write_rate * mc_write_[i];
+      double g = wi.read_rate * memo_[i].mc_read +
+                 wi.write_rate * memo_[i].mc_write;
       g += lam * (cross[i] - ck_[i] * diag_[i]);
       if (rate[i] > 0.0) {
         const double dq =
@@ -457,13 +501,15 @@ class TargetColumnContext final : public ColumnEvaluator {
   const int j_;
 
   // Built once per context: the overlap diagonal and the query template.
-  // Then the scratch buffers every pass reuses.
+  // Then the per-object lookup memo and the scratch buffers every pass
+  // reuses.
   std::vector<double> diag_;
   std::vector<QueryTemplate> tmpl_;
   std::vector<size_t> tmpl_begin_;
+  std::vector<LookupMemo> memo_;
   std::vector<PerTargetWorkload> bper_;
   std::vector<double> bfrac_, brate_, binterf_;
-  std::vector<double> mc_read_, mc_write_, brun_slope_;
+  std::vector<double> brun_slope_;
   std::vector<double> ck_, bslope_, bcross_;
   int64_t queries_ = 0;
 };

@@ -111,8 +111,9 @@ struct SolverResult {
   /// Fused value+gradient column passes that ran: one per column for the
   /// seed, for every line-search trial and after a capacity repair.
   int64_t gradient_evaluations = 0;
-  /// Cost-table lookups issued by the batched analytic kernels (each
-  /// visits the 2^dims corners of one grid cell).
+  /// Cost-table lookups the column kernels performed (each visits the
+  /// 2^dims corners of one grid cell); lookups an evaluator's memo
+  /// answered do not count.
   int64_t interp_queries = 0;
   /// Per-phase counters and timings of this solve.
   SolverProfile profile;

@@ -68,30 +68,6 @@ bool RowFrozen(const LayoutNlpProblem& p, int i) {
          p.frozen_rows[static_cast<size_t>(i)] != 0;
 }
 
-/// Projects row `i` onto its feasible simplex: the full simplex when the
-/// object is unrestricted, else the sub-simplex spanned by its allowed
-/// targets (disallowed coordinates are zeroed). The two scratch vectors are
-/// reused across calls so the per-row line-search projections allocate
-/// nothing after warm-up.
-void ProjectRowConstrained(const LayoutNlpProblem& p, int i, double* row,
-                           std::vector<double>* sub_scratch,
-                           std::vector<double>* sort_scratch) {
-  const std::vector<int>& allowed = p.constraints.AllowedFor(i);
-  if (allowed.empty()) {
-    ProjectToSimplex(row, static_cast<size_t>(p.num_targets), 1.0,
-                     sort_scratch);
-    return;
-  }
-  std::vector<double>& sub = *sub_scratch;
-  sub.clear();
-  for (int j : allowed) sub.push_back(row[j]);
-  ProjectToSimplex(sub.data(), sub.size(), 1.0, sort_scratch);
-  for (int j = 0; j < p.num_targets; ++j) row[j] = 0.0;
-  for (size_t k = 0; k < allowed.size(); ++k) {
-    row[allowed[k]] = sub[k];
-  }
-}
-
 /// Quadratic separation penalty: sum over constrained pairs of the
 /// pairwise co-location mass Σ_j L_aj * L_bj.
 double SeparationPenalty(const LayoutNlpProblem& p, const Layout& layout) {
@@ -189,11 +165,12 @@ class Evaluator {
   }
 
   /// Takes over another evaluator's caches, gradient included, by
-  /// swapping buffers. Valid because the column evaluators keep no
-  /// per-layout state: the line search just priced the accepted trial
-  /// layout — value and gradient — so the step needs no further column
-  /// pass. `o` is left with this evaluator's stale buffers, which its next
-  /// Refresh overwrites.
+  /// swapping buffers. Valid because a column pass is a pure function of
+  /// its layout (a column evaluator's lookup memo only skips work): the
+  /// line search just priced the accepted trial layout — value and
+  /// gradient — so the step needs no further column pass. `o` is left
+  /// with this evaluator's stale buffers, which its next Refresh
+  /// overwrites.
   void AdoptState(Evaluator* o) {
     mu_.swap(o->mu_);
     dmu_.swap(o->dmu_);
@@ -310,6 +287,25 @@ void RepairCapacity(const LayoutNlpProblem& p, Layout* layout) {
 }
 
 }  // namespace
+
+void ProjectRowConstrained(const LayoutNlpProblem& p, int i, double* row,
+                           std::vector<double>* sub_scratch,
+                           std::vector<double>* sort_scratch) {
+  const std::vector<int>& allowed = p.constraints.AllowedFor(i);
+  if (allowed.empty()) {
+    ProjectToSimplex(row, static_cast<size_t>(p.num_targets), 1.0,
+                     sort_scratch);
+    return;
+  }
+  std::vector<double>& sub = *sub_scratch;
+  sub.clear();
+  for (int j : allowed) sub.push_back(row[j]);
+  ProjectToSimplex(sub.data(), sub.size(), 1.0, sort_scratch);
+  for (int j = 0; j < p.num_targets; ++j) row[j] = 0.0;
+  for (size_t k = 0; k < allowed.size(); ++k) {
+    row[allowed[k]] = sub[k];
+  }
+}
 
 ProjectedGradientSolver::ProjectedGradientSolver(SolverOptions options)
     : options_(options) {}

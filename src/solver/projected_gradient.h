@@ -70,6 +70,15 @@ class ProjectedGradientSolver {
   SolverOptions options_;
 };
 
+/// Projects row `i` (num_targets entries) onto its feasible simplex: the
+/// full simplex when the object is unrestricted, else the sub-simplex
+/// spanned by its allowed targets (disallowed coordinates are zeroed). The
+/// solver's per-row projection; the two scratch vectors are reused across
+/// calls so line-search projections allocate nothing after warm-up.
+void ProjectRowConstrained(const LayoutNlpProblem& p, int i, double* row,
+                           std::vector<double>* sub_scratch,
+                           std::vector<double>* sort_scratch);
+
 }  // namespace ldb
 
 #endif  // LAYOUTDB_SOLVER_PROJECTED_GRADIENT_H_

@@ -14,9 +14,9 @@ namespace ldb {
 /// the projected-gradient layout solver: every layout row must stay on the
 /// unit simplex (the paper's integrity constraint).
 ///
-/// `scratch`, when provided, is reused for the internal sort buffer so
-/// repeated projections (the solver projects every row every line-search
-/// step) allocate nothing after warm-up.
+/// Rows of up to 16 entries sort in a stack array and allocate nothing.
+/// For longer rows `scratch`, when provided, is reused for the internal
+/// sort buffer so repeated projections allocate nothing after warm-up.
 void ProjectToSimplex(double* v, size_t n, double radius = 1.0,
                       std::vector<double>* scratch = nullptr);
 

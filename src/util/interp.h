@@ -1,9 +1,11 @@
 #ifndef LAYOUTDB_UTIL_INTERP_H_
 #define LAYOUTDB_UTIL_INTERP_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <vector>
 
+#include "util/check.h"
 #include "util/status.h"
 
 namespace ldb {
@@ -64,7 +66,8 @@ class GridInterpolator {
   /// Locates `x` on axis `d` (one binary search; `d` < dimensions()).
   /// Cells depend only on the axis, so a cell located once prices every
   /// grid built on the same axes and every query sharing that coordinate.
-  Cell Locate(size_t d, double x) const;
+  /// Inline, like ValueGrad3: both sit in the solver's per-lookup loop.
+  inline Cell Locate(size_t d, double x) const;
 
   /// Value and partial derivative along each axis (`grad_out` gets 3
   /// entries) of a 3-axis grid at cells located on its axes 0, 1, 2: a
@@ -73,8 +76,8 @@ class GridInterpolator {
   /// rounding (different association order); those keep their historical
   /// bit patterns. The grid must have exactly 3 axes — this is the solver's
   /// per-lookup kernel, so callers check that once, not per query.
-  double ValueGrad3(const Cell& c0, const Cell& c1, const Cell& c2,
-                    double* grad_out) const;
+  inline double ValueGrad3(const Cell& c0, const Cell& c1, const Cell& c2,
+                           double* grad_out) const;
 
   size_t dimensions() const { return axes_.size(); }
   const std::vector<std::vector<double>>& axes() const { return axes_; }
@@ -92,8 +95,66 @@ class GridInterpolator {
 /// Finds the cell `[i, i+1]` of a strictly increasing axis containing `x`
 /// and the interpolation weight `w` of the upper edge, clamping out-of-range
 /// queries. With a single-entry axis returns i=0, w=0.
-void LocateOnAxis(const std::vector<double>& axis, double x, size_t* index,
-                  double* weight);
+inline void LocateOnAxis(const std::vector<double>& axis, double x,
+                         size_t* index, double* weight) {
+  LDB_CHECK(!axis.empty());
+  if (axis.size() == 1 || x <= axis.front()) {
+    *index = 0;
+    *weight = 0.0;
+    return;
+  }
+  if (x >= axis.back()) {
+    *index = axis.size() - 2;
+    *weight = 1.0;
+    return;
+  }
+  const auto it = std::upper_bound(axis.begin(), axis.end(), x);
+  const size_t hi = static_cast<size_t>(it - axis.begin());
+  const size_t lo = hi - 1;
+  *index = lo;
+  *weight = (x - axis[lo]) / (axis[hi] - axis[lo]);
+}
+
+GridInterpolator::Cell GridInterpolator::Locate(size_t d, double x) const {
+  const std::vector<double>& axis = axes_[d];
+  size_t i;
+  double w;
+  LocateOnAxis(axis, x, &i, &w);
+  // A single-entry axis locates to i=0, w=0; aliasing its upper corner to
+  // the lower one keeps the lerp exact without branching in the gather.
+  const size_t j = axis.size() == 1 ? i : i + 1;
+  // 0 where the query clamps (the interpolant is constant there) or the
+  // axis is degenerate; otherwise d(weight)/d(coordinate) on the cell.
+  const double dw = (axis.size() < 2 || x < axis.front() || x > axis.back())
+                        ? 0.0
+                        : 1.0 / (axis[j] - axis[i]);
+  return {i * strides_[d], j * strides_[d], w, dw};
+}
+
+double GridInterpolator::ValueGrad3(const Cell& c0, const Cell& c1,
+                                    const Cell& c2, double* grad_out) const {
+  const double* v = values_.data();
+  const double v000 = v[c0.lo + c1.lo + c2.lo], v001 = v[c0.lo + c1.lo + c2.hi];
+  const double v010 = v[c0.lo + c1.hi + c2.lo], v011 = v[c0.lo + c1.hi + c2.hi];
+  const double v100 = v[c0.hi + c1.lo + c2.lo], v101 = v[c0.hi + c1.lo + c2.hi];
+  const double v110 = v[c0.hi + c1.hi + c2.lo], v111 = v[c0.hi + c1.hi + c2.hi];
+  const double w0 = c0.w, w1 = c1.w, w2 = c2.w;
+  // Lerp chain, innermost axis first.
+  const double a00 = v000 + w2 * (v001 - v000);
+  const double a01 = v010 + w2 * (v011 - v010);
+  const double a10 = v100 + w2 * (v101 - v100);
+  const double a11 = v110 + w2 * (v111 - v110);
+  const double b0 = a00 + w1 * (a01 - a00);
+  const double b1 = a10 + w1 * (a11 - a10);
+  // ∂value/∂w2 collapses the per-corner differences through the same
+  // chain.
+  const double e0 = (v001 - v000) + w1 * ((v011 - v010) - (v001 - v000));
+  const double e1 = (v101 - v100) + w1 * ((v111 - v110) - (v101 - v100));
+  grad_out[0] = (b1 - b0) * c0.dw;
+  grad_out[1] = ((a01 - a00) + w0 * ((a11 - a10) - (a01 - a00))) * c1.dw;
+  grad_out[2] = (e0 + w0 * (e1 - e0)) * c2.dw;
+  return b0 + w0 * (b1 - b0);
+}
 
 }  // namespace ldb
 

@@ -1,5 +1,7 @@
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <memory>
 #include <string>
@@ -698,6 +700,156 @@ TEST(ColumnKernelTest, FusedPassMatchesScalarUtilization) {
   }
   // Absent objects with interferers price their gradient at clamped χ.
   EXPECT_GT(absent_with_interference, 100);
+}
+
+/// Bit pattern of a double: the memo test compares results bit for bit,
+/// which `==` would not (it equates 0.0 and −0.0).
+uint64_t Bits(double x) { return std::bit_cast<uint64_t>(x); }
+
+/// Run-count branch of Transform at a positive fraction: whether the run
+/// is split round-robin (run ∝ fraction) or held constant.
+bool SplitRunBranch(const WorkloadDesc& w, double fraction, double stripe) {
+  const double b = w.mean_size();
+  return b > 0.0 && w.run_count * b >= stripe &&
+         w.run_count * b > stripe / fraction;
+}
+
+TEST(ColumnKernelTest, LookupMemoMatchesFreshEvaluatorsBitForBit) {
+  // One long-lived evaluator per column walks a seeded random sequence of
+  // layouts; at every step its value and gradient must equal, bit for bit,
+  // those of an evaluator built for that layout alone (whose memo is
+  // empty). The walk moves objects absent → present → absent, across the
+  // run-count branches, to χ clamped at both axis ends (0 and past 4), and
+  // keeps rows unchanged between steps so the memo hits.
+  const CostModel cm = MakeKernelCostModel();
+  constexpr double kStripe = 64 * kKiB;
+  constexpr int kN = 12;
+  const double sizes[] = {8 * kKiB, 24 * kKiB, 64 * kKiB, 256 * kKiB};
+  Rng rng(2603);
+  WorkloadSet ws(static_cast<size_t>(kN));
+  for (int i = 0; i < kN; ++i) {
+    WorkloadDesc& w = ws[static_cast<size_t>(i)];
+    w.read_rate = i == 0 ? 0.0 : rng.Uniform(1, 300);   // 0: write-only
+    w.write_rate = i == 1 ? 0.0 : rng.Uniform(1, 80);   // 1: read-only
+    w.read_size = sizes[rng.UniformInt(uint64_t{4})];
+    w.write_size = sizes[rng.UniformInt(uint64_t{4})];
+    // Long runs put the split/capped boundary at fractions the walk
+    // visits; short ones keep the run intact.
+    w.run_count = i % 3 == 0 ? rng.Uniform(1, 4) : rng.Uniform(8, 120);
+    std::vector<double> row(static_cast<size_t>(kN), 0.0);
+    if (i == 2) {
+      // No partners and no self-overlap: χ = 0 whenever present.
+    } else if (i == 3) {
+      // Every partner at full overlap: χ runs past the axis end.
+      for (int k = 0; k < kN; ++k) row[static_cast<size_t>(k)] = 1.0;
+      row[static_cast<size_t>(i)] = 3.0;
+    } else {
+      for (int k = 0; k < kN; ++k) {
+        row[static_cast<size_t>(k)] =
+            k == i ? rng.Uniform(0, 2)
+                   : (rng.Bernoulli(0.5) ? 0.0 : rng.Uniform(0, 1));
+      }
+    }
+    SetOverlapRow(&w, static_cast<size_t>(i), row);
+  }
+  ASSERT_TRUE(ValidateWorkloadSet(ws).ok());
+  const std::vector<TargetModelInfo> infos = {
+      {&cm, 2, 64 * kKiB, RaidLevel::kRaid1},
+      {&cm, 4, 64 * kKiB, RaidLevel::kRaid5},
+      {&cm, 3, 64 * kKiB, RaidLevel::kRaid0}};
+  const int m = static_cast<int>(infos.size());
+  TargetModel tm(infos, LvmLayoutModel(static_cast<int64_t>(kStripe)));
+  const LvmLayoutModel& lm = tm.layout_model();
+
+  std::vector<std::unique_ptr<ColumnEvaluator>> live;
+  for (int j = 0; j < m; ++j) live.push_back(tm.MakeColumnEvaluator(ws, j));
+  int64_t fresh_queries = 0;
+
+  auto random_row = [&](double* row) {
+    double sum = 0.0;
+    for (int j = 0; j < m; ++j) {
+      row[j] = rng.Bernoulli(0.3) ? 0.0 : rng.Uniform(0.001, 1);
+      sum += row[j];
+    }
+    if (sum == 0.0) {
+      row[rng.UniformInt(static_cast<uint64_t>(m))] = 1.0;
+      sum = 1.0;
+    }
+    for (int j = 0; j < m; ++j) row[j] /= sum;
+  };
+  Layout layout(kN, m);
+  for (int i = 0; i < kN; ++i) random_row(layout.Row(i));
+
+  // Coverage of the walk, counted per (object, column).
+  int reentries = 0, branch_switches = 0, chi_at_zero = 0, chi_past_end = 0;
+  int zero_read_present = 0, zero_write_present = 0;
+  std::vector<int> phase(static_cast<size_t>(kN * m), 0);  // 0,1,2,3: a→p→a→p
+  Layout previous = layout;
+  std::vector<double> grad_live(kN), grad_fresh(kN);
+  for (int step = 0; step < 400; ++step) {
+    if (step > 0) {
+      // Re-draw one to three rows; the rest keep their fractions.
+      const int moves = 1 + static_cast<int>(rng.UniformInt(uint64_t{3}));
+      for (int r = 0; r < moves; ++r) {
+        random_row(layout.Row(
+            static_cast<int>(rng.UniformInt(static_cast<uint64_t>(kN)))));
+      }
+    }
+    for (int j = 0; j < m; ++j) {
+      double rates[kN];
+      for (int i = 0; i < kN; ++i) {
+        rates[i] = lm.Transform(ws[static_cast<size_t>(i)], layout.At(i, j))
+                       .total_rate();
+      }
+      for (int i = 0; i < kN; ++i) {
+        const WorkloadDesc& w = ws[static_cast<size_t>(i)];
+        const double f = layout.At(i, j);
+        int& ph = phase[static_cast<size_t>(i * m + j)];
+        if ((f > 0.0) == (ph % 2 == 0)) ++ph;  // absent ↔ present
+        if (ph == 3 && f > 0.0) ++reentries, ph = 1;
+        if (f <= 0.0) continue;
+        zero_read_present += w.read_rate == 0.0;
+        zero_write_present += w.write_rate == 0.0;
+        const double f0 = previous.At(i, j);
+        if (step > 0 && f0 > 0.0 &&
+            SplitRunBranch(w, f0, kStripe) != SplitRunBranch(w, f, kStripe)) {
+          ++branch_switches;
+        }
+        double interfering = 0.0;
+        for (int k = 0; k < kN; ++k) {
+          if (k != i) interfering += rates[k] * w.overlap_with(k);
+        }
+        const double chi = interfering / rates[i] + w.overlap_with(i);
+        chi_at_zero += chi == 0.0;
+        chi_past_end += chi > 4.0;
+      }
+
+      const double v_live =
+          live[static_cast<size_t>(j)]->EvaluateWithGradient(
+              layout, grad_live.data());
+      auto fresh = tm.MakeColumnEvaluator(ws, j);
+      const double v_fresh =
+          fresh->EvaluateWithGradient(layout, grad_fresh.data());
+      fresh_queries += fresh->interp_queries();
+      ASSERT_EQ(Bits(v_live), Bits(v_fresh)) << "step " << step << " j " << j;
+      for (int i = 0; i < kN; ++i) {
+        ASSERT_EQ(Bits(grad_live[static_cast<size_t>(i)]),
+                  Bits(grad_fresh[static_cast<size_t>(i)]))
+            << "step " << step << " j " << j << " i " << i;
+      }
+    }
+    previous = layout;
+  }
+  EXPECT_GT(reentries, 20);
+  EXPECT_GT(branch_switches, 20);
+  EXPECT_GT(chi_at_zero, 20);
+  EXPECT_GT(chi_past_end, 20);
+  EXPECT_GT(zero_read_present, 20);
+  EXPECT_GT(zero_write_present, 20);
+  int64_t live_queries = 0;
+  for (const auto& ctx : live) live_queries += ctx->interp_queries();
+  EXPECT_GT(live_queries, 0);
+  EXPECT_LT(live_queries, fresh_queries);
 }
 
 // ------------------------------------- full row ≡ zero-trimmed row

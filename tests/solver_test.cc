@@ -1,6 +1,8 @@
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <memory>
 #include <numeric>
 #include <vector>
@@ -81,6 +83,122 @@ TEST(SimplexTest, ProjectionIsIdempotent) {
     w = v;
     ProjectToSimplex(w.data(), w.size());
     for (size_t i = 0; i < v.size(); ++i) EXPECT_NEAR(w[i], v[i], 1e-9);
+  }
+}
+
+/// Bit pattern of a double, for bit-for-bit comparisons (`==` equates 0.0
+/// and −0.0).
+uint64_t Bits(double x) { return std::bit_cast<uint64_t>(x); }
+
+/// The sort-and-threshold projection with std::sort on every row: what
+/// ProjectToSimplex runs past its stack-array bound, here for every n.
+std::vector<double> SortProjection(std::vector<double> v) {
+  std::vector<double> u = v;
+  std::sort(u.begin(), u.end(), std::greater<double>());
+  double running = 0.0, cumsum = 0.0;
+  size_t rho = 0;
+  for (size_t k = 0; k < u.size(); ++k) {
+    running += u[k];
+    const double t = (running - 1.0) / static_cast<double>(k + 1);
+    if (u[k] - t > 0.0) {
+      rho = k + 1;
+      cumsum = running;
+    }
+  }
+  const double theta = (cumsum - 1.0) / static_cast<double>(rho);
+  for (double& x : v) x = std::max(0.0, x - theta);
+  return v;
+}
+
+/// One random row of length n in one of four shapes: generic, heavy ties
+/// (signed zeros included), all negative, or already on the simplex.
+std::vector<double> ProjectionRow(size_t n, int shape, Rng* rng) {
+  static const double kTies[] = {0.5, 0.25, 0.0, -0.0, 1.0, -0.25};
+  std::vector<double> v(n);
+  double sum = 0.0;
+  for (double& x : v) {
+    switch (shape) {
+      case 0: x = rng->Uniform(-1, 2); break;
+      case 1: x = kTies[rng->UniformInt(uint64_t{6})]; break;
+      case 2: x = rng->Uniform(-3, -0.1); break;
+      default: x = rng->Uniform(0, 1); break;
+    }
+    sum += x;
+  }
+  if (shape == 3) {
+    for (double& x : v) x /= sum;
+  }
+  return v;
+}
+
+TEST(SimplexTest, SmallRowPathMatchesSortPathBitForBit) {
+  // Rows up to 16 entries are insertion-sorted on the stack, longer ones
+  // std::sort a scratch vector; both must give the sort path's doubles.
+  Rng rng(2604);
+  std::vector<double> scratch;
+  std::vector<size_t> lengths{17, 40};
+  for (size_t n = 1; n <= 16; ++n) lengths.push_back(n);
+  for (size_t n : lengths) {
+    for (int trial = 0; trial < 200; ++trial) {
+      const std::vector<double> v = ProjectionRow(n, trial % 4, &rng);
+      const std::vector<double> want = SortProjection(v);
+      std::vector<double> got = v, got_scratch = v;
+      ProjectToSimplex(got.data(), n);
+      ProjectToSimplex(got_scratch.data(), n, 1.0, &scratch);
+      for (size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(Bits(got[i]), Bits(want[i]))
+            << "n=" << n << " trial=" << trial << " i=" << i;
+        ASSERT_EQ(Bits(got_scratch[i]), Bits(want[i]))
+            << "n=" << n << " trial=" << trial << " i=" << i;
+      }
+    }
+  }
+}
+
+TEST(SimplexTest, ConstrainedRowProjectionMatchesSubsetOracle) {
+  // ProjectRowConstrained projects an unrestricted row onto the full
+  // simplex and a restricted one onto the sub-simplex of its allowed
+  // targets, zeroing the rest; subsets below and above the stack-array
+  // bound take the two sort paths.
+  Rng rng(2605);
+  std::vector<double> sub_scratch, sort_scratch;
+  for (int m : {10, 20, 40}) {
+    LayoutNlpProblem p;
+    p.num_objects = 4;
+    p.num_targets = m;
+    std::vector<int> odd, most, all_but_one;
+    for (int j = 1; j < m; j += 2) odd.push_back(j);
+    for (int j = 0; j < m; ++j) {
+      if (j % 7 != 3) most.push_back(j);
+      if (j != m / 2) all_but_one.push_back(j);
+    }
+    p.constraints.allowed_targets = {{}, odd, most, all_but_one};
+    for (int trial = 0; trial < 100; ++trial) {
+      for (int i = 0; i < p.num_objects; ++i) {
+        const std::vector<double> v =
+            ProjectionRow(static_cast<size_t>(m), trial % 4, &rng);
+        std::vector<double> want(static_cast<size_t>(m), 0.0);
+        const std::vector<int>& allowed = p.constraints.AllowedFor(i);
+        if (allowed.empty()) {
+          want = SortProjection(v);
+        } else {
+          std::vector<double> sub;
+          for (int j : allowed) sub.push_back(v[static_cast<size_t>(j)]);
+          sub = SortProjection(sub);
+          for (size_t k = 0; k < allowed.size(); ++k) {
+            want[static_cast<size_t>(allowed[k])] = sub[k];
+          }
+        }
+        std::vector<double> got = v;
+        ProjectRowConstrained(p, i, got.data(), &sub_scratch, &sort_scratch);
+        for (int j = 0; j < m; ++j) {
+          ASSERT_EQ(Bits(got[static_cast<size_t>(j)]),
+                    Bits(want[static_cast<size_t>(j)]))
+              << "m=" << m << " row=" << i << " trial=" << trial
+              << " j=" << j;
+        }
+      }
+    }
   }
 }
 

@@ -21,9 +21,16 @@ The trajectory file is a JSON array of entries:
 
 With ``--compare-last``, after appending the script also diffs the new
 rows against the previous recorded entry of the same bench: rows are
-matched by their ``row`` (or ``name``) field and every shared numeric
-field is reported as a relative delta, so a row's timings and quality
-numbers can be tracked across PRs.
+matched by their ``row`` (or ``name``) field, or for bench_fig19_opttime
+rows by workload, N and M, and every shared numeric field is reported as
+a relative delta, so a row's timings and quality numbers can be tracked
+across PRs. Timings only print. The solver's effort counters in
+``EXACT_FIELDS`` are deterministic for a given build, so a matched row
+whose value differs from the previous entry fails the comparison: the
+script exits 1.
+
+``git_rev`` is ``git describe --always --dirty``: an entry recorded from
+uncommitted changes reads ``<parent rev>-dirty``.
 
 Only the Python standard library is used.
 """
@@ -37,11 +44,16 @@ from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
+# Effort counters gated exactly by --compare-last: the solver is
+# bit-identical for every thread count, so on one build these only move
+# when the solver's arithmetic or schedule changes.
+EXACT_FIELDS = ("gradient_evaluations", "analytic_iterations")
+
 
 def git_rev():
     try:
         out = subprocess.run(
-            ["git", "-C", str(REPO_ROOT), "rev-parse", "--short", "HEAD"],
+            ["git", "-C", str(REPO_ROOT), "describe", "--always", "--dirty"],
             capture_output=True, text=True, check=True)
         return out.stdout.strip()
     except (OSError, subprocess.CalledProcessError):
@@ -76,14 +88,18 @@ def extract_rows(text):
 
 
 def row_key(row):
-    return row.get("row") or row.get("name")
+    key = row.get("row") or row.get("name")
+    if key is None and "workload" in row:
+        key = f"{row['workload']}/n{row.get('n')}/m{row.get('m')}"
+    return key
 
 
 def compare_entries(prev_rows, rows):
     """Relative deltas of every shared numeric field between two row sets
-    matched by name. Returns printable lines."""
+    matched by key. Returns (printable lines, EXACT_FIELDS mismatches)."""
     prev_by_key = {row_key(r): r for r in prev_rows if row_key(r)}
     lines = []
+    mismatches = []
     for row in rows:
         key = row_key(row)
         prev = prev_by_key.get(key)
@@ -100,9 +116,11 @@ def compare_entries(prev_rows, rows):
                     continue
                 rel = (value - old) / abs(old) if old else float("inf")
                 deltas.append(f"{field} {old:g} -> {value:g} ({rel:+.1%})")
+                if field in EXACT_FIELDS:
+                    mismatches.append(f"{key}: {field} {old:g} -> {value:g}")
         lines.append(f"  {key}: " + ("; ".join(deltas) if deltas
                                      else "unchanged"))
-    return lines
+    return lines, mismatches
 
 
 def main():
@@ -119,7 +137,8 @@ def main():
     parser.add_argument("--compare-last", action="store_true",
                         help="after appending, diff against the previous "
                              "entry of the same bench (rows matched by "
-                             "'row'/'name')")
+                             "'row'/'name'); exit 1 if a matched row's "
+                             + "/".join(EXACT_FIELDS) + " differs")
     args = parser.parse_args()
 
     text = (sys.stdin.read() if args.input == "-"
@@ -147,13 +166,21 @@ def main():
     out_path.write_text(json.dumps(trajectory, indent=2) + "\n")
     print(f"recorded {len(rows)} row(s) from {args.bench} -> {out_path}")
     if args.compare_last:
-        if previous:
-            print(f"vs previous entry ({previous[-1]['recorded_utc']}):")
-            for line in compare_entries(previous[-1]["rows"], rows):
-                print(line)
-        else:
+        if not previous:
             print("no previous entry to compare against")
+            return 0
+        print(f"vs previous entry ({previous[-1]['git_rev']}, "
+              f"{previous[-1]['recorded_utc']}):")
+        lines, mismatches = compare_entries(previous[-1]["rows"], rows)
+        for line in lines:
+            print(line)
+        if mismatches:
+            print("FAILED: exact solver counters changed:", file=sys.stderr)
+            for m in mismatches:
+                print(f"  {m}", file=sys.stderr)
+            return 1
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
