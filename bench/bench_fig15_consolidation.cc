@@ -70,6 +70,11 @@ int main(int argc, char** argv) {
     json.Field("tpm_ratio", opt_run->tpm / see_run->tpm);
     json.Field("paper_tpm_ratio", 1.18);
     json.Field("advisor_seconds", advised->result.total_seconds());
+    // Target-level requests of both executions: deterministic for a build,
+    // so tools/bench_record.py --compare-last gates it exactly.
+    json.Field("simulated_requests",
+               static_cast<int64_t>(see_run->total_requests +
+                                    opt_run->total_requests));
     if (!json.WriteTo(env.json_path)) {
       std::fprintf(stderr, "failed to write %s\n", env.json_path.c_str());
       return 1;

@@ -321,7 +321,7 @@ BENCHMARK(BM_ScenarioPlayerSteps)->Unit(benchmark::kMillisecond);
 
 void BM_OnlineAnalyzerObserve(benchmark::State& state) {
   // The autopilot monitor's I/O hot path: one completion event through the
-  // decayed trace fitter (reorder heap, rates, sizes, run detection, the
+  // decayed trace fitter (reorder front end, rates, sizes, run detection, the
   // overlap row of each resolved submit), with a dense concurrent stream
   // so the overlap windows hold real work. The cost per event is the
   // monitor's whole per-I/O overhead; the acceptance

@@ -1,6 +1,7 @@
 #include "trace/analyzer.h"
 
 #include <algorithm>
+#include <bit>
 #include <cinttypes>
 #include <cmath>
 #include <utility>
@@ -31,6 +32,20 @@ Status CheckEvent(const IoEvent& ev, int num_objects, uint64_t index) {
   return Status::Ok();
 }
 
+/// Drops the entries of `fifo` before `*head` once they are at least half
+/// of it, so a queue read from `*head` stays within twice its live size.
+template <typename T>
+void CompactFront(std::vector<T>* fifo, size_t* head) {
+  if (*head == fifo->size()) {
+    fifo->clear();
+    *head = 0;
+  } else if (*head >= 64 && 2 * *head >= fifo->size()) {
+    fifo->erase(fifo->begin(),
+                fifo->begin() + static_cast<std::ptrdiff_t>(*head));
+    *head = 0;
+  }
+}
+
 }  // namespace
 
 // ------------------------------------------------------------ TraceFitter
@@ -54,6 +69,7 @@ TraceFitter::TraceFitter(int num_objects, AnalyzerOptions options,
   trackers_.assign(n, SequentialRunTracker(options_.max_open_runs,
                                            options_.sequential_slack_bytes));
   busy_hi_.assign(n, -std::numeric_limits<double>::infinity());
+  in_busy_.assign(n, 0);
   hits_.assign(n * n, 0.0);
 }
 
@@ -107,10 +123,23 @@ void TraceFitter::Add(const IoEvent& ev, uint64_t index) {
   const double hi = ev.complete_time + options_.overlap_window_s;
   double& busy_hi = busy_hi_[i];
   busy_hi = lo <= busy_hi ? std::max(busy_hi, hi) : hi;
+  if (!in_busy_[i]) {
+    in_busy_[i] = 1;
+    busy_.push_back(ev.object);
+  }
 
   // Raw in-flight interval, for self-overlap (no padding: only requests
-  // actually concurrent at the device compete with each other).
-  s.inflight.push(ev.complete_time);
+  // actually concurrent at the device compete with each other). Every
+  // popped completion is at or before a submit earlier than `lo`, so the
+  // insertion never needs to pass the head.
+  std::vector<double>& run = s.inflight;
+  size_t j = run.size();
+  run.push_back(ev.complete_time);
+  while (j > s.inflight_head && run[j - 1] > ev.complete_time) {
+    run[j] = run[j - 1];
+    --j;
+  }
+  run[j] = ev.complete_time;
   pending_.push_back(PendingSubmit{ev.submit_time, ev.object});
 }
 
@@ -142,33 +171,45 @@ void TraceFitter::ResolveBefore(double bound) {
     for (size_t p = pending_head_; p < end; ++p) {
       ++objects_[static_cast<size_t>(pending_[p].object)].resolved;
     }
+    // Off the diagonal: t lies in k's busy intervals iff it is at most the
+    // end of k's current one (whose start is at or before t). Tested
+    // submits never decrease, so an object whose end is before t stays
+    // missed until an Add re-opens its interval and lists it again; its
+    // hit is +0.0, which leaves every row sum as it is. The first submit's
+    // row is summed while the list is pruned.
+    double* row = &hits_[static_cast<size_t>(pending_[pending_head_].object) *
+                         n];
+    size_t kept = 0;
+    for (const int32_t k : busy_) {
+      if (t <= busy_hi_[static_cast<size_t>(k)]) {
+        busy_[kept++] = k;
+        row[k] += w;
+      } else {
+        in_busy_[static_cast<size_t>(k)] = 0;
+      }
+    }
+    busy_.resize(kept);
     for (size_t p = pending_head_; p < end; ++p) {
       const size_t i = static_cast<size_t>(pending_[p].object);
-      // Off the diagonal: t lies in k's busy intervals iff it is at most
-      // the end of k's current one (whose start is at or before t). The
-      // diagonal entry is overwritten by the self-overlap below.
-      double* row = &hits_[i * n];
-      for (size_t k = 0; k < n; ++k) row[k] += t <= busy_hi_[k] ? w : 0.0;
+      // The diagonal entry is overwritten by the self-overlap below.
+      if (p > pending_head_) {
+        row = &hits_[i * n];
+        for (const int32_t k : busy_) row[k] += w;
+      }
       // On it: the object's own other requests in flight at t.
       ObjectState& s = objects_[i];
-      while (!s.inflight.empty() && s.inflight.top() <= t) {
-        s.inflight.pop();
+      while (s.inflight_head < s.inflight.size() &&
+             s.inflight[s.inflight_head] <= t) {
+        ++s.inflight_head;
         ++s.completed;
       }
+      CompactFront(&s.inflight, &s.inflight_head);
       const uint64_t open = s.resolved - s.completed;
       s.concurrent_sum += w * static_cast<double>(open > 0 ? open - 1 : 0);
     }
     pending_head_ = end;
   }
-  if (pending_head_ == pending_.size()) {
-    pending_.clear();
-    pending_head_ = 0;
-  } else if (pending_head_ >= 4096 && 2 * pending_head_ >= pending_.size()) {
-    pending_.erase(pending_.begin(),
-                   pending_.begin() + static_cast<std::ptrdiff_t>(
-                                          pending_head_));
-    pending_head_ = 0;
-  }
+  CompactFront(&pending_, &pending_head_);
 }
 
 Result<WorkloadSet> TraceFitter::Snapshot() const {
@@ -246,21 +287,68 @@ ReorderingTraceFitter::ReorderingTraceFitter(int num_objects,
 
 void ReorderingTraceFitter::Observe(const IoEvent& ev) {
   if (!error_.ok()) return;
-  // Min-heap on seq: the front is the smallest buffered seq.
-  const auto later = [](const IoEvent& a, const IoEvent& b) {
-    return a.seq > b.seq;
-  };
-  pending_.push_back(ev);
-  std::push_heap(pending_.begin(), pending_.end(), later);
-  while (!pending_.empty() && pending_.front().seq <= next_seq_) {
-    if (pending_.front().seq < next_seq_) {
-      error_ = Status::InvalidArgument(StrFormat(
-          "event %" PRIu64 " observed twice", pending_.front().seq));
-      return;
+  if (ev.seq == next_seq_ && held_ == 0 && far_.empty()) {
+    fitter_.Add(ev, next_seq_++);  // in order with nothing waiting
+    return;
+  }
+  if (ev.seq < next_seq_) {
+    error_ = Status::InvalidArgument(
+        StrFormat("event %" PRIu64 " observed twice", ev.seq));
+    return;
+  }
+  Hold(ev);
+  Release();
+}
+
+void ReorderingTraceFitter::Hold(const IoEvent& ev) {
+  const uint64_t ahead = ev.seq - next_seq_;
+  if (ahead >= ring_.size()) Grow(ahead);
+  bool fresh = false;
+  if (ahead < ring_.size()) {
+    IoEvent& slot = ring_[ev.seq & (ring_.size() - 1)];
+    fresh = slot.seq != ev.seq && far_.count(ev.seq) == 0;
+    if (fresh) {
+      slot = ev;
+      ++held_;
     }
-    fitter_.Add(pending_.front(), next_seq_++);
-    std::pop_heap(pending_.begin(), pending_.end(), later);
-    pending_.pop_back();
+  } else {
+    fresh = far_.try_emplace(ev.seq, ev).second;
+  }
+  if (!fresh) {
+    error_ = Status::InvalidArgument(
+        StrFormat("event %" PRIu64 " observed twice", ev.seq));
+  }
+}
+
+void ReorderingTraceFitter::Grow(uint64_t ahead) {
+  const uint64_t limit = std::max(
+      kMinRing, 4 * std::bit_ceil(uint64_t{held_ + far_.size() + 1}));
+  if (ahead >= limit) return;
+  // Empty slots carry next_seq_ - 1, a seq that is never held.
+  IoEvent empty;
+  empty.seq = next_seq_ - 1;
+  std::vector<IoEvent> ring(std::max(kMinRing, std::bit_ceil(ahead + 1)),
+                            empty);
+  const uint64_t mask = ring.size() - 1;
+  for (const IoEvent& ev : ring_) {
+    if (ev.seq - next_seq_ < ring_.size()) ring[ev.seq & mask] = ev;
+  }
+  ring_ = std::move(ring);
+}
+
+void ReorderingTraceFitter::Release() {
+  for (;;) {
+    if (held_ > 0) {
+      const IoEvent& slot = ring_[next_seq_ & (ring_.size() - 1)];
+      if (slot.seq == next_seq_) {
+        --held_;
+        fitter_.Add(slot, next_seq_++);
+        continue;
+      }
+    }
+    if (far_.empty() || far_.begin()->first != next_seq_) return;
+    fitter_.Add(far_.begin()->second, next_seq_++);
+    far_.erase(far_.begin());
   }
 }
 
@@ -271,11 +359,11 @@ Result<WorkloadSet> ReorderingTraceFitter::Snapshot() const {
 
 Result<WorkloadSet> ReorderingTraceFitter::Finish() {
   if (!error_.ok()) return error_;
-  if (!pending_.empty()) {
+  if (held_ > 0 || !far_.empty()) {
     return Status::InvalidArgument(StrFormat(
         "event %" PRIu64 " was never observed (%zu later events buffered): "
         "seq must be dense from 0",
-        next_seq_, pending_.size()));
+        next_seq_, held_ + far_.size()));
   }
   return fitter_.Finish();
 }
@@ -297,22 +385,27 @@ Result<WorkloadSet> TraceAnalyzer::Analyze(const IoTrace& trace,
     LDB_RETURN_IF_ERROR(CheckEvent(events[e], num_objects, e));
   }
 
-  // Sort events by submit time (the trace is stored in completion order).
-  std::vector<const IoEvent*> order;
-  order.reserve(events.size());
-  for (const IoEvent& ev : events) order.push_back(&ev);
-  std::stable_sort(order.begin(), order.end(),
-                   [](const IoEvent* a, const IoEvent* b) {
-                     if (a->submit_time != b->submit_time) {
-                       return a->submit_time < b->submit_time;
-                     }
-                     return a->seq < b->seq;  // exact issue order on ties
-                   });
+  // Sort events by (submit time, seq): the trace is stored in completion
+  // order, and seq is the exact issue order on ties. The trace index as the
+  // last key keeps equal (time, seq) pairs in trace order, as a stable sort
+  // would.
+  struct Key {
+    double submit_time;
+    uint64_t seq;
+    size_t index;
+  };
+  std::vector<Key> order(events.size());
+  for (size_t e = 0; e < events.size(); ++e) {
+    order[e] = Key{events[e].submit_time, events[e].seq, e};
+  }
+  std::sort(order.begin(), order.end(), [](const Key& a, const Key& b) {
+    if (a.submit_time != b.submit_time) return a.submit_time < b.submit_time;
+    if (a.seq != b.seq) return a.seq < b.seq;
+    return a.index < b.index;
+  });
 
   TraceFitter fitter(num_objects, options_);
-  for (const IoEvent* ev : order) {
-    fitter.Add(*ev, static_cast<uint64_t>(ev - events.data()));
-  }
+  for (const Key& key : order) fitter.Add(events[key.index], key.index);
   return fitter.Finish();
 }
 

@@ -3,9 +3,8 @@
 
 #include <cmath>
 #include <cstdint>
-#include <functional>
 #include <limits>
-#include <queue>
+#include <map>
 #include <vector>
 
 #include "model/workload.h"
@@ -43,12 +42,13 @@ struct AnalyzerOptions {
 /// temporal-overlap rows — without storing the trace.
 ///
 /// Each object keeps its counters, its SequentialRunTracker, the upper end
-/// of its current merged padded busy interval, and a heap of its in-flight
-/// completion times. A submit at `t` is tested once an event whose padded
-/// start exceeds `t` has arrived (or at Finish): by then every event that
-/// can cover `t` has been merged, so `t` hits object k iff `t` is at most
-/// k's current busy end. State is O(objects² + in-flight + one overlap
-/// window of pending submits).
+/// of its current merged padded busy interval, and its in-flight
+/// completion times as a sorted run. A submit at `t` is tested once an
+/// event whose padded start exceeds `t` has arrived (or at Finish): by then
+/// every event that can cover `t` has been merged, so `t` hits object k iff
+/// `t` is at most k's current busy end. Only the objects whose busy end has
+/// not fallen behind the tested submits are walked. State is O(objects² +
+/// in-flight + one overlap window of pending submits).
 ///
 /// Exponential decay (the autopilot's live window): with a positive
 /// half-life every event is weighted by exp(λ·(submit_time − t_ref)), λ =
@@ -104,9 +104,12 @@ class TraceFitter {
     double concurrent_sum = 0.0;  ///< self-overlap numerator
     uint64_t resolved = 0;   ///< own submits tested so far
     uint64_t completed = 0;  ///< own completions popped from `inflight`
-    /// Own completion times not yet at or before a tested submit.
-    std::priority_queue<double, std::vector<double>, std::greater<double>>
-        inflight;
+    /// Own completion times not yet at or before a tested submit, in
+    /// ascending order from `inflight_head` (the entries before it are
+    /// popped). Completions arrive almost in order, so each is inserted
+    /// from the back in a step or two.
+    std::vector<double> inflight;
+    size_t inflight_head = 0;
   };
   struct PendingSubmit {
     double t;
@@ -137,6 +140,11 @@ class TraceFitter {
   std::vector<SequentialRunTracker> trackers_;
   /// Upper end of each object's current merged padded busy interval.
   std::vector<double> busy_hi_;
+  /// The objects whose busy end is at or after the last tested submit, in
+  /// any order; in_busy_[k] says whether k is listed. Every other object's
+  /// hit is 0 until an Add re-opens its interval.
+  std::vector<int32_t> busy_;
+  std::vector<char> in_busy_;
   /// hits_[i * n + k]: weight of i's submits inside k's busy intervals.
   std::vector<double> hits_;
   std::vector<PendingSubmit> pending_;  ///< FIFO from `pending_head_`
@@ -149,15 +157,18 @@ class TraceFitter {
 };
 
 /// Streaming front end for a simulation's logical observer: accepts
-/// completed events in any order, reorders them through a min-heap keyed
-/// on a dense sequence number, and feeds TraceFitter in submission order.
+/// completed events in any order and feeds TraceFitter in submission
+/// order. An event carrying the next seq while nothing waits goes straight
+/// to the fitter; any other waits in a ring indexed by seq (or, if its seq
+/// is too far ahead for the ring, in an ordered map) until the seqs before
+/// it have arrived.
 ///
 /// Dense-seq contract: the observed events carry seq 0, 1, 2, ... with
 /// each value exactly once, and submit_time is nondecreasing in seq
 /// (WorkloadRunner's and ScenarioPlayer's logical events satisfy this).
 /// Memory is O(events completed ahead of the oldest outstanding one), not
-/// O(trace). A duplicate is reported by Snapshot() and Finish(), a gap by
-/// Finish().
+/// O(trace) and not O(seq distance). A duplicate is reported by Snapshot()
+/// and Finish(), a gap by Finish().
 class ReorderingTraceFitter {
  public:
   ReorderingTraceFitter(int num_objects, AnalyzerOptions options = {},
@@ -167,9 +178,9 @@ class ReorderingTraceFitter {
   void Observe(const IoEvent& ev);
 
   /// The fit of the released prefix (seq below the oldest one not yet
-  /// observed) as if the stream ended now; events still waiting in the
-  /// heap are left out. A duplicate seq is an InvalidArgument; otherwise
-  /// see TraceFitter::Snapshot().
+  /// observed) as if the stream ended now; events still waiting are left
+  /// out. A duplicate seq is an InvalidArgument; otherwise see
+  /// TraceFitter::Snapshot().
   Result<WorkloadSet> Snapshot() const;
 
   /// \returns the fit, or InvalidArgument on a bad event, a seq gap or
@@ -177,9 +188,26 @@ class ReorderingTraceFitter {
   Result<WorkloadSet> Finish();
 
  private:
+  /// Smallest ring, in events; it is allocated on the first wait.
+  static constexpr uint64_t kMinRing = 64;
+
+  /// Stores `ev`, whose seq is at or after next_seq_, until it is next.
+  void Hold(const IoEvent& ev);
+  /// Enlarges the ring to reach `ahead` seqs past next_seq_, but never past
+  /// the larger of kMinRing and four times the events waiting (rounded up
+  /// to a power of two).
+  void Grow(uint64_t ahead);
+  /// Feeds the fitter every waiting event whose seq is next.
+  void Release();
+
   TraceFitter fitter_;
-  std::vector<IoEvent> pending_;  ///< heap of events not yet released
-  uint64_t next_seq_ = 0;         ///< oldest seq not yet released
+  /// Slot `s & (size - 1)` holds the event with seq s iff that slot's seq
+  /// is s: released slots keep a seq below next_seq_ and never match.
+  std::vector<IoEvent> ring_;
+  size_t held_ = 0;  ///< events waiting in `ring_`
+  /// Events whose seq was too far ahead for the ring when they arrived.
+  std::map<uint64_t, IoEvent> far_;
+  uint64_t next_seq_ = 0;  ///< oldest seq not yet released
   Status error_;
 };
 

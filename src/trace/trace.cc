@@ -15,23 +15,4 @@ double IoTrace::Duration() const {
   return max_complete - min_submit;
 }
 
-uint64_t IoTrace::CountForObject(ObjectId i) const {
-  uint64_t n = 0;
-  for (const IoEvent& ev : events_) n += (ev.object == i);
-  return n;
-}
-
-TraceCollector::TraceCollector(StorageSystem* system) : system_(system) {
-  system_->set_observer([this](const IoEvent& ev) { trace_.Add(ev); });
-}
-
-TraceCollector::~TraceCollector() { Detach(); }
-
-void TraceCollector::Detach() {
-  if (system_ != nullptr) {
-    system_->set_observer(nullptr);
-    system_ = nullptr;
-  }
-}
-
 }  // namespace ldb

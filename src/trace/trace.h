@@ -1,17 +1,17 @@
 #ifndef LAYOUTDB_TRACE_TRACE_H_
 #define LAYOUTDB_TRACE_TRACE_H_
 
-#include <cstdint>
+#include <cstddef>
 #include <vector>
 
 #include "storage/io_request.h"
-#include "storage/storage_system.h"
 
 namespace ldb {
 
 /// An I/O trace: the record of every request completed during a simulation
-/// run, in completion order. The analogue of the kernel block traces the
-/// paper collected from its instrumented Linux kernel (Section 6.1).
+/// run, in completion order (hang Add on StorageSystem::set_observer to
+/// collect one). The analogue of the kernel block traces the paper
+/// collected from its instrumented Linux kernel (Section 6.1).
 class IoTrace {
  public:
   IoTrace() = default;
@@ -26,34 +26,8 @@ class IoTrace {
   /// Trace duration: max completion time minus min submit time (0 if empty).
   double Duration() const;
 
-  /// Total requests recorded for object `i`.
-  uint64_t CountForObject(ObjectId i) const;
-
  private:
   std::vector<IoEvent> events_;
-};
-
-/// Attaches an IoTrace to a StorageSystem as its observer. The collector
-/// must outlive the observation period; call Detach() (or destroy the
-/// system first) before destroying the collector.
-class TraceCollector {
- public:
-  /// Starts collecting: installs this collector as `system`'s observer.
-  explicit TraceCollector(StorageSystem* system);
-  ~TraceCollector();
-
-  TraceCollector(const TraceCollector&) = delete;
-  TraceCollector& operator=(const TraceCollector&) = delete;
-
-  /// Stops collecting and removes the observer.
-  void Detach();
-
-  IoTrace& trace() { return trace_; }
-  const IoTrace& trace() const { return trace_; }
-
- private:
-  StorageSystem* system_;
-  IoTrace trace_;
 };
 
 }  // namespace ldb

@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """tools/bench_record.py --compare-last must fail (exit 1) when a matched
-row's exact solver counters change, and only print timing deltas.
+row's exact counters (solver effort, simulated requests) change, and only
+print timing deltas.
 
     python3 tests/bench_record_gate_test.py <path to tools/bench_record.py>
 """
@@ -17,6 +18,14 @@ def fig19_row(**changes):
            "analytic_solver_seconds": 1.5, "gradient_evaluations": 40000,
            "analytic_iterations": 700, "interp_queries": 9000000,
            "analytic_max_utilization": 0.81}
+    row.update(changes)
+    return row
+
+
+def fig15_row(**changes):
+    row = {"workload": "consolidation-olap1-21", "see_seconds": 60.0,
+           "optimized_seconds": 48.0, "advisor_seconds": 0.02,
+           "simulated_requests": 131000}
     row.update(changes)
     return row
 
@@ -60,6 +69,14 @@ def main():
              1, "analytic_iterations moved"),
             ("bench_fig19_opttime", [fig19_row(m=20, gradient_evaluations=1)],
              0, "unmatched row"),
+            ("bench_fig15_consolidation", [fig15_row()], 0,
+             "fig15 first entry"),
+            ("bench_fig15_consolidation",
+             [fig15_row(see_seconds=61.0, advisor_seconds=0.05)], 0,
+             "fig15 timings moved"),
+            ("bench_fig15_consolidation",
+             [fig15_row(simulated_requests=131001)], 1,
+             "simulated_requests moved"),
             ("bench_micro", [micro_row()], 0, "other bench, first entry"),
             ("bench_micro", [micro_row(real_time=900.0)], 0,
              "micro timing moved"),

@@ -216,7 +216,7 @@ TEST(OnlineAnalyzerTest, MidStreamSnapshotFitsTheReleasedPrefix) {
   const int n = 4;
   std::vector<IoEvent> events = MakeStationaryTrace(n, 23);
   // Every third request is slow, so later submits complete before it and
-  // wait in the reorder heap.
+  // wait in the reorder buffer.
   for (IoEvent& ev : events) {
     if (ev.seq % 3 == 0) ev.complete_time += 0.003;
   }
@@ -239,7 +239,7 @@ TEST(OnlineAnalyzerTest, MidStreamSnapshotFitsTheReleasedPrefix) {
                                           static_cast<std::ptrdiff_t>(released));
     ExpectSameWorkloads(analyzer.Snapshot(), OracleFit(TraceOf(prefix), n));
   }
-  EXPECT_GT(held_back, 0);  // the reorder heap held events at some snapshots
+  EXPECT_GT(held_back, 0);  // the reorder buffer held events at snapshots
   ExpectSameWorkloads(analyzer.Snapshot(), OracleFit(TraceOf(events), n));
 }
 

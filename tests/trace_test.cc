@@ -47,26 +47,19 @@ TEST(IoTraceTest, EmptyTraceHasZeroDuration) {
   EXPECT_TRUE(t.empty());
 }
 
-TEST(IoTraceTest, CountsPerObject) {
-  IoTrace t;
-  t.Add(MakeEvent(0, 1, 3, 0, kKiB));
-  t.Add(MakeEvent(1, 2, 3, 0, kKiB));
-  t.Add(MakeEvent(2, 3, 5, 0, kKiB));
-  EXPECT_EQ(t.CountForObject(3), 2u);
-  EXPECT_EQ(t.CountForObject(5), 1u);
-  EXPECT_EQ(t.CountForObject(0), 0u);
-}
-
 TEST(TraceCollectorTest, CapturesSystemEvents) {
+  // A trace is collected by hanging IoTrace::Add on the system's observer.
   DiskModel disk(Scsi15kParams());
   StorageSystem sys({{"d", &disk, 1, 64 * kKiB}});
-  TraceCollector collector(&sys);
+  IoTrace trace;
+  sys.set_observer([&trace](const IoEvent& ev) { trace.Add(ev); });
   for (int i = 0; i < 5; ++i) {
     sys.Submit(0, {i * kMiB, kMiB / 4, false, 2, i * kMiB}, nullptr);
   }
   sys.queue().RunUntilIdle();
-  EXPECT_EQ(collector.trace().size(), 5u);
-  EXPECT_EQ(collector.trace().CountForObject(2), 5u);
+  sys.set_observer(nullptr);
+  ASSERT_EQ(trace.size(), 5u);
+  for (const IoEvent& ev : trace.events()) EXPECT_EQ(ev.object, 2);
 }
 
 // ------------------------------------------------------------- Analyzer
@@ -392,6 +385,354 @@ TEST(ReorderingTraceFitterTest, MatchesAnalyzeAndOracleInAnyCompletionOrder) {
   ASSERT_TRUE(analyzed.ok()) << analyzed.status().ToString();
   ExpectSameWorkloads(*streamed, *analyzed);
   ExpectSameWorkloads(*analyzed, OracleFit(trace, 3));
+}
+
+// -------------------------------------- bit-exact differential: structures
+//
+// The fitting core keeps each object's in-flight completions as a sorted
+// run, walks only the objects whose busy interval can still cover a
+// submit, and the reordering front end buffers out-of-order events in a
+// seq-indexed ring (far seqs in a map) behind an in-order fast path. Each
+// case below stresses one of them and holds the fit to the batch oracle
+// with ==.
+
+IoTrace TraceOf(const std::vector<IoEvent>& events) {
+  IoTrace trace;
+  for (const IoEvent& ev : events) trace.Add(ev);
+  return trace;
+}
+
+/// `events` (seq = position) in a scrambled delivery order: each step
+/// delivers a random one of the first `depth` + 1 events not yet
+/// delivered, so an event arrives at most `depth` places early.
+std::vector<IoEvent> Scrambled(const std::vector<IoEvent>& events,
+                               size_t depth, Rng* rng) {
+  std::vector<IoEvent> window;
+  std::vector<IoEvent> out;
+  size_t next = 0;
+  while (out.size() < events.size()) {
+    while (next < events.size() && window.size() <= depth) {
+      window.push_back(events[next++]);
+    }
+    const size_t pick = static_cast<size_t>(rng->UniformInt(window.size()));
+    out.push_back(window[pick]);
+    window.erase(window.begin() + static_cast<std::ptrdiff_t>(pick));
+  }
+  return out;
+}
+
+/// Fits `delivery` through a reordering fitter and checks it against
+/// Analyze of the same events and against the oracle, bit for bit.
+void ExpectStreamedFitIsExact(const std::vector<IoEvent>& events,
+                              const std::vector<IoEvent>& delivery, int n,
+                              const AnalyzerOptions& options = {}) {
+  ReorderingTraceFitter fitter(n, options);
+  for (const IoEvent& ev : delivery) fitter.Observe(ev);
+  auto streamed = fitter.Finish();
+  const IoTrace trace = TraceOf(events);
+  auto analyzed = TraceAnalyzer(options).Analyze(trace, n);
+  ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
+  ASSERT_TRUE(analyzed.ok()) << analyzed.status().ToString();
+  const WorkloadSet oracle = OracleFit(trace, n, options);
+  ExpectSameWorkloads(*streamed, oracle);
+  ExpectSameWorkloads(*analyzed, oracle);
+}
+
+TEST(FitStructureTest, CompletionInversionsWithinAnObject) {
+  // Each object issues bursts whose later submits complete first (the
+  // first request of a burst is the slowest), so its completions arrive
+  // far from sorted; the self-overlap counts must still be exact.
+  Rng rng(11);
+  std::vector<IoEvent> events;
+  double now = 0.0;
+  for (int burst = 0; burst < 60; ++burst) {
+    const ObjectId obj = static_cast<ObjectId>(burst % 3);
+    const int len = 2 + static_cast<int>(rng.UniformInt(uint64_t{7}));
+    const double end = now + 0.05 + rng.Uniform(0.0, 0.05);
+    for (int r = 0; r < len; ++r) {
+      // Later submits, earlier completions: strictly inverted.
+      IoEvent ev = MakeEvent(now, end - r * 0.004, obj, r * 8 * kKiB,
+                             8 * kKiB, r % 3 == 0);
+      ev.seq = events.size();
+      events.push_back(ev);
+      now += 0.001;
+    }
+    now += rng.Bernoulli(0.5) ? 0.002 : 0.2;  // overlap the next burst or not
+  }
+  for (const double window : {0.0, 0.001, 0.05}) {
+    SCOPED_TRACE(::testing::Message() << "window " << window);
+    AnalyzerOptions options;
+    options.overlap_window_s = window;
+    std::vector<IoEvent> by_completion = events;
+    std::stable_sort(by_completion.begin(), by_completion.end(),
+                     [](const IoEvent& a, const IoEvent& b) {
+                       return a.complete_time < b.complete_time;
+                     });
+    ExpectStreamedFitIsExact(events, by_completion, 3, options);
+  }
+  // Some object had more than one other request in flight.
+  const WorkloadSet fit = OracleFit(TraceOf(events), 3);
+  EXPECT_GT(fit[0].overlap_with(0), 1.0);
+}
+
+TEST(FitStructureTest, TiesInSubmitAndCompletionTimes) {
+  // Submits tie across and within objects, completions tie with each
+  // other and land exactly on later submit times (a completion at t is
+  // closed at a submit at t).
+  Rng rng(12);
+  std::vector<IoEvent> events;
+  const double grid = 0.0078125;  // 2^-7: sums of grid steps are exact
+  for (int e = 0; e < 800; ++e) {
+    const double submit = grid * static_cast<double>(e / 4);
+    const double complete =
+        submit + grid * static_cast<double>(rng.UniformInt(uint64_t{6}));
+    IoEvent ev = MakeEvent(submit, complete,
+                           static_cast<ObjectId>(rng.UniformInt(uint64_t{4})),
+                           rng.UniformInt(int64_t{0}, int64_t{8}) * 8 * kKiB,
+                           8 * kKiB, rng.Bernoulli(0.25));
+    ev.seq = static_cast<uint64_t>(e);
+    events.push_back(ev);
+  }
+  for (const double window : {0.0, grid, 2 * grid}) {
+    SCOPED_TRACE(::testing::Message() << "window " << window);
+    AnalyzerOptions options;
+    options.overlap_window_s = window;
+    std::vector<IoEvent> by_completion = events;
+    std::stable_sort(by_completion.begin(), by_completion.end(),
+                     [](const IoEvent& a, const IoEvent& b) {
+                       return a.complete_time < b.complete_time;
+                     });
+    ExpectStreamedFitIsExact(events, by_completion, 4, options);
+    ExpectStreamedFitIsExact(events, events, 4, options);  // all in order
+  }
+}
+
+TEST(FitStructureTest, IdleObjectsReenterTheOverlapWalk) {
+  // Object 0 is busy throughout; objects 1 and 2 go idle for longer than
+  // the window and come back, so each re-opened interval must be walked
+  // again for object 0's submits.
+  std::vector<IoEvent> events;
+  for (int k = 0; k < 400; ++k) {
+    const double t = k * 0.01;
+    events.push_back(MakeEvent(t, t + 0.004, 0, k * 8 * kKiB, 8 * kKiB));
+    const int phase = (k / 25) % 4;
+    if (phase == 1 || (phase == 3 && k % 2 == 0)) {
+      events.push_back(MakeEvent(t + 0.002, t + 0.005,
+                                 static_cast<ObjectId>(phase == 1 ? 1 : 2),
+                                 k * 8 * kKiB, 8 * kKiB, true));
+    }
+  }
+  for (size_t e = 0; e < events.size(); ++e) events[e].seq = e;
+  AnalyzerOptions options;
+  options.overlap_window_s = 0.003;
+  ExpectStreamedFitIsExact(events, events, 3, options);
+  const WorkloadSet fit = OracleFit(TraceOf(events), 3, options);
+  EXPECT_GT(fit[0].overlap_with(1), 0.2);  // both re-opened repeatedly
+  EXPECT_GT(fit[0].overlap_with(2), 0.1);
+}
+
+/// A dense-seq stream of `count` events over `n` objects with ties,
+/// zero-latency requests and overlapping windows.
+std::vector<IoEvent> RandomStream(int n, int count, Rng* rng) {
+  std::vector<IoEvent> events;
+  double now = 1.0;
+  for (int e = 0; e < count; ++e) {
+    if (rng->Bernoulli(0.6)) now += rng->Exponential(0.002);
+    const double latency =
+        rng->Bernoulli(0.1) ? 0.0 : rng->Exponential(0.01);
+    IoEvent ev = MakeEvent(
+        now, now + latency,
+        static_cast<ObjectId>(rng->UniformInt(static_cast<uint64_t>(n))),
+        rng->UniformInt(int64_t{0}, int64_t{256}) * 8 * kKiB, 8 * kKiB,
+        rng->Bernoulli(0.3));
+    ev.seq = static_cast<uint64_t>(e);
+    events.push_back(ev);
+  }
+  return events;
+}
+
+TEST(FitStructureTest, DeepReorderGrowsTheBufferWhileEventsWait) {
+  // Reorder depths far past the buffer's first size; at every 250th
+  // delivery the snapshot must be the fit of the released prefix, so the
+  // buffer grows with events still waiting, some of them in the far map.
+  Rng rng(13);
+  const int n = 5;
+  const std::vector<IoEvent> events = RandomStream(n, 6000, &rng);
+  for (const size_t depth : {size_t{100}, size_t{1500}, size_t{5999}}) {
+    SCOPED_TRACE(::testing::Message() << "depth " << depth);
+    std::vector<IoEvent> delivery = Scrambled(events, depth, &rng);
+    if (depth == 5999) {  // the last ~half first, in reverse, then the rest
+      delivery = events;
+      std::reverse(delivery.begin() + 3000, delivery.end());
+      std::rotate(delivery.begin(), delivery.begin() + 3000, delivery.end());
+    }
+    ReorderingTraceFitter fitter(n);
+    std::vector<bool> seen(events.size(), false);
+    size_t released = 0;
+    int held_back = 0;
+    for (size_t d = 0; d < delivery.size(); ++d) {
+      fitter.Observe(delivery[d]);
+      seen[delivery[d].seq] = true;
+      while (released < seen.size() && seen[released]) ++released;
+      if (d % 250 != 249 || released < 2) continue;
+      SCOPED_TRACE(::testing::Message() << "after " << d + 1 << " events");
+      if (d + 1 - released > 200) ++held_back;
+      const std::vector<IoEvent> prefix(
+          events.begin(),
+          events.begin() + static_cast<std::ptrdiff_t>(released));
+      auto snapshot = fitter.Snapshot();
+      ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
+      ExpectSameWorkloads(*snapshot, OracleFit(TraceOf(prefix), n));
+    }
+    EXPECT_GT(held_back, 0);
+    auto fit = fitter.Finish();
+    ASSERT_TRUE(fit.ok()) << fit.status().ToString();
+    ExpectSameWorkloads(*fit, OracleFit(TraceOf(events), n));
+  }
+}
+
+TEST(FitStructureTest, DuplicateOrGapAtEveryBufferSize) {
+  // Seq 0 is held back while `held` later events wait, delivered in
+  // reverse (so the first ones land too far ahead for the ring). Then a
+  // duplicate of a waiting, far or released event fails the fit at once;
+  // never sending seq 0 is a gap; sending it fits exactly.
+  Rng rng(14);
+  const int n = 3;
+  const std::vector<IoEvent> events = RandomStream(n, 1100, &rng);
+  std::vector<size_t> sizes;
+  for (size_t held = 0; held <= 200; ++held) sizes.push_back(held);
+  for (const size_t held : {255, 256, 257, 511, 512, 513, 1023, 1024, 1025}) {
+    sizes.push_back(held);
+  }
+  const IoTrace whole = TraceOf(events);
+  const WorkloadSet oracle = OracleFit(whole, n);
+  for (const size_t held : sizes) {
+    SCOPED_TRACE(::testing::Message() << held << " events waiting");
+    const auto fed = [&](ReorderingTraceFitter* fitter) {
+      for (size_t s = held; s >= 1; --s) fitter->Observe(events[s]);
+    };
+    const auto rest = [&](ReorderingTraceFitter* fitter) {
+      for (size_t s = held + 1; s < events.size(); ++s) {
+        fitter->Observe(events[s]);
+      }
+    };
+    {
+      ReorderingTraceFitter fitter(n);
+      fed(&fitter);
+      fitter.Observe(events[0]);
+      rest(&fitter);
+      auto fit = fitter.Finish();
+      ASSERT_TRUE(fit.ok()) << fit.status().ToString();
+      ExpectSameWorkloads(*fit, oracle);
+    }
+    {
+      ReorderingTraceFitter gap(n);
+      fed(&gap);
+      rest(&gap);
+      auto fit = gap.Finish();
+      ASSERT_FALSE(fit.ok());
+      EXPECT_TRUE(IsInvalidArgumentNaming(fit.status(), "event 0 was never"))
+          << fit.status().ToString();
+    }
+    // Duplicates of the first (farthest) and the last waiting event.
+    for (const size_t dup : {held, size_t{1}}) {
+      if (held == 0) break;
+      ReorderingTraceFitter duplicate(n);
+      fed(&duplicate);
+      duplicate.Observe(events[dup]);
+      EXPECT_TRUE(IsInvalidArgumentNaming(duplicate.Snapshot().status(),
+                                          "observed twice"));
+      duplicate.Observe(events[0]);
+      rest(&duplicate);
+      EXPECT_TRUE(IsInvalidArgumentNaming(duplicate.Finish().status(),
+                                          "observed twice"));
+    }
+    {
+      ReorderingTraceFitter replayed(n);
+      fed(&replayed);
+      replayed.Observe(events[0]);
+      replayed.Observe(events[held]);  // released by now
+      rest(&replayed);
+      EXPECT_TRUE(IsInvalidArgumentNaming(replayed.Finish().status(),
+                                          "observed twice"));
+    }
+  }
+}
+
+TEST(FitStructureTest, DuplicateOfAFarEventOnceTheRingReachesIt) {
+  // An event arrives far ahead and waits outside the ring; once the
+  // stream has caught up to within the ring's reach, its duplicate lands
+  // in the ring's range and must still be caught.
+  Rng rng(15);
+  const std::vector<IoEvent> events = RandomStream(2, 1200, &rng);
+  ReorderingTraceFitter fitter(2);
+  fitter.Observe(events[1]);     // opens the ring
+  fitter.Observe(events[1000]);  // far ahead of it
+  fitter.Observe(events[0]);
+  for (size_t s = 2; s < 990; ++s) fitter.Observe(events[s]);
+  EXPECT_TRUE(fitter.Snapshot().ok());
+  fitter.Observe(events[1000]);
+  EXPECT_TRUE(IsInvalidArgumentNaming(fitter.Snapshot().status(),
+                                      "event 1000 observed twice"));
+  // Without the duplicate the far event is released in turn.
+  ReorderingTraceFitter clean(2);
+  clean.Observe(events[1]);
+  clean.Observe(events[1000]);
+  clean.Observe(events[0]);
+  for (size_t s = 2; s < events.size(); ++s) {
+    if (s != 1000) clean.Observe(events[s]);
+  }
+  auto fit = clean.Finish();
+  ASSERT_TRUE(fit.ok()) << fit.status().ToString();
+  ExpectSameWorkloads(*fit, OracleFit(TraceOf(events), 2));
+}
+
+TEST(FitStructureTest, DecayedFitAcrossRebasesIsFrontEndIndependent) {
+  // With decay on and the weights' exponent passing the rebase point many
+  // times, the fit through the reordering front end (deeply scrambled,
+  // snapshots taken on the way) equals the core fed in order bit for bit,
+  // every snapshot equals a fresh fitter's fit of the released prefix,
+  // and the whole matches the weighted oracle.
+  Rng rng(16);
+  const int n = 4;
+  std::vector<IoEvent> events = RandomStream(n, 4000, &rng);
+  // Object 3 goes idle for the middle third and comes back.
+  for (IoEvent& ev : events) {
+    if (ev.object == 3 && ev.seq > 1300 && ev.seq < 2700) ev.object = 2;
+  }
+  const IoTrace trace = TraceOf(events);
+  // The last weight's exponent is ~277: four rebases at 64.
+  const double half_life = trace.Duration() / 400;
+  TraceFitter in_order(n, {}, half_life);
+  for (const IoEvent& ev : events) in_order.Add(ev, ev.seq);
+  auto direct = in_order.Finish();
+  ASSERT_TRUE(direct.ok()) << direct.status().ToString();
+
+  const std::vector<IoEvent> delivery = Scrambled(events, 700, &rng);
+  ReorderingTraceFitter fitter(n, {}, half_life);
+  std::vector<bool> seen(events.size(), false);
+  size_t released = 0;
+  int snapshots = 0;
+  for (size_t d = 0; d < delivery.size(); ++d) {
+    fitter.Observe(delivery[d]);
+    seen[delivery[d].seq] = true;
+    while (released < seen.size() && seen[released]) ++released;
+    if (d % 500 != 499 || released < 2) continue;
+    ++snapshots;
+    SCOPED_TRACE(::testing::Message() << "after " << d + 1 << " events");
+    TraceFitter prefix(n, {}, half_life);
+    for (size_t s = 0; s < released; ++s) prefix.Add(events[s], s);
+    auto want = prefix.Finish();
+    auto got = fitter.Snapshot();
+    ASSERT_TRUE(want.ok() && got.ok());
+    ExpectSameWorkloads(*got, *want);
+  }
+  EXPECT_GE(snapshots, 6);
+  auto streamed = fitter.Finish();
+  ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
+  ExpectSameWorkloads(*streamed, *direct);
+  const OracleDecay decay = DecayWeights(trace, half_life);
+  ExpectNearWorkloads(*streamed, OracleFit(trace, n, {}, &decay), 1e-12);
 }
 
 }  // namespace

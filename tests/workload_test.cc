@@ -407,16 +407,18 @@ TEST(RunnerTest, TraceCapturesWorkloadActivity) {
   TestRig rig = TestRig::SeeOnFourDisks(Catalog::TpcH(0.01));
   auto spec = MakeOlapSpec(rig.catalog, 1, 1, 7);
   ASSERT_TRUE(spec.ok());
-  TraceCollector collector(rig.system.get());
+  IoTrace trace;
+  rig.system->set_observer([&trace](const IoEvent& ev) { trace.Add(ev); });
   WorkloadRunner runner(rig.system.get(), rig.volumes.get());
   auto result = runner.RunOlap(*spec);
+  rig.system->set_observer(nullptr);
   ASSERT_TRUE(result.ok());
   // Chunk splitting can make trace events >= logical requests.
-  EXPECT_GE(collector.trace().size(), result->total_requests);
+  EXPECT_GE(trace.size(), result->total_requests);
 
   // The fitted workloads see LINEITEM as the dominant, sequential object.
   TraceAnalyzer analyzer;
-  auto ws = analyzer.Analyze(collector.trace(), rig.catalog.num_objects());
+  auto ws = analyzer.Analyze(trace, rig.catalog.num_objects());
   ASSERT_TRUE(ws.ok());
   const ObjectId li = *rig.catalog.Find("LINEITEM");
   const WorkloadDesc& wli = (*ws)[static_cast<size_t>(li)];

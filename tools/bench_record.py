@@ -24,10 +24,10 @@ rows against the previous recorded entry of the same bench: rows are
 matched by their ``row`` (or ``name``) field, or for bench_fig19_opttime
 rows by workload, N and M, and every shared numeric field is reported as
 a relative delta, so a row's timings and quality numbers can be tracked
-across PRs. Timings only print. The solver's effort counters in
-``EXACT_FIELDS`` are deterministic for a given build, so a matched row
-whose value differs from the previous entry fails the comparison: the
-script exits 1.
+across PRs. Timings only print. The solver's effort counters and the
+simulated request count in ``EXACT_FIELDS`` are deterministic for a given
+build, so a matched row whose value differs from the previous entry fails
+the comparison: the script exits 1.
 
 ``git_rev`` is ``git describe --always --dirty``: an entry recorded from
 uncommitted changes reads ``<parent rev>-dirty``.
@@ -44,10 +44,12 @@ from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
-# Effort counters gated exactly by --compare-last: the solver is
-# bit-identical for every thread count, so on one build these only move
-# when the solver's arithmetic or schedule changes.
-EXACT_FIELDS = ("gradient_evaluations", "analytic_iterations")
+# Counters gated exactly by --compare-last. The solver is bit-identical
+# for every thread count and the simulator is deterministic, so on one
+# build these only move when the solver's arithmetic or schedule, the
+# trace fit, or the simulation changes.
+EXACT_FIELDS = ("gradient_evaluations", "analytic_iterations",
+                "simulated_requests")
 
 
 def git_rev():
@@ -175,7 +177,7 @@ def main():
         for line in lines:
             print(line)
         if mismatches:
-            print("FAILED: exact solver counters changed:", file=sys.stderr)
+            print("FAILED: exact counters changed:", file=sys.stderr)
             for m in mismatches:
                 print(f"  {m}", file=sys.stderr)
             return 1
