@@ -6,7 +6,9 @@
 // regularizer sweep, simplex projection, a small end-to-end solve, a full
 // solve shaped like one advise_4x96 problem, single-seed and raced
 // multi-start, the scenario player's open-loop replay, a WAL append +
-// fsync, and one aligned FileBackend write + read round-trip.
+// fsync, one aligned FileBackend write + read round-trip, the verification
+// pattern's fill + check of one window, and one SEE-striped window written
+// and read back through FileBackend::TransferChunks.
 //
 // --json[=path] maps onto google-benchmark's JSON reporters, so every
 // benchmark binary in this repo shares one machine-readable flag.
@@ -27,6 +29,7 @@
 #include "core/problem.h"
 #include "core/regularize.h"
 #include "io/file_backend.h"
+#include "io/pattern.h"
 #include "model/calibration.h"
 #include "model/target_model.h"
 #include "monitor/online_analyzer.h"
@@ -327,7 +330,13 @@ void BM_OnlineAnalyzerObserve(benchmark::State& state) {
   // monitor's whole per-I/O overhead; the acceptance
   // budget is <2% of a device I/O (hundreds of microseconds), checked
   // end-to-end by bench_autopilot's observer_overhead stage.
+  // Arguments: n objects, and a reorder depth. Depth 0 feeds events in seq
+  // order (the front end's in-order path); depth d > 1 shuffles each block
+  // of d consecutive events, so completions arrive up to d - 1 places out
+  // of seq order (the ring and far-map path live completions take) while
+  // seq stays dense.
   const int n = static_cast<int>(state.range(0));
+  const size_t depth = static_cast<size_t>(state.range(1));
   OnlineAnalyzer analyzer(n);
   Rng rng(7);
   // ~n active streams at ~1 krps each with overlapping in-flight windows.
@@ -344,6 +353,15 @@ void BM_OnlineAnalyzerObserve(benchmark::State& state) {
     ev.logical_offset = rng.Uniform(0, 1024) * 8192;
     ev.size = 8192;
     ev.is_write = (ev.seq % 4) == 0;
+  }
+  if (depth > 1) {
+    LDB_CHECK(events.size() % depth == 0);
+    for (size_t block = 0; block < events.size(); block += depth) {
+      for (size_t k = depth - 1; k > 0; --k) {
+        std::swap(events[block + k],
+                  events[block + static_cast<size_t>(rng.UniformInt(k + 1))]);
+      }
+    }
   }
   size_t i = 0;
   double shift = 0.0;
@@ -367,7 +385,11 @@ void BM_OnlineAnalyzerObserve(benchmark::State& state) {
   benchmark::DoNotOptimize(ws.data());
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_OnlineAnalyzerObserve)->Arg(4)->Arg(40);
+BENCHMARK(BM_OnlineAnalyzerObserve)
+    ->ArgNames({"n", "depth"})
+    ->Args({4, 0})
+    ->Args({40, 0})
+    ->Args({40, 32});
 
 void BM_OnlineAnalyzerSnapshot(benchmark::State& state) {
   // The controller-tick path: the decayed fit of the stream so far, its
@@ -940,22 +962,24 @@ void BM_FileBackendRoundTrip(benchmark::State& state) {
     state.SkipWithError(backend.status().ToString().c_str());
     return;
   }
-  const size_t align = static_cast<size_t>(options.logical_block_bytes);
-  std::unique_ptr<char, decltype(&std::free)> buf(
-      static_cast<char*>(std::aligned_alloc(align, static_cast<size_t>(bytes))),
-      &std::free);
-  std::memset(buf.get(), 0x5a, static_cast<size_t>(bytes));
+  AlignedBuffer buf;
+  if (const Status s = buf.Reserve(bytes, options.logical_block_bytes);
+      !s.ok()) {
+    state.SkipWithError(s.ToString().c_str());
+    return;
+  }
+  std::memset(buf.data(), 0x5a, static_cast<size_t>(bytes));
   const int64_t slots = options.capacity_bytes[0] / bytes;
   int64_t slot = 0;
   for (auto _ : state) {
     const int64_t offset = (slot++ % slots) * bytes;
-    Status s = (*backend)->WriteSync(0, offset, bytes, buf.get());
-    if (s.ok()) s = (*backend)->ReadSync(0, offset, bytes, buf.get());
+    Status s = (*backend)->WriteSync(0, offset, bytes, buf.data());
+    if (s.ok()) s = (*backend)->ReadSync(0, offset, bytes, buf.data());
     if (!s.ok()) {
       state.SkipWithError(s.ToString().c_str());
       break;
     }
-    benchmark::DoNotOptimize(buf.get());
+    benchmark::DoNotOptimize(buf.data());
     benchmark::ClobberMemory();
   }
   state.SetBytesProcessed(state.iterations() * 2 * bytes);
@@ -966,6 +990,86 @@ BENCHMARK(BM_FileBackendRoundTrip)
     ->Arg(kMiB)
     ->UseRealTime()
     ->Unit(benchmark::kMicrosecond);
+
+// Fill one 1 MiB window with the verification pattern and check it, in
+// memory: the CPU half of every populate and verify window of a real
+// migration (layoutbench migrate_realfile runs ~390 of each per pass).
+void BM_PatternFillVerify(benchmark::State& state) {
+  std::vector<char> buf(kMiB);
+  int64_t offset = 0;
+  for (auto _ : state) {
+    FillPattern(/*object=*/3, offset, kMiB, buf.data());
+    const int64_t bad = FindPatternMismatch(/*object=*/3, offset, kMiB,
+                                            buf.data());
+    if (bad >= 0) {
+      state.SkipWithError("pattern mismatch");
+      break;
+    }
+    benchmark::DoNotOptimize(bad);
+    benchmark::DoNotOptimize(buf.data());
+    benchmark::ClobberMemory();
+    offset += kMiB;
+  }
+  state.SetBytesProcessed(state.iterations() * kMiB);
+}
+BENCHMARK(BM_PatternFillVerify)->Unit(benchmark::kMicrosecond);
+
+// One SEE-striped 1 MiB window (16 x 64 KiB stripe chunks over 4 targets,
+// each target's chunks contiguous) written and read back through
+// TransferChunks from an aligned buffer, O_DIRECT where the temp
+// filesystem takes it: the data plane under every migration chunk copy
+// and populate/verify window. Counter `syscalls` is per window pass.
+void BM_FileBackendWindow(benchmark::State& state) {
+  constexpr int kTargets = 4;
+  constexpr int64_t kStripe = 64 * kKiB;
+  const ScratchDir dir("window");
+  FileBackendOptions options;
+  options.dir = dir.path();
+  options.capacity_bytes.assign(kTargets, 16 * kMiB);
+  options.quiet = true;
+  auto backend = FileBackend::Open(options);
+  if (!backend.ok()) {
+    state.SkipWithError(backend.status().ToString().c_str());
+    return;
+  }
+  AlignedBuffer buf;
+  if (const Status s = buf.Reserve(kMiB, options.logical_block_bytes);
+      !s.ok()) {
+    state.SkipWithError(s.ToString().c_str());
+    return;
+  }
+  FillPattern(/*object=*/1, 0, kMiB, buf.data());
+  const int64_t per_target = kMiB / kTargets;
+  const int64_t slots = options.capacity_bytes[0] / per_target;
+  std::vector<TargetChunk> window;
+  int64_t slot = 0;
+  for (auto _ : state) {
+    const int64_t base = (slot++ % slots) * per_target;
+    window.clear();
+    for (int k = 0; k < kMiB / kStripe; ++k) {
+      window.push_back(TargetChunk{k % kTargets,
+                                   base + (k / kTargets) * kStripe, kStripe,
+                                   0});
+    }
+    Status s = (*backend)->TransferChunks(window, /*is_write=*/true,
+                                          buf.data());
+    if (s.ok()) {
+      s = (*backend)->TransferChunks(window, /*is_write=*/false, buf.data());
+    }
+    if (!s.ok()) {
+      state.SkipWithError(s.ToString().c_str());
+      break;
+    }
+    benchmark::DoNotOptimize(buf.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(state.iterations() * 2 * kMiB);
+  state.counters["direct"] = (*backend)->geometry().direct_io ? 1 : 0;
+  state.counters["syscalls"] = benchmark::Counter(
+      static_cast<double>((*backend)->counters().syscalls),
+      benchmark::Counter::kAvgIterations);
+}
+BENCHMARK(BM_FileBackendWindow)->UseRealTime()->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 }  // namespace ldb

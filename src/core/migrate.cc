@@ -551,30 +551,24 @@ void MigrationExecutor::CommitChunk(size_t plan_index, size_t chunk_index) {
 Status MigrationExecutor::CopyChunkReal(const ObjectPlan& plan,
                                         const Chunk& chunk) {
   FileBackend* backend = options_.data_backend;
-  copy_buf_.resize(static_cast<size_t>(chunk.size));
+  LDB_RETURN_IF_ERROR(copy_buf_.Reserve(
+      chunk.size, backend->geometry().logical_block_bytes));
   scratch_.clear();
   source_->Map(plan.object, chunk.offset, chunk.size, &scratch_);
-  int64_t filled = 0;
-  for (const TargetChunk& tc : scratch_) {
-    LDB_RETURN_IF_ERROR(
-        backend->ReadSync(tc.target, DataPlaneOffset(backend->geometry(), tc),
-                          tc.size, &copy_buf_[filled]));
-    filled += tc.size;
-  }
+  LDB_RETURN_IF_ERROR(
+      backend->TransferChunks(scratch_, /*is_write=*/false, copy_buf_.data()));
   scratch_.clear();
   destination_->Map(plan.object, chunk.offset, chunk.size, &scratch_);
-  int64_t drained = 0;
-  for (const TargetChunk& tc : scratch_) {
-    LDB_RETURN_IF_ERROR(backend->WriteSync(
-        tc.target, DataPlaneOffset(backend->geometry(), tc), tc.size,
-        &copy_buf_[drained]));
-    drained += tc.size;
-  }
+  LDB_RETURN_IF_ERROR(
+      backend->TransferChunks(scratch_, /*is_write=*/true, copy_buf_.data()));
   scratch_.clear();
   return Status::Ok();
 }
 
 void MigrationExecutor::Complete() {
+  // Every chunk is copied: free the staging buffer before the caller's
+  // verify pass stages its own window.
+  copy_buf_.Release();
   // Real data plane: the destination's bytes must be on media before the
   // commit record makes the new layout authoritative.
   if (options_.data_backend != nullptr) {
@@ -601,6 +595,7 @@ void MigrationExecutor::Rollback(int target, const std::string& reason) {
   failed_target_ = target;
   failure_reason_ = reason;
   stats_.end_time = system_->Now();
+  copy_buf_.Release();
   // The source is authoritative for every chunk: foreground writes always
   // landed there, so no data is lost.
   for (ObjectPlan& plan : plans_) {
@@ -618,6 +613,7 @@ void MigrationExecutor::Abort(int target, const std::string& reason) {
   failed_target_ = target;
   failure_reason_ = reason;
   stats_.end_time = system_->Now();
+  copy_buf_.Release();
   // Committed chunks keep serving the destination; the rest stay pointed
   // at the (possibly broken) source — re-planning is the caller's move.
   for (ObjectPlan& plan : plans_) {

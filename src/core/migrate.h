@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "core/problem.h"
+#include "io/file_backend.h"
 #include "model/layout.h"
 #include "storage/fault.h"
 #include "storage/lvm.h"
@@ -21,7 +22,6 @@
 namespace ldb {
 
 class ControlJournal;
-class FileBackend;
 
 /// Copy progress of one migration chunk.
 enum class ChunkState {
@@ -305,7 +305,9 @@ class MigrationExecutor final : public VolumeRouter {
 
   // Scratch buffers reused across Route/copy submissions.
   std::vector<TargetChunk> scratch_;
-  std::vector<char> copy_buf_;  ///< real-chunk staging (data_backend runs)
+  /// Real-chunk staging (data_backend runs), released once the migration
+  /// ends so it never lives beside the verify pass's window.
+  AlignedBuffer copy_buf_;
 };
 
 /// Everything a migration experiment reports: the foreground run, the

@@ -7,7 +7,9 @@
 #include <sys/types.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 
@@ -24,13 +26,9 @@ int64_t RoundUp(int64_t v, int64_t unit) {
 
 }  // namespace
 
-FileBackend::Bounce::~Bounce() { std::free(data); }
-
-Status FileBackend::Bounce::Reserve(int64_t bytes, int64_t align) {
-  if (bytes <= size) return Status::Ok();
-  std::free(data);
-  data = nullptr;
-  size = 0;
+Status AlignedBuffer::Reserve(int64_t bytes, int64_t align) {
+  if (bytes <= size_) return Status::Ok();
+  Release();
   void* p = nullptr;
   const int64_t rounded = RoundUp(bytes, align);
   if (posix_memalign(&p, static_cast<size_t>(align),
@@ -38,9 +36,15 @@ Status FileBackend::Bounce::Reserve(int64_t bytes, int64_t align) {
     return Status::IoError(
         StrFormat("posix_memalign(%lld) failed", (long long)rounded));
   }
-  data = static_cast<char*>(p);
-  size = rounded;
+  data_ = static_cast<char*>(p);
+  size_ = rounded;
   return Status::Ok();
+}
+
+void AlignedBuffer::Release() {
+  std::free(data_);
+  data_ = nullptr;
+  size_ = 0;
 }
 
 Result<std::unique_ptr<FileBackend>> FileBackend::Open(
@@ -158,18 +162,22 @@ const std::string& FileBackend::target_path(int t) const {
   return targets_[static_cast<size_t>(t)].path;
 }
 
-Status FileBackend::Execute(int target_index, int64_t offset, int64_t size,
-                            bool is_write, void* data) {
+Status FileBackend::CheckRange(const char* op, int target_index,
+                               int64_t offset, int64_t size) const {
   // `size > capacity - offset` cannot overflow once offset >= 0;
   // `offset + size` could.
   if (target_index < 0 || target_index >= static_cast<int>(targets_.size()) ||
       size <= 0 || offset < 0 ||
       size > targets_[static_cast<size_t>(target_index)].capacity - offset) {
-    return Status::InvalidArgument(StrFormat(
-        "%s [%lld, +%lld) out of range on target %d",
-        is_write ? "WriteSync" : "ReadSync", (long long)offset,
-        (long long)size, target_index));
+    return Status::InvalidArgument(
+        StrFormat("%s [%lld, +%lld) out of range on target %d", op,
+                  (long long)offset, (long long)size, target_index));
   }
+  return Status::Ok();
+}
+
+Status FileBackend::ExecuteLocked(int target_index, int64_t offset,
+                                  int64_t size, bool is_write, void* data) {
   const Target& target = targets_[static_cast<size_t>(target_index)];
   const int64_t lbs = geometry_.logical_block_bytes;
   const bool aligned = offset % lbs == 0 && size % lbs == 0;
@@ -179,7 +187,6 @@ Status FileBackend::Execute(int target_index, int64_t offset, int64_t size,
   const bool use_direct = aligned && target.direct_fd >= 0;
   const int fd = use_direct ? target.direct_fd : target.buffered_fd;
 
-  std::lock_guard<std::mutex> lock(mu_);
   char* buf;
   if (data != nullptr && (!use_direct || data_aligned)) {
     buf = static_cast<char*>(data);
@@ -187,18 +194,14 @@ Status FileBackend::Execute(int target_index, int64_t offset, int64_t size,
     // Timing-only (null data) or an unaligned caller buffer under
     // O_DIRECT: move bytes through the aligned bounce buffer.
     LDB_RETURN_IF_ERROR(bounce_.Reserve(size, lbs));
-    buf = bounce_.data;
+    buf = bounce_.data();
     if (is_write && data != nullptr) {
       memcpy(buf, data, static_cast<size_t>(size));
     }
   }
 
-  const auto start = std::chrono::steady_clock::now();
-  const Status status = Transfer(fd, is_write, offset, size, buf);
-  counters_.io_time_s += std::chrono::duration<double>(
-                             std::chrono::steady_clock::now() - start)
-                             .count();
-
+  iovec iov{buf, static_cast<size_t>(size)};
+  const Status status = Transfer(fd, is_write, offset, &iov, 1);
   if (status.ok() && !is_write && data != nullptr && buf != data) {
     memcpy(data, buf, static_cast<size_t>(size));
   }
@@ -216,40 +219,136 @@ Status FileBackend::Execute(int target_index, int64_t offset, int64_t size,
 }
 
 Status FileBackend::Transfer(int fd, bool is_write, int64_t offset,
-                             int64_t size, char* buf) {
-  int64_t done = 0;
-  while (done < size) {
-    const size_t len = static_cast<size_t>(size - done);
-    const ssize_t n =
-        is_write ? ::pwrite(fd, buf + done, len, offset + done)
-                 : ::pread(fd, buf + done, len, offset + done);
+                             iovec* iov, size_t iovcnt) {
+  const auto start = std::chrono::steady_clock::now();
+  Status status = Status::Ok();
+  while (iovcnt > 0) {
+    const int cnt = static_cast<int>(std::min<size_t>(iovcnt, IOV_MAX));
+    const ssize_t n = is_write ? ::pwritev(fd, iov, cnt, offset)
+                               : ::preadv(fd, iov, cnt, offset);
+    ++counters_.syscalls;
     if (n < 0) {
       if (errno == EINTR) continue;
-      return Status::IoError(StrFormat("%s(%lld, +%lld) failed: %s",
-                                       is_write ? "pwrite" : "pread",
-                                       (long long)(offset + done),
-                                       (long long)(size - done),
-                                       strerror(errno)));
+      const int err = errno;
+      size_t left = 0;
+      for (size_t k = 0; k < iovcnt; ++k) left += iov[k].iov_len;
+      status = Status::IoError(StrFormat(
+          "%s(%lld, +%lld) failed: %s", is_write ? "pwritev" : "preadv",
+          (long long)offset, (long long)left, strerror(err)));
+      break;
     }
     if (n == 0) {
-      return Status::IoError(
+      status = Status::IoError(
           StrFormat("short %s at offset %lld", is_write ? "write" : "read",
-                    (long long)(offset + done)));
+                    (long long)offset));
+      break;
     }
-    done += n;
+    // Drop the iovecs the call finished; trim a partly moved one.
+    offset += n;
+    size_t moved = static_cast<size_t>(n);
+    while (iovcnt > 0 && moved >= iov->iov_len) {
+      moved -= iov->iov_len;
+      ++iov;
+      --iovcnt;
+    }
+    if (moved > 0) {
+      iov->iov_base = static_cast<char*>(iov->iov_base) + moved;
+      iov->iov_len -= moved;
+    }
   }
-  return Status::Ok();
+  counters_.io_time_s += std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - start)
+                             .count();
+  return status;
 }
 
 Status FileBackend::ReadSync(int target, int64_t offset, int64_t size,
                              void* buf) {
-  return Execute(target, offset, size, /*is_write=*/false, buf);
+  LDB_RETURN_IF_ERROR(CheckRange("ReadSync", target, offset, size));
+  std::lock_guard<std::mutex> lock(mu_);
+  return ExecuteLocked(target, offset, size, /*is_write=*/false, buf);
 }
 
 Status FileBackend::WriteSync(int target, int64_t offset, int64_t size,
                               const void* buf) {
-  return Execute(target, offset, size, /*is_write=*/true,
-                 const_cast<void*>(buf));
+  LDB_RETURN_IF_ERROR(CheckRange("WriteSync", target, offset, size));
+  std::lock_guard<std::mutex> lock(mu_);
+  return ExecuteLocked(target, offset, size, /*is_write=*/true,
+                       const_cast<void*>(buf));
+}
+
+Status FileBackend::TransferChunks(const std::vector<TargetChunk>& chunks,
+                                   bool is_write, void* buf) {
+  const char* op = is_write ? "TransferChunks write" : "TransferChunks read";
+  if (buf == nullptr) {
+    return Status::InvalidArgument(StrFormat("%s: null buffer", op));
+  }
+  for (const TargetChunk& c : chunks) {
+    const int64_t offset =
+        c.target >= 0 && c.target < geometry_.num_targets
+            ? DataPlaneOffset(geometry_, c)
+            : c.offset;
+    LDB_RETURN_IF_ERROR(CheckRange(op, c.target, offset, c.size));
+  }
+
+  std::lock_guard<std::mutex> lock(mu_);
+  const int64_t lbs = geometry_.logical_block_bytes;
+  pieces_.clear();
+  char* pos = static_cast<char*>(buf);
+  for (const TargetChunk& c : chunks) {
+    const int64_t offset = DataPlaneOffset(geometry_, c);
+    // A chunk joins a run when O_DIRECT (or the buffered fd) takes it in
+    // place: block-aligned on media and, under O_DIRECT, in memory too.
+    const bool direct = targets_[static_cast<size_t>(c.target)].direct_fd >= 0;
+    if (offset % lbs == 0 && c.size % lbs == 0 &&
+        (!direct || reinterpret_cast<uintptr_t>(pos) %
+                            static_cast<uintptr_t>(lbs) ==
+                        0)) {
+      pieces_.push_back(Piece{c.target, offset, c.size, pos});
+    } else {
+      LDB_RETURN_IF_ERROR(ExecuteLocked(c.target, offset, c.size, is_write,
+                                        pos));
+    }
+    pos += c.size;
+  }
+
+  std::sort(pieces_.begin(), pieces_.end(),
+            [](const Piece& a, const Piece& b) {
+              return a.target != b.target ? a.target < b.target
+                                          : a.offset < b.offset;
+            });
+  for (size_t first = 0; first < pieces_.size();) {
+    const Piece& head = pieces_[first];
+    int64_t end = head.offset;
+    size_t last = first;
+    iov_.clear();
+    while (last < pieces_.size() && pieces_[last].target == head.target &&
+           pieces_[last].offset == end) {
+      iov_.push_back(iovec{pieces_[last].data,
+                           static_cast<size_t>(pieces_[last].size)});
+      end += pieces_[last].size;
+      ++last;
+    }
+    const Target& target = targets_[static_cast<size_t>(head.target)];
+    const int fd =
+        target.direct_fd >= 0 ? target.direct_fd : target.buffered_fd;
+    const Status status =
+        Transfer(fd, is_write, head.offset, iov_.data(), iov_.size());
+    if (!status.ok()) {
+      ++counters_.errors;
+      return status;
+    }
+    const uint64_t n = static_cast<uint64_t>(last - first);
+    if (is_write) {
+      counters_.writes += n;
+      counters_.bytes_written += end - head.offset;
+    } else {
+      counters_.reads += n;
+      counters_.bytes_read += end - head.offset;
+    }
+    first = last;
+  }
+  return Status::Ok();
 }
 
 Status FileBackend::Sync() {

@@ -7,6 +7,8 @@
 #include <string>
 #include <vector>
 
+#include <sys/uio.h>
+
 #include "storage/lvm.h"
 #include "util/status.h"
 
@@ -57,8 +59,35 @@ struct BackendCounters {
   /// the buffered fallback path.
   uint64_t unaligned_requests = 0;
   uint64_t errors = 0;
+  /// preadv/pwritev calls issued (a retry after a short transfer counts
+  /// again).
+  uint64_t syscalls = 0;
   /// Wall-clock seconds spent inside I/O syscalls.
   double io_time_s = 0.0;
+};
+
+/// Heap buffer aligned for O_DIRECT (posix_memalign), grown on demand. A
+/// caller that hands FileBackend a buffer from here, at a block-aligned
+/// position, skips the backend's bounce copy.
+class AlignedBuffer {
+ public:
+  AlignedBuffer() = default;
+  ~AlignedBuffer() { Release(); }
+  AlignedBuffer(const AlignedBuffer&) = delete;
+  AlignedBuffer& operator=(const AlignedBuffer&) = delete;
+
+  /// Makes `bytes` (rounded up to `align`) available at an `align`-byte
+  /// boundary. Keeps the current block when it is already large enough;
+  /// otherwise the contents are not preserved.
+  Status Reserve(int64_t bytes, int64_t align);
+  /// Frees the block.
+  void Release();
+
+  char* data() const { return data_; }
+
+ private:
+  char* data_ = nullptr;
+  int64_t size_ = 0;
 };
 
 /// Configuration of a FileBackend: one regular file (or raw device node)
@@ -83,11 +112,15 @@ struct FileBackendOptions {
 };
 
 /// Real-I/O data plane: stripes each target's byte space over one regular
-/// file (or raw device) and moves bytes with pread/pwrite on the caller's
-/// thread: O_DIRECT for aligned requests (unaligned caller buffers bounce
-/// through one aligned scratch buffer), and a buffered fallback for
-/// filesystems (tmpfs) and requests that cannot satisfy the alignment
-/// contract.
+/// file (or raw device) and moves bytes with preadv/pwritev on the
+/// caller's thread. The alignment ladder, per request or chunk:
+///   - offset and size on the logical block, caller buffer aligned:
+///     O_DIRECT straight from the caller's memory;
+///   - offset and size aligned, buffer unaligned or null (timing-only):
+///     O_DIRECT through one aligned bounce buffer;
+///   - offset or size unaligned: the buffered fd, counted in
+///     `unaligned_requests`.
+/// Without O_DIRECT (tmpfs) every aligned request uses the buffered fd.
 ///
 /// The event-queue simulator is the one timing engine: the closed-loop
 /// runner and every scenario drive StorageSystem directly. This backend
@@ -122,6 +155,19 @@ class FileBackend final {
   Status WriteSync(int target, int64_t offset, int64_t size,
                    const void* buf);
 
+  /// Moves one window of chunks (a routed logical range): chunk k's bytes
+  /// sit in `buf` right after chunk k-1's, in list order, and each chunk
+  /// addresses DataPlaneOffset(geometry(), chunk) of its target. Aligned
+  /// chunks whose buffer position the fd accepts are grouped per target
+  /// into runs that are contiguous on media, one preadv/pwritev each;
+  /// every other chunk goes alone as in ReadSync/WriteSync. Counters count
+  /// chunks, as if each were one ReadSync/WriteSync. Every chunk is
+  /// range-checked before any byte moves; a bad one fails the call with
+  /// InvalidArgument and leaves the counters alone. `buf` must be non-null
+  /// and chunks must not overlap on media.
+  Status TransferChunks(const std::vector<TargetChunk>& chunks, bool is_write,
+                        void* buf);
+
   /// Durability barrier: flushes all completed writes to media.
   Status Sync();
 
@@ -141,29 +187,35 @@ class FileBackend final {
     int direct_fd = -1;  ///< -1 when O_DIRECT is unsupported here
     int64_t capacity = 0;
   };
-  /// Aligned bounce buffer (posix_memalign), grown on demand.
-  struct Bounce {
-    char* data = nullptr;
-    int64_t size = 0;
-    ~Bounce();
-    Status Reserve(int64_t bytes, int64_t align);
+  /// One block-aligned chunk of a TransferChunks window.
+  struct Piece {
+    int target;
+    int64_t offset;  ///< file offset
+    int64_t size;
+    char* data;
   };
 
   FileBackend() = default;
 
-  /// Range-checks and executes one transfer on the caller's thread under
-  /// mu_; `data` null = timing-only through bounce_.
-  Status Execute(int target_index, int64_t offset, int64_t size,
-                 bool is_write, void* data);
-  /// The raw pread/pwrite loop on `fd`.
-  static Status Transfer(int fd, bool is_write, int64_t offset,
-                         int64_t size, char* buf);
+  /// InvalidArgument unless [offset, offset + size) lies in the target.
+  Status CheckRange(const char* op, int target_index, int64_t offset,
+                    int64_t size) const;
+  /// Executes one range-checked transfer; caller holds mu_. `data` null =
+  /// timing-only through bounce_.
+  Status ExecuteLocked(int target_index, int64_t offset, int64_t size,
+                       bool is_write, void* data);
+  /// The raw preadv/pwritev loop on `fd` (EINTR, short transfers,
+  /// IOV_MAX); consumes `iov`. Caller holds mu_.
+  Status Transfer(int fd, bool is_write, int64_t offset, iovec* iov,
+                  size_t iovcnt);
 
   BackendGeometry geometry_;
   std::vector<Target> targets_;
 
-  mutable std::mutex mu_;  ///< guards bounce_ and counters_
-  Bounce bounce_;
+  mutable std::mutex mu_;  ///< guards everything below
+  AlignedBuffer bounce_;
+  std::vector<Piece> pieces_;       ///< TransferChunks scratch
+  std::vector<iovec> iov_;          ///< TransferChunks scratch
   BackendCounters counters_;
 };
 

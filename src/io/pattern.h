@@ -27,14 +27,17 @@ int64_t FindPatternMismatch(ObjectId object, int64_t offset, int64_t size,
                             const void* buf);
 
 /// Writes every object's full pattern through `router`'s *read* routing
-/// (the authoritative single location) onto `backend`. Used once at the
-/// start of a fresh real-backend run, before any migration moves bytes.
+/// (the authoritative single location) onto `backend`, one `chunk_bytes`
+/// logical window per FileBackend::TransferChunks call from one aligned
+/// staging buffer. Used once at the start of a fresh real-backend run,
+/// before any migration moves bytes.
 Status PopulateBackendPattern(FileBackend* backend, VolumeRouter* router,
                               int64_t chunk_bytes = 1 << 20);
 
-/// Reads every object byte back through `router`'s read routing and checks
-/// it against the pattern. Returns the total bytes verified, or an error
-/// naming the first mismatching object/offset.
+/// Reads every object byte back through `router`'s read routing (windows
+/// as in PopulateBackendPattern) and checks it against the pattern.
+/// Returns the total bytes verified, or an error naming the first
+/// mismatching object, logical offset, target and file offset.
 Result<int64_t> VerifyBackendPattern(FileBackend* backend,
                                      VolumeRouter* router,
                                      int64_t chunk_bytes = 1 << 20);
