@@ -15,11 +15,14 @@
 //      layouts then run with the disk dead from t=0. Replan must end with
 //      strictly lower measured max utilization.
 //
-// --json emits machine-readable rows for all four stages.
+// --json emits machine-readable rows for all four stages, each keyed
+// `row` = "<scenario>/<config>"; the replan row's integer moved_bytes is an
+// exact counter for tools/bench_record.py --compare-last.
 
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <string>
 #include <vector>
 
 #include "bench/bench_common.h"
@@ -59,6 +62,13 @@ int main(int argc, char** argv) {
   const int m = problem.num_targets();
 
   JsonRows json;
+  const auto begin_row = [&json](const std::string& scenario,
+                                 const std::string& config) {
+    json.BeginRow();
+    json.Field("row", scenario + "/" + config);
+    json.Field("scenario", scenario);
+    json.Field("config", config);
+  };
 
   // ---- 1. Differential self-check: empty plan == no plan. ----
   auto healthy = rig->Execute(layout, &*olap, nullptr);
@@ -78,9 +88,7 @@ int main(int argc, char** argv) {
     std::printf("empty fault plan vs plain run: %s (%.3fs vs %.3fs)\n",
                 same ? "[ok: identical]" : "[MISS: runs diverge]",
                 healthy->elapsed_seconds, nofault->elapsed_seconds);
-    json.BeginRow();
-    json.Field("scenario", "none");
-    json.Field("config", "differential_check");
+    begin_row("none", "differential_check");
     json.Field("identical", same);
     json.Field("elapsed_s", healthy->elapsed_seconds);
     if (!same) {
@@ -114,9 +122,7 @@ int main(int argc, char** argv) {
     for (const std::string& s : run->skipped_faults) {
       std::printf("  skipped fault: %s\n", s.c_str());
     }
-    json.BeginRow();
-    json.Field("scenario", "midrun_disk_loss");
-    json.Field("config", "no_reaction");
+    begin_row("midrun_disk_loss", "no_reaction");
     json.Field("elapsed_s", run->elapsed_seconds);
     json.Field("faults_injected",
                static_cast<int64_t>(run->faults.faults_injected));
@@ -143,9 +149,7 @@ int main(int argc, char** argv) {
     for (const std::string& s : run->skipped_faults) {
       std::printf("  skipped fault: %s\n", s.c_str());
     }
-    json.BeginRow();
-    json.Field("scenario", "transient");
-    json.Field("config", "retries");
+    begin_row("transient", "retries");
     json.Field("elapsed_s", run->elapsed_seconds);
     json.Field("transient_errors",
                static_cast<int64_t>(run->faults.transient_errors));
@@ -249,15 +253,17 @@ int main(int argc, char** argv) {
                   StrFormat("%.1f%%", 100 * rows[c].measured),
                   StrFormat("%.3fs", run->elapsed_seconds),
                   StrFormat("%.1f", moved_mb[c])});
-    json.BeginRow();
-    json.Field("scenario", "disk_loss");
-    json.Field("config", names[c]);
+    begin_row("disk_loss", names[c]);
     json.Field("est_max_utilization", est);
     json.Field("max_utilization", rows[c].measured);
     json.Field("elapsed_s", run->elapsed_seconds);
     json.Field("migration_mb", moved_mb[c]);
     json.Field("objects_moved",
                c == 0 ? -1 : replanned->migration.objects_moved);
+    if (c == 1) {
+      json.Field("moved_bytes", static_cast<int64_t>(std::llround(
+                                    replanned->migration.total_bytes)));
+    }
   }
   std::printf("%s\n", table.ToString().c_str());
   const bool ok = rows[1].measured < rows[0].measured;

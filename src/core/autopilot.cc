@@ -106,6 +106,33 @@ struct Controller {
     ++report->migrations_aborted;
   }
 
+  /// Settles the migration in flight (`active` non-null). An executor that
+  /// froze on a journal crash stays spliced in, its per-chunk routing the
+  /// last consistent view, and the control plane stops acting (recovery is
+  /// a restarted process's job). A terminal outcome is adopted, rolled back
+  /// or aborted; a copy still running is left alone.
+  void SettleMigration() {
+    if (active->journal_failed()) {
+      frozen = true;
+      active = nullptr;
+      return;
+    }
+    switch (active->outcome()) {
+      case MigrationOutcome::kNotStarted:
+      case MigrationOutcome::kRunning:
+        break;  // copy still in flight
+      case MigrationOutcome::kCompleted:
+        AdoptCompleted();
+        break;
+      case MigrationOutcome::kRolledBack:
+        HandleRollback();
+        break;
+      case MigrationOutcome::kAborted:
+        HandleAbort();
+        break;
+    }
+  }
+
   /// A drift trip: re-advise for the live window (warm-started from the
   /// deployed layout), price the move, and act iff the gate passes.
   void Decide(WorkloadSet live, double now);
@@ -143,8 +170,7 @@ void Controller::Decide(WorkloadSet live, double now) {
   d.advised_max_util = advised.value().max_utilization_final;
 
   const MigrationPlan plan =
-      PriceMigration(live_problem, current_layout, candidate,
-                     adv.regularizer.zero_tolerance);
+      PriceMigration(live_problem, current_layout, candidate);
   const double bandwidth = options->migrate.bandwidth_bytes_per_s > 0.0
                                ? options->migrate.bandwidth_bytes_per_s
                                : options->config.gate_fallback_bandwidth;
@@ -277,28 +303,9 @@ void Tick(Controller* c) {
     if (!appended.ok()) c->frozen = true;
   }
 
-  if (c->active != nullptr && c->active->journal_failed()) {
-    // The executor froze on a journal crash mid-migration. Its per-chunk
-    // routing is the last consistent view, so it stays spliced in; the
-    // control plane stops acting (recovery is a restarted process's job).
-    c->frozen = true;
-    c->active = nullptr;
-  }
   if (c->active != nullptr) {
-    switch (c->active->outcome()) {
-      case MigrationOutcome::kNotStarted:
-      case MigrationOutcome::kRunning:
-        break;  // copy still in flight; sensing continues, deciding waits
-      case MigrationOutcome::kCompleted:
-        c->AdoptCompleted();
-        break;
-      case MigrationOutcome::kRolledBack:
-        c->HandleRollback();
-        break;
-      case MigrationOutcome::kAborted:
-        c->HandleAbort();
-        break;
-    }
+    // Sensing continues while a copy runs; deciding waits a tick.
+    c->SettleMigration();
   } else if (!c->frozen) {
     WorkloadSet live = c->analyzer.Snapshot();
     if (c->detector.Evaluate(live, now)) {
@@ -481,30 +488,9 @@ Result<AutopilotReport> RunAutopilotLoop(
   report.skipped_faults = injector.skipped();
 
   // A migration still in flight at the last tick drains inside the
-  // runner's event loop; account for its terminal state here.
-  if (controller.active != nullptr) {
-    if (controller.active->journal_failed()) {
-      // Journal crash froze the executor mid-copy; its routing stays the
-      // consistent view and the run ends with the migration unfinished.
-      controller.frozen = true;
-      controller.active = nullptr;
-    } else {
-      switch (controller.active->outcome()) {
-        case MigrationOutcome::kCompleted:
-          controller.AdoptCompleted();
-          break;
-        case MigrationOutcome::kRolledBack:
-          controller.HandleRollback();
-          break;
-        case MigrationOutcome::kAborted:
-          controller.HandleAbort();
-          break;
-        case MigrationOutcome::kNotStarted:
-        case MigrationOutcome::kRunning:
-          break;  // unreachable: the pump only idles at a terminal state
-      }
-    }
-  }
+  // runner's event loop (the pump only idles at a terminal state); account
+  // for it here.
+  if (controller.active != nullptr) controller.SettleMigration();
 
   report.final_layout = controller.current_layout;
   report.final_drift_score = controller.detector.last_score();

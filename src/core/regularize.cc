@@ -204,6 +204,28 @@ void CandidatePricer::Apply(int i, const std::vector<int>& targets) {
   layout_.SetRowRegular(i, targets);
 }
 
+double MaxEffectiveUtilization(const RegularizerOptions& options,
+                               const std::vector<double>& mu) {
+  double out = 0.0;
+  for (size_t j = 0; j < mu.size(); ++j) {
+    out = std::max(out, EffectiveTargetUtilization(options, mu[j],
+                                                   static_cast<int>(j)));
+  }
+  return out;
+}
+
+namespace {
+
+/// Outcome of searching the 2M regular candidates for one object.
+struct RegularCandidateChoice {
+  bool found = false;
+  double objective = 0.0;  ///< max_j µ_j with the candidate applied
+  std::vector<int> targets;
+};
+
+/// Generates the paper's 2M candidate regular rows for object `i` against
+/// the pricer's layout, drops capacity and constraint violators, and
+/// returns the one minimizing the maximum (derated) utilization.
 RegularCandidateChoice BestRegularRowForObject(
     const RegularizerOptions& options, CandidatePricer* pricer, int i) {
   const LayoutProblem& problem = pricer->problem();
@@ -253,7 +275,7 @@ RegularCandidateChoice BestRegularRowForObject(
       const int partner = a == i ? b : (b == i ? a : -1);
       if (partner < 0) continue;
       for (int j : targets) {
-        if (current.At(partner, j) > options.zero_tolerance) return true;
+        if (current.At(partner, j) > kLayoutZeroTolerance) return true;
       }
     }
     return false;
@@ -265,12 +287,7 @@ RegularCandidateChoice BestRegularRowForObject(
     if (co_locates(targets) || !pricer->Price(i, targets, &trial_mu)) {
       continue;
     }
-    double objective = 0.0;
-    for (int j = 0; j < m; ++j) {
-      objective = std::max(
-          objective, EffectiveTargetUtilization(
-                         options, trial_mu[static_cast<size_t>(j)], j));
-    }
+    const double objective = MaxEffectiveUtilization(options, trial_mu);
     if (!best.found || objective < best.objective) {
       best.found = true;
       best.objective = objective;
@@ -278,6 +295,34 @@ RegularCandidateChoice BestRegularRowForObject(
     }
   }
   return best;
+}
+
+}  // namespace
+
+int RelayoutRows(const RegularizerOptions& options, CandidatePricer* pricer,
+                 const std::vector<int>& place, const std::vector<int>& refine,
+                 double margin) {
+  for (int i : place) {
+    const RegularCandidateChoice choice =
+        BestRegularRowForObject(options, pricer, i);
+    if (!choice.found) return i;
+    pricer->Apply(i, choice.targets);
+  }
+  for (int pass = 0; pass < options.refinement_passes; ++pass) {
+    bool improved = false;
+    for (int i : refine) {
+      const double incumbent = MaxEffectiveUtilization(options, pricer->mu());
+      const RegularCandidateChoice choice =
+          BestRegularRowForObject(options, pricer, i);
+      if (choice.found && choice.objective < incumbent - margin &&
+          pricer->layout().TargetsOf(i) != choice.targets) {
+        pricer->Apply(i, choice.targets);
+        improved = true;
+      }
+    }
+    if (!improved) break;
+  }
+  return -1;
 }
 
 Result<Layout> Regularizer::Regularize(const Layout& solver_layout) const {
@@ -305,40 +350,14 @@ Result<Layout> Regularizer::Regularize(const Layout& solver_layout) const {
            object_load[static_cast<size_t>(b)];
   });
 
-  // Greedy pass: regularize one object at a time (paper Section 4.3).
-  for (int i : order) {
-    const RegularCandidateChoice choice =
-        BestRegularRowForObject(options_, &pricer, i);
-    if (!choice.found) {
-      return Status::Infeasible(StrFormat(
-          "no regular candidate for object %s fits the capacity "
-          "constraints; manual intervention required",
-          problem_->object_names[static_cast<size_t>(i)].c_str()));
-    }
-    pricer.Apply(i, choice.targets);
-  }
-
-  // Refinement sweeps: with the whole layout now regular, revisit each
-  // object's candidates and keep strict improvements until a fixpoint.
-  for (int pass = 0; pass < options_.refinement_passes; ++pass) {
-    bool improved = false;
-    for (int i : order) {
-      double current_objective = 0.0;
-      for (int j = 0; j < m; ++j) {
-        current_objective = std::max(
-            current_objective,
-            EffectiveTargetUtilization(
-                options_, pricer.mu()[static_cast<size_t>(j)], j));
-      }
-      const RegularCandidateChoice choice =
-          BestRegularRowForObject(options_, &pricer, i);
-      if (choice.found && choice.objective < current_objective - 1e-12 &&
-          pricer.layout().TargetsOf(i) != choice.targets) {
-        pricer.Apply(i, choice.targets);
-        improved = true;
-      }
-    }
-    if (!improved) break;
+  // Greedy pass, one object at a time (paper Section 4.3), then refinement
+  // sweeps over the now-regular layout keeping strict improvements.
+  const int stuck = RelayoutRows(options_, &pricer, order, order, 1e-12);
+  if (stuck >= 0) {
+    return Status::Infeasible(StrFormat(
+        "no regular candidate for object %s fits the capacity "
+        "constraints; manual intervention required",
+        problem_->object_names[static_cast<size_t>(stuck)].c_str()));
   }
 
   LDB_CHECK(pricer.layout().IsRegular(1e-9));

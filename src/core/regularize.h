@@ -12,12 +12,13 @@
 
 namespace ldb {
 
+/// Layout entries at or below this count as "not placed" when checking a
+/// separation partner, and as solver noise when re-planning and migration
+/// pricing read a layout.
+inline constexpr double kLayoutZeroTolerance = 1e-4;
+
 /// Options for the regularization post-processing step.
 struct RegularizerOptions {
-  /// Layout entries at or below this count as "not placed" when checking a
-  /// separation partner, and as solver noise when re-planning prices
-  /// migrations.
-  double zero_tolerance = 1e-4;
   /// After the greedy pass, up to this many refinement sweeps re-evaluate
   /// every object's candidate set against the now-regular layout and move
   /// objects while the maximum utilization improves. This corrects the
@@ -42,6 +43,11 @@ struct RegularizerOptions {
 /// a failed target carries load, µ_j unchanged when no derating is set).
 double EffectiveTargetUtilization(const RegularizerOptions& options,
                                   double mu_j, int j);
+
+/// max_j of EffectiveTargetUtilization over `mu` (one entry per target):
+/// the objective every regular-row choice minimizes.
+double MaxEffectiveUtilization(const RegularizerOptions& options,
+                               const std::vector<double>& mu);
 
 /// Exact incremental pricing of regular candidate rows against a layout:
 /// the regularizer's inner loop.
@@ -123,21 +129,18 @@ class CandidatePricer {
   std::vector<std::pair<int, double>> undo_;
 };
 
-/// Outcome of searching the 2M regular candidates for one object.
-struct RegularCandidateChoice {
-  bool found = false;
-  double objective = 0.0;  ///< max_j µ_j with the candidate applied
-  std::vector<int> targets;
-};
-
-/// Generates the paper's 2M candidate regular rows for object `i`
-/// (consistent with its current row's fractions, and balancing onto the
-/// least-loaded targets) against the pricer's layout, drops capacity and
-/// constraint violators, and returns the one minimizing the maximum
-/// (derated) utilization. The caller applies the winner. Shared by the
-/// regularizer and failure re-planning.
-RegularCandidateChoice BestRegularRowForObject(
-    const RegularizerOptions& options, CandidatePricer* pricer, int i);
+/// The one place-and-refine pass over regular rows, shared by the
+/// regularizer and failure re-planning. Places each row of `place`, in
+/// order, on the best of its 2M regular candidates (see Regularizer) under
+/// the derated objective MaxEffectiveUtilization. Then sweeps `refine`, in
+/// order, up to `options.refinement_passes` times (stopping at a fixpoint),
+/// moving a row only when its winner beats the current maximum effective
+/// utilization by more than `margin` and changes its target set. Returns
+/// the first row of `place` with no feasible candidate (the pricer then
+/// holds the rows placed before it), or -1.
+int RelayoutRows(const RegularizerOptions& options, CandidatePricer* pricer,
+                 const std::vector<int>& place, const std::vector<int>& refine,
+                 double margin);
 
 /// Regularization post-processor (paper Section 4.3): converts the
 /// solver's optimized but generally non-regular layout into a regular one

@@ -64,9 +64,6 @@ void ApplyTargetDerate(const std::vector<double>& derate,
 }
 
 bool TargetHealth::AllHealthy() const {
-  for (char f : failed) {
-    if (f != 0) return false;
-  }
   for (double d : derate) {
     if (d < 1.0 - 1e-12) return false;
   }
@@ -74,15 +71,13 @@ bool TargetHealth::AllHealthy() const {
 }
 
 Status TargetHealth::Validate(int num_targets) const {
-  if (failed.size() != static_cast<size_t>(num_targets) ||
-      derate.size() != static_cast<size_t>(num_targets)) {
+  if (derate.size() != static_cast<size_t>(num_targets)) {
     return Status::InvalidArgument("health dimensions mismatch problem");
   }
   for (size_t j = 0; j < derate.size(); ++j) {
-    if (failed[j] != 0) continue;
-    if (derate[j] <= 0.0 || derate[j] > 1.0) {
+    if (!(derate[j] >= 0.0 && derate[j] <= 1.0)) {
       return Status::InvalidArgument(StrFormat(
-          "derate[%d]=%.3f outside (0,1]", static_cast<int>(j), derate[j]));
+          "derate[%d]=%.3f outside [0,1]", static_cast<int>(j), derate[j]));
     }
   }
   return Status::Ok();
@@ -182,17 +177,6 @@ TargetHealth HealthFromFaultPlan(const FaultPlan& plan,
 
 namespace {
 
-/// max_j µ_j / derate_j over the cache.
-double EffectiveMax(const RegularizerOptions& options,
-                    const std::vector<double>& mu) {
-  double out = 0.0;
-  for (size_t j = 0; j < mu.size(); ++j) {
-    out = std::max(out, EffectiveTargetUtilization(options, mu[j],
-                                                   static_cast<int>(j)));
-  }
-  return out;
-}
-
 /// Row i of `layout` is regular over exactly `targets` within `tol`: every
 /// listed fraction equals 1/k up to tol (TargetsOf already excluded the
 /// sub-tol rest).
@@ -209,7 +193,8 @@ bool RowIsRegular(const Layout& layout, int i, const std::vector<int>& targets,
 }  // namespace
 
 MigrationPlan PriceMigration(const LayoutProblem& problem, const Layout& from,
-                             const Layout& to, double zero_tolerance) {
+                             const Layout& to) {
+  constexpr double tol = kLayoutZeroTolerance;
   MigrationPlan plan;
   const int n = problem.num_objects();
   const int m = problem.num_targets();
@@ -220,13 +205,12 @@ MigrationPlan PriceMigration(const LayoutProblem& problem, const Layout& from,
     const double s =
         static_cast<double>(problem.object_sizes[static_cast<size_t>(i)]);
     // Regular rows are priced on the exact 1/k fractions their target sets
-    // imply; fraction values within zero_tolerance of 1/k are solver noise,
-    // not movement.
-    const std::vector<int> from_targets = from.TargetsOf(i, zero_tolerance);
-    const std::vector<int> to_targets = to.TargetsOf(i, zero_tolerance);
-    const bool regular =
-        RowIsRegular(from, i, from_targets, zero_tolerance) &&
-        RowIsRegular(to, i, to_targets, zero_tolerance);
+    // imply; fraction values within tol of 1/k are solver noise, not
+    // movement.
+    const std::vector<int> from_targets = from.TargetsOf(i, tol);
+    const std::vector<int> to_targets = to.TargetsOf(i, tol);
+    const bool regular = RowIsRegular(from, i, from_targets, tol) &&
+                         RowIsRegular(to, i, to_targets, tol);
     bool moved = false;
     if (regular) {
       if (from_targets != to_targets) {
@@ -251,13 +235,13 @@ MigrationPlan PriceMigration(const LayoutProblem& problem, const Layout& from,
     } else {
       for (int j = 0; j < m; ++j) {
         const double delta = to.At(i, j) - from.At(i, j);
-        if (delta > zero_tolerance) {
+        if (delta > tol) {
           const double bytes = delta * s;
           plan.moved_in_bytes[static_cast<size_t>(i)][static_cast<size_t>(j)] =
               bytes;
           plan.total_bytes += bytes;
         }
-        if (std::fabs(delta) > zero_tolerance) moved = true;
+        if (std::fabs(delta) > tol) moved = true;
       }
     }
     if (moved) ++plan.objects_moved;
@@ -284,13 +268,13 @@ Result<ReplanResult> ReplanAfterFailure(const LayoutProblem& problem,
   }
 
   const TargetModel model = problem.MakeTargetModel();
-  const double tol = options.regularize.zero_tolerance;
+  constexpr double tol = kLayoutZeroTolerance;
 
   // Healthy input: guaranteed no-op — the differential baseline.
   if (health.AllHealthy()) {
     ReplanResult result;
     result.layout = current;
-    result.migration = PriceMigration(problem, current, current, tol);
+    result.migration = PriceMigration(problem, current, current);
     const std::vector<double> mu =
         model.Utilizations(problem.workloads, current);
     result.max_utilization = *std::max_element(mu.begin(), mu.end());
@@ -348,14 +332,13 @@ Result<ReplanResult> ReplanAfterFailure(const LayoutProblem& problem,
   }
   RegularizerOptions ropts = options.regularize;
   ropts.target_derate = health.derate;
-  for (int j = 0; j < m; ++j) {
-    if (health.IsFailed(j)) ropts.target_derate[static_cast<size_t>(j)] = 0.0;
-  }
 
   // Partition rows: displaced (mass on a failed target — must move),
   // eligible (mass on a derated target — may move if it helps), frozen
-  // (everything else — never moves).
+  // (everything else — never moves). Displaced and eligible rows are
+  // movable.
   std::vector<int> displaced;
+  std::vector<int> movable;
   std::vector<char> is_displaced(static_cast<size_t>(n), 0);
   std::vector<char> is_eligible(static_cast<size_t>(n), 0);
   for (int i = 0; i < n; ++i) {
@@ -368,6 +351,10 @@ Result<ReplanResult> ReplanAfterFailure(const LayoutProblem& problem,
       }
     }
     if (is_displaced[static_cast<size_t>(i)]) displaced.push_back(i);
+    if (is_displaced[static_cast<size_t>(i)] ||
+        is_eligible[static_cast<size_t>(i)]) {
+      movable.push_back(i);
+    }
   }
 
   // Displaced rows start empty; the pricer is built on that layout.
@@ -386,41 +373,15 @@ Result<ReplanResult> ReplanAfterFailure(const LayoutProblem& problem,
            problem.workloads[static_cast<size_t>(b)].total_rate();
   });
 
-  for (int i : displaced) {
-    const RegularCandidateChoice choice =
-        BestRegularRowForObject(ropts, &pricer, i);
-    if (!choice.found) {
-      return Status::Infeasible(StrFormat(
-          "no surviving placement for object %s; re-run the full advisor",
-          problem.object_names[static_cast<size_t>(i)].c_str()));
-    }
-    pricer.Apply(i, choice.targets);
-  }
-
-  // Refinement sweeps over movable rows only: displaced rows may settle
-  // better once all are placed, and rows on derated targets may escape
-  // them. Frozen rows are never revisited.
-  std::vector<int> movable;
-  for (int i = 0; i < n; ++i) {
-    if (is_displaced[static_cast<size_t>(i)] ||
-        is_eligible[static_cast<size_t>(i)]) {
-      movable.push_back(i);
-    }
-  }
-  for (int pass = 0; pass < ropts.refinement_passes; ++pass) {
-    bool improved = false;
-    for (int i : movable) {
-      const double incumbent = EffectiveMax(ropts, pricer.mu());
-      const RegularCandidateChoice choice =
-          BestRegularRowForObject(ropts, &pricer, i);
-      if (choice.found &&
-          choice.objective < incumbent - options.improvement_epsilon &&
-          pricer.layout().TargetsOf(i) != choice.targets) {
-        pricer.Apply(i, choice.targets);
-        improved = true;
-      }
-    }
-    if (!improved) break;
+  // Place the displaced rows, then refine the movable rows only: displaced
+  // rows may settle better once all are placed, and rows on derated
+  // targets may escape them. Frozen rows are never revisited.
+  const int stuck = RelayoutRows(ropts, &pricer, displaced, movable,
+                                 kReplanImprovementMargin);
+  if (stuck >= 0) {
+    return Status::Infeasible(StrFormat(
+        "no surviving placement for object %s; re-run the full advisor",
+        problem.object_names[static_cast<size_t>(stuck)].c_str()));
   }
 
   // Warm-started solver polish: re-optimize the displaced rows only (all
@@ -437,20 +398,11 @@ Result<ReplanResult> ReplanAfterFailure(const LayoutProblem& problem,
     Result<SolverResult> polished = solver.Solve(nlp, pricer.layout());
     if (polished.ok()) {
       CandidatePricer candidate(&degraded, &model, polished->layout);
-      bool regularized = true;
-      for (int i : displaced) {
-        const RegularCandidateChoice choice =
-            BestRegularRowForObject(ropts, &candidate, i);
-        if (!choice.found) {
-          regularized = false;
-          break;
-        }
-        candidate.Apply(i, choice.targets);
-      }
-      if (regularized &&
-          EffectiveMax(ropts, candidate.mu()) <
-              EffectiveMax(ropts, pricer.mu()) -
-                  options.improvement_epsilon &&
+      if (RelayoutRows(ropts, &candidate, displaced, {},
+                       kReplanImprovementMargin) < 0 &&
+          MaxEffectiveUtilization(ropts, candidate.mu()) <
+              MaxEffectiveUtilization(ropts, pricer.mu()) -
+                  kReplanImprovementMargin &&
           candidate.layout().SatisfiesCapacity(problem.object_sizes,
                                                problem.capacities()) &&
           degraded.constraints.SatisfiedBy(candidate.layout())) {
@@ -483,8 +435,8 @@ Result<ReplanResult> ReplanAfterFailure(const LayoutProblem& problem,
 
   ReplanResult result;
   result.layout = layout;
-  result.migration = PriceMigration(problem, current, layout, tol);
-  result.max_utilization = EffectiveMax(ropts, pricer.mu());
+  result.migration = PriceMigration(problem, current, layout);
+  result.max_utilization = MaxEffectiveUtilization(ropts, pricer.mu());
   {
     const std::vector<double> prev_mu =
         model.Utilizations(problem.workloads, current);

@@ -15,25 +15,24 @@ namespace ldb {
 
 /// Health of the storage targets as seen by the re-layout step.
 struct TargetHealth {
-  /// failed[j] != 0: target j serves nothing (fail-stopped RAID0 member,
-  /// or a RAID group past its redundancy). All of its data must move.
-  std::vector<char> failed;
   /// Fraction of healthy service capacity target j still delivers, in
-  /// (0, 1]; ignored for failed targets. A limping or rebuilding group is
-  /// derated, not failed: its data *may* move if that lowers the maximum
-  /// effective utilization.
+  /// [0, 1]. 0 means failed: the target serves nothing (fail-stopped RAID0
+  /// member, or a RAID group past its redundancy) and all of its data must
+  /// move. A limping or rebuilding group is derated, in (0, 1): its data
+  /// *may* move if that lowers the maximum effective utilization. This is
+  /// the vector the re-layout ranks candidates by
+  /// (RegularizerOptions::target_derate).
   std::vector<double> derate;
 
   static TargetHealth Healthy(int num_targets) {
     TargetHealth h;
-    h.failed.assign(static_cast<size_t>(num_targets), 0);
     h.derate.assign(static_cast<size_t>(num_targets), 1.0);
     return h;
   }
 
-  int num_targets() const { return static_cast<int>(failed.size()); }
-  bool IsFailed(int j) const { return failed[static_cast<size_t>(j)] != 0; }
-  void MarkFailed(int j) { failed[static_cast<size_t>(j)] = 1; }
+  int num_targets() const { return static_cast<int>(derate.size()); }
+  bool IsFailed(int j) const { return derate[static_cast<size_t>(j)] <= 0.0; }
+  void MarkFailed(int j) { derate[static_cast<size_t>(j)] = 0.0; }
   void Derate(int j, double factor) {
     derate[static_cast<size_t>(j)] *= factor;
   }
@@ -65,16 +64,20 @@ struct MigrationPlan {
 ///
 /// Rows that are regular in both layouts (the advisor's output always is)
 /// are priced on the *exact* 1/k fractions implied by their target sets, so
-/// solver noise below `zero_tolerance` can never produce phantom moves: a
-/// row whose target set is unchanged prices zero bytes. Non-regular rows
-/// fall back to raw fraction deltas with sub-`zero_tolerance` deltas
-/// skipped. Pass the solver's `RegularizerOptions::zero_tolerance` so
-/// pricing and placement agree on what counts as zero.
+/// solver noise below kLayoutZeroTolerance can never produce phantom
+/// moves: a row whose target set is unchanged prices zero bytes. Non-regular
+/// rows fall back to raw fraction deltas with sub-tolerance deltas skipped.
+/// Placement uses the same tolerance, so the two agree on what counts as
+/// zero.
 MigrationPlan PriceMigration(const LayoutProblem& problem, const Layout& from,
-                             const Layout& to, double zero_tolerance = 1e-4);
+                             const Layout& to);
+
+/// A re-planned row move, and the polished layout, must beat the incumbent
+/// maximum effective utilization by more than this.
+inline constexpr double kReplanImprovementMargin = 1e-9;
 
 struct ReplanOptions {
-  /// Candidate generation / derating knobs for the greedy passes. The
+  /// Candidate generation knobs for the place-and-refine pass. The
   /// target_derate field is overwritten from TargetHealth.
   RegularizerOptions regularize;
   /// Polish the moved rows with a warm-started projected-gradient solve
@@ -85,8 +88,6 @@ struct ReplanOptions {
   /// Options for the polish solve. num_threads is honored; results stay
   /// bit-identical across thread counts (solver guarantee).
   SolverOptions solver;
-  /// A replacement layout must beat the incumbent by at least this much.
-  double improvement_epsilon = 1e-9;
 };
 
 /// Rescales `nlp` to the objective failure re-planning minimizes:

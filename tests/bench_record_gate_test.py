@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """tools/bench_record.py --compare-last must fail (exit 1) when a matched
-row's exact counters (solver effort, simulated requests) change, and only
-print timing deltas.
+row's exact counters (solver effort, simulated requests, re-planned bytes)
+change, and only print timing deltas.
 
     python3 tests/bench_record_gate_test.py <path to tools/bench_record.py>
 """
@@ -26,6 +26,14 @@ def fig15_row(**changes):
     row = {"workload": "consolidation-olap1-21", "see_seconds": 60.0,
            "optimized_seconds": 48.0, "advisor_seconds": 0.02,
            "simulated_requests": 131000}
+    row.update(changes)
+    return row
+
+
+def failover_row(**changes):
+    row = {"row": "disk_loss/replan", "scenario": "disk_loss",
+           "config": "replan", "elapsed_s": 30.0, "migration_mb": 512.0,
+           "moved_bytes": 536870912}
     row.update(changes)
     return row
 
@@ -77,6 +85,11 @@ def main():
             ("bench_fig15_consolidation",
              [fig15_row(simulated_requests=131001)], 1,
              "simulated_requests moved"),
+            ("bench_failover", [failover_row()], 0, "failover first entry"),
+            ("bench_failover", [failover_row(elapsed_s=31.0)], 0,
+             "failover timing moved"),
+            ("bench_failover", [failover_row(moved_bytes=536870913)], 1,
+             "moved_bytes moved"),
             ("bench_micro", [micro_row()], 0, "other bench, first entry"),
             ("bench_micro", [micro_row(real_time=900.0)], 0,
              "micro timing moved"),

@@ -35,9 +35,23 @@ namespace {
 // Per-process names: ctest runs each case alone and the whole binary as
 // journal_crash_matrix_suite, possibly at the same time in the same temp
 // directory.
-std::string TmpPath(const std::string& name) {
-  return testing::TempDir() + "/" + std::to_string(getpid()) + "_" + name;
-}
+// Each file is removed when its TmpFile goes out of scope, so a run leaves
+// nothing behind.
+class TmpFile {
+ public:
+  explicit TmpFile(const std::string& name)
+      : path_(testing::TempDir() + "/" + std::to_string(getpid()) + "_" +
+              name) {}
+  TmpFile(const TmpFile&) = delete;
+  TmpFile& operator=(const TmpFile&) = delete;
+  ~TmpFile() { std::remove(path_.c_str()); }
+
+  operator const std::string&() const { return path_; }
+  const char* c_str() const { return path_.c_str(); }
+
+ private:
+  std::string path_;
+};
 
 std::unique_ptr<StorageSystem> MakeSystem3(const DiskModel& proto) {
   std::vector<TargetSpec> specs{
@@ -139,7 +153,7 @@ std::string RecoverAndComplete(const std::string& path) {
 
 // The uninterrupted run every crashed-and-recovered run must match.
 std::string ReferenceFingerprint(int64_t* records_total) {
-  const std::string path = TmpPath("journal_reference.wal");
+  const TmpFile path("journal_reference.wal");
   std::remove(path.c_str());
   Rig rig;
   auto journal = ControlJournal::Open(path);
@@ -164,7 +178,7 @@ TEST(JournalCrashMatrixTest, EveryCrashPointRecoversToReferenceState) {
   const std::string want = ReferenceFingerprint(&total);
   ASSERT_GT(total, 10);  // the matrix is only meaningful with real depth
 
-  const std::string path = TmpPath("journal_matrix.wal");
+  const TmpFile path("journal_matrix.wal");
   for (int64_t n = 1; n < total; ++n) {
     std::remove(path.c_str());
     WalCrashPolicy policy;
@@ -181,7 +195,7 @@ TEST(JournalCrashMatrixTest, EveryCrashPointRecoversToReferenceState) {
 TEST(JournalCrashMatrixTest, TornWritesInsideTheCrashingRecordRecover) {
   int64_t total = 0;
   const std::string want = ReferenceFingerprint(&total);
-  const std::string path = TmpPath("journal_torn.wal");
+  const TmpFile path("journal_torn.wal");
   for (int64_t n : {int64_t{1}, int64_t{2}, total / 2, total - 2}) {
     for (int64_t torn : {int64_t{1}, int64_t{4}, int64_t{9}, int64_t{12}}) {
       std::remove(path.c_str());
@@ -204,7 +218,7 @@ TEST(JournalCrashMatrixTest, TornWritesInsideTheCrashingRecordRecover) {
 TEST(JournalCrashMatrixTest, DoubleCrashStillConvergesToReferenceState) {
   int64_t total = 0;
   const std::string want = ReferenceFingerprint(&total);
-  const std::string path = TmpPath("journal_double.wal");
+  const TmpFile path("journal_double.wal");
   for (int64_t first : {int64_t{3}, total / 2}) {
     for (int64_t second : {int64_t{1}, int64_t{4}}) {
       std::remove(path.c_str());
@@ -248,7 +262,7 @@ TEST(JournalCrashMatrixTest, DoubleCrashStillConvergesToReferenceState) {
 TEST(JournalCrashMatrixTest, DroppedFsyncsLoseOnlyRecopiableWork) {
   int64_t total = 0;
   const std::string want = ReferenceFingerprint(&total);
-  const std::string path = TmpPath("journal_powerloss.wal");
+  const TmpFile path("journal_powerloss.wal");
   for (int64_t syncs : {int64_t{1}, int64_t{2}, int64_t{4}}) {
     std::remove(path.c_str());
     WalCrashPolicy policy;
@@ -268,7 +282,7 @@ TEST(JournalCrashMatrixTest, DroppedFsyncsLoseOnlyRecopiableWork) {
 // ------------------------------------------------------------- bindings
 
 TEST(JournalTest, RecoveryRefusesAForeignPlanDigest) {
-  const std::string path = TmpPath("journal_foreign_plan.wal");
+  const TmpFile path("journal_foreign_plan.wal");
   std::remove(path.c_str());
   WalCrashPolicy policy;
   policy.fail_after_appends = 5;
@@ -284,7 +298,7 @@ TEST(JournalTest, RecoveryRefusesAForeignPlanDigest) {
 }
 
 TEST(JournalTest, RecoveryRefusesAJournalWithoutAPlanBinding) {
-  const std::string path = TmpPath("journal_unbound.wal");
+  const TmpFile path("journal_unbound.wal");
   std::remove(path.c_str());
   {
     auto journal = ControlJournal::Open(path);
@@ -301,7 +315,7 @@ TEST(JournalTest, RecoveryRefusesAJournalWithoutAPlanBinding) {
 }
 
 TEST(JournalTest, CorruptInteriorRecordIsAHardErrorNotAWrongJournal) {
-  const std::string path = TmpPath("journal_interior.wal");
+  const TmpFile path("journal_interior.wal");
   std::remove(path.c_str());
   bool crashed = false;
   RunUntilCrash(path, WalCrashPolicy{}, &crashed);
@@ -362,7 +376,7 @@ Layout SmallLayout(double w) {
 }
 
 TEST(JournalTest, CheckpointRoundTripsThroughRecovery) {
-  const std::string path = TmpPath("journal_ckpt.wal");
+  const TmpFile path("journal_ckpt.wal");
   std::remove(path.c_str());
   const Layout layout = SmallLayout(0.25);
   const WorkloadSet ref = TwoWorkloads();
@@ -391,7 +405,7 @@ TEST(JournalTest, CheckpointRoundTripsThroughRecovery) {
 // The resolution rules: a committed-but-uncheckpointed intent wins over
 // the last checkpoint; an uncommitted intent is abandoned.
 TEST(JournalTest, CommittedIntentWinsUncommittedIntentIsAbandoned) {
-  const std::string path = TmpPath("journal_intent.wal");
+  const TmpFile path("journal_intent.wal");
   const Layout ckpt_layout = SmallLayout(0.0);
   const Layout intent_layout = SmallLayout(1.0);
   const WorkloadSet ref = TwoWorkloads();
@@ -446,7 +460,7 @@ TEST(JournalTest, CommittedIntentWinsUncommittedIntentIsAbandoned) {
 // A checkpoint closes the migration segment: RecoverMigrationJournal must
 // not see the previous migration's records after one.
 TEST(JournalTest, CheckpointClosesTheMigrationSegment) {
-  const std::string path = TmpPath("journal_segments.wal");
+  const TmpFile path("journal_segments.wal");
   std::remove(path.c_str());
   {
     auto journal = ControlJournal::Open(path);
@@ -474,7 +488,7 @@ TEST(JournalTest, CheckpointClosesTheMigrationSegment) {
 // recovers the control state from it.
 Result<RecoveredControlState> RecoverPayloads(
     const std::string& name, const std::vector<std::string>& payloads) {
-  const std::string path = TmpPath(name);
+  const TmpFile path(name);
   std::remove(path.c_str());
   {
     auto wal = WalWriter::Open(path);
@@ -591,7 +605,7 @@ TEST(JournalAutopilotTest, AdoptedLayoutIsCheckpointedAndRedeployed) {
   ASSERT_TRUE(oltp.ok());
   const int n = rig.catalog().num_objects();
   const Layout paired = PairedLayout(n);
-  const std::string path = TmpPath("journal_autopilot.wal");
+  const TmpFile path("journal_autopilot.wal");
   std::remove(path.c_str());
 
   AutopilotOptions options = DriftingOptions();
@@ -631,7 +645,7 @@ TEST(JournalAutopilotTest, JournalCrashFreezesTheControlPlane) {
   auto oltp = MakeOltpSpec(rig.catalog());
   ASSERT_TRUE(oltp.ok());
   const int n = rig.catalog().num_objects();
-  const std::string path = TmpPath("journal_autopilot_crash.wal");
+  const TmpFile path("journal_autopilot_crash.wal");
   std::remove(path.c_str());
 
   AutopilotOptions options = DriftingOptions();

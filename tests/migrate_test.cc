@@ -538,7 +538,7 @@ TEST(PriceMigrationTest, SolverNoiseBelowToleranceIsNotMovement) {
   to.Set(0, 1, 0.5 - 5e-5);
   to.Set(1, 0, 1.0 - 2e-5);
 
-  const MigrationPlan plan = PriceMigration(p, from, to, 1e-4);
+  const MigrationPlan plan = PriceMigration(p, from, to);
   EXPECT_EQ(plan.objects_moved, 0);
   EXPECT_DOUBLE_EQ(plan.total_bytes, 0.0);
 }
@@ -552,7 +552,7 @@ TEST(PriceMigrationTest, RegularMovePricesExactFractions) {
   to.SetRowRegular(0, {0, 1});  // half of object 0 moves onto t1
   to.SetRowRegular(1, {0});
 
-  const MigrationPlan plan = PriceMigration(p, from, to, 1e-4);
+  const MigrationPlan plan = PriceMigration(p, from, to);
   EXPECT_EQ(plan.objects_moved, 1);
   EXPECT_DOUBLE_EQ(plan.moved_in_bytes[0][1], 0.5 * kGiB);
   EXPECT_DOUBLE_EQ(plan.total_bytes, 0.5 * kGiB);
@@ -568,7 +568,7 @@ TEST(PriceMigrationTest, NonRegularRebalanceUsesRawDeltas) {
   to.SetRowRegular(0, {0, 1});  // 0.7/0.3 -> 0.5/0.5: same targets, real move
   to.SetRowRegular(1, {1});
 
-  const MigrationPlan plan = PriceMigration(p, from, to, 1e-4);
+  const MigrationPlan plan = PriceMigration(p, from, to);
   EXPECT_EQ(plan.objects_moved, 1);
   EXPECT_NEAR(plan.moved_in_bytes[0][1], 0.2 * kGiB, 1.0);
   EXPECT_NEAR(plan.total_bytes, 0.2 * kGiB, 1.0);

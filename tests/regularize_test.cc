@@ -120,15 +120,22 @@ LayoutProblem RandomProblem(Rng& rng, int n, int m, OverlapForm form,
   return p;
 }
 
-std::vector<int> RandomTargets(Rng& rng, int m) {
+/// A random nonempty subset of `universe`, each member kept with p = 0.4.
+std::vector<int> RandomTargetsFrom(Rng& rng, const std::vector<int>& universe) {
   std::vector<int> targets;
-  for (int j = 0; j < m; ++j) {
+  for (int j : universe) {
     if (rng.Bernoulli(0.4)) targets.push_back(j);
   }
   if (targets.empty()) {
-    targets.push_back(static_cast<int>(rng.UniformInt(static_cast<uint64_t>(m))));
+    targets.push_back(universe[rng.UniformInt(universe.size())]);
   }
   return targets;
+}
+
+std::vector<int> RandomTargets(Rng& rng, int m) {
+  std::vector<int> all(static_cast<size_t>(m));
+  std::iota(all.begin(), all.end(), 0);
+  return RandomTargetsFrom(rng, all);
 }
 
 /// A solver-like layout: regular rows, uneven rows with solver slivers in
@@ -223,7 +230,7 @@ RefChoice RefBestRow(const LayoutProblem& p, const TargetModel& model,
       const int partner = a == i ? b : (b == i ? a : -1);
       if (partner < 0) continue;
       for (int j : targets) {
-        if (current.At(partner, j) > o.zero_tolerance) return;
+        if (current.At(partner, j) > kLayoutZeroTolerance) return;
       }
     }
     Layout trial = current;
@@ -425,9 +432,9 @@ TEST(RegularizeExactnessTest, MatchesFromScratchReference) {
   EXPECT_GT(regularized, 120);
 }
 
-// Places the all-zero rows one at a time, in decreasing request-rate order,
-// on the best regular row the pricer finds, with every other row frozen
-// (failure re-planning's path for displaced rows).
+// RelayoutRows places the all-zero rows one at a time, in decreasing
+// request-rate order, on the best regular row the pricer finds, with every
+// other row frozen (failure re-planning's path for displaced rows).
 TEST(RegularizeExactnessTest, GreedyEmptyRowPlacementMatchesReference) {
   for (uint64_t seed = 0; seed < 60; ++seed) {
     Rng rng(2000 + seed);
@@ -453,16 +460,8 @@ TEST(RegularizeExactnessTest, GreedyEmptyRowPlacementMatchesReference) {
              p.workloads[static_cast<size_t>(b)].total_rate();
     });
     CandidatePricer pricer(&p, &model, current);
-    bool got_placed = true;
-    for (int i : to_place) {
-      const RegularCandidateChoice c =
-          BestRegularRowForObject(RegularizerOptions{}, &pricer, i);
-      if (!c.found) {
-        got_placed = false;
-        break;
-      }
-      pricer.Apply(i, c.targets);
-    }
+    const bool got_placed =
+        RelayoutRows(RegularizerOptions{}, &pricer, to_place, {}, 0.0) < 0;
     Layout want = current;
     bool placed = true;
     for (int i : to_place) {
@@ -523,6 +522,27 @@ TEST(TargetDerateTest, ScalesColumnPassesAndZeroesFailedTargets) {
   }
 }
 
+/// A random regular layout honoring `p`'s constraints: row i stripes a
+/// random subset of its allowed targets, less those of its separation
+/// partners placed before it. False when some row is left no target.
+bool RandomHonoringLayout(Rng& rng, const LayoutProblem& p, Layout* layout) {
+  for (int i = 0; i < p.num_objects(); ++i) {
+    std::vector<int> universe = p.constraints.AllowedFor(i);
+    if (universe.empty()) {
+      universe.resize(static_cast<size_t>(p.num_targets()));
+      std::iota(universe.begin(), universe.end(), 0);
+    }
+    for (const auto& [a, b] : p.constraints.separate) {
+      const int partner = a == i ? b : (b == i ? a : -1);
+      if (partner < 0 || partner > i) continue;
+      std::erase_if(universe, [&](int j) { return layout->At(partner, j) > 0; });
+    }
+    if (universe.empty()) return false;
+    layout->SetRowRegular(i, RandomTargetsFrom(rng, universe));
+  }
+  return true;
+}
+
 /// ReplanAfterFailure's placement, refinement and polish stages, with every
 /// candidate priced from scratch.
 Result<Layout> RefReplan(const LayoutProblem& p, const Layout& current,
@@ -552,7 +572,7 @@ Result<Layout> RefReplan(const LayoutProblem& p, const Layout& current,
   for (int i = 0; i < n; ++i) {
     bool on_failed = false, on_derated = false;
     for (int j = 0; j < m; ++j) {
-      if (current.At(i, j) <= o.zero_tolerance) continue;
+      if (current.At(i, j) <= kLayoutZeroTolerance) continue;
       if (health.IsFailed(j)) {
         on_failed = true;
       } else if (health.derate[static_cast<size_t>(j)] < 1.0 - 1e-12) {
@@ -580,7 +600,7 @@ Result<Layout> RefReplan(const LayoutProblem& p, const Layout& current,
     for (int i : movable) {
       const double incumbent = RefObjective(p, model, o, layout);
       const RefChoice c = RefBestRow(degraded, model, o, layout, i);
-      if (c.found && c.objective < incumbent - options.improvement_epsilon &&
+      if (c.found && c.objective < incumbent - kReplanImprovementMargin &&
           layout.TargetsOf(i) != c.targets) {
         layout.SetRowRegular(i, c.targets);
         improved = true;
@@ -609,7 +629,7 @@ Result<Layout> RefReplan(const LayoutProblem& p, const Layout& current,
       }
       if (regularized &&
           RefObjective(p, model, o, candidate) <
-              RefObjective(p, model, o, layout) - options.improvement_epsilon &&
+              RefObjective(p, model, o, layout) - kReplanImprovementMargin &&
           candidate.SatisfiesCapacity(p.object_sizes, p.capacities()) &&
           degraded.constraints.SatisfiedBy(candidate)) {
         layout = candidate;
@@ -625,12 +645,26 @@ TEST(RegularizeExactnessTest, ReplanAfterFailureMatchesReference) {
     Rng rng(3000 + seed);
     const int n = 3 + static_cast<int>(rng.UniformInt(uint64_t{6}));
     const int m = 3 + static_cast<int>(rng.UniformInt(uint64_t{2}));
-    const LayoutProblem p = RandomProblem(rng, n, m, FormFor(seed), 2.5);
+    LayoutProblem p = RandomProblem(rng, n, m, FormFor(seed), 2.5);
+    // Pins and separations on seeds 2, 3, 6, 7, ...: with and without the
+    // polish, so the allowed-target intersection meets both paths.
+    if (seed / 2 % 2 == 1) AddRandomConstraints(rng, &p);
     Layout current(n, m);
-    for (int i = 0; i < n; ++i) current.SetRowRegular(i, RandomTargets(rng, m));
-    if (!current.SatisfiesCapacity(p.object_sizes, p.capacities())) continue;
+    if (!RandomHonoringLayout(rng, p, &current) ||
+        !current.SatisfiesCapacity(p.object_sizes, p.capacities())) {
+      continue;
+    }
     TargetHealth health = TargetHealth::Healthy(m);
     health.MarkFailed(static_cast<int>(rng.UniformInt(static_cast<uint64_t>(m))));
+    // An object pinned to failed targets only is rejected up front, a check
+    // the reference does not model.
+    const auto stranded = [&](const std::vector<int>& allowed) {
+      return !allowed.empty() &&
+             std::all_of(allowed.begin(), allowed.end(),
+                         [&](int j) { return health.IsFailed(j); });
+    };
+    const auto& pins = p.constraints.allowed_targets;
+    if (std::any_of(pins.begin(), pins.end(), stranded)) continue;
     for (int j = 0; j < m; ++j) {
       if (!health.IsFailed(j) && rng.Bernoulli(0.3)) {
         health.Derate(j, rng.Uniform(0.3, 0.9));

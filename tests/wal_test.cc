@@ -24,9 +24,23 @@ namespace {
 
 // Per-process names: ctest runs each case alone and the whole binary as
 // wal_suite, possibly at the same time in the same temp directory.
-std::string TmpPath(const std::string& name) {
-  return testing::TempDir() + "/" + std::to_string(getpid()) + "_" + name;
-}
+// Each file is removed when its TmpFile goes out of scope, so a run leaves
+// nothing behind.
+class TmpFile {
+ public:
+  explicit TmpFile(const std::string& name)
+      : path_(testing::TempDir() + "/" + std::to_string(getpid()) + "_" +
+              name) {}
+  TmpFile(const TmpFile&) = delete;
+  TmpFile& operator=(const TmpFile&) = delete;
+  ~TmpFile() { std::remove(path_.c_str()); }
+
+  operator const std::string&() const { return path_; }
+  const char* c_str() const { return path_.c_str(); }
+
+ private:
+  std::string path_;
+};
 
 std::string ReadFileBytes(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -65,7 +79,7 @@ TEST(WalTest, Crc32cKnownVector) {
 
 TEST(WalTest, RoundTripsRecordsIncludingEmptyAndBinary)
 {
-  const std::string path = TmpPath("wal_roundtrip.wal");
+  const TmpFile path("wal_roundtrip.wal");
   std::vector<std::string> records{"hello", "", std::string("\x00\xff\n", 3),
                                    std::string(100000, 'x')};
   BuildLog(path, records);
@@ -80,7 +94,7 @@ TEST(WalTest, RoundTripsRecordsIncludingEmptyAndBinary)
 }
 
 TEST(WalTest, ReopenAppendsAfterExistingRecords) {
-  const std::string path = TmpPath("wal_reopen.wal");
+  const TmpFile path("wal_reopen.wal");
   BuildLog(path, {"a", "b"});
   {
     auto w = WalWriter::Open(path);
@@ -96,19 +110,19 @@ TEST(WalTest, ReopenAppendsAfterExistingRecords) {
 }
 
 TEST(WalTest, MissingFileReadsAsError) {
-  auto read = ReadWalRecords(TmpPath("wal_nonexistent.wal"));
+  auto read = ReadWalRecords(TmpFile("wal_nonexistent.wal"));
   EXPECT_FALSE(read.ok());
 }
 
 TEST(WalTest, ForeignHeaderIsHardError) {
-  const std::string path = TmpPath("wal_foreign.wal");
+  const TmpFile path("wal_foreign.wal");
   WriteFileBytes(path, "NOTAWAL0 some junk");
   EXPECT_FALSE(ReadWalRecords(path).ok());
   EXPECT_FALSE(WalWriter::Open(path).ok());
 }
 
 TEST(WalTest, OversizedLengthWithDataAfterIsHardError) {
-  const std::string path = TmpPath("wal_oversize.wal");
+  const TmpFile path("wal_oversize.wal");
   std::string bytes = BuildLog(path, {"abc", "def"});
   // Claim an implausible payload length in the first frame; the second
   // frame's bytes follow, so this is interior corruption.
@@ -125,12 +139,12 @@ TEST(WalTest, OversizedLengthWithDataAfterIsHardError) {
 // Truncation at every byte offset: a crash can cut the file anywhere, and
 // recovery must always produce an exact prefix of the appended records.
 TEST(WalTest, TruncationAtEveryByteRecoversExactPrefix) {
-  const std::string path = TmpPath("wal_trunc.wal");
+  const TmpFile path("wal_trunc.wal");
   const std::vector<std::string> records{"first", "", "third-record",
                                          std::string(3000, 'z'), "tail"};
   const std::string bytes = BuildLog(path, records);
 
-  const std::string cut = TmpPath("wal_trunc_cut.wal");
+  const TmpFile cut("wal_trunc_cut.wal");
   for (size_t len = 0; len <= bytes.size(); ++len) {
     WriteFileBytes(cut, bytes.substr(0, len));
     auto read = ReadWalRecords(cut);
@@ -153,7 +167,7 @@ TEST(WalTest, TruncationAtEveryByteRecoversExactPrefix) {
 }
 
 TEST(WalTest, TailCorruptionDropsOnlyTheLastRecord) {
-  const std::string path = TmpPath("wal_tailflip.wal");
+  const TmpFile path("wal_tailflip.wal");
   const std::vector<std::string> records{"aaaa", "bbbb", "cccc"};
   std::string bytes = BuildLog(path, records);
   // Flip a bit inside the last record's payload: nothing follows it, so
@@ -167,7 +181,7 @@ TEST(WalTest, TailCorruptionDropsOnlyTheLastRecord) {
 }
 
 TEST(WalTest, InteriorCorruptionIsAHardError) {
-  const std::string path = TmpPath("wal_interior.wal");
+  const TmpFile path("wal_interior.wal");
   const std::vector<std::string> records{"aaaa", "bbbb", "cccc"};
   std::string bytes = BuildLog(path, records);
   // Flip a payload bit in the *first* record; intact frames follow, so a
@@ -182,8 +196,8 @@ TEST(WalTest, InteriorCorruptionIsAHardError) {
 // flip. Every outcome must be a clean prefix or a hard error — the reader
 // may never invent or alter a record.
 TEST(WalTest, FuzzedDamageYieldsPrefixOrError) {
-  const std::string path = TmpPath("wal_fuzz.wal");
-  const std::string hurt = TmpPath("wal_fuzz_hurt.wal");
+  const TmpFile path("wal_fuzz.wal");
+  const TmpFile hurt("wal_fuzz_hurt.wal");
   Rng rng(20260808);
   for (int trial = 0; trial < 200; ++trial) {
     const int count = 1 + static_cast<int>(rng.UniformInt(uint64_t{6}));
@@ -264,7 +278,7 @@ TEST(WalTest, ParseWalCrashPolicyGrammar) {
 }
 
 TEST(WalTest, FailAfterAppendsCrashesExactlyThere) {
-  const std::string path = TmpPath("wal_crash_after.wal");
+  const TmpFile path("wal_crash_after.wal");
   std::remove(path.c_str());
   WalCrashPolicy policy;
   policy.fail_after_appends = 3;
@@ -288,7 +302,7 @@ TEST(WalTest, FailAfterAppendsCrashesExactlyThere) {
 }
 
 TEST(WalTest, TornCrashLeavesAPrefixTheReopenTruncates) {
-  const std::string path = TmpPath("wal_crash_torn.wal");
+  const TmpFile path("wal_crash_torn.wal");
   for (int64_t torn : {int64_t{1}, int64_t{4}, int64_t{9}, int64_t{11}}) {
     std::remove(path.c_str());
     WalCrashPolicy policy;
@@ -320,7 +334,7 @@ TEST(WalTest, TornCrashLeavesAPrefixTheReopenTruncates) {
 }
 
 TEST(WalTest, DroppedSyncsRollBackToLastEffectiveSyncOnCrash) {
-  const std::string path = TmpPath("wal_crash_syncs.wal");
+  const TmpFile path("wal_crash_syncs.wal");
   std::remove(path.c_str());
   WalCrashPolicy policy;
   policy.fail_after_appends = 4;
@@ -344,7 +358,7 @@ TEST(WalTest, DroppedSyncsRollBackToLastEffectiveSyncOnCrash) {
 // -------------------------------------------------------- durable helpers
 
 TEST(WalTest, WriteFileDurableCreatesAndReplaces) {
-  const std::string path = TmpPath("durable.txt");
+  const TmpFile path("durable.txt");
   ASSERT_TRUE(WriteFileDurable(path, "first contents").ok());
   EXPECT_EQ(ReadFileBytes(path), "first contents");
   ASSERT_TRUE(WriteFileDurable(path, "second").ok());
@@ -353,11 +367,11 @@ TEST(WalTest, WriteFileDurableCreatesAndReplaces) {
 
 TEST(WalTest, WriteFileDurableFailsInMissingDirectory) {
   EXPECT_FALSE(
-      WriteFileDurable(TmpPath("no_such_dir/child.txt"), "x").ok());
+      WriteFileDurable(TmpFile("no_such_dir/child.txt"), "x").ok());
 }
 
 TEST(WalTest, SyncPathOnMissingFileFails) {
-  EXPECT_FALSE(SyncPath(TmpPath("wal_sync_missing")).ok());
+  EXPECT_FALSE(SyncPath(TmpFile("wal_sync_missing")).ok());
 }
 
 }  // namespace

@@ -25,9 +25,10 @@ matched by their ``row`` (or ``name``) field, or for bench_fig19_opttime
 rows by workload, N and M, and every shared numeric field is reported as
 a relative delta, so a row's timings and quality numbers can be tracked
 across PRs. Timings only print. The solver's effort counters and the
-simulated request count in ``EXACT_FIELDS`` are deterministic for a given
-build, so a matched row whose value differs from the previous entry fails
-the comparison: the script exits 1.
+simulated request count and the bytes a failure re-plan moves in
+``EXACT_FIELDS`` are deterministic for a given build, so a matched row whose
+value differs from the previous entry fails the comparison: the script
+exits 1.
 
 ``git_rev`` is ``git describe --always --dirty``: an entry recorded from
 uncommitted changes reads ``<parent rev>-dirty``.
@@ -47,9 +48,9 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 # Counters gated exactly by --compare-last. The solver is bit-identical
 # for every thread count and the simulator is deterministic, so on one
 # build these only move when the solver's arithmetic or schedule, the
-# trace fit, or the simulation changes.
+# trace fit, the simulation, or the failure re-plan's placement changes.
 EXACT_FIELDS = ("gradient_evaluations", "analytic_iterations",
-                "simulated_requests")
+                "simulated_requests", "moved_bytes")
 
 
 def git_rev():
@@ -96,6 +97,11 @@ def row_key(row):
     return key
 
 
+def number(value):
+    """Integers in full (a one-byte change must show), floats short."""
+    return str(value) if isinstance(value, int) else f"{value:g}"
+
+
 def compare_entries(prev_rows, rows):
     """Relative deltas of every shared numeric field between two row sets
     matched by key. Returns (printable lines, EXACT_FIELDS mismatches)."""
@@ -117,9 +123,10 @@ def compare_entries(prev_rows, rows):
                 if old == value:
                     continue
                 rel = (value - old) / abs(old) if old else float("inf")
-                deltas.append(f"{field} {old:g} -> {value:g} ({rel:+.1%})")
+                change = f"{field} {number(old)} -> {number(value)}"
+                deltas.append(f"{change} ({rel:+.1%})")
                 if field in EXACT_FIELDS:
-                    mismatches.append(f"{key}: {field} {old:g} -> {value:g}")
+                    mismatches.append(f"{key}: {change}")
         lines.append(f"  {key}: " + ("; ".join(deltas) if deltas
                                      else "unchanged"))
     return lines, mismatches
