@@ -43,7 +43,7 @@ using namespace ldb::bench;
 namespace {
 
 void PrintSkipped(const MigrationRunReport& r, const char* stage) {
-  for (const std::string& s : r.skipped_faults) {
+  for (const std::string& s : r.run.skipped_faults) {
     std::printf("  %s skipped fault: %s\n", stage, s.c_str());
   }
 }

@@ -474,18 +474,22 @@ Result<AutopilotReport> RunAutopilotLoop(
     });
   }
 
-  std::vector<double> latencies;
+  // Foreground latency mean: a count and a sum in completion order.
+  struct {
+    uint64_t requests = 0;
+    double latency_sum = 0.0;
+  } fg;
   Result<RunResult> run = foreground(
       &router,
-      [c, &latencies](const IoEvent& ev) {
+      [c, &fg](const IoEvent& ev) {
         c->analyzer.Observe(ev);
-        latencies.push_back(ev.complete_time - ev.submit_time);
+        ++fg.requests;
+        fg.latency_sum += ev.complete_time - ev.submit_time;
       },
       [c]() { c->run_active = false; });
   if (!run.ok()) return run.status();
   report.run = std::move(run).value();
   report.run.skipped_faults = injector.skipped();
-  report.skipped_faults = injector.skipped();
 
   // A migration still in flight at the last tick drains inside the
   // runner's event loop (the pump only idles at a terminal state); account
@@ -498,11 +502,10 @@ Result<AutopilotReport> RunAutopilotLoop(
   for (const auto& exec : controller.executors) {
     report.bytes_copied += exec->stats().bytes_written;
   }
-  report.fg_requests = static_cast<uint64_t>(latencies.size());
-  if (!latencies.empty()) {
-    double sum = 0.0;
-    for (double l : latencies) sum += l;
-    report.fg_mean_latency_s = sum / static_cast<double>(latencies.size());
+  report.fg_requests = fg.requests;
+  if (fg.requests > 0) {
+    report.fg_mean_latency_s =
+        fg.latency_sum / static_cast<double>(fg.requests);
   }
   if (journal != nullptr) {
     report.journal_crashed = journal->crashed();

@@ -97,7 +97,6 @@ struct AutopilotReport {
   Layout initial_layout;
   Layout final_layout;  ///< layout in effect when the run ended
   double final_drift_score = 0.0;
-  std::vector<std::string> skipped_faults;
   /// One entry per AutopilotOptions::layout_sample_times, in order.
   std::vector<LayoutSample> sampled_layouts;
   /// Durable journal accounting (zero/false without a journal_path).

@@ -880,7 +880,6 @@ Result<MigrationRunReport> RunMigrationSim(
   MigrationRunReport report;
   report.run = std::move(run).value();
   report.run.skipped_faults = injector.skipped();
-  report.skipped_faults = injector.skipped();
   report.outcome = exec->outcome();
   report.stats = exec->stats();
   report.journal = exec->journal();

@@ -326,8 +326,6 @@ struct MigrationRunReport {
   double fg_mean_s = 0.0;
   double fg_p50_s = 0.0;
   double fg_p99_s = 0.0;
-  /// Fault specs the injector skipped as invalid at fire time.
-  std::vector<std::string> skipped_faults;
   /// Durable journal accounting (zero when MigrateOptions::journal_path is
   /// empty). `journal_crashed` means the injected crash policy fired and
   /// the executor froze mid-run; `journal_error` carries the reason.

@@ -365,6 +365,17 @@ Result<ReplanResult> ReplanAfterFailure(const LayoutProblem& problem,
     }
     return CandidatePricer(&degraded, &model, std::move(emptied));
   }();
+  // Every row but the displaced ones keeps its targets unless a refinement
+  // move happens to pay, so it must already honor the policy. A deployed
+  // layout need not (the autopilot migrates to one that does), hence an
+  // error here rather than the layout check below.
+  if (const int bad = degraded.constraints.FirstViolation(pricer.layout());
+      bad >= 0) {
+    return Status::InvalidArgument(StrFormat(
+        "object %s breaks a pin or separation in the current layout; "
+        "replan re-places only rows on failed targets",
+        problem.object_names[static_cast<size_t>(bad)].c_str()));
+  }
 
   // Displaced objects re-enter by decreasing request rate (the ordering
   // the initial-layout heuristic uses).
@@ -387,8 +398,7 @@ Result<ReplanResult> ReplanAfterFailure(const LayoutProblem& problem,
   // Warm-started solver polish: re-optimize the displaced rows only (all
   // surviving rows frozen), under the derated objective, then
   // re-regularize the displaced rows. Kept only on strict improvement.
-  if (options.solver_polish && !displaced.empty() &&
-      displaced.size() < static_cast<size_t>(n)) {
+  if (!displaced.empty() && displaced.size() < static_cast<size_t>(n)) {
     LayoutNlpProblem nlp = degraded.MakeNlp(&model);
     nlp.frozen_rows.assign(static_cast<size_t>(n), 1);
     for (int i : displaced) nlp.frozen_rows[static_cast<size_t>(i)] = 0;

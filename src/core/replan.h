@@ -80,12 +80,8 @@ struct ReplanOptions {
   /// Candidate generation knobs for the place-and-refine pass. The
   /// target_derate field is overwritten from TargetHealth.
   RegularizerOptions regularize;
-  /// Polish the moved rows with a warm-started projected-gradient solve
-  /// (frozen_rows pins every surviving row); the polished layout is
-  /// re-regularized and kept only when it strictly lowers the effective
-  /// maximum utilization.
-  bool solver_polish = true;
-  /// Options for the polish solve. num_threads is honored; results stay
+  /// Options for the polish solve that re-optimizes the displaced rows
+  /// (see ReplanAfterFailure). num_threads is honored; results stay
   /// bit-identical across thread counts (solver guarantee).
   SolverOptions solver;
 };
@@ -123,15 +119,19 @@ struct ReplanResult {
 /// model, failed targets excluded via allowed-target constraints). Every
 /// other row is frozen — it never moves — unless it sits on a *derated*
 /// target and a refinement sweep finds a strictly better home for it.
-/// An optional warm-started solver polish (see ReplanOptions) then
-/// re-optimizes only the displaced rows.
+/// A warm-started projected-gradient solve (frozen_rows pins every other
+/// row) then polishes the displaced rows; the polished layout is
+/// re-regularized and kept only when it strictly lowers the effective
+/// maximum utilization.
 ///
 /// The result's migration plan prices the move; a healthy TargetHealth is
 /// a guaranteed no-op (layout returned unchanged, zero bytes).
 ///
 /// \returns Infeasible when the surviving capacity cannot hold the data or
 ///   a displaced object has no feasible candidate; InvalidArgument for
-///   malformed inputs.
+///   malformed inputs, including a `current` whose rows off the failed
+///   targets break a pin or separation (those rows are not re-placed, so
+///   the replan could not honor the policy).
 Result<ReplanResult> ReplanAfterFailure(const LayoutProblem& problem,
                                         const Layout& current,
                                         const TargetHealth& health,

@@ -22,6 +22,9 @@ namespace {
 
 std::atomic<uint64_t> g_measure_points{0};
 
+/// Size of each interfering random read. Part of the cache key text.
+constexpr int64_t kInterfererSizeBytes = 8 * kKiB;
+
 /// Measures the mean primary-request service time at one grid point.
 ///
 /// Each "round" consists of one primary request plus `contention`
@@ -78,8 +81,8 @@ double MeasurePoint(BlockDevice* dev, double request_size, double run_count,
     // Interfering requests: `contention` random reads per primary request.
     interferer_credit += contention;
     while (interferer_credit >= 1.0) {
-      batch.push_back(DeviceRequest{random_offset(opts.interferer_size_bytes),
-                                    opts.interferer_size_bytes, false});
+      batch.push_back(DeviceRequest{random_offset(kInterfererSizeBytes),
+                                    kInterfererSizeBytes, false});
       interferer_credit -= 1.0;
     }
 
@@ -187,7 +190,7 @@ uint64_t CalibrationCacheKey(const BlockDevice& prototype,
   text << "|chi";
   for (double v : options.contention_axis) text << " " << v;
   text << "|warmup " << options.warmup_requests << "|samples "
-       << options.sample_requests << "|intf " << options.interferer_size_bytes
+       << options.sample_requests << "|intf " << kInterfererSizeBytes
        << "|seed " << options.seed;
   return FnvMixBytes(kFnvOffsetBasis, text.str());
 }
@@ -230,10 +233,8 @@ Result<CostModel> LoadCostModelCache(const std::string& path,
   return CostModel::FromText(body.str());
 }
 
-Result<CostModel> CalibrateThroughCache(
-    const CalibrationOptions& options, const std::string& model_name,
-    const std::function<uint64_t()>& key,
-    const std::function<Result<CostModel>()>& calibrate) {
+Result<CostModel> CalibrateDeviceCached(const BlockDevice& prototype,
+                                        const CalibrationOptions& options) {
   // The explicit option wins, then the environment (how CI shares
   // calibrations across jobs and runs).
   std::string dir = options.cache_dir;
@@ -241,26 +242,18 @@ Result<CostModel> CalibrateThroughCache(
     const char* env = std::getenv("LDB_CALIBRATION_CACHE");
     if (env != nullptr) dir = env;
   }
-  if (dir.empty()) return calibrate();
-  const uint64_t k = key();
-  const std::string path = CachePath(dir, model_name, k);
-  auto cached = LoadCostModelCache(path, k);
+  if (dir.empty()) return CalibrateDevice(prototype, options);
+  const uint64_t key = CalibrationCacheKey(prototype, options);
+  const std::string path = CachePath(dir, prototype.model_name(), key);
+  auto cached = LoadCostModelCache(path, key);
   if (cached.ok()) return cached;
-  auto model = calibrate();
+  auto model = CalibrateDevice(prototype, options);
   if (!model.ok()) return model;
   std::error_code ec;
   std::filesystem::create_directories(dir, ec);
   // Failure to persist only costs a future recalibration.
-  (void)SaveCostModelCache(path, k, *model);
+  (void)SaveCostModelCache(path, key, *model);
   return model;
-}
-
-Result<CostModel> CalibrateDeviceCached(const BlockDevice& prototype,
-                                        const CalibrationOptions& options) {
-  return CalibrateThroughCache(
-      options, prototype.model_name(),
-      [&] { return CalibrationCacheKey(prototype, options); },
-      [&] { return CalibrateDevice(prototype, options); });
 }
 
 uint64_t CalibrationMeasurePoints() {

@@ -2,7 +2,6 @@
 #define LAYOUTDB_MODEL_CALIBRATION_H_
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <string>
 #include <vector>
@@ -25,7 +24,6 @@ struct CalibrationOptions {
   std::vector<double> contention_axis = {0, 0.5, 1, 2, 4, 8, 16};
   int warmup_requests = 32;   ///< discarded before measuring
   int sample_requests = 256;  ///< measured requests per grid point
-  int64_t interferer_size_bytes = 8 * kKiB;
   uint64_t seed = 1;
   /// Calibration parallelism over grid points: 0 = one lane per hardware
   /// core, n = exactly n. Every grid point runs against its own device
@@ -52,17 +50,19 @@ struct CalibrationOptions {
 Result<CostModel> CalibrateDevice(const BlockDevice& prototype,
                                   const CalibrationOptions& options = {});
 
-/// CalibrateDevice behind the persistent cost-model cache: returns the
-/// stored tables bit-identically on a hit; on a miss — or any unreadable,
-/// corrupt, or stale cache file — calibrates and stores the result. Cache
-/// I/O failures never fail the call, they only cost a recalibration.
+/// CalibrateDevice behind the persistent cost-model cache in
+/// options.cache_dir, else LDB_CALIBRATION_CACHE (no caching when neither
+/// is set): returns the tables stored at CalibrationCachePath
+/// bit-identically on a hit; on a miss — or any unreadable, corrupt, or
+/// stale cache file — calibrates and stores the result. Cache I/O failures
+/// never fail the call, they only cost a recalibration.
 Result<CostModel> CalibrateDeviceCached(const BlockDevice& prototype,
                                         const CalibrationOptions& options = {});
 
 /// 64-bit key identifying one calibration: a hash of the device's
 /// ParamsText() and every CalibrationOptions field that affects the
-/// measured tables (axes, warmup/sample counts, interferer size, seed —
-/// not num_threads or cache_dir).
+/// measured tables (axes, warmup/sample counts, seed — not num_threads or
+/// cache_dir), plus the fixed interfering-read size.
 uint64_t CalibrationCacheKey(const BlockDevice& prototype,
                              const CalibrationOptions& options);
 
@@ -79,17 +79,6 @@ std::string CalibrationCachePath(const std::string& dir,
 /// content.
 Status SaveCostModelCache(const std::string& path, uint64_t key,
                           const CostModel& model);
-
-/// The persistent cache protocol shared by simulated and real calibration.
-/// Resolves the cache dir (options.cache_dir, else LDB_CALIBRATION_CACHE);
-/// with none, just runs `calibrate`. Otherwise returns the model in
-/// `<dir>/<model_name>-<key()>.costmodel` when that file holds the key,
-/// else runs `calibrate` and saves its result there. `key` is only
-/// evaluated when a cache dir is set.
-Result<CostModel> CalibrateThroughCache(
-    const CalibrationOptions& options, const std::string& model_name,
-    const std::function<uint64_t()>& key,
-    const std::function<Result<CostModel>()>& calibrate);
 
 /// Reads a model written by SaveCostModelCache, verifying the format
 /// version and that the stored key equals `expected_key` (stale-key

@@ -47,24 +47,24 @@ Status PlacementConstraints::Validate(int num_objects,
   return Status::Ok();
 }
 
-bool PlacementConstraints::SatisfiedBy(const Layout& layout,
-                                       double tol) const {
+int PlacementConstraints::FirstViolation(const Layout& layout,
+                                         double tol) const {
   for (size_t i = 0; i < allowed_targets.size(); ++i) {
     const auto& allowed = allowed_targets[i];
     if (allowed.empty()) continue;
     for (int j = 0; j < layout.num_targets(); ++j) {
       if (layout.At(static_cast<int>(i), j) > tol &&
           std::find(allowed.begin(), allowed.end(), j) == allowed.end()) {
-        return false;
+        return static_cast<int>(i);
       }
     }
   }
   for (const auto& [a, b] : separate) {
     for (int j = 0; j < layout.num_targets(); ++j) {
-      if (layout.At(a, j) > tol && layout.At(b, j) > tol) return false;
+      if (layout.At(a, j) > tol && layout.At(b, j) > tol) return a;
     }
   }
-  return true;
+  return -1;
 }
 
 }  // namespace ldb

@@ -39,7 +39,13 @@ struct PlacementConstraints {
 
   /// True if `layout` satisfies every constraint (entries <= tol count as
   /// "not placed").
-  bool SatisfiedBy(const Layout& layout, double tol = 1e-6) const;
+  bool SatisfiedBy(const Layout& layout, double tol = 1e-6) const {
+    return FirstViolation(layout, tol) < 0;
+  }
+
+  /// The first object whose placement in `layout` breaks a constraint
+  /// (for a separation, the pair's first object), or -1 when none does.
+  int FirstViolation(const Layout& layout, double tol = 1e-6) const;
 };
 
 }  // namespace ldb

@@ -15,6 +15,9 @@ namespace {
 // Acceptance temperatures, relative to the seed's objective.
 constexpr double kInitialTemperature = 0.25;
 constexpr double kFinalTemperature = 1e-3;
+// Proposed moves per search, and the seed of the move stream.
+constexpr int kIterations = 20000;
+constexpr uint64_t kSeed = 42;
 
 /// Proposes a mutation of object i's stripe set: add, remove, or swap one
 /// target. Returns false if no move is possible.
@@ -82,10 +85,6 @@ bool MoveSatisfiesConstraints(const LayoutNlpProblem& p, const Layout& layout,
 
 }  // namespace
 
-RandomizedSearchSolver::RandomizedSearchSolver(
-    RandomizedSearchOptions options)
-    : options_(options) {}
-
 Result<SolverResult> RandomizedSearchSolver::Solve(
     const LayoutNlpProblem& problem, const Layout& initial) const {
   if (problem.num_objects <= 0 || problem.num_targets <= 0 ||
@@ -103,13 +102,10 @@ Result<SolverResult> RandomizedSearchSolver::Solve(
     return Status::InvalidArgument(
         "randomized search needs a valid regular seed");
   }
-  if (options_.iterations <= 0) {
-    return Status::InvalidArgument("bad search options");
-  }
 
   const int n = problem.num_objects;
   const int m = problem.num_targets;
-  Rng rng(options_.seed);
+  Rng rng(kSeed);
 
   SolverResult result;
   result.layout = initial;
@@ -126,12 +122,11 @@ Result<SolverResult> RandomizedSearchSolver::Solve(
 
   const double t0 = kInitialTemperature * std::max(1e-9, objective);
   const double t1 = kFinalTemperature * std::max(1e-9, objective);
-  const double cooling =
-      std::pow(t1 / t0, 1.0 / std::max(1, options_.iterations - 1));
+  const double cooling = std::pow(t1 / t0, 1.0 / (kIterations - 1));
   double temperature = t0;
 
   std::vector<int> proposed;
-  for (int iter = 0; iter < options_.iterations; ++iter) {
+  for (int iter = 0; iter < kIterations; ++iter) {
     ++result.iterations;
     const int i = static_cast<int>(rng.UniformInt(static_cast<uint64_t>(n)));
     const std::vector<int> current = x.TargetsOf(i);

@@ -1,18 +1,10 @@
 #ifndef LAYOUTDB_SOLVER_RANDOMIZED_H_
 #define LAYOUTDB_SOLVER_RANDOMIZED_H_
 
-#include <cstdint>
-
 #include "solver/layout_nlp.h"
 #include "util/status.h"
 
 namespace ldb {
-
-/// Options for the randomized layout search.
-struct RandomizedSearchOptions {
-  int iterations = 20000;
-  uint64_t seed = 42;
-};
 
 /// Randomized (simulated-annealing) layout search — the alternative solver
 /// the paper sketches in Section 7 after HP's Disk Array Designer: "It
@@ -25,18 +17,14 @@ struct RandomizedSearchOptions {
 /// regularization step is needed; its output is immediately
 /// LVM-implementable. Capacity and placement constraints are enforced per
 /// move. Moves are evaluated incrementally: only the touched targets'
-/// utilizations are recomputed.
+/// utilizations are recomputed. The move count (20,000) and the seed of
+/// the move stream are fixed, so equal inputs give equal layouts.
 class RandomizedSearchSolver {
  public:
-  explicit RandomizedSearchSolver(RandomizedSearchOptions options = {});
-
   /// Runs the search from `initial`, which must be a valid regular layout.
   /// Returns the best feasible layout visited.
   Result<SolverResult> Solve(const LayoutNlpProblem& problem,
                              const Layout& initial) const;
-
- private:
-  RandomizedSearchOptions options_;
 };
 
 }  // namespace ldb

@@ -10,6 +10,12 @@ namespace ldb {
 
 namespace {
 
+/// Nominal aggregate storage throughput that converts volumes into request
+/// rates. Only the *relative* rates matter to the layout optimizer (they
+/// cancel in the contention factor and scale all utilizations uniformly),
+/// so this does not need to be accurate.
+constexpr double kNominalBytesPerSecond = 100.0 * 1024 * 1024;
+
 /// Per-object accumulators gathered from the specs.
 struct ObjectAcc {
   double read_requests = 0;
@@ -67,13 +73,9 @@ void AccumulateProfile(const QueryProfile& profile, double weight,
 
 Result<WorkloadSet> EstimateWorkloads(const Catalog& catalog,
                                       const OlapSpec* olap,
-                                      const OltpSpec* oltp,
-                                      EstimatorOptions options) {
+                                      const OltpSpec* oltp) {
   if (olap == nullptr && oltp == nullptr) {
     return Status::InvalidArgument("no workload spec given");
-  }
-  if (options.nominal_bytes_per_second <= 0) {
-    return Status::InvalidArgument("nominal throughput must be positive");
   }
   const int n = catalog.num_objects();
   std::vector<ObjectAcc> acc(static_cast<size_t>(n));
@@ -118,7 +120,7 @@ Result<WorkloadSet> EstimateWorkloads(const Catalog& catalog,
   if (total_bytes <= 0) {
     return Status::InvalidArgument("specs generate no I/O");
   }
-  const double duration = total_bytes / options.nominal_bytes_per_second;
+  const double duration = total_bytes / kNominalBytesPerSecond;
 
   WorkloadSet out(static_cast<size_t>(n));
   std::vector<double> overlap;

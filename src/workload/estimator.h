@@ -8,15 +8,6 @@
 
 namespace ldb {
 
-/// Options for the analytic workload estimator.
-struct EstimatorOptions {
-  /// Nominal aggregate storage throughput used to convert volumes into
-  /// request rates. Only the *relative* rates matter to the layout
-  /// optimizer (they cancel in the contention factor and scale all
-  /// utilizations uniformly), so this does not need to be accurate.
-  double nominal_bytes_per_second = 100.0 * 1024 * 1024;
-};
-
 /// Storage workload estimator (paper Section 5.1, citing the authors'
 /// SIGMOD'07 estimator [19]): derives Rome-style workload descriptions
 /// directly from the declarative workload specs, *without* running the
@@ -24,7 +15,8 @@ struct EstimatorOptions {
 ///
 /// Approximations (the paper notes estimator-derived descriptions "may be
 /// less accurate" than trace-fitted ones):
-///  * request rates are volumes divided by a nominal total duration;
+///  * request rates are volumes divided by a nominal total duration (the
+///    volume at 100 MiB/s; only relative rates matter to the optimizer);
 ///  * run counts come from stream shapes (sequential streams are one run,
 ///    random streams are all jumps), volume-weighted per object;
 ///  * overlap O_i[k] counts co-membership in the same step (streams of a
@@ -36,8 +28,7 @@ struct EstimatorOptions {
 /// Exactly one of `olap`/`oltp` may be null.
 Result<WorkloadSet> EstimateWorkloads(const Catalog& catalog,
                                       const OlapSpec* olap,
-                                      const OltpSpec* oltp,
-                                      EstimatorOptions options = {});
+                                      const OltpSpec* oltp);
 
 }  // namespace ldb
 

@@ -32,17 +32,32 @@ CalibrationOptions SmallOptions() {
   return options;
 }
 
-std::string FreshCacheDir(const char* name) {
-  std::string dir = ::testing::TempDir();
-  if (!dir.empty() && dir.back() != '/') dir += '/';
-  dir += "ldb-calib-";
-  dir += name;
-  dir += "-";
-  dir += std::to_string(::testing::UnitTest::GetInstance()->random_seed());
-  dir += "-";
-  dir += std::to_string(getpid());
-  return dir;
-}
+/// A cache directory unique to the test case and process, removed with
+/// everything in it when the case ends.
+class ScopedCacheDir {
+ public:
+  explicit ScopedCacheDir(const char* name) {
+    path_ = ::testing::TempDir();
+    if (!path_.empty() && path_.back() != '/') path_ += '/';
+    path_ += "ldb-calib-";
+    path_ += name;
+    path_ += "-";
+    path_ += std::to_string(::testing::UnitTest::GetInstance()->random_seed());
+    path_ += "-";
+    path_ += std::to_string(getpid());
+  }
+  ScopedCacheDir(const ScopedCacheDir&) = delete;
+  ScopedCacheDir& operator=(const ScopedCacheDir&) = delete;
+  ~ScopedCacheDir() {
+    std::error_code ec;
+    std::filesystem::remove_all(path_, ec);
+  }
+
+  const std::string& path() const { return path_; }
+
+ private:
+  std::string path_;
+};
 
 TEST(CalibrationCacheTest, SaveLoadRoundTripIsBitIdentical) {
   DiskModel disk(Scsi15kParams());
@@ -50,10 +65,10 @@ TEST(CalibrationCacheTest, SaveLoadRoundTripIsBitIdentical) {
   auto model = CalibrateDevice(disk, options);
   ASSERT_TRUE(model.ok());
 
-  const std::string dir = FreshCacheDir("roundtrip");
-  const std::string path = CalibrationCachePath(dir, disk, options);
+  const ScopedCacheDir dir("roundtrip");
+  const std::string path = CalibrationCachePath(dir.path(), disk, options);
   const uint64_t key = CalibrationCacheKey(disk, options);
-  std::filesystem::create_directories(dir);
+  std::filesystem::create_directories(dir.path());
   ASSERT_TRUE(SaveCostModelCache(path, key, *model).ok());
 
   auto loaded = LoadCostModelCache(path, key);
@@ -100,9 +115,9 @@ TEST(CalibrationCacheTest, LoadRejectsStaleKey) {
   auto model = CalibrateDevice(disk, options);
   ASSERT_TRUE(model.ok());
 
-  const std::string dir = FreshCacheDir("stalekey");
-  std::filesystem::create_directories(dir);
-  const std::string path = dir + "/model.costmodel";
+  const ScopedCacheDir dir("stalekey");
+  std::filesystem::create_directories(dir.path());
+  const std::string path = dir.path() + "/model.costmodel";
   ASSERT_TRUE(
       SaveCostModelCache(path, CalibrationCacheKey(disk, options), *model)
           .ok());
@@ -116,7 +131,8 @@ TEST(CalibrationCacheTest, LoadRejectsStaleKey) {
 TEST(CalibrationCacheTest, WarmCacheMeasuresNothing) {
   DiskModel disk(Scsi15kParams());
   CalibrationOptions options = SmallOptions();
-  options.cache_dir = FreshCacheDir("warm");
+  const ScopedCacheDir dir("warm");
+  options.cache_dir = dir.path();
 
   const uint64_t cold_before = CalibrationMeasurePoints();
   auto cold = CalibrateDeviceCached(disk, options);
@@ -133,7 +149,8 @@ TEST(CalibrationCacheTest, WarmCacheMeasuresNothing) {
 TEST(CalibrationCacheTest, CorruptFileFallsBackToCalibration) {
   DiskModel disk(Scsi15kParams());
   CalibrationOptions options = SmallOptions();
-  options.cache_dir = FreshCacheDir("corrupt");
+  const ScopedCacheDir dir("corrupt");
+  options.cache_dir = dir.path();
 
   auto cold = CalibrateDeviceCached(disk, options);
   ASSERT_TRUE(cold.ok());
@@ -166,7 +183,8 @@ TEST(CalibrationCacheTest, CorruptFileFallsBackToCalibration) {
 TEST(CalibrationCacheTest, MissingDirectoryIsCreatedOnSave) {
   DiskModel disk(Scsi15kParams());
   CalibrationOptions options = SmallOptions();
-  options.cache_dir = FreshCacheDir("mkdir") + "/nested/deeper";
+  const ScopedCacheDir dir("mkdir");
+  options.cache_dir = dir.path() + "/nested/deeper";
 
   auto cold = CalibrateDeviceCached(disk, options);
   ASSERT_TRUE(cold.ok());
@@ -180,7 +198,8 @@ TEST(CalibrationCacheTest, RegistrySharesCacheAcrossDeviceTypes) {
   DiskModel disk(Scsi15kParams());
   SsdModel ssd(SsdParams{});
   CalibrationOptions options = SmallOptions();
-  options.cache_dir = FreshCacheDir("registry");
+  const ScopedCacheDir dir("registry");
+  options.cache_dir = dir.path();
 
   auto cold = CostModelRegistry::ForDevices({&disk, &ssd}, options);
   ASSERT_TRUE(cold.ok());

@@ -14,11 +14,6 @@ TEST(EstimatorTest, RejectsBadInputs) {
   EXPECT_FALSE(EstimateWorkloads(cat, nullptr, nullptr).ok());
   OlapSpec empty;
   EXPECT_FALSE(EstimateWorkloads(cat, &empty, nullptr).ok());
-  auto olap = MakeOlapSpec(cat, 1, 1, 7);
-  ASSERT_TRUE(olap.ok());
-  EstimatorOptions bad;
-  bad.nominal_bytes_per_second = 0;
-  EXPECT_FALSE(EstimateWorkloads(cat, &*olap, nullptr, bad).ok());
 }
 
 TEST(EstimatorTest, ProducesValidWorkloads) {

@@ -2,6 +2,7 @@
 
 #include <bit>
 #include <cstdint>
+#include <filesystem>
 #include <map>
 #include <memory>
 #include <ostream>
@@ -411,12 +412,21 @@ TEST(HarnessTest, ScaledDeviceCapacityTracksScale) {
 }
 
 TEST(HarnessTest, WarmCalibrationCacheSkipsAllMeasurement) {
-  std::string dir = ::testing::TempDir();
-  if (!dir.empty() && dir.back() != '/') dir += '/';
-  dir += "ldb-harness-calib-cache-" + std::to_string(getpid());
+  // The cache directory, removed with its files when the case ends.
+  struct CacheDir {
+    std::string path = [] {
+      std::string dir = ::testing::TempDir();
+      if (!dir.empty() && dir.back() != '/') dir += '/';
+      return dir + "ldb-harness-calib-cache-" + std::to_string(getpid());
+    }();
+    ~CacheDir() {
+      std::error_code ec;
+      std::filesystem::remove_all(path, ec);
+    }
+  } dir;
 
   CalibrationOptions calibration;
-  calibration.cache_dir = dir;
+  calibration.cache_dir = dir.path;
 
   auto cold = ExperimentRig::Create(Catalog::TpcH(kScale),
                                     {{"d0"}, {"d1"}}, kScale, 3, calibration);

@@ -505,9 +505,9 @@ const CostModel& MigrateTestCost() {
   return *model;
 }
 
-LayoutProblem TwoTargetProblem() {
+LayoutProblem SmallProblem(int objects, int targets) {
   LayoutProblem p;
-  for (int i = 0; i < 2; ++i) {
+  for (int i = 0; i < objects; ++i) {
     p.object_names.push_back(StrFormat("obj%d", i));
     p.object_sizes.push_back(kGiB);
     p.object_kinds.push_back(ObjectKind::kTable);
@@ -519,7 +519,7 @@ LayoutProblem TwoTargetProblem() {
     w.overlap_value = {0.0};
     p.workloads.push_back(std::move(w));
   }
-  for (int j = 0; j < 2; ++j) {
+  for (int j = 0; j < targets; ++j) {
     p.targets.push_back(AdvisorTarget{StrFormat("t%d", j), 8 * kGiB,
                                       &MigrateTestCost(), 1, 64 * kKiB});
   }
@@ -527,7 +527,7 @@ LayoutProblem TwoTargetProblem() {
 }
 
 TEST(PriceMigrationTest, SolverNoiseBelowToleranceIsNotMovement) {
-  const LayoutProblem p = TwoTargetProblem();
+  const LayoutProblem p = SmallProblem(2, 2);
   Layout from(2, 2);
   from.SetRowRegular(0, {0, 1});
   from.SetRowRegular(1, {0});
@@ -544,7 +544,7 @@ TEST(PriceMigrationTest, SolverNoiseBelowToleranceIsNotMovement) {
 }
 
 TEST(PriceMigrationTest, RegularMovePricesExactFractions) {
-  const LayoutProblem p = TwoTargetProblem();
+  const LayoutProblem p = SmallProblem(2, 2);
   Layout from(2, 2);
   from.SetRowRegular(0, {0});
   from.SetRowRegular(1, {0});
@@ -559,7 +559,7 @@ TEST(PriceMigrationTest, RegularMovePricesExactFractions) {
 }
 
 TEST(PriceMigrationTest, NonRegularRebalanceUsesRawDeltas) {
-  const LayoutProblem p = TwoTargetProblem();
+  const LayoutProblem p = SmallProblem(2, 2);
   Layout from(2, 2);
   from.Set(0, 0, 0.7);
   from.Set(0, 1, 0.3);
@@ -575,7 +575,7 @@ TEST(PriceMigrationTest, NonRegularRebalanceUsesRawDeltas) {
 }
 
 TEST(ReplanTest, EveryTargetFailedIsCleanInfeasible) {
-  const LayoutProblem p = TwoTargetProblem();
+  const LayoutProblem p = SmallProblem(2, 2);
   Layout current(2, 2);
   current.SetRowRegular(0, {0});
   current.SetRowRegular(1, {1});
@@ -587,6 +587,44 @@ TEST(ReplanTest, EveryTargetFailedIsCleanInfeasible) {
   EXPECT_EQ(result.status().code(), StatusCode::kInfeasible);
   EXPECT_NE(result.status().message().find("every target failed"),
             std::string::npos);
+}
+
+// Rows off the failed targets stay in place, so a deployed layout that
+// breaks the policy there is an input error, not a process abort.
+TEST(ReplanTest, PolicyBreakingRowOffTheFailedTargetIsInvalidArgument) {
+  LayoutProblem p = SmallProblem(4, 3);
+  Layout current(4, 3);
+  current.SetRowRegular(0, {0});
+  current.SetRowRegular(1, {1});
+  current.SetRowRegular(2, {2});
+  current.SetRowRegular(3, {0, 2});
+  TargetHealth health = TargetHealth::Healthy(3);
+  health.MarkFailed(1);
+
+  p.constraints.allowed_targets = {{2}, {}, {}, {}};
+  auto pinned = ReplanAfterFailure(p, current, health);
+  ASSERT_FALSE(pinned.ok());
+  EXPECT_EQ(pinned.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(pinned.status().message().find("object obj0 breaks"),
+            std::string::npos)
+      << pinned.status().ToString();
+
+  p.constraints.allowed_targets.clear();
+  p.constraints.separate = {{2, 3}};
+  auto separated = ReplanAfterFailure(p, current, health);
+  ASSERT_FALSE(separated.ok());
+  EXPECT_EQ(separated.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(separated.status().message().find("object obj2 breaks"),
+            std::string::npos)
+      << separated.status().ToString();
+
+  // The displaced row (obj1, on the failed t1) is re-placed inside its
+  // allowed set as before.
+  p.constraints.separate.clear();
+  p.constraints.allowed_targets = {{}, {2}, {}, {}};
+  auto replanned = ReplanAfterFailure(p, current, health);
+  ASSERT_TRUE(replanned.ok()) << replanned.status().ToString();
+  EXPECT_EQ(replanned->layout.TargetsOf(1), std::vector<int>{2});
 }
 
 }  // namespace

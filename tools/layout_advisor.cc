@@ -481,7 +481,7 @@ int main(int argc, char** argv) {
                                     : sim->real_readable.ToString().c_str(),
             sim->real_bytes_verified / (1024.0 * 1024.0));
       }
-      for (const std::string& s : sim->skipped_faults) {
+      for (const std::string& s : sim->run.skipped_faults) {
         std::printf("  skipped fault: %s\n", s.c_str());
       }
       if (!journal_path.empty()) {
@@ -669,7 +669,7 @@ int main(int argc, char** argv) {
                                    : ap->real_readable.ToString().c_str(),
             ap->real_bytes_verified / (1024.0 * 1024.0));
       }
-      for (const std::string& s : ap->skipped_faults) {
+      for (const std::string& s : ap->run.skipped_faults) {
         std::printf("  skipped fault: %s\n", s.c_str());
       }
       if (!journal_path.empty()) {
