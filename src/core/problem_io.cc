@@ -500,13 +500,24 @@ std::string FormatAdvisorReport(const LayoutProblem& problem,
   add("solver", result.utilization_solver);
   add("final", result.utilization_final);
   out += table.ToString();
-  // Solver effort, and each seed the race against seed 0 stopped with how
-  // far it trailed seed 0 at that round (in utilization points).
+  // Solver effort, the steps each seed's rounds took (a round below the
+  // per-round cap converged or found no descent), and each seed the race
+  // against seed 0 stopped with how far it trailed seed 0 at that round
+  // (in utilization points).
   const SolverResult& solver = result.solver_stats;
   out += StrFormat("\nSolver: %zu seed%s, %d steps, %lld column passes",
                    solver.seeds.size(), solver.seeds.size() == 1 ? "" : "s",
                    solver.iterations,
                    static_cast<long long>(solver.gradient_evaluations));
+  for (size_t s = 0; s < solver.seeds.size(); ++s) {
+    out += StrFormat(s == 0 ? "; steps per round: seed %zu [" : ", seed %zu [",
+                     s);
+    const std::vector<int>& steps = solver.seeds[s].round_steps;
+    for (size_t r = 0; r < steps.size(); ++r) {
+      out += StrFormat(r == 0 ? "%d" : " %d", steps[r]);
+    }
+    out += "]";
+  }
   bool any_stopped = false;
   for (size_t s = 0; s < solver.seeds.size(); ++s) {
     const SeedTrajectory& t = solver.seeds[s];

@@ -25,6 +25,10 @@ std::atomic<uint64_t> g_measure_points{0};
 /// Size of each interfering random read. Part of the cache key text.
 constexpr int64_t kInterfererSizeBytes = 8 * kKiB;
 
+/// Primary requests served and discarded at each grid point before
+/// measuring. Part of the cache key text.
+constexpr int kWarmupRequests = 32;
+
 /// Measures the mean primary-request service time at one grid point.
 ///
 /// Each "round" consists of one primary request plus `contention`
@@ -54,7 +58,7 @@ double MeasurePoint(BlockDevice* dev, double request_size, double run_count,
 
   double total = 0.0;
   int measured = 0;
-  const int rounds = opts.warmup_requests + opts.sample_requests;
+  const int rounds = kWarmupRequests + opts.sample_requests;
   // Pending requests of one round with their positioning estimates; the
   // estimate is taken once when the round's queue forms (the state the
   // scheduler would order on), not re-queried after every serve, which
@@ -103,7 +107,7 @@ double MeasurePoint(BlockDevice* dev, double request_size, double run_count,
         }
       }
       const double t = dev->ServiceTime(pending[best].req);
-      if (pending[best].order == 0 && round >= opts.warmup_requests) {
+      if (pending[best].order == 0 && round >= kWarmupRequests) {
         total += t;
         ++measured;
       }
@@ -189,7 +193,7 @@ uint64_t CalibrationCacheKey(const BlockDevice& prototype,
   for (double v : options.run_axis) text << " " << v;
   text << "|chi";
   for (double v : options.contention_axis) text << " " << v;
-  text << "|warmup " << options.warmup_requests << "|samples "
+  text << "|warmup " << kWarmupRequests << "|samples "
        << options.sample_requests << "|intf " << kInterfererSizeBytes
        << "|seed " << options.seed;
   return FnvMixBytes(kFnvOffsetBasis, text.str());

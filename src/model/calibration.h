@@ -22,7 +22,6 @@ struct CalibrationOptions {
       static_cast<double>(kMiB)};
   std::vector<double> run_axis = {1, 2, 4, 8, 16, 32, 64, 128};
   std::vector<double> contention_axis = {0, 0.5, 1, 2, 4, 8, 16};
-  int warmup_requests = 32;   ///< discarded before measuring
   int sample_requests = 256;  ///< measured requests per grid point
   uint64_t seed = 1;
   /// Calibration parallelism over grid points: 0 = one lane per hardware
@@ -61,8 +60,8 @@ Result<CostModel> CalibrateDeviceCached(const BlockDevice& prototype,
 
 /// 64-bit key identifying one calibration: a hash of the device's
 /// ParamsText() and every CalibrationOptions field that affects the
-/// measured tables (axes, warmup/sample counts, seed — not num_threads or
-/// cache_dir), plus the fixed interfering-read size.
+/// measured tables (axes, sample count, seed — not num_threads or
+/// cache_dir), plus the fixed warmup count and interfering-read size.
 uint64_t CalibrationCacheKey(const BlockDevice& prototype,
                              const CalibrationOptions& options);
 

@@ -47,14 +47,22 @@ class LvmLayoutModel {
   inline double TransformRunDerivative(const WorkloadDesc& w,
                                        double fraction) const;
 
+  /// Transform's run count in the fraction → 0+ limit, where the
+  /// round-robin split branch (run ∝ fraction) is unreachable: the run
+  /// count an absent object's gradient is priced at. Equal to
+  /// Transform(w, f).run_count for every f small enough to stay off the
+  /// split branch.
+  inline double LimitRunCount(const WorkloadDesc& w) const;
+
   int64_t stripe_bytes() const { return stripe_bytes_; }
 
  private:
   /// w.mean_size(), computed out of line. Inline, its mul-add would be
   /// contracted to an FMA in the translation units built with -mfma (the
   /// batched kernels) and rounded separately everywhere else; one copy
-  /// keeps Transform's result the same in every caller, which is what
-  /// keeps TargetUtilization and the regularizer's pricer bit-identical.
+  /// keeps Transform's and LimitRunCount's result the same in every
+  /// caller, which is what keeps TargetUtilization and the regularizer's
+  /// pricer bit-identical, and an absent object on Transform's branch.
   static double MeanSize(const WorkloadDesc& w);
 
   int64_t stripe_bytes_;
@@ -93,6 +101,14 @@ PerTargetWorkload LvmLayoutModel::Transform(const WorkloadDesc& w,
   }
   if (out.run_count < 1.0) out.run_count = 1.0;
   return out;
+}
+
+double LvmLayoutModel::LimitRunCount(const WorkloadDesc& w) const {
+  const double stripe = static_cast<double>(stripe_bytes_);
+  const double b = MeanSize(w);
+  double run = w.run_count;
+  if (b > 0.0 && w.run_count * b >= stripe) run = stripe / b;
+  return run < 1.0 ? 1.0 : run;
 }
 
 double LvmLayoutModel::TransformRunDerivative(const WorkloadDesc& w,

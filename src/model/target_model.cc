@@ -361,18 +361,6 @@ class TargetColumnContext final : public ColumnEvaluator {
     m->dchi_write = dchi_write;
   }
 
-  /// Transform's run count in the fraction → 0+ limit: the round-robin
-  /// split branch (run ∝ fraction) is unreachable there, leaving the
-  /// constant branches.
-  double LimitRunCount(const WorkloadDesc& w) const {
-    const double stripe =
-        static_cast<double>(model_->layout_model().stripe_bytes());
-    const double b = w.mean_size();
-    double run = w.run_count;
-    if (b > 0.0 && w.run_count * b >= stripe) run = stripe / b;
-    return run < 1.0 ? 1.0 : run;
-  }
-
   /// The batched kernel: returns µ_j(layout) and fills grad[i] =
   /// ∂µ_j/∂L_ij.
   double BatchedColumn(const Layout& layout, double* grad) {
@@ -446,7 +434,7 @@ class TargetColumnContext final : public ColumnEvaluator {
         // Fraction → 0+ limit: the rates vanish linearly, so ∂µ_ij/∂L_ij
         // tends to λ^R·mcR + λ^W·mcW priced at the limiting run count and
         // contention factor.
-        run = LimitRunCount(wi);
+        run = model_->layout_model().LimitRunCount(wi);
         chi = binterf_[i] > 0.0 ? kClampedChi : diag_[i];
       }
       LookupMemo& m = memo_[i];

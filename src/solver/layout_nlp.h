@@ -49,7 +49,9 @@ struct LayoutNlpProblem {
 
 /// Tuning knobs of the projected-gradient layout solver.
 struct SolverOptions {
-  int max_iterations_per_round = 60;  ///< gradient steps per annealing round
+  /// Cap on the gradient steps of one annealing round; a round that
+  /// converges first ends early.
+  int max_iterations_per_round = 60;
   int annealing_rounds = 6;           ///< smooth-max / penalty schedule length
   double smoothmax_t0 = 30.0;      ///< initial log-sum-exp temperature
   double smoothmax_growth = 2.5;   ///< temperature multiplier per round
@@ -92,9 +94,13 @@ struct SolverProfile {
 };
 
 /// One seed's annealing record: the true max_j µ_j after each round it
-/// finished, and the round after which racing seed 0 stopped it.
+/// finished, the gradient steps each of those rounds took (below
+/// SolverOptions::max_iterations_per_round when the round converged or
+/// its line search found no descent), and the round after which racing
+/// seed 0 stopped it.
 struct SeedTrajectory {
   std::vector<double> round_max;
+  std::vector<int> round_steps;
   int stopped_round = -1;  ///< -1 = ran to completion
 
   bool stopped() const { return stopped_round >= 0; }

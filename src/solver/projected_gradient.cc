@@ -20,8 +20,10 @@ constexpr double kInitialStep = 0.25;   // first trial step length
 constexpr double kArmijoC = 1e-4;       // sufficient-decrease coefficient
 constexpr double kBacktrack = 0.5;      // step shrink factor
 constexpr int kMaxBacktracks = 25;
-constexpr double kTolerance = 1e-6;     // relative improvement deemed converged
-constexpr int kPatience = 6;            // converged iterations before a round ends
+// Convergence test: a round ends once kMoveWindow steps together have moved
+// no layout entry by kMoveTolerance (a fraction of its object) or more.
+constexpr int kMoveWindow = 5;
+constexpr double kMoveTolerance = 3e-3;
 constexpr double kPenalty0 = 10.0;      // initial capacity-violation weight
 constexpr double kPenaltyGrowth = 4.0;  // penalty multiplier per round
 
@@ -206,6 +208,19 @@ class Evaluator {
   double separation_ = 0.0;
 };
 
+/// Largest change of any one entry between two layouts of equal shape.
+double MaxEntryChange(const Layout& a, const Layout& b) {
+  double change = 0.0;
+  for (int i = 0; i < a.num_objects(); ++i) {
+    const double* ra = a.Row(i);
+    const double* rb = b.Row(i);
+    for (int j = 0; j < a.num_targets(); ++j) {
+      change = std::max(change, std::fabs(ra[j] - rb[j]));
+    }
+  }
+  return change;
+}
+
 /// Greedy feasibility repair: shifts fractions of objects off over-full
 /// targets onto targets with free bytes. Used when the penalty method
 /// leaves a small residual violation.
@@ -373,7 +388,9 @@ Result<SolverResult> ProjectedGradientSolver::Solve(
   double penalty = kPenalty0;
   for (int round = 0; round < rounds; ++round) {
     double f = eval.Objective(temp, penalty);
-    int stall = 0;
+    // The layout at the start of the current convergence window.
+    Layout anchor = x;
+    const int first_iteration = result.iterations;
     for (int iter = 0; iter < options_.max_iterations_per_round; ++iter) {
       ++result.iterations;
 
@@ -430,7 +447,6 @@ Result<SolverResult> ProjectedGradientSolver::Solve(
       if (grad_norm2 < 1e-18) break;
 
       // Backtracking projected-gradient step.
-      double f_best = f;
       bool accepted = false;
       double alpha = step;
       const int64_t ls_t0 = NowNanos();
@@ -448,7 +464,6 @@ Result<SolverResult> ProjectedGradientSolver::Solve(
         result.profile.line_search.calls += 1;
         const double f_trial = trial_eval.Objective(temp, penalty);
         if (f_trial < f - kArmijoC * alpha * grad_norm2) {
-          f_best = f_trial;
           accepted = true;
           break;
         }
@@ -457,7 +472,6 @@ Result<SolverResult> ProjectedGradientSolver::Solve(
       result.profile.line_search.ns += NowNanos() - ls_t0;
       if (!accepted) break;  // no descent direction at this temperature
 
-      const double improvement = (f - f_best) / std::max(1e-12, std::fabs(f));
       x = trial;
       {
         const int64_t rf_t0 = NowNanos();
@@ -470,12 +484,13 @@ Result<SolverResult> ProjectedGradientSolver::Solve(
       }
       f = eval.Objective(temp, penalty);
       step = std::min(kInitialStep, alpha * 2.0);
-      if (improvement < kTolerance) {
-        if (++stall >= kPatience) break;
-      } else {
-        stall = 0;
+      // Every step that gets here was accepted, so iter + 1 counts them.
+      if ((iter + 1) % kMoveWindow == 0) {
+        if (MaxEntryChange(x, anchor) < kMoveTolerance) break;
+        anchor = x;
       }
     }
+    trajectory.round_steps.push_back(result.iterations - first_iteration);
     temp *= options_.smoothmax_growth;
     penalty *= kPenaltyGrowth;
 

@@ -21,6 +21,16 @@ namespace ldb {
 ///  * each iteration takes a projected-gradient step: a backtracking
 ///    Armijo line search along the negative gradient, with per-row
 ///    Euclidean projection back onto the (allowed-target) unit simplex;
+///  * a round ends once its steps stop moving the layout: after every 5
+///    accepted steps the layout is compared with the one 5 steps earlier,
+///    and the round ends when no entry moved by 0.3% of its object or
+///    more (the file-local kMoveWindow and kMoveTolerance). A round that
+///    never settles ends at SolverOptions::max_iterations_per_round; one
+///    whose line search finds no descent ends at once. The projected-
+///    gradient stationarity ‖x − P(x − ∇F)‖∞ is no usable test here: after
+///    round 0 it ends a full 60-step round at 0.3–1.5× its round-start
+///    value on advise-shaped problems, because the steps crawl along the
+///    sharpening smooth max rather than settle;
 ///  * the gradient is analytic: the seed and every line-search trial are
 ///    priced by one fused value+gradient pass per column
 ///    (ColumnEvaluator::EvaluateWithGradient from the problem's
@@ -34,9 +44,9 @@ namespace ldb {
 ///    bit-identical for every thread count;
 ///  * like MINOS, the result is a locally optimal, generally non-regular
 ///    layout that depends on the initial point;
-///  * the true max_j µ_j after every annealing round is recorded in
-///    SolverResult::seeds, and a solve given a rival's per-round record
-///    stops once it cannot catch up (see Solve).
+///  * the true max_j µ_j and the step count of every annealing round are
+///    recorded in SolverResult::seeds, and a solve given a rival's
+///    per-round record stops once it cannot catch up (see Solve).
 class ProjectedGradientSolver {
  public:
   /// First 0-based round after which a raced solve may stop. At the low

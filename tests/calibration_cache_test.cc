@@ -27,7 +27,6 @@ CalibrationOptions SmallOptions() {
                        static_cast<double>(64 * kKiB)};
   options.run_axis = {1, 8};
   options.contention_axis = {0, 2};
-  options.warmup_requests = 4;
   options.sample_requests = 24;
   return options;
 }

@@ -59,11 +59,11 @@ TEST(PersistedDigestTest, CalibrationCacheKeyIsPinned) {
                        static_cast<double>(64 * kKiB)};
   options.run_axis = {1, 8};
   options.contention_axis = {0, 0.5, 2};
-  options.warmup_requests = 4;
   options.sample_requests = 24;
   options.seed = 7;
+  // The key text reads "|warmup 32" (the fixed warmup count).
   EXPECT_EQ(CalibrationCacheKey(DiskModel(Scsi15kParams()), options),
-            7593379276869490550ULL);
+            17100753757866404759ULL);
 }
 
 }  // namespace

@@ -318,6 +318,45 @@ TEST(LvmLayoutModelTest, RunCountNeverBelowOne) {
   EXPECT_GE(lm.Transform(w, 1e-4).run_count, 1.0);
 }
 
+/// Rates whose mean size rounds differently when its mul-add is fused
+/// into an FMA, and the run count that puts run_count · mean_size exactly
+/// on a 64 KiB stripe: a mean size computed any other way than
+/// Transform's takes the other run branch here.
+WorkloadDesc StripeBoundaryWorkload() {
+  WorkloadDesc w;
+  w.read_rate = 2.59;
+  w.read_size = 13926.4;
+  w.write_rate = 2.26;
+  w.write_size = 12697.6;
+  w.run_count = 4.9076650645079694;
+  return w;
+}
+
+TEST(LvmLayoutModelTest, LimitRunCountIsTransformsRunAtTinyFractions) {
+  // An absent object's gradient is priced at LimitRunCount, which must be
+  // the run count Transform gives the object at any fraction too small
+  // for the round-robin split, including one ulp either side of the
+  // stripe boundary.
+  LvmLayoutModel lm(64 * kKiB);
+  WorkloadDesc w = StripeBoundaryWorkload();
+  const double at_stripe = w.run_count;
+  for (double run : {std::nextafter(std::nextafter(at_stripe, 0.0), 0.0),
+                     std::nextafter(at_stripe, 0.0), at_stripe,
+                     std::nextafter(at_stripe, 10.0),
+                     std::nextafter(std::nextafter(at_stripe, 10.0), 10.0)}) {
+    w.run_count = run;
+    for (double fraction : {1e-12, 1e-6, 1e-3}) {
+      EXPECT_EQ(lm.LimitRunCount(w), lm.Transform(w, fraction).run_count)
+          << "run " << run << " fraction " << fraction;
+    }
+  }
+  // Off the boundary, the two constant branches.
+  w.run_count = 2.0;
+  EXPECT_EQ(lm.LimitRunCount(w), 2.0);
+  w.run_count = 100.0;
+  EXPECT_EQ(lm.LimitRunCount(w), 64 * kKiB / w.mean_size());
+}
+
 // ------------------------------------------------------------- CostModel
 
 CostModel MakeSyntheticCostModel(double base = 0.005) {
@@ -527,7 +566,6 @@ CalibrationOptions FastCalibration() {
   opts.run_axis = {1, 8, 64};
   opts.contention_axis = {0, 1, 2, 4};
   opts.sample_requests = 160;
-  opts.warmup_requests = 16;
   return opts;
 }
 
@@ -850,6 +888,32 @@ TEST(ColumnKernelTest, LookupMemoMatchesFreshEvaluatorsBitForBit) {
   for (const auto& ctx : live) live_queries += ctx->interp_queries();
   EXPECT_GT(live_queries, 0);
   EXPECT_LT(live_queries, fresh_queries);
+}
+
+TEST(ColumnKernelTest, AbsentObjectGradientIsTheTinyFractionLimit) {
+  // ∂µ_j/∂L_ij of an object absent from column j is the limit of the
+  // gradient at a tiny positive fraction. With nothing interfering, both
+  // price the same lookups, so they are equal bit for bit when the kernel
+  // prices the absent object at Transform's run count.
+  const CostModel cm = MakeKernelCostModel();
+  TargetModel tm({{&cm, 1, 64 * kKiB}, {&cm, 1, 64 * kKiB}},
+                 LvmLayoutModel(64 * kKiB));
+  WorkloadDesc w = StripeBoundaryWorkload();
+  SetFullOverlapRow(&w, {0.0});
+  const WorkloadSet ws{w};
+  Layout absent(1, 2);
+  absent.Set(0, 1, 1.0);
+  Layout tiny(1, 2);
+  tiny.Set(0, 0, 1e-12);
+  tiny.Set(0, 1, 1.0 - 1e-12);
+  double g_absent = 0.0;
+  double g_tiny = 0.0;
+  EXPECT_EQ(tm.MakeColumnEvaluator(ws, 0)->EvaluateWithGradient(absent,
+                                                                &g_absent),
+            0.0);
+  tm.MakeColumnEvaluator(ws, 0)->EvaluateWithGradient(tiny, &g_tiny);
+  EXPECT_GT(g_absent, 0.0);
+  EXPECT_EQ(Bits(g_absent), Bits(g_tiny));
 }
 
 // ------------------------------------- full row ≡ zero-trimmed row

@@ -209,19 +209,25 @@ TEST(ProblemIoTest, AdvisorReportPinsTheSolverLine) {
   s.gradient_evaluations = 9140;
   s.seeds.resize(3);
   s.seeds[0].round_max = {0.9, 0.7, 0.6, 0.55};
+  s.seeds[0].round_steps = {60, 60, 5, 10};
   s.seeds[1].round_max = {0.95, 0.8, 0.65};
+  s.seeds[1].round_steps = {60, 35, 60};
   s.seeds[1].stopped_round = 2;
   s.seeds[2].round_max = {0.8, 0.7, 0.6, 0.5};
+  s.seeds[2].round_steps = {60, 60, 60, 60};
   const std::string report = FormatAdvisorReport(problem, result);
   EXPECT_NE(report.find("\nSolver: 3 seeds, 812 steps, 9140 column passes; "
-                        "seed 1 stopped after round 2, trailing seed 0 by "
-                        "5.00 pts\nAdvisor time: "),
+                        "steps per round: seed 0 [60 60 5 10], seed 1 "
+                        "[60 35 60], seed 2 [60 60 60 60]; seed 1 stopped "
+                        "after round 2, trailing seed 0 by 5.00 pts\n"
+                        "Advisor time: "),
             std::string::npos)
       << report;
 
   s.seeds.resize(1);
   EXPECT_NE(FormatAdvisorReport(problem, result)
                 .find("\nSolver: 1 seed, 812 steps, 9140 column passes; "
+                      "steps per round: seed 0 [60 60 5 10]; "
                       "no seed stopped\n"),
             std::string::npos);
 }

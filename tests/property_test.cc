@@ -1472,7 +1472,6 @@ TEST(SpecGrammarFuzz, ProblemFile) {
                    static_cast<double>(64 * kKiB)};
   cal.run_axis = {1, 8};
   cal.contention_axis = {0, 2};
-  cal.warmup_requests = 4;
   cal.sample_requests = 24;
   cal.cache_dir = StrFormat("%s/ldb-grammar-fuzz-%d",
                             ::testing::TempDir().c_str(),

@@ -337,8 +337,10 @@ TEST(SolverTest, SolutionRowsStayOnSimplex) {
   }
 }
 
-TEST(SolverTest, InterferenceAwareObjectiveSeparatesObjects) {
-  // µ_j = Σ load + quadratic interaction between co-located objects 0,1.
+/// Two objects on two targets: µ_j = Σ load + a heavy quadratic
+/// interaction between the co-located objects. SEE gives µ = 0.8 on both
+/// targets, full separation µ = 0.3.
+LayoutNlpProblem MakeInterferenceProblem() {
   LayoutNlpProblem p;
   p.num_objects = 2;
   p.num_targets = 2;
@@ -346,19 +348,30 @@ TEST(SolverTest, InterferenceAwareObjectiveSeparatesObjects) {
   p.target_capacities = {10 * kGiB, 10 * kGiB};
   p.target_utilization = [](const Layout& l, int j) {
     const double a = l.At(0, j), b = l.At(1, j);
-    return 0.3 * (a + b) + 2.0 * a * b;  // heavy interference term
+    return 0.3 * (a + b) + 2.0 * a * b;
   };
   p.make_column_eval = FdColumnFactory(p.target_utilization);
-  ProjectedGradientSolver solver;
-  // SEE is a symmetric saddle of this objective — the same trap the paper
-  // reports for MINOS (Section 4.2), and why its advisor seeds the solver
-  // with an asymmetric heuristic layout instead. Seed slightly off-balance.
+  return p;
+}
+
+/// A slightly off-balance seed of the interference problem, from which
+/// the gradient finds the separation.
+Layout OffBalanceSeed() {
   Layout seed(2, 2);
   seed.Set(0, 0, 0.6);
   seed.Set(0, 1, 0.4);
   seed.Set(1, 0, 0.4);
   seed.Set(1, 1, 0.6);
-  auto r = solver.Solve(p, seed);
+  return seed;
+}
+
+TEST(SolverTest, InterferenceAwareObjectiveSeparatesObjects) {
+  const LayoutNlpProblem p = MakeInterferenceProblem();
+  ProjectedGradientSolver solver;
+  // SEE is a symmetric saddle of this objective — the same trap the paper
+  // reports for MINOS (Section 4.2), and why its advisor seeds the solver
+  // with an asymmetric heuristic layout instead. Seed slightly off-balance.
+  auto r = solver.Solve(p, OffBalanceSeed());
   ASSERT_TRUE(r.ok());
   // SEE gives µ = 0.3 + 0.5 = 0.8 on both targets; full separation gives
   // µ = 0.3. The solver must discover the separation.
@@ -483,9 +496,45 @@ TEST(SolverTest, RecordsTrueMaxAfterEveryRound) {
   EXPECT_FALSE(t.stopped());
   ASSERT_EQ(t.round_max.size(),
             static_cast<size_t>(SolverOptions{}.annealing_rounds));
+  ASSERT_EQ(t.round_steps.size(), t.round_max.size());
   EXPECT_LT(t.round_max.front(), 15.0);  // the seed's max is 15
   // Capacity is ample, so no repair moves the last round's layout.
   EXPECT_EQ(t.round_max.back(), r->max_utilization);
+}
+
+TEST(SolverTest, RoundsEndOnceConvergedNearTheKnownOptimum) {
+  // Five objects that may split freely over targets of speed 1, 2 and 2:
+  // the optimum balances every target at Σ rates / Σ speeds = 3.
+  const LayoutNlpProblem p = MakeLinearProblem({5, 4, 3, 2, 1}, {1, 2, 2});
+  const Layout seed = AllOnFirstTarget(5, 3);
+  std::vector<SolverResult> results;
+  for (int threads : {1, 2, 4}) {
+    SolverOptions options;
+    options.num_threads = threads;
+    auto r = ProjectedGradientSolver(options).Solve(p, seed);
+    ASSERT_TRUE(r.ok()) << threads;
+    results.push_back(std::move(r).value());
+  }
+  const SolverResult& r = results.front();
+  EXPECT_TRUE(r.feasible);
+  EXPECT_NEAR(r.max_utilization, 3.0, 1e-4);
+  // Every round converges well before the per-round cap, and the rounds'
+  // steps are all the steps the solve took.
+  const SeedTrajectory& t = r.seeds.front();
+  ASSERT_EQ(t.round_steps.size(),
+            static_cast<size_t>(SolverOptions{}.annealing_rounds));
+  for (int steps : t.round_steps) {
+    EXPECT_GT(steps, 0);
+    EXPECT_LT(steps, SolverOptions{}.max_iterations_per_round / 2);
+  }
+  EXPECT_EQ(std::accumulate(t.round_steps.begin(), t.round_steps.end(), 0),
+            r.iterations);
+  // The exit never depends on the thread count.
+  for (size_t k = 1; k < results.size(); ++k) {
+    EXPECT_TRUE(results[k].layout == r.layout) << k;
+    EXPECT_EQ(results[k].max_utilization, r.max_utilization) << k;
+    EXPECT_EQ(results[k].seeds.front().round_steps, t.round_steps) << k;
+  }
 }
 
 TEST(SolverTest, StopsOnceItCannotCatchTheRival) {
@@ -588,8 +637,12 @@ std::vector<Layout> RaceSeeds() {
 }
 
 TEST(MultiStartTest, RacedSeedsStopButSeedZeroNever) {
-  const LayoutNlpProblem p = MakeRaceProblem();
-  const std::vector<Layout> seeds = RaceSeeds();
+  // Seed 0 separates the interfering objects (µ → 0.3); SEE sits on the
+  // objective's symmetric saddle (µ = 0.8), trailing seed 0 by far more
+  // than it gains per round, so the race stops it.
+  const LayoutNlpProblem p = MakeInterferenceProblem();
+  const std::vector<Layout> seeds = {OffBalanceSeed(),
+                                     Layout::StripeEverythingEverywhere(2, 2)};
   auto raced = MultiStartSolver().Solve(p, seeds);
   ASSERT_TRUE(raced.ok());
   ASSERT_EQ(raced->seeds.size(), seeds.size());
@@ -597,6 +650,9 @@ TEST(MultiStartTest, RacedSeedsStopButSeedZeroNever) {
   int stopped = 0;
   for (const SeedTrajectory& t : raced->seeds) stopped += t.stopped() ? 1 : 0;
   EXPECT_GE(stopped, 1) << "the race must stop a trailing seed here";
+  EXPECT_TRUE(raced->seeds[1].stopped());
+  EXPECT_GT(raced->seeds[1].round_max.back(),
+            raced->seeds[0].round_max.back() + 0.4);
   // Never worse than seed 0 solved alone, and every seed's passes count.
   auto alone = ProjectedGradientSolver().Solve(p, seeds[0]);
   ASSERT_TRUE(alone.ok());
@@ -679,15 +735,7 @@ TEST(RandomizedSearchTest, ImprovesOnUnbalancedSeedAndStaysRegular) {
 TEST(RandomizedSearchTest, EscapesSeeSaddleUnlikeGradient) {
   // The interference objective whose SEE point traps the gradient solver
   // (symmetric saddle): random moves break the symmetry immediately.
-  LayoutNlpProblem p;
-  p.num_objects = 2;
-  p.num_targets = 2;
-  p.object_sizes = {kGiB, kGiB};
-  p.target_capacities = {10 * kGiB, 10 * kGiB};
-  p.target_utilization = [](const Layout& l, int j) {
-    const double a = l.At(0, j), b = l.At(1, j);
-    return 0.3 * (a + b) + 2.0 * a * b;
-  };
+  const LayoutNlpProblem p = MakeInterferenceProblem();
   RandomizedSearchSolver solver;
   auto r = solver.Solve(p, Layout::StripeEverythingEverywhere(2, 2));
   ASSERT_TRUE(r.ok());

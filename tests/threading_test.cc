@@ -253,7 +253,6 @@ TEST(CalibrationThreadingTest, BitIdenticalAcrossThreadCounts) {
   options.run_axis = {1, 16};
   options.contention_axis = {0, 2};
   options.sample_requests = 48;
-  options.warmup_requests = 8;
 
   options.num_threads = 1;
   auto golden = CalibrateDevice(disk, options);
@@ -275,7 +274,6 @@ TEST(CalibrationThreadingTest, SsdBitIdenticalAcrossThreadCounts) {
   options.run_axis = {1, 8};
   options.contention_axis = {0, 4};
   options.sample_requests = 32;
-  options.warmup_requests = 4;
 
   options.num_threads = 1;
   auto golden = CalibrateDevice(ssd, options);
