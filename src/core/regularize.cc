@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
+#include <limits>
 #include <numeric>
 #include <utility>
 #include <vector>
@@ -101,7 +103,7 @@ CandidatePricer::CandidatePricer(const LayoutProblem* problem,
   });
 }
 
-void CandidatePricer::SetTrialRow(const std::vector<int>& targets) {
+void CandidatePricer::SetTrialRow(std::span<const int> targets) {
   LDB_CHECK(!targets.empty());
   std::fill(row_.begin(), row_.end(), 0.0);
   const double share = 1.0 / static_cast<double>(targets.size());
@@ -115,6 +117,7 @@ double CandidatePricer::RepriceColumn(int i, int j, double fraction,
   double* rate = &rate_[base];
   double* mu = &mu_kj_[base];
   const size_t ui = static_cast<size_t>(i);
+  ++columns_repriced_;
 
   const PerTargetWorkload wij = model_->layout_model().Transform(
       workloads[ui], std::max(0.0, fraction));
@@ -168,8 +171,10 @@ double CandidatePricer::RepriceColumn(int i, int j, double fraction,
   return mu_j;
 }
 
-bool CandidatePricer::Price(int i, const std::vector<int>& targets,
-                            std::vector<double>* trial_mu) {
+std::optional<double> CandidatePricer::Price(const RegularizerOptions& options,
+                                             int i,
+                                             std::span<const int> targets,
+                                             double bound) {
   SetTrialRow(targets);
   const double* old_row = layout_.Row(i);
   const int64_t size = problem_->object_sizes[static_cast<size_t>(i)];
@@ -178,17 +183,34 @@ bool CandidatePricer::Price(int i, const std::vector<int>& targets,
     if (bytes_[uj] - EntryBytes(old_row[j], size) +
             EntryBytes(row_[uj], size) >
         capacities_[uj]) {
-      return false;
+      return std::nullopt;
     }
   }
-  *trial_mu = mu_;
+  // The max is exact in any order, so the columns the candidate leaves
+  // alone go first (cached µ_j, nothing repriced), then the touched ones,
+  // hottest first: the ones most likely to reach the bound.
+  double max_mu = 0.0;
+  touched_.clear();
   for (int j = 0; j < m_; ++j) {
     const size_t uj = static_cast<size_t>(j);
+    const double effective = EffectiveTargetUtilization(options, mu_[uj], j);
     if (row_[uj] != old_row[j]) {
-      (*trial_mu)[uj] = RepriceColumn(i, j, row_[uj], /*commit=*/false);
+      touched_.emplace_back(effective, j);
+    } else {
+      max_mu = std::max(max_mu, effective);
     }
   }
-  return true;
+  if (max_mu >= bound) return std::nullopt;
+  std::sort(touched_.begin(), touched_.end(), std::greater<>());
+  for (const auto& [unused, j] : touched_) {
+    const double effective = EffectiveTargetUtilization(
+        options,
+        RepriceColumn(i, j, row_[static_cast<size_t>(j)], /*commit=*/false),
+        j);
+    if (effective >= bound) return std::nullopt;
+    max_mu = std::max(max_mu, effective);
+  }
+  return max_mu;
 }
 
 void CandidatePricer::Apply(int i, const std::vector<int>& targets) {
@@ -225,9 +247,11 @@ struct RegularCandidateChoice {
 
 /// Generates the paper's 2M candidate regular rows for object `i` against
 /// the pricer's layout, drops capacity and constraint violators, and
-/// returns the one minimizing the maximum (derated) utilization.
+/// returns the first one minimizing the maximum (derated) utilization among
+/// those below `cap` (not found when none is).
 RegularCandidateChoice BestRegularRowForObject(
-    const RegularizerOptions& options, CandidatePricer* pricer, int i) {
+    const RegularizerOptions& options, CandidatePricer* pricer, int i,
+    double cap) {
   const LayoutProblem& problem = pricer->problem();
   const Layout& current = pricer->layout();
   const std::vector<double>& mu = pricer->mu();
@@ -258,19 +282,9 @@ RegularCandidateChoice BestRegularRowForObject(
            EffectiveTargetUtilization(options, mu[static_cast<size_t>(b)], b);
   });
 
-  std::vector<std::vector<int>> candidates;
-  candidates.reserve(2 * universe.size());
-  for (size_t k = 1; k <= universe.size(); ++k) {
-    candidates.emplace_back(by_fraction.begin(),
-                            by_fraction.begin() + static_cast<long>(k));
-    if (options.balancing_candidates) {
-      candidates.emplace_back(by_load.begin(),
-                              by_load.begin() + static_cast<long>(k));
-    }
-  }
   // Separation constraints drop candidates that share a target with a
   // partner (allowed-target restrictions already shaped the universe).
-  const auto co_locates = [&](const std::vector<int>& targets) {
+  const auto co_locates = [&](std::span<const int> targets) {
     for (const auto& [a, b] : problem.constraints.separate) {
       const int partner = a == i ? b : (b == i ? a : -1);
       if (partner < 0) continue;
@@ -281,18 +295,24 @@ RegularCandidateChoice BestRegularRowForObject(
     return false;
   };
 
+  // A candidate is a prefix of one of the two orders. Each is priced
+  // against the best max so far (which is below `cap`): the pricer returns
+  // only a strictly lower one, so the first candidate with the lowest max
+  // wins, exactly as if every candidate were priced in full.
   RegularCandidateChoice best;
-  std::vector<double> trial_mu;
-  for (const std::vector<int>& targets : candidates) {
-    if (co_locates(targets) || !pricer->Price(i, targets, &trial_mu)) {
-      continue;
-    }
-    const double objective = MaxEffectiveUtilization(options, trial_mu);
-    if (!best.found || objective < best.objective) {
-      best.found = true;
-      best.objective = objective;
-      best.targets = targets;
-    }
+  const auto consider = [&](const std::vector<int>& order, size_t k) {
+    const std::span<const int> targets(order.data(), k);
+    if (co_locates(targets)) return;
+    const std::optional<double> objective =
+        pricer->Price(options, i, targets, best.found ? best.objective : cap);
+    if (!objective) return;
+    best.found = true;
+    best.objective = *objective;
+    best.targets.assign(targets.begin(), targets.end());
+  };
+  for (size_t k = 1; k <= universe.size(); ++k) {
+    consider(by_fraction, k);
+    if (options.balancing_candidates) consider(by_load, k);
   }
   return best;
 }
@@ -303,19 +323,21 @@ int RelayoutRows(const RegularizerOptions& options, CandidatePricer* pricer,
                  const std::vector<int>& place, const std::vector<int>& refine,
                  double margin) {
   for (int i : place) {
-    const RegularCandidateChoice choice =
-        BestRegularRowForObject(options, pricer, i);
+    const RegularCandidateChoice choice = BestRegularRowForObject(
+        options, pricer, i, std::numeric_limits<double>::infinity());
     if (!choice.found) return i;
     pricer->Apply(i, choice.targets);
   }
   for (int pass = 0; pass < options.refinement_passes; ++pass) {
     bool improved = false;
     for (int i : refine) {
-      const double incumbent = MaxEffectiveUtilization(options, pricer->mu());
+      // Only a winner below the incumbent by more than `margin` moves, so
+      // nothing at or above that is worth pricing.
+      const double cap =
+          MaxEffectiveUtilization(options, pricer->mu()) - margin;
       const RegularCandidateChoice choice =
-          BestRegularRowForObject(options, pricer, i);
-      if (choice.found && choice.objective < incumbent - margin &&
-          pricer->layout().TargetsOf(i) != choice.targets) {
+          BestRegularRowForObject(options, pricer, i, cap);
+      if (choice.found && pricer->layout().TargetsOf(i) != choice.targets) {
         pricer->Apply(i, choice.targets);
         improved = true;
       }
@@ -325,7 +347,8 @@ int RelayoutRows(const RegularizerOptions& options, CandidatePricer* pricer,
   return -1;
 }
 
-Result<Layout> Regularizer::Regularize(const Layout& solver_layout) const {
+Result<Layout> Regularizer::Regularize(const Layout& solver_layout,
+                                       int64_t* columns_repriced) const {
   LDB_RETURN_IF_ERROR(problem_->Validate());
   const int n = problem_->num_objects();
   const int m = problem_->num_targets();
@@ -353,6 +376,9 @@ Result<Layout> Regularizer::Regularize(const Layout& solver_layout) const {
   // Greedy pass, one object at a time (paper Section 4.3), then refinement
   // sweeps over the now-regular layout keeping strict improvements.
   const int stuck = RelayoutRows(options_, &pricer, order, order, 1e-12);
+  if (columns_repriced != nullptr) {
+    *columns_repriced = pricer.columns_repriced();
+  }
   if (stuck >= 0) {
     return Status::Infeasible(StrFormat(
         "no regular candidate for object %s fits the capacity "

@@ -2,6 +2,8 @@
 #define LAYOUTDB_CORE_REGULARIZE_H_
 
 #include <cstdint>
+#include <optional>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -88,19 +90,28 @@ class CandidatePricer {
                             partners_.begin() + partner_begin_[u + 1]);
   }
 
-  /// Prices striping object `i` evenly over `targets`. Returns false if
-  /// that layout violates a capacity; otherwise fills `trial_mu` with every
-  /// target's µ_j under it. The current layout is left unchanged.
-  bool Price(int i, const std::vector<int>& targets,
-             std::vector<double>* trial_mu);
+  /// Prices striping object `i` evenly over `targets` against `bound`.
+  /// Returns the candidate's MaxEffectiveUtilization under `options` when
+  /// the layout fits every capacity and that maximum is strictly below
+  /// `bound`; otherwise nullopt. Checks capacity first, then the columns
+  /// the candidate leaves alone (their cached µ_j, no repricing), then
+  /// reprices the touched columns hottest cached effective µ_j first and
+  /// stops at the first one at or above `bound`. With an infinite bound
+  /// every fitting candidate is priced in full. The current layout and
+  /// every cache are left unchanged.
+  std::optional<double> Price(const RegularizerOptions& options, int i,
+                              std::span<const int> targets, double bound);
 
   /// Moves object `i` onto the regular row over `targets`.
   void Apply(int i, const std::vector<int>& targets);
 
+  /// Columns repriced so far, by Price and Apply: the pricer's effort.
+  int64_t columns_repriced() const { return columns_repriced_; }
+
  private:
   /// Fills row_ with the regular row over `targets`, exactly as
   /// Layout::SetRowRegular writes it.
-  void SetTrialRow(const std::vector<int>& targets);
+  void SetTrialRow(std::span<const int> targets);
   /// µ_j with object i's fraction on target j set to `fraction`; keeps the
   /// repriced terms when `commit`, else restores the caches.
   double RepriceColumn(int i, int j, double fraction, bool commit);
@@ -124,9 +135,12 @@ class CandidatePricer {
   // partner_begin_[i + 1]), ascending.
   std::vector<size_t> partner_begin_;
   std::vector<int> partners_;
+  int64_t columns_repriced_ = 0;
   // Scratch.
   std::vector<double> row_;
   std::vector<std::pair<int, double>> undo_;
+  // Columns a candidate touches, as (cached effective µ_j, j).
+  std::vector<std::pair<double, int>> touched_;
 };
 
 /// The one place-and-refine pass over regular rows, shared by the
@@ -154,7 +168,7 @@ int RelayoutRows(const RegularizerOptions& options, CandidatePricer* pricer,
 ///    targets by solver fraction (k = 1..M, ties broken by target id);
 ///  * M "balancing" candidates — the object striped across the k currently
 ///    least-loaded targets.
-/// Candidates violating capacity are dropped; the one minimizing the
+/// Candidates violating capacity are dropped; the first one minimizing the
 /// maximum estimated target utilization wins.
 class Regularizer {
  public:
@@ -164,8 +178,11 @@ class Regularizer {
 
   /// Returns the regularized layout, or Infeasible if some object admits
   /// no capacity-respecting candidate (the paper's "manual intervention"
-  /// case, only expected under very tight space constraints).
-  Result<Layout> Regularize(const Layout& solver_layout) const;
+  /// case, only expected under very tight space constraints). When
+  /// `columns_repriced` is set it receives the pricer's effort
+  /// (CandidatePricer::columns_repriced).
+  Result<Layout> Regularize(const Layout& solver_layout,
+                            int64_t* columns_repriced = nullptr) const;
 
  private:
   const LayoutProblem* problem_;

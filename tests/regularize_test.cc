@@ -6,7 +6,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numeric>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -22,6 +25,8 @@
 
 namespace ldb {
 namespace {
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
 
 // Two cost tables of different speeds, so targets are heterogeneous.
 const CostModel& TestCost(int variant) {
@@ -192,6 +197,16 @@ struct RefChoice {
   std::vector<int> targets;
 };
 
+/// Candidates RefBestRow has seen tie the best so far bit for bit on a
+/// different target set: the cases only the candidate order decides.
+int ref_tied_candidates = 0;
+
+/// `targets` as a set, ascending.
+std::vector<int> Ascending(std::vector<int> targets) {
+  std::sort(targets.begin(), targets.end());
+  return targets;
+}
+
 double RefObjective(const RegularizerOptions& o,
                     const std::vector<double>& mu) {
   double out = 0.0;
@@ -239,6 +254,9 @@ RefChoice RefBestRow(const LayoutProblem& p, const TargetModel& model,
     const double objective = RefObjective(p, model, o, trial);
     if (!best.found || objective < best.objective) {
       best = RefChoice{true, objective, targets};
+    } else if (objective == best.objective &&
+               Ascending(targets) != Ascending(best.targets)) {
+      ++ref_tied_candidates;
     }
   };
   for (size_t k = 1; k <= universe.size(); ++k) {
@@ -328,7 +346,6 @@ TEST(CandidatePricerTest, TrialMuEqualsTargetUtilization) {
     CandidatePricer pricer(&p, &model, layout);
     ExpectCacheExact(p, model, pricer);
 
-    std::vector<double> trial_mu;
     for (int t = 0; t < 20; ++t) {
       const int i = static_cast<int>(rng.UniformInt(static_cast<uint64_t>(n)));
       const std::vector<int> targets = RandomTargets(rng, m);
@@ -336,11 +353,24 @@ TEST(CandidatePricerTest, TrialMuEqualsTargetUtilization) {
       trial.SetRowRegular(i, targets);
       const bool fits =
           trial.SatisfiesCapacity(p.object_sizes, p.capacities());
-      ASSERT_EQ(pricer.Price(i, targets, &trial_mu), fits) << "seed " << seed;
+      const std::optional<double> got =
+          pricer.Price(RegularizerOptions{}, i, targets, kInf);
+      ASSERT_EQ(got.has_value(), fits) << "seed " << seed;
       if (!fits) continue;
+      std::vector<double> want(static_cast<size_t>(m));
       for (int j = 0; j < m; ++j) {
-        EXPECT_EQ(trial_mu[static_cast<size_t>(j)],
-                  model.TargetUtilization(p.workloads, trial, j))
+        want[static_cast<size_t>(j)] =
+            model.TargetUtilization(p.workloads, trial, j);
+      }
+      EXPECT_EQ(*got, RefObjective(RegularizerOptions{}, want))
+          << "seed " << seed << " object " << i;
+      // The same repricing, kept: every target's µ_j as TargetUtilization
+      // prices the trial layout.
+      CandidatePricer applied = pricer;
+      applied.Apply(i, targets);
+      for (int j = 0; j < m; ++j) {
+        EXPECT_EQ(applied.mu()[static_cast<size_t>(j)],
+                  want[static_cast<size_t>(j)])
             << "seed " << seed << " object " << i << " target " << j;
       }
     }
@@ -348,6 +378,83 @@ TEST(CandidatePricerTest, TrialMuEqualsTargetUtilization) {
     EXPECT_TRUE(pricer.layout() == layout);
     ExpectCacheExact(p, model, pricer);
   }
+}
+
+// Bounded pricing against the exhaustive objective: a returned max is the
+// exhaustive one bit for bit, a pruned candidate is at or above the bound
+// or breaks a capacity, and no call disturbs the caches.
+TEST(CandidatePricerTest, BoundedPriceIsExactOrPrunedAtTheBound) {
+  int returned = 0;
+  int pruned = 0;  // fitting candidates the bound dropped
+  for (uint64_t seed = 0; seed < 60; ++seed) {
+    Rng rng(7000 + seed);
+    const int n = 2 + static_cast<int>(rng.UniformInt(uint64_t{13}));
+    const int m = 2 + static_cast<int>(rng.UniformInt(uint64_t{4}));
+    LayoutProblem p =
+        RandomProblem(rng, n, m, FormFor(seed), rng.Uniform(1.05, 3.0));
+    AddRandomConstraints(rng, &p);
+    RegularizerOptions o;
+    o.target_derate.assign(static_cast<size_t>(m), 1.0);
+    for (double& d : o.target_derate) {
+      if (rng.Bernoulli(0.5)) d = rng.Uniform(0.2, 1.0);
+    }
+    if (seed % 2 == 0) {
+      o.target_derate[rng.UniformInt(static_cast<uint64_t>(m))] = 0.0;
+    }
+    const TargetModel model = p.MakeTargetModel();
+    Layout mirror = RandomLayout(rng, n, m, /*empty_rows=*/true);
+    CandidatePricer pricer(&p, &model, mirror);
+    for (int t = 0; t < 30; ++t) {
+      const int i = static_cast<int>(rng.UniformInt(static_cast<uint64_t>(n)));
+      std::vector<int> universe = p.constraints.AllowedFor(i);
+      if (universe.empty()) {
+        universe.resize(static_cast<size_t>(m));
+        std::iota(universe.begin(), universe.end(), 0);
+      }
+      const std::vector<int> targets = RandomTargetsFrom(rng, universe);
+      Layout trial = mirror;
+      trial.SetRowRegular(i, targets);
+      const bool fits =
+          trial.SatisfiesCapacity(p.object_sizes, p.capacities());
+      const double want = RefObjective(p, model, o, trial);
+      // Below, at (a tie must prune) and above the exhaustive max, and none.
+      double bound = kInf;
+      switch (rng.UniformInt(uint64_t{4})) {
+        case 0: bound = want * rng.Uniform(0.5, 1.0); break;
+        case 1: bound = want; break;
+        case 2: bound = want * rng.Uniform(1.0, 2.0); break;
+        default: break;
+      }
+      const int64_t before = pricer.columns_repriced();
+      const std::optional<double> got = pricer.Price(o, i, targets, bound);
+      const std::string where = StrFormat("seed %llu trial %d bound %.17g",
+                                          static_cast<unsigned long long>(seed),
+                                          t, bound);
+      if (got.has_value()) {
+        ++returned;
+        EXPECT_TRUE(fits) << where;
+        EXPECT_EQ(*got, want) << where;
+        EXPECT_LT(*got, bound) << where;
+      } else {
+        pruned += fits;
+        EXPECT_TRUE(!fits || want >= bound) << where << " want " << want;
+      }
+      if (fits && bound == kInf) {
+        // Unbounded, exactly the columns whose entry changes are repriced.
+        int64_t changed = 0;
+        for (int j = 0; j < m; ++j) changed += trial.At(i, j) != mirror.At(i, j);
+        EXPECT_EQ(pricer.columns_repriced() - before, changed) << where;
+      }
+      EXPECT_TRUE(pricer.layout() == mirror) << where;
+      ExpectCacheExact(p, model, pricer);
+      if (fits && t % 5 == 4) {
+        pricer.Apply(i, targets);
+        mirror = trial;
+      }
+    }
+  }
+  EXPECT_GT(returned, 500);
+  EXPECT_GT(pruned, 500);
 }
 
 TEST(CandidatePricerTest, PartnerListsIgnoreStoredZeros) {
@@ -683,6 +790,83 @@ TEST(RegularizeExactnessTest, ReplanAfterFailureMatchesReference) {
                                       << want->ToString();
   }
   EXPECT_GT(replanned, 20);
+}
+
+/// `n` identical objects on `m` identical targets: one size, one workload,
+/// the same co-access between every pair, one cost table, one geometry and
+/// one capacity. Candidates then tie bit for bit, and only the candidate
+/// order decides which one wins.
+LayoutProblem SymmetricProblem(int n, int m) {
+  LayoutProblem p;
+  for (int i = 0; i < n; ++i) {
+    p.object_names.push_back(StrFormat("obj%d", i));
+    p.object_sizes.push_back(kGiB);
+    p.object_kinds.push_back(ObjectKind::kTable);
+    WorkloadDesc w;
+    w.read_rate = 80;
+    w.read_size = 8 * kKiB;
+    w.write_rate = 20;
+    w.write_size = 8 * kKiB;
+    w.run_count = 4;
+    std::vector<double> row(static_cast<size_t>(n), 0.5);
+    row[static_cast<size_t>(i)] = 1.0;
+    SetOverlapRow(&w, static_cast<size_t>(i), row);
+    p.workloads.push_back(std::move(w));
+  }
+  for (int j = 0; j < m; ++j) {
+    AdvisorTarget t;
+    t.name = StrFormat("t%d", j);
+    t.capacity_bytes = 2 * n * kGiB / m + 1;
+    t.cost_model = &TestCost(0);
+    t.raid_level = RaidLevel::kRaid0;
+    t.num_members = 2;
+    p.targets.push_back(t);
+  }
+  return p;
+}
+
+// Regularize and ReplanAfterFailure on problems full of exact ties: the
+// first candidate with the lowest max must win, as in the reference, even
+// though bounded pricing drops every later candidate that only ties it.
+TEST(RegularizeExactnessTest, TiesGoToTheFirstCandidate) {
+  ref_tied_candidates = 0;
+  int replanned = 0;
+  for (uint64_t seed = 0; seed < 40; ++seed) {
+    Rng rng(9000 + seed);
+    const int n = 3 + static_cast<int>(rng.UniformInt(uint64_t{6}));
+    const int m = 3 + static_cast<int>(rng.UniformInt(uint64_t{2}));
+    const LayoutProblem p = SymmetricProblem(n, m);
+    const TargetModel model = p.MakeTargetModel();
+    Layout current(n, m);
+    for (int i = 0; i < n; ++i) current.SetRowRegular(i, RandomTargets(rng, m));
+
+    const Result<Layout> got = Regularizer(&p, &model).Regularize(current);
+    const Result<Layout> want = RefRegularize(p, model, {}, current);
+    ASSERT_EQ(got.ok(), want.ok()) << "seed " << seed;
+    if (got.ok()) {
+      EXPECT_TRUE(*got == *want) << "seed " << seed << "\n"
+                                 << got->ToString() << want->ToString();
+    }
+
+    if (!current.SatisfiesCapacity(p.object_sizes, p.capacities())) continue;
+    TargetHealth health = TargetHealth::Healthy(m);
+    health.MarkFailed(static_cast<int>(rng.UniformInt(static_cast<uint64_t>(m))));
+    ReplanOptions options;
+    options.solver.max_iterations_per_round = 20;
+    options.solver.annealing_rounds = 3;
+    const Result<ReplanResult> replan =
+        ReplanAfterFailure(p, current, health, options);
+    const Result<Layout> ref = RefReplan(p, current, health, options);
+    ASSERT_EQ(replan.ok(), ref.ok()) << "seed " << seed;
+    if (!replan.ok()) continue;
+    ++replanned;
+    EXPECT_TRUE(replan->layout == *ref) << "seed " << seed << "\n"
+                                        << replan->layout.ToString()
+                                        << ref->ToString();
+  }
+  EXPECT_GT(replanned, 20);
+  // The problems do exercise ties.
+  EXPECT_GT(ref_tied_candidates, 200);
 }
 
 }  // namespace
